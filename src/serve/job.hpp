@@ -27,6 +27,8 @@ struct JobSpec {
   /// The load generator allocates globally unique ids starting at 1; in
   /// closed-loop mode a client's jobs form one think-time-paced chain.
   std::uint64_t client = 0;
+
+  bool operator==(const JobSpec&) const = default;
 };
 
 /// What happened to one job, as reported by the server.
@@ -62,6 +64,8 @@ struct JobRecord {
   /// table download / write-back on the serving side.
   sim::TimePs exec_done_time = 0;
   sim::TimePs finish_time = 0;
+
+  bool operator==(const JobRecord&) const = default;
 
   sim::DurationPs latency() const noexcept {
     return completed ? finish_time - spec.submit_time : 0;

@@ -126,8 +126,8 @@ class Scheduler {
   /// input. Ties break towards the lowest device index. Returns the
   /// num_devices() sentinel when every device is unavailable. The optional
   /// `eligible` mask (one entry per device) further restricts the candidate
-  /// set — the QoS dispatcher passes the set of idle placeable devices so
-  /// placement stays late-bound under weighted-fair ordering.
+  /// set — serve's dispatch step passes the placeable devices holding
+  /// fewer jobs than its per-device limit.
   std::uint32_t pick_device(const std::string& app, std::uint64_t input_bytes,
                             const std::vector<std::uint8_t>* eligible =
                                 nullptr) {

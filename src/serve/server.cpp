@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,7 +20,6 @@
 #include "dur/integrity.hpp"
 #include "dur/journal.hpp"
 #include "fault/fault.hpp"
-#include "obs/json.hpp"
 #include "obs/prof/attribution.hpp"
 #include "obs/prof/quantile.hpp"
 #include "obs/prof/slo.hpp"
@@ -37,6 +37,17 @@ namespace {
 constexpr std::uint32_t kStagingRegionBase = 9000;
 
 double to_ms(sim::DurationPs ps) { return static_cast<double>(ps) / 1e9; }
+sim::DurationPs ms_to_ps(double ms) {
+  return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
+}
+
+/// p50, p95 and p99 of a non-empty P² sketch, clamped so p50 <= p95 <= p99:
+/// the sketch estimates each quantile in its own independent cells.
+std::array<double, 3> percentiles(const obs::prof::QuantileSketch& sketch) {
+  const double p50 = sketch.quantile(0.50);
+  const double p95 = std::max(p50, sketch.quantile(0.95));
+  return {p50, p95, std::max(p95, sketch.quantile(0.99))};
+}
 
 /// Cache dataset identity of an app's generated input: apps regenerate the
 /// same dataset from the same seed on every runner, so the app name is the
@@ -59,6 +70,9 @@ struct Job {
   /// bigkdur: record high-water mark across this session's run attempts —
   /// windows at or below it that execute again count as replayed work.
   std::uint64_t progress = 0;
+  /// Index into ServerState::tenants (0, the default tenant, when no
+  /// tenants are configured).
+  std::uint32_t tenant = 0;
 };
 
 struct ServerState {
@@ -129,19 +143,24 @@ struct ServerState {
   /// the makespan never includes a trailing probe tick.
   sim::TimePs finish_time = 0;
   // --- bigkload QoS plane --------------------------------------------------
-  /// QoS mode is on iff tenants are configured; admitted jobs then pass
-  /// through the WFQ stage instead of being placed at admission.
-  bool qos_mode = false;
+  /// The configured tenants, or one default weight-1 tenant without quota or
+  /// think time when none are configured.
+  std::vector<TenantConfig> tenants;
   /// Admitted-but-unfinished jobs per tenant (quota enforcement).
   std::vector<std::uint32_t> tenant_outstanding;
+  /// Admitted jobs waiting for a device, in discipline order (FIFO for the
+  /// default tenant).
   std::unique_ptr<QosQueue<Job*>> qos_queue;
-  /// Monotone event counter waking the dispatcher: enqueue, device freed,
-  /// scale-up, shutdown.
-  sim::Flag dispatch_events{sim};
-  /// Jobs queued-or-running per device. The dispatcher only hands a job to
-  /// an idle device, keeping placement late-bound under WFQ ordering
-  /// (redispatch after a failure may push the count past 1).
+  /// Jobs queued-or-running per device (redispatch after a failure may push
+  /// a count past device_limit).
   std::vector<std::uint32_t> inflight;
+  /// Jobs dispatch() lets one device hold. With tenants it is 1: a job binds
+  /// to a device only once one is idle, so the discipline's order, not the
+  /// arrival order, decides which job runs next. Without tenants it is
+  /// unbounded, so every admitted job is placed at once and waits in its
+  /// device's FIFO; app-affinity can then stack a job behind a warm
+  /// same-app device, which wins on reuse-heavy mixes.
+  std::uint32_t device_limit = std::numeric_limits<std::uint32_t>::max();
   std::unique_ptr<Autoscaler> autoscaler;
   /// Decision-period signal windows for the autoscaler daemon (the latency
   /// sketch is recreated every period so p99 is per-period, not cumulative).
@@ -224,17 +243,20 @@ struct ServerState {
                    caches[device]->resident_bytes(dataset_id_of(app));
           });
     }
-    qos_mode = !cfg.qos.tenants.empty();
-    if (qos_mode) {
-      std::vector<std::uint32_t> weights;
-      weights.reserve(cfg.qos.tenants.size());
-      for (const TenantConfig& tenant : cfg.qos.tenants) {
-        weights.push_back(tenant.weight);
-      }
-      qos_queue = std::make_unique<QosQueue<Job*>>(cfg.qos.discipline, weights);
-      tenant_outstanding.assign(cfg.qos.tenants.size(), 0);
-      inflight.assign(pool.size(), 0);
+    tenants = cfg.qos.tenants;
+    Discipline discipline = cfg.qos.discipline;
+    if (tenants.empty()) {
+      tenants.emplace_back();
+      discipline = Discipline::kFifo;
+    } else {
+      device_limit = 1;
     }
+    std::vector<std::uint32_t> weights;
+    weights.reserve(tenants.size());
+    for (const TenantConfig& tenant : tenants) weights.push_back(tenant.weight);
+    qos_queue = std::make_unique<QosQueue<Job*>>(discipline, weights);
+    tenant_outstanding.assign(tenants.size(), 0);
+    inflight.assign(pool.size(), 0);
     if (cfg.metrics != nullptr) {
       queue.attach_metrics(*cfg.metrics, metrics_scope);
     }
@@ -300,23 +322,118 @@ void spill_job(ServerState& st, Job& job) {
   st.cpu_dispatch->push(&job);
 }
 
+/// Binds `job` to `device` and queues it on the device's worker.
+void place(ServerState& st, Job& job, std::uint32_t device) {
+  job.record.device = device;
+  job.record.warm = st.scheduler.resident_app(device) == job.record.spec.app;
+  st.scheduler.on_dispatch(device, job.record.spec.app,
+                           job.record.input_bytes);
+  ++st.inflight[device];
+  st.dispatch[device]->push(&job);
+}
+
+/// The dispatch step every admitted job passes through: hands queued jobs,
+/// in discipline order, to placeable devices that hold fewer than
+/// device_limit jobs, letting the placement policy choose among them. Runs
+/// whenever a job is queued or a device slot may have opened.
+void dispatch(ServerState& st) {
+  while (!st.qos_queue->empty()) {
+    std::vector<std::uint8_t> eligible(st.pool.size(), 0);
+    bool any_eligible = false;
+    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+      if (st.scheduler.placeable(d) && st.inflight[d] < st.device_limit) {
+        eligible[d] = 1;
+        any_eligible = true;
+      }
+    }
+    if (!any_eligible) return;
+    Job& job = *st.qos_queue->pop().value();
+    const std::uint32_t device = st.scheduler.pick_device(
+        job.record.spec.app, job.record.input_bytes, &eligible);
+    if (device >= st.pool.size()) {
+      throw std::logic_error("dispatch: eligible set yielded no device");
+    }
+    place(st, job, device);
+  }
+}
+
+/// Frees the device slot `job` holds on `device`.
+void release_device(ServerState& st, const Job& job, std::uint32_t device) {
+  st.scheduler.on_complete(device, job.record.input_bytes);
+  --st.inflight[device];
+}
+
+/// The one job-exit path: frees the job's device slot (when it still holds
+/// one on `device`), its admission slot and its tenant slot, then dispatches
+/// into whatever opened up.
+void release(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
+  if (device.has_value()) release_device(st, job, *device);
+  st.queue.release();
+  --st.tenant_outstanding[job.tenant];
+  dispatch(st);
+}
+
+/// Settles an admitted job as failed; `reason` goes to the trace.
+void fail_job(ServerState& st, Job& job, std::optional<std::uint32_t> device,
+              const char* reason) {
+  job.record.failed = true;
+  release(st, job, device);
+  st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
+                         " failed: " + reason);
+  st.settle_job(job);
+}
+
+/// Epilogue of a job that ran to its end, on `device` or, spilled, on the
+/// host cores.
+void complete(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
+  JobRecord& record = job.record;
+  record.finish_time = st.sim.now();
+  record.completed = true;
+  if (record.spec.deadline > 0) {
+    record.deadline_met =
+        record.finish_time - record.spec.submit_time <= record.spec.deadline;
+  }
+  st.completion_order.push_back(record.spec.id);
+  if (record.cpu_executed) ++st.cpu_completed;
+  release(st, job, device);
+  st.latency_sketch.observe(to_ms(record.latency()));
+  if (st.scaler_latency != nullptr) {
+    st.scaler_latency->observe(to_ms(record.latency()));
+  }
+  if (st.completions != nullptr) {
+    st.completions->add(record.finish_time);
+    if (device.has_value()) {
+      st.device_completions[*device]->add(record.finish_time);
+    }
+  }
+  st.settle_job(job);
+  if (st.config.tracer != nullptr) {
+    const obs::TrackId track = st.config.tracer->track(
+        "serve", device.has_value() ? st.pool.device(*device).device_name()
+                                    : std::string("cpu spill"));
+    st.config.tracer->complete(
+        track, record.spec.app, record.start_time, record.finish_time,
+        "serve",
+        {{"job", static_cast<double>(record.spec.id)},
+         device.has_value() ? obs::SpanArg{"warm", record.warm ? 1.0 : 0.0}
+                            : obs::SpanArg{"spilled", 1.0}});
+  }
+}
+
 /// Runs one job through admission control: keeps resubmitting until accepted
 /// or out of retries. Rejections — queue full, the whole pool quarantined, or
-/// (QoS mode) the job's tenant at its admission quota — return an escalating
+/// the job's tenant at its admission quota — return an escalating
 /// retry-after hint the client honors verbatim; the escalation streak is
 /// keyed by the submitting client when the workload names one, by the job id
-/// otherwise. An accepted job is placed immediately in the legacy path, or
-/// enters the WFQ stage for the dispatcher in QoS mode.
+/// otherwise. An accepted job either spills or is queued for dispatch().
 sim::Task<> submit_one(ServerState& st, Job& job) {
   const std::uint64_t client_key = job.record.spec.client != 0
                                        ? job.record.spec.client
                                        : job.record.spec.id;
-  const std::uint32_t tenant = job.record.spec.tenant;
+  const std::uint32_t quota = st.tenants[job.tenant].quota;
   for (std::uint32_t attempt = 0;; ++attempt) {
     sim::DurationPs retry_after = 0;
-    const std::uint32_t quota =
-        st.qos_mode ? st.config.qos.tenants[tenant].quota : 0;
-    if (quota > 0 && st.tenant_outstanding[tenant] >= quota) {
+    if (quota > 0 && st.tenant_outstanding[job.tenant] >= quota) {
       retry_after = st.queue.reject(RejectCause::kTenantQuota, client_key);
     } else if (!st.scheduler.any_available() &&
                !st.config.hetero.spill_enabled) {
@@ -326,25 +443,12 @@ sim::Task<> submit_one(ServerState& st, Job& job) {
       if (admission.accepted) {
         job.record.admitted = true;
         job.record.admit_time = st.sim.now();
-        if (st.qos_mode) {
-          ++st.tenant_outstanding[tenant];
-          if (should_spill(st)) {
-            spill_job(st, job);
-          } else {
-            st.qos_queue->push(tenant, &job, job.record.input_bytes >> 10);
-            st.dispatch_events.increment();
-          }
-        } else if (should_spill(st)) {
+        ++st.tenant_outstanding[job.tenant];
+        if (should_spill(st)) {
           spill_job(st, job);
         } else {
-          const std::uint32_t device = st.scheduler.pick_device(
-              job.record.spec.app, job.record.input_bytes);
-          job.record.device = device;
-          job.record.warm =
-              st.scheduler.resident_app(device) == job.record.spec.app;
-          st.scheduler.on_dispatch(device, job.record.spec.app,
-                                   job.record.input_bytes);
-          st.dispatch[device]->push(&job);
+          st.qos_queue->push(job.tenant, &job, job.record.input_bytes >> 10);
+          dispatch(st);
         }
         co_return;  // settles when its worker finishes it
       }
@@ -380,8 +484,7 @@ sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
         co_await st.sim.delay(job.record.spec.submit_time);
       }
     } else {
-      const sim::DurationPs think =
-          st.config.qos.tenants[job.record.spec.tenant].think_time;
+      const sim::DurationPs think = st.tenants[job.tenant].think_time;
       if (think > 0) co_await st.sim.delay(think);
       job.record.spec.submit_time = st.sim.now();
     }
@@ -391,46 +494,26 @@ sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
 }
 
 /// Hands an admitted job that cannot run on `from_device` (its run failed,
-/// or it was queued behind a quarantine) to the best available device; with
-/// the whole pool quarantined the job is abandoned as failed.
+/// or it was queued behind a quarantine) to the best available device,
+/// skipping the queue and the device limit; with the whole pool quarantined
+/// the job spills to the host cores or, without spill, fails.
 void redispatch(ServerState& st, std::uint32_t from_device, Job& job) {
-  st.scheduler.on_complete(from_device, job.record.input_bytes);
-  if (st.qos_mode) {
-    if (st.inflight[from_device] > 0) --st.inflight[from_device];
-    st.dispatch_events.increment();
-  }
+  release_device(st, job, from_device);
   const std::uint32_t target =
-      st.scheduler.any_available()
-          ? st.scheduler.pick_device(job.record.spec.app,
-                                     job.record.input_bytes)
-          : st.pool.size();
-  if (target >= st.pool.size()) {
-    if (st.config.hetero.spill_enabled) {
-      // bigkhetero: instead of abandoning the job, hand it to the host
-      // cores. The job keeps its admission slot (and tenant quota) until
-      // the cpu_worker completes it.
-      ++job.record.redispatches;
-      spill_job(st, job);
-      return;
-    }
-    job.record.failed = true;
-    st.queue.release();
-    if (st.qos_mode) --st.tenant_outstanding[job.record.spec.tenant];
-    st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                           " failed: no device");
-    st.settle_job(job);
+      st.scheduler.pick_device(job.record.spec.app, job.record.input_bytes);
+  if (target < st.pool.size()) {
+    ++job.record.redispatches;
+    place(st, job, target);
+  } else if (st.config.hetero.spill_enabled) {
+    // bigkhetero: the job keeps its admission slot (and tenant quota) until
+    // the cpu_worker completes it.
+    ++job.record.redispatches;
+    spill_job(st, job);
+  } else {
+    fail_job(st, job, std::nullopt, "no device");
     return;
   }
-  ++job.record.redispatches;
-  job.record.device = target;
-  job.record.warm = st.scheduler.resident_app(target) == job.record.spec.app;
-  st.scheduler.on_dispatch(target, job.record.spec.app,
-                           job.record.input_bytes);
-  // A redispatched job keeps its admission and skips the WFQ stage: it bumps
-  // the target's inflight count past the dispatcher's one-job limit, which
-  // simply queues it behind the device's current job.
-  if (st.qos_mode) ++st.inflight[target];
-  st.dispatch[target]->push(&job);
+  dispatch(st);
 }
 
 /// Quarantine transition for `device`: no new placements, and its chunk
@@ -465,6 +548,7 @@ sim::Task<> probe_daemon(ServerState& st) {
         st.config.metrics->counter("serve.reinstatements").add(1);
       }
       st.trace_serve_instant("reinstate dev" + std::to_string(d));
+      dispatch(st);
     }
   }
 }
@@ -493,22 +577,6 @@ sim::Task<> scrub_daemon(ServerState& st, std::uint32_t device) {
     if (st.shutdown) break;
     st.caches[device]->scrub(st.config.dur.scrub_entries, st.sim.now());
   }
-}
-
-/// Epilogue for a job the simulated crash stranded on a worker: it settles
-/// as failed (releasing its admission slot and device) so the run drains.
-void fail_crashed_job(ServerState& st, std::uint32_t device_index, Job& job) {
-  job.record.failed = true;
-  st.scheduler.on_complete(device_index, job.record.input_bytes);
-  st.queue.release();
-  if (st.qos_mode) {
-    --st.tenant_outstanding[job.record.spec.tenant];
-    if (st.inflight[device_index] > 0) --st.inflight[device_index];
-    st.dispatch_events.increment();
-  }
-  st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                         " failed: server crashed");
-  st.settle_job(job);
 }
 
 /// bigkprof telemetry daemon: once per profiling window, folds per-tick
@@ -569,9 +637,7 @@ sim::Task<> telemetry_daemon(ServerState& st) {
     if (!st.slo.rules().empty()) {
       std::map<std::string, double> values;
       if (st.latency_sketch.count() > 0) {
-        const double p50 = st.latency_sketch.quantile(0.50);
-        const double p95 = std::max(p50, st.latency_sketch.quantile(0.95));
-        const double p99 = std::max(p95, st.latency_sketch.quantile(0.99));
+        const auto [p50, p95, p99] = percentiles(st.latency_sketch);
         values["p50_ms"] = p50;
         values["p95_ms"] = p95;
         values["p99_ms"] = p99;
@@ -609,7 +675,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       continue;
     }
     if (st.crashed) {
-      fail_crashed_job(st, device_index, job);
+      fail_job(st, job, device_index, "server crashed");
       continue;
     }
     job.record.start_time = st.sim.now();
@@ -722,7 +788,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       }
     }
     if (crashed_out) {
-      fail_crashed_job(st, device_index, job);
+      fail_job(st, job, device_index, "server crashed");
       continue;
     }
     if (failure != nullptr) {
@@ -733,62 +799,21 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       continue;
     }
     st.health.on_success(device_index);
-    job.record.finish_time = st.sim.now();
-    job.record.completed = true;
-    if (job.record.spec.deadline > 0) {
-      job.record.deadline_met =
-          job.record.finish_time - job.record.spec.submit_time <=
-          job.record.spec.deadline;
-    }
-    st.completion_order.push_back(job.record.spec.id);
-    st.scheduler.on_complete(device_index, job.record.input_bytes);
-    st.queue.release();
-    if (st.qos_mode) {
-      --st.tenant_outstanding[job.record.spec.tenant];
-      if (st.inflight[device_index] > 0) --st.inflight[device_index];
-      st.dispatch_events.increment();
-    }
-    st.latency_sketch.observe(to_ms(job.record.latency()));
-    if (st.scaler_latency != nullptr) {
-      st.scaler_latency->observe(to_ms(job.record.latency()));
-    }
-    if (st.completions != nullptr) {
-      st.completions->add(job.record.finish_time);
-      st.device_completions[device_index]->add(job.record.finish_time);
-    }
-    st.settle_job(job);
-    if (st.config.tracer != nullptr) {
-      const obs::TrackId track =
-          st.config.tracer->track("serve", device.device_name());
-      st.config.tracer->complete(
-          track, job.record.spec.app, job.record.start_time,
-          job.record.finish_time, "serve",
-          {{"job", static_cast<double>(job.record.spec.id)},
-           {"warm", job.record.warm ? 1.0 : 0.0}});
-    }
+    complete(st, job, device_index);
   }
 }
 
 /// bigkhetero CPU worker: drains spilled jobs one at a time, running each
 /// entirely on the shared host cores (JobRunner::run_cpu — no staging, no
-/// DMA, no engine). Completion mirrors device_worker's epilogue minus the
-/// device-side bookkeeping (no scheduler slot or health state was taken).
+/// DMA, no engine). A spilled job holds no device slot, so its exits name
+/// no device.
 sim::Task<> cpu_worker(ServerState& st) {
   while (true) {
     std::optional<Job*> item = co_await st.cpu_dispatch->pop();
     if (!item.has_value()) break;  // channel closed and drained
     Job& job = **item;
     if (st.crashed) {
-      // No device slot was taken for a spilled job; release admission only.
-      job.record.failed = true;
-      st.queue.release();
-      if (st.qos_mode) {
-        --st.tenant_outstanding[job.record.spec.tenant];
-        st.dispatch_events.increment();
-      }
-      st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                             " failed: server crashed");
-      st.settle_job(job);
+      fail_job(st, job, std::nullopt, "server crashed");
       continue;
     }
     job.record.start_time = st.sim.now();
@@ -804,77 +829,7 @@ sim::Task<> cpu_worker(ServerState& st) {
       st.config.dur.journal->mark_complete(job.record.spec.id, total,
                                            job.runner->output_digest(total));
     }
-    job.record.finish_time = st.sim.now();
-    job.record.completed = true;
-    if (job.record.spec.deadline > 0) {
-      job.record.deadline_met =
-          job.record.finish_time - job.record.spec.submit_time <=
-          job.record.spec.deadline;
-    }
-    st.completion_order.push_back(job.record.spec.id);
-    st.queue.release();
-    if (st.qos_mode) {
-      --st.tenant_outstanding[job.record.spec.tenant];
-      st.dispatch_events.increment();
-    }
-    ++st.cpu_completed;
-    st.latency_sketch.observe(to_ms(job.record.latency()));
-    if (st.scaler_latency != nullptr) {
-      st.scaler_latency->observe(to_ms(job.record.latency()));
-    }
-    if (st.completions != nullptr) {
-      st.completions->add(job.record.finish_time);
-    }
-    st.settle_job(job);
-    if (st.config.tracer != nullptr) {
-      const obs::TrackId track =
-          st.config.tracer->track("serve", "cpu spill");
-      st.config.tracer->complete(
-          track, job.record.spec.app, job.record.start_time,
-          job.record.finish_time, "serve",
-          {{"job", static_cast<double>(job.record.spec.id)},
-           {"spilled", 1.0}});
-    }
-  }
-}
-
-/// bigkload dispatcher: pairs WFQ-ordered admitted jobs with idle placeable
-/// devices. Placement is late-bound — the device is chosen at dispatch time
-/// from the currently idle set (via the scheduler's eligibility mask), so
-/// weighted-fair ordering composes with the configured placement policy
-/// instead of fighting it.
-sim::Task<> qos_dispatcher(ServerState& st) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    co_await st.dispatch_events.wait_ge(seen + 1);
-    seen = st.dispatch_events.value();
-    if (st.shutdown) co_return;
-    while (!st.qos_queue->empty()) {
-      std::vector<std::uint8_t> eligible(st.pool.size(), 0);
-      bool any_idle = false;
-      for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-        if (st.scheduler.placeable(d) && st.inflight[d] == 0) {
-          eligible[d] = 1;
-          any_idle = true;
-        }
-      }
-      if (!any_idle) break;
-      std::optional<Job*> item = st.qos_queue->pop();
-      if (!item.has_value()) break;
-      Job& job = **item;
-      const std::uint32_t device = st.scheduler.pick_device(
-          job.record.spec.app, job.record.input_bytes, &eligible);
-      if (device >= st.pool.size()) {
-        throw std::logic_error("QoS dispatcher: idle set yielded no device");
-      }
-      job.record.device = device;
-      job.record.warm =
-          st.scheduler.resident_app(device) == job.record.spec.app;
-      st.scheduler.on_dispatch(device, job.record.spec.app,
-                               job.record.input_bytes);
-      ++st.inflight[device];
-      st.dispatch[device]->push(&job);
-    }
+    complete(st, job, std::nullopt);
   }
 }
 
@@ -914,7 +869,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
         st.scheduler.set_active(pick, true);
         ++st.active_devices;
         st.trace_serve_instant("scale-up dev" + std::to_string(pick));
-        if (st.qos_mode) st.dispatch_events.increment();
+        dispatch(st);
       }
     } else if (step < 0) {
       for (std::uint32_t d = st.pool.size(); d-- > 0;) {
@@ -934,7 +889,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
         ++st.active_devices;
         st.trace_serve_instant("scale-up dev" + std::to_string(d) +
                                " (failover)");
-        if (st.qos_mode) st.dispatch_events.increment();
+        dispatch(st);
         break;
       }
     }
@@ -954,7 +909,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
 
 sim::Task<> serve_main(ServerState& st) {
   std::vector<sim::Process> clients;
-  if (st.qos_mode && st.config.qos.closed_loop) {
+  if (st.config.qos.closed_loop) {
     // Group jobs into per-client chains; spec order is preserved inside
     // each, and std::map keys make the spawn order deterministic.
     std::map<std::uint64_t, std::vector<std::size_t>> chains;
@@ -979,8 +934,6 @@ sim::Task<> serve_main(ServerState& st) {
   if (st.cpu_dispatch != nullptr) {
     spill_worker = st.sim.spawn(cpu_worker(st));
   }
-  sim::Process dispatcher;
-  if (st.qos_mode) dispatcher = st.sim.spawn(qos_dispatcher(st));
   sim::Process scaler;
   if (st.autoscaler != nullptr) scaler = st.sim.spawn(autoscaler_daemon(st));
   sim::Process probe;
@@ -996,8 +949,7 @@ sim::Task<> serve_main(ServerState& st) {
     crasher = st.sim.spawn(crash_daemon(st));
   }
   std::vector<sim::Process> scrubbers;
-  if (st.integrity != nullptr && !st.caches.empty() &&
-      st.config.dur.scrub_period > 0 && st.config.dur.scrub_entries > 0) {
+  if (st.config.dur.scrub_period > 0 && st.config.dur.scrub_entries > 0) {
     scrubbers.reserve(st.pool.size());
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
       scrubbers.push_back(st.sim.spawn(scrub_daemon(st, d)));
@@ -1010,12 +962,10 @@ sim::Task<> serve_main(ServerState& st) {
   co_await st.all_settled.wait_ge(st.jobs.size());
   st.finish_time = st.sim.now();
   st.shutdown = true;
-  if (st.qos_mode) st.dispatch_events.increment();  // wake for shutdown
   for (auto& channel : st.dispatch) channel->close();
   if (st.cpu_dispatch != nullptr) st.cpu_dispatch->close();
   for (sim::Process& process : workers) co_await process.join();
   if (spill_worker.valid()) co_await spill_worker.join();
-  if (dispatcher.valid()) co_await dispatcher.join();
   if (scaler.valid()) co_await scaler.join();
   if (probe.valid()) co_await probe.join();
   if (telemetry.valid()) co_await telemetry.join();
@@ -1028,19 +978,28 @@ sim::Task<> serve_main(ServerState& st) {
 ServeReport run_server(const ServerConfig& config,
                        const std::vector<JobSpec>& specs,
                        const std::vector<apps::BenchApp>& suite) {
+  if (config.dur.scrub_period > 0 && config.dur.scrub_entries > 0 &&
+      !(config.dur.integrity && config.cache_enabled)) {
+    throw std::invalid_argument(
+        "dur.scrub_period needs dur.integrity and cache_enabled: the scrub "
+        "daemon re-verifies chunk-cache entries against their digests");
+  }
   ServerState state(config);
   state.jobs.reserve(specs.size());
   for (const JobSpec& spec : specs) {
     Job job;
     job.record.spec = spec;
-    if (state.qos_mode && spec.tenant >= config.qos.tenants.size()) {
-      throw std::invalid_argument(
-          "job " + std::to_string(spec.id) + " names tenant index " +
-          std::to_string(spec.tenant) + " but only " +
-          std::to_string(config.qos.tenants.size()) +
-          " tenants are configured");
+    if (!config.qos.tenants.empty()) {
+      if (spec.tenant >= config.qos.tenants.size()) {
+        throw std::invalid_argument(
+            "job " + std::to_string(spec.id) + " names tenant index " +
+            std::to_string(spec.tenant) + " but only " +
+            std::to_string(config.qos.tenants.size()) +
+            " tenants are configured");
+      }
+      job.tenant = spec.tenant;
     }
-    if (state.qos_mode && config.qos.closed_loop) {
+    if (config.qos.closed_loop) {
       job.done = std::make_unique<sim::Flag>(state.sim);
     }
     const apps::BenchApp& app = apps::find_app(suite, spec.app);
@@ -1134,17 +1093,10 @@ ServeReport run_server(const ServerConfig& config,
   }
 
   if (state.latency_sketch.count() > 0) {
-    // Streaming P² estimates, clamped monotone so p50 <= p95 <= p99 always
-    // holds in the report (the per-quantile cells are independent).
-    const double p50_ms = state.latency_sketch.quantile(0.50);
-    const double p95_ms = std::max(p50_ms, state.latency_sketch.quantile(0.95));
-    const double p99_ms = std::max(p95_ms, state.latency_sketch.quantile(0.99));
-    const auto to_ps = [](double ms) {
-      return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
-    };
-    report.latency_p50 = to_ps(p50_ms);
-    report.latency_p95 = to_ps(p95_ms);
-    report.latency_p99 = to_ps(p99_ms);
+    const auto [p50, p95, p99] = percentiles(state.latency_sketch);
+    report.latency_p50 = ms_to_ps(p50);
+    report.latency_p95 = ms_to_ps(p95);
+    report.latency_p99 = ms_to_ps(p99);
   }
   if (report.completed > 0) {
     const double n = static_cast<double>(report.completed);
@@ -1252,7 +1204,7 @@ ServeReport run_server(const ServerConfig& config,
     report.offered_jobs_per_s = static_cast<double>(report.jobs.size()) /
                                 (static_cast<double>(offered_window) * 1e-12);
   }
-  if (state.qos_mode) {
+  if (!config.qos.tenants.empty()) {
     const std::vector<TenantConfig>& tenants_cfg = config.qos.tenants;
     report.tenants.resize(tenants_cfg.size());
     std::vector<obs::prof::QuantileSketch> sketches(tenants_cfg.size());
@@ -1287,15 +1239,10 @@ ServeReport run_server(const ServerConfig& config,
     for (std::size_t t = 0; t < tenants_cfg.size(); ++t) {
       TenantReport& tenant = report.tenants[t];
       if (sketches[t].count() > 0) {
-        const double p50 = sketches[t].quantile(0.50);
-        const double p95 = std::max(p50, sketches[t].quantile(0.95));
-        const double p99 = std::max(p95, sketches[t].quantile(0.99));
-        const auto quantile_ps = [](double ms) {
-          return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
-        };
-        tenant.latency_p50 = quantile_ps(p50);
-        tenant.latency_p95 = quantile_ps(p95);
-        tenant.latency_p99 = quantile_ps(p99);
+        const auto [p50, p95, p99] = percentiles(sketches[t]);
+        tenant.latency_p50 = ms_to_ps(p50);
+        tenant.latency_p95 = ms_to_ps(p95);
+        tenant.latency_p99 = ms_to_ps(p99);
       }
       if (makespan_s > 0) {
         tenant.throughput_jobs_per_s =
@@ -1318,12 +1265,7 @@ ServeReport run_server(const ServerConfig& config,
   }
 
   if (config.metrics != nullptr) {
-    const std::string prefix =
-        config.metrics_prefix.empty()
-            ? std::string("serve.") + policy_name(config.policy) +
-                  ".devices" + std::to_string(state.pool.size())
-            : config.metrics_prefix;
-    report.export_metrics(*config.metrics, prefix);
+    report.export_metrics(*config.metrics, state.metrics_scope);
   }
   return report;
 }
@@ -1441,146 +1383,6 @@ void ServeReport::export_metrics(obs::MetricsRegistry& registry,
     registry.gauge(dev_prefix + ".bottleneck_stage")
         .set(static_cast<double>(devices[d].bottleneck_stage));
   }
-}
-
-void ServeReport::write_json(std::ostream& out) const {
-  out << "{\"makespan_ms\":" << obs::json_number(to_ms(makespan))
-      << ",\"jobs\":" << jobs.size() << ",\"completed\":" << completed
-      << ",\"dropped\":" << dropped << ",\"rejections\":" << rejections
-      << ",\"deadline_misses\":" << deadline_misses
-      << ",\"warm_hits\":" << warm_hits
-      << ",\"peak_queue_depth\":" << peak_queue_depth
-      << ",\"fault\":{\"injected\":" << fault_injected
-      << ",\"recovered\":" << fault_recovered
-      << ",\"failed_jobs\":" << failed_jobs
-      << ",\"redispatches\":" << redispatches
-      << ",\"quarantines\":" << quarantines
-      << ",\"reinstatements\":" << reinstatements
-      << ",\"rejections_queue_full\":" << rejections_queue_full
-      << ",\"rejections_no_device\":" << rejections_no_device << "}"
-      << ",\"dur\":{\"verified\":" << integrity_verified
-      << ",\"detected\":" << integrity_detected
-      << ",\"repaired\":" << integrity_repaired
-      << ",\"injected\":" << bitflips_injected
-      << ",\"scrub_checked\":" << scrub_checked
-      << ",\"scrub_evictions\":" << scrub_evictions
-      << ",\"resumed\":" << resumed
-      << ",\"chunks_replayed\":" << chunks_replayed
-      << ",\"crashed\":" << (crashed ? "true" : "false") << "}"
-      << ",\"hetero\":{\"spills\":" << spills
-      << ",\"cpu_completed\":" << cpu_completed << "}"
-      << ",\"cache\":{\"hits\":" << cache_hits << ",\"misses\":" << cache_misses
-      << ",\"bytes_saved\":" << cache_bytes_saved
-      << ",\"hit_rate\":" << obs::json_number(cache_hit_rate) << "}"
-      << ",\"throughput_jobs_per_s\":"
-      << obs::json_number(throughput_jobs_per_s) << ",\"latency_ms\":{"
-      << "\"p50\":" << obs::json_number(to_ms(latency_p50))
-      << ",\"p95\":" << obs::json_number(to_ms(latency_p95))
-      << ",\"p99\":" << obs::json_number(to_ms(latency_p99)) << "}"
-      << ",\"prof\":{\"bottleneck_stage\":"
-      << obs::json_quote(
-             bottleneck_stage >= 0 &&
-                     bottleneck_stage <
-                         static_cast<std::int32_t>(obs::kStageCount)
-                 ? obs::stage_name(static_cast<obs::Stage>(bottleneck_stage))
-                 : "n/a")
-      << ",\"overlap_efficiency\":" << obs::json_number(overlap_efficiency)
-      << ",\"windows\":" << prof_windows
-      << ",\"bottleneck_flips\":" << bottleneck_flips << "}"
-      << ",\"breakdown_ms\":{\"admission\":"
-      << obs::json_number(breakdown_admission_ms)
-      << ",\"queue\":" << obs::json_number(breakdown_queue_ms)
-      << ",\"staging\":" << obs::json_number(breakdown_staging_ms)
-      << ",\"execution\":" << obs::json_number(breakdown_execution_ms)
-      << ",\"writeback\":" << obs::json_number(breakdown_writeback_ms)
-      << ",\"total\":" << obs::json_number(breakdown_total_ms) << "}"
-      << ",\"slo\":{\"rules\":" << slo_rules
-      << ",\"violations\":" << slo_violations << "}"
-      << ",\"load\":{\"offered_jobs_per_s\":"
-      << obs::json_number(offered_jobs_per_s) << ",\"goodput_jobs_per_s\":"
-      << obs::json_number(goodput_jobs_per_s)
-      << ",\"slo_attained\":" << slo_attained
-      << ",\"fairness_jain\":" << obs::json_number(fairness_jain)
-      << ",\"rejections_tenant_quota\":" << rejections_tenant_quota << "}"
-      << ",\"autoscaler\":{\"scale_ups\":" << scale_ups
-      << ",\"scale_downs\":" << scale_downs
-      << ",\"min_active\":" << min_active_devices
-      << ",\"max_active\":" << max_active_devices
-      << ",\"final_active\":" << final_active_devices << "}"
-      << ",\"tenants\":[";
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    if (t > 0) out << ',';
-    const TenantReport& tenant = tenants[t];
-    out << "{\"name\":" << obs::json_quote(tenant.name)
-        << ",\"class\":" << obs::json_quote(slo_class_name(tenant.slo))
-        << ",\"weight\":" << tenant.weight
-        << ",\"submitted\":" << tenant.submitted
-        << ",\"completed\":" << tenant.completed << ",\"shed\":" << tenant.shed
-        << ",\"failed\":" << tenant.failed
-        << ",\"rejections\":" << tenant.rejections
-        << ",\"deadline_hits\":" << tenant.deadline_hits
-        << ",\"deadline_misses\":" << tenant.deadline_misses
-        << ",\"latency_ms\":{\"p50\":"
-        << obs::json_number(to_ms(tenant.latency_p50))
-        << ",\"p95\":" << obs::json_number(to_ms(tenant.latency_p95))
-        << ",\"p99\":" << obs::json_number(to_ms(tenant.latency_p99)) << "}"
-        << ",\"throughput_jobs_per_s\":"
-        << obs::json_number(tenant.throughput_jobs_per_s)
-        << ",\"goodput_jobs_per_s\":"
-        << obs::json_number(tenant.goodput_jobs_per_s)
-        << ",\"attainment\":" << obs::json_number(tenant.slo_attainment)
-        << "}";
-  }
-  out << "],\"devices\":[";
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    if (d > 0) out << ',';
-    const DeviceReport& dev = devices[d];
-    out << "{\"device\":" << d << ",\"jobs\":" << dev.jobs
-        << ",\"warm_jobs\":" << dev.warm_jobs
-        << ",\"utilization\":" << obs::json_number(dev.utilization)
-        << ",\"h2d_bytes\":" << dev.h2d_bytes
-        << ",\"d2h_bytes\":" << dev.d2h_bytes
-        << ",\"kernel_launches\":" << dev.kernel_launches
-        << ",\"cache_hits\":" << dev.cache_hits
-        << ",\"cache_misses\":" << dev.cache_misses
-        << ",\"cache_evictions\":" << dev.cache_evictions
-        << ",\"cache_bytes_saved\":" << dev.cache_bytes_saved
-        << ",\"bottleneck_stage\":" << dev.bottleneck_stage
-        << ",\"overlap_efficiency\":"
-        << obs::json_number(dev.overlap_efficiency) << "}";
-  }
-  out << "],\"completion_order\":[";
-  for (std::size_t i = 0; i < completion_order.size(); ++i) {
-    if (i > 0) out << ',';
-    out << completion_order[i];
-  }
-  out << "],\"job_records\":[";
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (i > 0) out << ',';
-    const JobRecord& record = jobs[i];
-    out << "{\"id\":" << record.spec.id
-        << ",\"app\":" << obs::json_quote(record.spec.app)
-        << ",\"device\":" << record.device
-        << ",\"submit_ms\":" << obs::json_number(to_ms(record.spec.submit_time))
-        << ",\"latency_ms\":" << obs::json_number(to_ms(record.latency()))
-        << ",\"rejections\":" << record.rejections
-        << ",\"redispatches\":" << record.redispatches
-        << ",\"admitted\":" << (record.admitted ? "true" : "false")
-        << ",\"completed\":" << (record.completed ? "true" : "false")
-        << ",\"failed\":" << (record.failed ? "true" : "false")
-        << ",\"warm\":" << (record.warm ? "true" : "false")
-        << ",\"cpu_executed\":" << (record.cpu_executed ? "true" : "false")
-        << ",\"resumed\":" << (record.resumed ? "true" : "false")
-        << ",\"deadline_met\":" << (record.deadline_met ? "true" : "false");
-    const JobRecord::Breakdown b = record.breakdown();
-    out << ",\"breakdown_ms\":{\"admission\":"
-        << obs::json_number(to_ms(b.admission))
-        << ",\"queue\":" << obs::json_number(to_ms(b.queue))
-        << ",\"staging\":" << obs::json_number(to_ms(b.staging))
-        << ",\"execution\":" << obs::json_number(to_ms(b.execution))
-        << ",\"writeback\":" << obs::json_number(to_ms(b.writeback)) << "}}";
-  }
-  out << "]}";
 }
 
 }  // namespace bigk::serve

@@ -2,19 +2,27 @@
 //
 // run_server() plays a job workload against N simulated devices behind one
 // shared host CPU:
-//   submit -> JobQueue admission (bounded depth, reject with retry-after)
-//          -> Scheduler placement (round-robin / least-bytes / app-affinity)
+//   submit -> JobQueue admission (bounded depth, tenant quotas, reject with
+//             retry-after)
+//          -> QosQueue (the configured tenants under WFQ or FIFO, or one
+//             default tenant under FIFO)
+//          -> dispatch: Scheduler placement (round-robin / least-bytes /
+//             app-affinity) onto a device holding fewer jobs than the
+//             per-device limit — 1 with tenants (late binding), unbounded
+//             without (placement at admission)
 //          -> per-device FIFO worker: cold jobs stage their mapped input
 //             through the shared host memory bus, then one core::Engine
 //             launch runs the app's kernel on that device (BigKernel
 //             pipeline, per-job sanitizer when checking is enabled).
+// With hetero.spill_enabled an admitted job may instead run whole on the
+// host cores. Every job exit (completion, failure, crash) releases its
+// slots through one path and dispatches again.
 //
 // Everything is deterministic: the same config + workload produce the same
 // schedule, completion order, latencies, and metrics, byte for byte.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -110,16 +118,20 @@ struct ServerConfig {
 
   // --- bigkload QoS plane --------------------------------------------------
   struct QosConfig {
-    /// Tenants in JobSpec::tenant index order. Empty = QoS plane off: the
-    /// server behaves byte-identically to the pre-tenant build (clients
-    /// place their job at admission; no WFQ stage, no quotas).
+    /// Tenants in JobSpec::tenant index order. With tenants a device holds
+    /// one job at a time, so an admitted job waits in the discipline's order
+    /// and is placed when a device goes idle. Empty = one default weight-1
+    /// tenant without quota under FIFO, and every admitted job is placed at
+    /// admission, queueing on its device (JobSpec::tenant is ignored).
     std::vector<TenantConfig> tenants;
     /// Ordering of admitted jobs across tenants while they wait for a free
-    /// device (kWfq default; kFifo is the baseline for A/B runs).
+    /// device (kWfq default; kFifo is the baseline for A/B runs). Ignored
+    /// without tenants.
     Discipline discipline = Discipline::kWfq;
     /// Closed-loop mode: jobs sharing a JobSpec::client id form one chain —
     /// each submits only after the previous settled plus the tenant's think
-    /// time (open loop, the default, submits at the stamped instants).
+    /// time, 0 for the default tenant (open loop, the default, submits at
+    /// the stamped instants).
     bool closed_loop = false;
     /// Denominator for the offered-load gauge; 0 = the last submit instant.
     sim::DurationPs offered_window = 0;
@@ -166,7 +178,8 @@ struct ServerConfig {
     /// Background cache scrub daemon: every `scrub_period` each device's
     /// chunk cache re-verifies up to `scrub_entries` resident entries and
     /// evicts any whose bytes no longer match their insert digest. Either
-    /// 0 = scrubbing off. Requires `integrity` and the chunk cache.
+    /// 0 = scrubbing off. Requires `integrity` and the chunk cache;
+    /// run_server throws std::invalid_argument otherwise.
     sim::DurationPs scrub_period = 0;
     std::uint64_t scrub_entries = 0;
   };
@@ -320,12 +333,9 @@ struct ServeReport {
   /// Registers the headline numbers as `<prefix>.*` gauges (latency
   /// percentiles in ms, throughput, per-device utilization, shedding
   /// counts), so they ride along in the standard bench JSON counters array.
+  /// These gauges are the report's one serialized form.
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix) const;
-
-  /// Full machine-readable report (one JSON object; deterministic field
-  /// order, no whitespace variation).
-  void write_json(std::ostream& out) const;
 };
 
 /// Runs `specs` against a fresh DevicePool built from `config`, resolving

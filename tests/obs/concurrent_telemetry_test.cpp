@@ -1,10 +1,8 @@
 // Tracer + MetricsRegistry + bigkprof under a 4-engine serve run: four
 // device workers share one tracer, one registry, per-device StageProfilers,
 // the pool-wide latency sketch, windowed telemetry, and an armed SLO
-// monitor, all at once. CI runs this binary under ThreadSanitizer
-// (scripts/ci.sh tsan) to prove the telemetry plane adds no shared mutable
-// state to the multi-engine refactor. The test itself locks down the
-// per-job breakdown partition contract and the prof/slo export schema.
+// monitor, all at once. The test locks down the per-job breakdown
+// partition contract and the prof/slo export schema.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -1,12 +1,13 @@
 // Functional tests of the bigkserve serving layer over a toy app suite:
 // completion, multi-device scaling, admission-control shedding, app-affinity
-// reuse, deadlines, and clean execution under the bigkcheck sanitizers with
-// concurrent devices.
+// reuse, the two binding rules of the dispatch step, closed-loop chains,
+// deadlines, config rejection, and clean execution under the bigkcheck
+// sanitizers with concurrent devices.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "serve/job.hpp"
@@ -138,6 +139,69 @@ TEST(ServeServerTest, AppAffinityBeatsRoundRobinOnReuseHeavyMix) {
   EXPECT_LT(affinity.makespan, rr.makespan);
 }
 
+TEST(ServeServerTest, TenantsBindJobsToIdleDevicesOnly) {
+  // Two same-app jobs at t=0 on a 2-device app-affinity pool. Without
+  // tenants a job is placed at admission, so the second queues behind the
+  // warm first; with a tenant a device holds one job at a time, so the
+  // second takes the idle device.
+  const auto suite = make_toy_suite(1, 4'000);
+  std::vector<JobSpec> specs(2);
+  for (std::uint64_t i = 0; i < specs.size(); ++i) {
+    specs[i].id = i;
+    specs[i].app = "toy0";
+  }
+  ServerConfig config = toy_server(2, Policy::kAppAffinity, 4);
+  const ServeReport at_admission = run_server(config, specs, suite);
+  ASSERT_EQ(at_admission.completed, 2u);
+  EXPECT_EQ(at_admission.jobs[1].device, at_admission.jobs[0].device);
+  EXPECT_TRUE(at_admission.jobs[1].warm);
+
+  config.qos.tenants.resize(1);
+  const ServeReport late_bound = run_server(config, specs, suite);
+  ASSERT_EQ(late_bound.completed, 2u);
+  EXPECT_NE(late_bound.jobs[1].device, late_bound.jobs[0].device);
+}
+
+TEST(ServeServerTest, ClosedLoopWithoutTenantsChainsEachClient) {
+  // No tenants means the default tenant's zero think time: each link of a
+  // client's chain submits the instant the previous one finishes, although
+  // a second device sits idle.
+  const auto suite = make_toy_suite(1, 4'000);
+  std::vector<JobSpec> specs(3);
+  for (std::uint64_t i = 0; i < specs.size(); ++i) {
+    specs[i].id = i;
+    specs[i].app = "toy0";
+    specs[i].client = 1;
+  }
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.qos.closed_loop = true;
+  const ServeReport report = run_server(config, specs, suite);
+  ASSERT_EQ(report.completed, 3u);
+  for (std::size_t i = 1; i < report.jobs.size(); ++i) {
+    EXPECT_EQ(report.jobs[i].spec.submit_time,
+              report.jobs[i - 1].finish_time);
+  }
+}
+
+TEST(ServeServerTest, ReinstatedDeviceDrainsTheTenantQueue) {
+  // One device, one tenant: the first job dies with the device while the
+  // other two wait in the tenant queue, since a device holds one job at a
+  // time. Reinstating the device must dispatch them; nothing else would.
+  const auto suite = make_toy_suite(1, 4'000);
+  std::vector<JobSpec> specs(3);
+  for (std::uint64_t i = 0; i < specs.size(); ++i) {
+    specs[i].id = i;
+    specs[i].app = "toy0";
+  }
+  ServerConfig config = toy_server(1, Policy::kRoundRobin, 4);
+  config.qos.tenants.resize(1);
+  config.fault_spec = "device_lost,nth=1,device=0,down_us=1000";
+  const ServeReport report = run_server(config, specs, suite);
+  EXPECT_EQ(report.failed_jobs, 1u);
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(report.reinstatements, 1u);
+}
+
 TEST(ServeServerTest, DeadlinesAreAccounted) {
   const auto suite = make_toy_suite(2, 6'000);
   std::vector<JobSpec> specs = toy_workload(6, 2);
@@ -179,20 +243,23 @@ TEST(ServeServerTest, UnknownAppNameThrowsWithValidNames) {
   }
 }
 
-TEST(ServeServerTest, ReportJsonIsWellFormed) {
-  const auto suite = make_toy_suite(2, 4'000);
-  const auto specs = toy_workload(4, 2);
-  const ServeReport report =
-      run_server(toy_server(2, Policy::kAppAffinity, 4), specs, suite);
-  std::ostringstream out;
-  report.write_json(out);
-  const std::string json = out.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"latency_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"completion_order\""), std::string::npos);
-  EXPECT_NE(json.find("\"devices\""), std::string::npos);
-  EXPECT_NE(json.find("\"job_records\""), std::string::npos);
+TEST(ServeServerTest, ScrubWithoutIntegrityAndCacheIsRejected) {
+  const auto suite = make_toy_suite(1, 1'000);
+  const auto specs = toy_workload(1, 1);
+  for (const bool integrity : {false, true}) {
+    ServerConfig config = toy_server(1, Policy::kRoundRobin, 4);
+    config.dur.scrub_period = sim::DurationPs{20'000'000};
+    config.dur.scrub_entries = 4;
+    config.dur.integrity = integrity;
+    config.cache_enabled = !integrity;
+    try {
+      run_server(config, specs, suite);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("dur.scrub_period"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(ServeServerTest, ExportsMetricsGauges) {

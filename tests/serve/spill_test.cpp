@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "obs/metrics_registry.hpp"
@@ -123,12 +122,6 @@ TEST(ServeSpillTest, ReportAndMetricsCarrySpillCounters) {
   config.metrics_prefix = "serve.test";
   const ServeReport report = run_server(config, specs, suite);
   ASSERT_GT(report.spills, 0u);
-
-  std::ostringstream json;
-  report.write_json(json);
-  const std::string document = json.str();
-  EXPECT_NE(document.find("\"hetero\":{\"spills\":"), std::string::npos);
-  EXPECT_NE(document.find("\"cpu_executed\":true"), std::string::npos);
 
   const obs::Gauge* spills_gauge =
       metrics.find_gauge("serve.test.hetero.spills");

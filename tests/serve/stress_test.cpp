@@ -1,8 +1,7 @@
 // Serving-layer stress: a saturating mixed workload over a 4-device pool
 // with admission pressure, affinity placement, full bigkcheck sanitizers,
-// and live telemetry — everything on at once. CI runs this binary under
-// ThreadSanitizer (scripts/ci.sh tsan) to prove the multi-engine refactor
-// introduced no shared mutable state.
+// and live telemetry — everything on at once; the asan-ubsan preset of
+// scripts/ci.sh runs it instrumented.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
