@@ -10,7 +10,8 @@
 #
 # With no arguments lint, plain and asan-ubsan run. Each build preset's ctest
 # already covers the fault, durability, load and hetero suites, the
-# bench_prof_gate perf gate and the check_serve_bench_schema bench smoke.
+# bench_prof_gate perf gate and the check_serve_bench_schema bench smoke;
+# plain also builds benchmark/ and runs its bigkbench_smoke.
 # Set BIGK_CI_JOBS to override the parallelism (defaults to nproc).
 set -euo pipefail
 
@@ -42,6 +43,16 @@ for preset in "${presets[@]}"; do
       # The CPU+GPU ratio-sweep smoke; no ctest runs hetero_sweep.
       echo "=== ci preset plain: hetero_sweep smoke ==="
       BIGK_SCALE=0.001 "${repo_root}/build-ci-plain/bench/hetero_sweep"
+      # The end-to-end benchmark is its own CMake project (benchmark/); its
+      # ctest, bigkbench_smoke, runs every workload at a tiny size and checks
+      # the output oracle and the metric catalogue.
+      bench_dir="${repo_root}/build-ci-bench"
+      echo "=== ci preset plain: configure benchmark/ ==="
+      cmake -B "${bench_dir}" -S "${repo_root}/benchmark"
+      echo "=== ci preset plain: build bigkbench ==="
+      cmake --build "${bench_dir}" -j "${jobs}" --target bigkbench
+      echo "=== ci preset plain: bigkbench_smoke ==="
+      (cd "${bench_dir}" && ctest --output-on-failure)
       ;;
     asan-ubsan)
       run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined

@@ -81,7 +81,7 @@ class MastercardApp {
         if (c == '\n') {
           if (capturing) {
             charge_alu(ctx, 8, kDivergence);
-            if (ctx.load_table(customers, card % kCustomerBuckets) != 0) {
+            if (ctx.load_table(customers, card % kCustomerBuckets) != 0u) {
               ctx.atomic_add_table(merchant_counts,
                                    merchant % kMerchantBuckets,
                                    std::uint32_t{1});
@@ -161,7 +161,7 @@ class MastercardIndexedApp {
           const auto card = ctx.read(log, offset);
           const auto merchant = ctx.read(log, offset + 1);
           charge_alu(ctx, 10, kDivergence);
-          if (ctx.load_table(customers, card % kCustomerBuckets) != 0) {
+          if (ctx.load_table(customers, card % kCustomerBuckets) != 0u) {
             ctx.atomic_add_table(merchant_counts,
                                  merchant % kMerchantBuckets,
                                  std::uint32_t{1});

@@ -66,7 +66,7 @@ class OpinionApp {
           // Lexical analysis: stemming, precedence rules, window scoring —
           // modelled as a heavy per-token arithmetic cost.
           charge_alu(ctx, 260, kDivergence);
-          if (is_adverb != 0) {
+          if (is_adverb != 0u) {
             emphasis = 2;
           } else {
             sentiment += emphasis * (value_cast<std::int64_t>(is_positive) -

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace bigk::gpusim {
 
@@ -15,7 +16,9 @@ sim::Task<sim::DurationPs> BlockCtx::run_threads(std::uint32_t first,
   const sim::TimePs entry = gpu_.sim_.now();
   sim::DurationPs total = 0;
   std::uint64_t atomic_ops = 0;
-  WarpTracer tracer(warp_size);
+  // The warp loop never suspends, so the device's one tracer serves every
+  // block coroutine in turn.
+  WarpTracer& tracer = gpu_.warp_tracer_;
   for (std::uint32_t warp_first = first; warp_first < first + count;
        warp_first += warp_size) {
     tracer.reset();
@@ -87,10 +90,27 @@ sim::Task<> BlockCtx::wait_flag(sim::Flag& flag, std::uint64_t threshold) {
   co_await flag.wait_ge(threshold);
 }
 
+namespace {
+
+// Rejects configs the warp model cannot run: a zero warp size never advances
+// run_threads, and a zero transaction size divides by zero.
+const SystemConfig& checked(const SystemConfig& config) {
+  if (config.gpu.warp_size == 0) {
+    throw std::invalid_argument("gpu.warp_size must be > 0");
+  }
+  if (config.gpu.mem_transaction_bytes == 0) {
+    throw std::invalid_argument("gpu.mem_transaction_bytes must be > 0");
+  }
+  return config;
+}
+
+}  // namespace
+
 Gpu::Gpu(sim::Simulation& sim, const SystemConfig& config)
     : sim_(sim),
-      config_(config),
+      config_(checked(config)),
       memory_(config.gpu.global_memory_bytes),
+      warp_tracer_(config.gpu.warp_size),
       atomic_unit_(sim, "atomic-units"),
       h2d_link_(sim, "pcie-h2d"),
       d2h_link_(sim, "pcie-d2h") {

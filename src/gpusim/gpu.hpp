@@ -173,6 +173,8 @@ struct GpuStats {
 
 class Gpu {
  public:
+  /// Throws std::invalid_argument naming the field when `config.gpu` has a
+  /// zero warp_size or mem_transaction_bytes.
   Gpu(sim::Simulation& sim, const SystemConfig& config);
 
   sim::Simulation& sim() noexcept { return sim_; }
@@ -267,6 +269,7 @@ class Gpu {
   sim::Simulation& sim_;
   SystemConfig config_;
   DeviceMemory memory_;
+  WarpTracer warp_tracer_;  // reset per warp by BlockCtx::run_threads
   std::vector<std::unique_ptr<sim::FifoServer>> sm_servers_;
   sim::FifoServer atomic_unit_;
   sim::FifoServer h2d_link_;

@@ -1,13 +1,16 @@
 #include "gpusim/warp_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace bigk::gpusim {
 
-WarpCost WarpTracer::finish(const GpuConfig& config) const {
+WarpCost WarpTracer::finish(const GpuConfig& config) {
   WarpCost cost;
+  std::size_t max_steps = 0;
   for (const Lane& lane : lanes_) {
     cost.alu_cycles = std::max(cost.alu_cycles, lane.alu_cycles);
+    max_steps = std::max(max_steps, lane.accesses.size());
   }
 
   // DRAM traffic: each *distinct* 128-byte segment the warp touches during
@@ -19,40 +22,70 @@ WarpCost WarpTracer::finish(const GpuConfig& config) const {
   // Issue cost: per lock-step access, lanes spread over k segments issue k
   // transactions (counted per step, before reuse) — the classic coalescing
   // penalty that serializes scattered warp accesses.
+  //
+  // Both fall out of one pass in step order. A segment the table has not
+  // seen this warp is a new DRAM transaction and an issued one; a segment
+  // last touched in an earlier step is issued again; a repeat within the
+  // same step coalesces and adds nothing.
   const std::uint64_t txn = config.mem_transaction_bytes;
-  std::size_t max_steps = 0;
-  for (const Lane& lane : lanes_) {
-    max_steps = std::max(max_steps, lane.accesses.size());
-  }
-  std::vector<std::uint64_t> segments;
-  std::vector<std::uint64_t> step_segments;
+  const int txn_shift = std::has_single_bit(txn) ? std::countr_zero(txn) : -1;
+  const auto segment_of = [txn, txn_shift](std::uint64_t addr) {
+    return txn_shift >= 0 ? addr >> txn_shift : addr / txn;
+  };
+  const std::uint64_t warp_begin = clock_ + 1;
+  std::size_t table_used = 0;  // slots filled by this warp
   for (std::size_t step = 0; step < max_steps; ++step) {
-    step_segments.clear();
+    const std::uint64_t now = ++clock_;
     for (const Lane& lane : lanes_) {
       if (step >= lane.accesses.size()) continue;
       const Access& access = lane.accesses[step];
-      const std::uint64_t first = access.addr / txn;
-      const std::uint64_t last =
-          (access.addr + std::max<std::uint32_t>(access.size, 1) - 1) / txn;
+      const std::uint64_t first = segment_of(access.addr);
+      const std::uint64_t last = segment_of(
+          access.addr + std::max<std::uint32_t>(access.size, 1) - 1);
       for (std::uint64_t seg = first; seg <= last; ++seg) {
-        step_segments.push_back(seg);
+        Slot* slot = &probe(seg, warp_begin);
+        if (slot->stamp < warp_begin) {
+          if (2 * (table_used + 1) > table_.size()) {
+            grow(warp_begin);
+            slot = &probe(seg, warp_begin);
+          }
+          *slot = Slot{seg, now};
+          ++table_used;
+          ++cost.mem_transactions;
+          ++cost.issue_transactions;
+        } else if (slot->stamp != now) {
+          slot->stamp = now;
+          ++cost.issue_transactions;
+        }
       }
     }
-    std::sort(step_segments.begin(), step_segments.end());
-    step_segments.erase(
-        std::unique(step_segments.begin(), step_segments.end()),
-        step_segments.end());
-    cost.issue_transactions += step_segments.size();
-    segments.insert(segments.end(), step_segments.begin(),
-                    step_segments.end());
   }
-  std::sort(segments.begin(), segments.end());
-  segments.erase(std::unique(segments.begin(), segments.end()),
-                 segments.end());
-  cost.mem_transactions = segments.size();
   cost.mem_bytes = cost.mem_transactions * txn;
   cost.atomic_ops = atomic_ops_;
   return cost;
+}
+
+WarpTracer::Slot& WarpTracer::probe(std::uint64_t segment,
+                                    std::uint64_t warp_begin) {
+  // Fibonacci hashing spreads the consecutive segments of coalesced
+  // accesses; linear probing stops at the first slot this warp has not
+  // filled.
+  const std::size_t mask = table_.size() - 1;
+  std::size_t index = (segment * 0x9E3779B97F4A7C15ull) >> table_shift_;
+  while (table_[index].stamp >= warp_begin &&
+         table_[index].segment != segment) {
+    index = (index + 1) & mask;
+  }
+  return table_[index];
+}
+
+void WarpTracer::grow(std::uint64_t warp_begin) {
+  std::vector<Slot> old(table_.size() * 2);
+  old.swap(table_);
+  --table_shift_;
+  for (const Slot& slot : old) {
+    if (slot.stamp >= warp_begin) probe(slot.segment, warp_begin) = slot;
+  }
 }
 
 void WarpTracer::reset() {

@@ -10,6 +10,11 @@
 // For each access step, the number of global-memory transactions equals the
 // number of distinct aligned transaction segments the 32 lanes touch — 1 for
 // a perfectly coalesced access, up to 32 for a fully scattered one.
+//
+// finish() prices a warp in one step-major pass over its accesses, probing a
+// reusable open-addressing table keyed by segment that stores the step which
+// last touched each segment. The table and the lane vectors keep their
+// capacity across reset(), so once grown, tracing a warp allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +56,10 @@ class WarpTracer {
   /// materialized in the arena, so they may alias real offsets by accident.
   static constexpr std::uint8_t kFlagSynthetic = 4;
 
-  explicit WarpTracer(std::uint32_t warp_size) : lanes_(warp_size) {}
+  explicit WarpTracer(std::uint32_t warp_size)
+      : lanes_(warp_size),
+        table_(std::size_t{1} << kInitialTableBits),
+        table_shift_(64 - kInitialTableBits) {}
 
   /// Directs subsequent record_* calls at lane `lane` (0-based in the warp).
   void begin_lane(std::uint32_t lane) { current_ = &lanes_.at(lane); }
@@ -72,7 +80,7 @@ class WarpTracer {
 
   /// Merges the lane traces into the warp's cost under `config`'s
   /// transaction size. The tracer can be reused after calling reset().
-  WarpCost finish(const GpuConfig& config) const;
+  WarpCost finish(const GpuConfig& config);
 
   void reset();
 
@@ -99,9 +107,28 @@ class WarpTracer {
     double alu_cycles = 0.0;
   };
 
+  static constexpr std::uint32_t kInitialTableBits = 10;
+
+  /// One slot of the segment table. A slot whose stamp predates the current
+  /// finish() call is empty, so the table clears in O(1) per warp; the
+  /// 64-bit step clock cannot wrap in practice.
+  struct Slot {
+    std::uint64_t segment = 0;
+    std::uint64_t stamp = 0;  // clock_ value of the last step touching it
+  };
+
+  /// Returns the slot holding `segment`, or the empty slot where it belongs.
+  Slot& probe(std::uint64_t segment, std::uint64_t warp_begin);
+  /// Doubles the table, keeping the current warp's slots.
+  void grow(std::uint64_t warp_begin);
+
   std::vector<Lane> lanes_;
   Lane* current_ = nullptr;
   std::uint64_t atomic_ops_ = 0;
+
+  std::vector<Slot> table_;        // power-of-two size
+  std::uint32_t table_shift_ = 0;  // 64 - log2(table_.size())
+  std::uint64_t clock_ = 0;        // advanced once per lock-step step
 };
 
 /// Converts a warp cost into occupancy time on an SM's timing server: the SM

@@ -2,26 +2,35 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace bigk::hostsim {
 
 CacheModel::CacheModel(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
                        std::uint32_t ways)
     : line_bytes_(line_bytes), ways_(ways) {
-  assert(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0);
-  assert(ways > 0);
+  if (!std::has_single_bit(line_bytes)) {
+    throw std::invalid_argument(
+        "cpu.cache_line_bytes must be a power of two, got " +
+        std::to_string(line_bytes));
+  }
+  if (ways == 0) {
+    throw std::invalid_argument("cpu.cache_ways must be > 0");
+  }
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
   std::uint64_t sets =
       std::max<std::uint64_t>(1, capacity_bytes / line_bytes / ways);
   sets = std::bit_floor(sets);  // power of two for cheap indexing
   set_mask_ = sets - 1;
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
   lines_.resize(sets * ways_);
 }
 
 bool CacheModel::access(std::uint64_t logical_addr) {
-  const std::uint64_t line = logical_addr / line_bytes_;
+  const std::uint64_t line = logical_addr >> line_shift_;
   const std::uint64_t set = line & set_mask_;
-  const std::uint64_t tag = line >> std::countr_zero(set_mask_ + 1);
+  const std::uint64_t tag = line >> set_shift_;
   Way* base = &lines_[set * ways_];
   ++tick_;
 

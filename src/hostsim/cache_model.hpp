@@ -21,7 +21,9 @@ constexpr std::uint64_t logical_address(std::uint32_t region_id,
 
 class CacheModel {
  public:
-  /// `capacity_bytes` is rounded down to a power-of-two set count.
+  /// `capacity_bytes` is rounded down to a power-of-two set count. Throws
+  /// std::invalid_argument unless `line_bytes` is a power of two and `ways`
+  /// is nonzero.
   CacheModel(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
              std::uint32_t ways);
 
@@ -33,6 +35,8 @@ class CacheModel {
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint32_t line_bytes() const noexcept { return line_bytes_; }
+  /// log2(line_bytes()): a line index is `logical_addr >> line_shift()`.
+  std::uint32_t line_shift() const noexcept { return line_shift_; }
   std::uint64_t sets() const noexcept { return set_mask_ + 1; }
 
  private:
@@ -42,8 +46,10 @@ class CacheModel {
   };
 
   std::uint32_t line_bytes_;
+  std::uint32_t line_shift_;
   std::uint32_t ways_;
   std::uint64_t set_mask_;
+  std::uint32_t set_shift_;  // log2(sets()): a tag is `line >> set_shift_`
   std::vector<Way> lines_;  // sets * ways, row-major by set
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;

@@ -15,10 +15,11 @@ void HostThread::touch(std::uint32_t region_id, std::uint64_t offset,
                        std::uint64_t size, bool stall_on_miss) {
   if (size == 0) return;
   const std::uint32_t line = cache_.line_bytes();
-  const std::uint64_t first = offset / line;
-  const std::uint64_t last = (offset + size - 1) / line;
+  const std::uint32_t shift = cache_.line_shift();
+  const std::uint64_t first = offset >> shift;
+  const std::uint64_t last = (offset + size - 1) >> shift;
   for (std::uint64_t l = first; l <= last; ++l) {
-    if (cache_.access(logical_address(region_id, l * line))) {
+    if (cache_.access(logical_address(region_id, l << shift))) {
       cycles_ += cpu_.config().cache_hit_cycles;
       if (cpu_.ctr_cache_hits_ != nullptr) cpu_.ctr_cache_hits_->add(1);
     } else {

@@ -29,11 +29,17 @@ struct Geometry {
 
 std::string geometry_name(const ::testing::TestParamInfo<Geometry>& info) {
   const Geometry& g = info.param;
-  return "z" + std::to_string(g.elem_size) + "e" +
-         std::to_string(g.elems_per_record) + "r" +
-         std::to_string(g.reads_per_record) + (g.writes ? "w" : "") +
-         (g.transfer_reduction ? "T" : "") + (g.coalesced ? "C" : "") +
-         (g.patterns ? "P" : "");
+  std::string name = "z";
+  name.append(std::to_string(g.elem_size))
+      .append("e")
+      .append(std::to_string(g.elems_per_record))
+      .append("r")
+      .append(std::to_string(g.reads_per_record))
+      .append(g.writes ? "w" : "")
+      .append(g.transfer_reduction ? "T" : "")
+      .append(g.coalesced ? "C" : "")
+      .append(g.patterns ? "P" : "");
+  return name;
 }
 
 template <class T>

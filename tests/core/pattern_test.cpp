@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 namespace bigk::core {
@@ -201,6 +202,16 @@ struct PatternCase {
   std::uint64_t base;
   std::vector<std::int64_t> strides;
 };
+
+// The printed case becomes the ctest name, so print the values: gtest's
+// default byte dump would include the strides' heap address, which changes
+// with ASLR and with the build path.
+void PrintTo(const PatternCase& param, std::ostream* os) {
+  *os << "base=" << param.base << " strides=";
+  for (std::size_t i = 0; i < param.strides.size(); ++i) {
+    *os << (i == 0 ? "" : ",") << param.strides[i];
+  }
+}
 
 class PatternRoundTrip : public ::testing::TestWithParam<PatternCase> {};
 

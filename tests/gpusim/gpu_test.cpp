@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -239,6 +241,29 @@ TEST(GpuTest, ImpossibleLaunchThrows) {
   EXPECT_THROW(sim.run_until_complete(gpu.run_kernel(
                    launch, [](BlockCtx&) -> sim::Task<> { co_return; })),
                std::invalid_argument);
+}
+
+// A zero warp size would never advance run_threads' warp loop and a zero
+// transaction size divides by zero; both are rejected up front.
+TEST(GpuTest, ConstructorRejectsConfigsTheWarpModelCannotRun) {
+  const auto message = [](SystemConfig config) -> std::string {
+    sim::Simulation sim;
+    try {
+      Gpu gpu(sim, config);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  SystemConfig config = small_config();
+  config.gpu.warp_size = 0;
+  EXPECT_NE(message(config).find("warp_size"), std::string::npos);
+  config = small_config();
+  config.gpu.mem_transaction_bytes = 0;
+  EXPECT_NE(message(config).find("mem_transaction_bytes"), std::string::npos);
+  config = small_config();
+  config.gpu.mem_transaction_bytes = 96;  // not a power of two: still valid
+  EXPECT_EQ(message(config), "no exception");
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "gpusim/config.hpp"
 
 namespace bigk::gpusim {
@@ -221,6 +226,148 @@ TEST(WarpTraceTest, IssueCostRaisesSmRequestTime) {
   WarpCost scattered{100.0, 10, 1280, 320, 0};
   EXPECT_LT(sm_request_cost(coalesced, config),
             sm_request_cost(scattered, config));
+}
+
+// --- differential test against the sort-based merge -----------------------
+
+// One warp's traces, kept outside the tracer so the reference can merge them.
+struct TracedLane {
+  struct Access {
+    std::uint64_t addr;
+    std::uint32_t size;
+  };
+  std::vector<Access> accesses;
+  double extra_alu = 0.0;  // record_alu() on top of one cycle per access
+};
+
+// The reference merge: collect each lock-step step's segments, sort and
+// dedupe them for the issued count, then sort and dedupe the union of all
+// steps for the DRAM count. Slow but obviously right.
+WarpCost reference_cost(const std::vector<TracedLane>& lanes,
+                        std::uint64_t atomic_ops, const GpuConfig& config) {
+  WarpCost cost;
+  for (const TracedLane& lane : lanes) {
+    cost.alu_cycles =
+        std::max(cost.alu_cycles,
+                 static_cast<double>(lane.accesses.size()) + lane.extra_alu);
+  }
+  const std::uint64_t txn = config.mem_transaction_bytes;
+  std::size_t max_steps = 0;
+  for (const TracedLane& lane : lanes) {
+    max_steps = std::max(max_steps, lane.accesses.size());
+  }
+  std::vector<std::uint64_t> segments;
+  std::vector<std::uint64_t> step_segments;
+  for (std::size_t step = 0; step < max_steps; ++step) {
+    step_segments.clear();
+    for (const TracedLane& lane : lanes) {
+      if (step >= lane.accesses.size()) continue;
+      const TracedLane::Access& access = lane.accesses[step];
+      const std::uint64_t first = access.addr / txn;
+      const std::uint64_t last =
+          (access.addr + std::max<std::uint32_t>(access.size, 1) - 1) / txn;
+      for (std::uint64_t seg = first; seg <= last; ++seg) {
+        step_segments.push_back(seg);
+      }
+    }
+    std::sort(step_segments.begin(), step_segments.end());
+    step_segments.erase(
+        std::unique(step_segments.begin(), step_segments.end()),
+        step_segments.end());
+    cost.issue_transactions += step_segments.size();
+    segments.insert(segments.end(), step_segments.begin(),
+                    step_segments.end());
+  }
+  std::sort(segments.begin(), segments.end());
+  segments.erase(std::unique(segments.begin(), segments.end()),
+                 segments.end());
+  cost.mem_transactions = segments.size();
+  cost.mem_bytes = cost.mem_transactions * txn;
+  cost.atomic_ops = atomic_ops;
+  return cost;
+}
+
+// Draws a warp mixing the shapes the engine produces: coalesced runs,
+// per-lane scans, scattered gathers, and hot addresses that repeat within
+// and across steps. Lane counts below the warp size make partial warps,
+// unequal lengths make divergence, and sizes run from 0 to three segments.
+std::vector<TracedLane> random_warp(std::mt19937_64& rng,
+                                    std::uint32_t warp_size,
+                                    std::uint64_t txn) {
+  std::uniform_int_distribution<std::uint32_t> lanes_dist(1, warp_size);
+  const std::uint32_t lanes =
+      rng() % 4 == 0 ? lanes_dist(rng) : warp_size;  // a quarter partial
+  const std::uint32_t max_steps = rng() % 8 == 0 ? 200 : 12;
+  const std::uint32_t pattern = rng() % 4;
+  const std::uint64_t base = (rng() % 1024) * 4096;
+  const std::vector<std::uint64_t> hot = {base, base + 2 * txn - 2,
+                                          base + 5 * txn, base + 1};
+  std::vector<TracedLane> warp(lanes);
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    const std::uint32_t steps =
+        rng() % 3 == 0 ? static_cast<std::uint32_t>(rng() % (max_steps + 1))
+                       : max_steps;
+    for (std::uint32_t step = 0; step < steps; ++step) {
+      std::uint64_t addr = 0;
+      switch (pattern) {
+        case 0:  // coalesced: lane-interleaved elements
+          addr = base + (std::uint64_t{step} * lanes + lane) * 4;
+          break;
+        case 1:  // each lane scans its own record
+          addr = base + std::uint64_t{lane} * 300 + step * 7;
+          break;
+        case 2:  // scattered gather
+          addr = rng() % (std::uint64_t{1} << 40);
+          break;
+        default:  // hot addresses repeat within and across steps
+          addr = hot[rng() % hot.size()] + rng() % 3;
+          break;
+      }
+      const std::uint32_t size =
+          rng() % 10 == 0
+              ? 0
+              : static_cast<std::uint32_t>(rng() % (3 * txn + 1));
+      warp[lane].accesses.push_back({addr, size});
+    }
+    warp[lane].extra_alu = static_cast<double>(rng() % 50) * 0.25;
+  }
+  return warp;
+}
+
+// One tracer prices thousands of seeded warps under four transaction sizes
+// through reset(), so its segment table is reused, grown by the 200-step
+// scattered warps, and read with stale slots from earlier warps in place.
+// Its step clock is 64 bits wide and never wraps, so there is no wrap path
+// to cover.
+TEST(WarpTraceProperty, SinglePassMatchesSortedMergeFieldForField) {
+  WarpTracer tracer(32);
+  for (const std::uint32_t txn : {128u, 96u, 32u, 1u}) {
+    GpuConfig config = test_config();
+    config.mem_transaction_bytes = txn;
+    std::mt19937_64 rng(txn);
+    for (int warp_index = 0; warp_index < 1500; ++warp_index) {
+      const std::vector<TracedLane> warp = random_warp(rng, 32, txn);
+      const std::uint64_t atomics = rng() % 3;
+      tracer.reset();
+      for (std::uint32_t lane = 0; lane < warp.size(); ++lane) {
+        tracer.begin_lane(lane);
+        for (const TracedLane::Access& access : warp[lane].accesses) {
+          tracer.record_access(access.addr, access.size);
+        }
+        tracer.record_alu(warp[lane].extra_alu);
+      }
+      for (std::uint64_t a = 0; a < atomics; ++a) tracer.record_atomic();
+      const WarpCost expected = reference_cost(warp, atomics, config);
+      const WarpCost actual = tracer.finish(config);
+      SCOPED_TRACE(testing::Message() << "txn=" << txn
+                                      << " warp=" << warp_index);
+      ASSERT_EQ(actual.alu_cycles, expected.alu_cycles);
+      ASSERT_EQ(actual.mem_transactions, expected.mem_transactions);
+      ASSERT_EQ(actual.mem_bytes, expected.mem_bytes);
+      ASSERT_EQ(actual.issue_transactions, expected.issue_transactions);
+      ASSERT_EQ(actual.atomic_ops, expected.atomic_ops);
+    }
+  }
 }
 
 }  // namespace

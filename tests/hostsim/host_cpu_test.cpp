@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "hostsim/cache_model.hpp"
 #include "sim/simulation.hpp"
 
@@ -59,6 +63,24 @@ TEST(CacheModelTest, ResetClearsContents) {
   cache.reset();
   EXPECT_FALSE(cache.access(0));
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+// Line and set indices are shifts, so a line size that is not a power of
+// two would silently mis-index; zero sizes or ways would divide by zero.
+TEST(CacheModelTest, ConstructorRejectsUnindexableGeometry) {
+  const auto message = [](std::uint32_t line_bytes,
+                          std::uint32_t ways) -> std::string {
+    try {
+      CacheModel cache(64 << 10, line_bytes, ways);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_NE(message(0, 8).find("cache_line_bytes"), std::string::npos);
+  EXPECT_NE(message(48, 8).find("cache_line_bytes"), std::string::npos);
+  EXPECT_NE(message(64, 0).find("cache_ways"), std::string::npos);
+  EXPECT_EQ(message(64, 8), "no exception");
 }
 
 TEST(HostThreadTest, SequentialReadMostlyHits) {

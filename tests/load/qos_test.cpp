@@ -206,7 +206,7 @@ TEST(QosServeTest, AllShedTenantYieldsHalfJain) {
 
 TEST(QosServeTest, MultiTenantConcurrent) {
   // Everything on at once — WFQ, quotas, deadlines, autoscaler, metrics —
-  // on a multi-device pool; the TSan job in scripts/ci.sh load runs this.
+  // on a multi-device pool.
   const std::uint32_t devices = 3;
   const double capacity = measure_capacity(devices);
   load::LoadConfig lc;

@@ -62,7 +62,9 @@ TEST(ConcurrentTelemetryTest, FourEngineServeWithFullTelemetryPlane) {
     EXPECT_GE(b.staging, 0) << "job " << job.spec.id;
     EXPECT_GT(b.execution, 0) << "job " << job.spec.id;
     EXPECT_GE(b.writeback, 0) << "job " << job.spec.id;
-    if (job.warm) EXPECT_EQ(b.staging, 0) << "warm job " << job.spec.id;
+    if (job.warm) {
+      EXPECT_EQ(b.staging, 0) << "warm job " << job.spec.id;
+    }
   }
 
   // --- report-level breakdown means sum to the mean latency ---------------
