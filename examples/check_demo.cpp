@@ -23,6 +23,7 @@
 #include "core/engine.hpp"
 #include "core/options.hpp"
 #include "cusim/runtime.hpp"
+#include "fault/fault.hpp"
 #include "gpusim/gpu.hpp"
 #include "sim/simulation.hpp"
 
@@ -99,9 +100,10 @@ void seed_racecheck_violation(check::Sanitizer& sanitizer) {
   sanitizer.uninstall();
 }
 
-/// Part 3: a full engine run with the staging protocol deliberately broken.
+/// Part 3: a full engine run with the staging protocol deliberately broken
+/// by `seeded_bug`, an always-on protocol-bug fault spec.
 void seed_pipecheck_violations(check::Sanitizer& sanitizer,
-                               core::Options::FaultInjection fault) {
+                               const char* seeded_bug) {
   constexpr std::uint64_t kRecords = 20'000;
   std::vector<std::uint64_t> host(kRecords * 4);
   for (std::uint64_t r = 0; r < kRecords; ++r) {
@@ -112,13 +114,15 @@ void seed_pipecheck_violations(check::Sanitizer& sanitizer,
   }
 
   sim::Simulation sim;
+  fault::FaultPlane plane;
+  plane.add_all(fault::FaultSpec::parse(seeded_bug));
   cusim::Runtime runtime(sim, small_config());
+  runtime.set_fault_plane(&plane);
   sanitizer.install(runtime.gpu());
   core::Options options;
   options.num_blocks = 4;
   options.compute_threads_per_block = 64;
   options.data_buf_bytes = 16 << 10;
-  options.fault = fault;
   core::Engine engine(runtime, options);
   engine.set_sanitizer(&sanitizer);  // collect; do not throw at launch end
   auto stream = engine.streaming_map<std::uint64_t>(
@@ -159,15 +163,11 @@ int main(int argc, char** argv) {
   std::printf(
       "bigkcheck demo: running the engine with the data_ready wait "
       "skipped...\n");
-  core::Options::FaultInjection skip_wait;
-  skip_wait.skip_data_ready_wait = true;
-  seed_pipecheck_violations(sanitizer, skip_wait);
+  seed_pipecheck_violations(sanitizer, "skip_data_ready_wait");
   std::printf(
       "bigkcheck demo: running the engine with the ring slot released "
       "early...\n");
-  core::Options::FaultInjection early_release;
-  early_release.early_ring_release = true;
-  seed_pipecheck_violations(sanitizer, early_release);
+  seed_pipecheck_violations(sanitizer, "early_ring_release");
 
   const check::Reporter& reporter = sanitizer.reporter();
   std::printf("\n%s\n", reporter.summary(12).c_str());

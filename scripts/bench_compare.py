@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the --bench-prof baseline (BENCH_prof.json).
+"""Perf-regression gate over a --bench-prof baseline (bench/BENCH_prof.json
+for fig6_stages, bench/BENCH_fig4a.json for fig4a_speedup).
 
 Compares a freshly produced bench-prof document against a committed baseline
 and fails (exit 1) on any regression outside tolerance:

@@ -55,7 +55,9 @@ for preset in "${presets[@]}"; do
       (cd "${bench_dir}" && ctest --output-on-failure)
       ;;
     asan-ubsan)
-      run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined
+      # UBSan is fatal: a report aborts the test instead of only printing.
+      run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined \
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
       ;;
     lint)
       # bigkstatic gate: build only the bigklint CLI, verify every

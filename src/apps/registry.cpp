@@ -9,112 +9,11 @@
 #include "apps/netflix.hpp"
 #include "apps/opinion.hpp"
 #include "apps/wordcount.hpp"
-#include "core/device_tables.hpp"
-#include "core/engine.hpp"
-#include "dur/checksum.hpp"
 #include "verify/verifier.hpp"
 
 namespace bigk::apps {
 
 namespace {
-
-/// JobRunner over one concrete app type, mirroring schemes::run_bigkernel's
-/// launch sequence but against a caller-provided device of a pool.
-template <class App>
-class AppJobRunner final : public JobRunner {
- public:
-  AppJobRunner(const typename App::Params& params, std::string name)
-      : app_(params), name_(std::move(name)) {}
-
-  const std::string& app_name() const noexcept override { return name_; }
-  std::uint64_t num_records() const override { return app_.num_records(); }
-
-  std::uint64_t input_bytes() const override {
-    std::uint64_t total = 0;
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      total += decl.binding.size_bytes();
-    }
-    return total;
-  }
-
-  sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) override {
-    // bigkdur: windowed launches resume mid-job — only the first window may
-    // reset the app's output state, later windows append to it.
-    if (cfg.rec_begin == 0) app_.reset();
-    core::Engine engine(runtime, cfg.engine);
-    engine.set_tracer(cfg.tracer);
-    engine.set_trace_scope(cfg.trace_scope);
-    engine.set_sanitizer(cfg.sanitizer);
-    engine.set_chunk_cache(cfg.chunk_cache, cfg.dataset_id);
-    engine.set_pinned_pool(cfg.pinned_pool);
-    engine.set_profiler(cfg.profiler);
-    engine.set_static_signature(cfg.static_signature);
-    engine.set_integrity(cfg.integrity);
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      engine.map_stream(decl.binding, decl.overfetch_elems);
-    }
-    const auto kernel = app_.kernel();
-    core::DeviceTables tables =
-        co_await core::DeviceTables::upload(runtime, app_.tables());
-    const std::uint64_t end =
-        cfg.rec_end > 0 ? std::min(cfg.rec_end, app_.num_records())
-                        : app_.num_records();
-    const std::uint64_t offset = std::min(cfg.rec_begin, end);
-    auto shifted = [kernel, offset](auto& ctx, std::uint64_t b,
-                                    std::uint64_t e, std::uint64_t stride) {
-      kernel(ctx, b + offset, e + offset, stride);
-    };
-    co_await engine.launch(shifted, end - offset, tables);
-    if (cfg.exec_done != nullptr) *cfg.exec_done = runtime.sim().now();
-    co_await tables.download();
-    tables.release();
-  }
-
-  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
-                      const CpuJobConfig& cfg) override {
-    app_.reset();
-    auto decls = app_.stream_decls();
-    auto bindings = schemes::detail::make_bindings(decls);
-    const std::uint64_t num_records = app_.num_records();
-    const std::uint32_t threads =
-        cfg.threads > 0 ? cfg.threads : cpu.config().hw_threads;
-    const std::uint64_t per =
-        threads == 0 ? num_records : (num_records + threads - 1) / threads;
-    std::vector<sim::Process> workers;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      const std::uint64_t begin =
-          std::min(std::uint64_t{t} * per, num_records);
-      const std::uint64_t end = std::min(begin + per, num_records);
-      if (begin >= end) break;
-      workers.push_back(cpu.sim().spawn(schemes::detail::cpu_partition(
-          cpu, bindings, app_.tables(), app_.kernel(), begin, end, threads,
-          cfg.batch_records)));
-    }
-    for (sim::Process& worker : workers) co_await worker.join();
-    if (cfg.exec_done != nullptr) *cfg.exec_done = cpu.sim().now();
-  }
-
-  std::uint64_t output_digest(std::uint64_t records_done) override {
-    // Digest the write-mode output prefix the first `records_done` records
-    // produced — the journal's proof that a checkpoint's bytes survived.
-    dur::Checksum sum;
-    bool any = false;
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      const core::StreamBinding& b = decl.binding;
-      if (b.mode != core::AccessMode::kReadWrite) continue;
-      const std::uint64_t bytes = std::min(
-          records_done * b.elems_per_record * b.elem_size, b.size_bytes());
-      sum.mix_bytes({b.host_data, bytes});
-      any = true;
-    }
-    return any ? sum.value() : 0;
-  }
-
- private:
-  // stream_decls() is non-const on the duck-typed app interface.
-  mutable App app_;
-  std::string name_;
-};
 
 template <class App>
 BenchApp make_entry(const ScaledSystem& scaled, std::uint64_t seed,
@@ -138,7 +37,7 @@ BenchApp make_entry(const ScaledSystem& scaled, std::uint64_t seed,
     typename App::Params params;
     params.data_bytes = bytes;
     params.seed = seed;
-    return std::make_unique<AppJobRunner<App>>(params, name);
+    return std::make_unique<AppJobRunner<App>>(name, params);
   };
   entry.verify = [seed, name]() {
     typename App::Params params;

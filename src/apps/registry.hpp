@@ -3,23 +3,21 @@
 // harness and the serving layer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
-#include "cache/chunk_cache.hpp"
-#include "cache/pinned_pool.hpp"
-#include "check/sanitizer.hpp"
-#include "core/options.hpp"
+#include "core/stream.hpp"
 #include "cusim/runtime.hpp"
-#include "dur/integrity.hpp"
+#include "dur/checksum.hpp"
 #include "gpusim/config.hpp"
-#include "obs/prof/attribution.hpp"
-#include "obs/tracer.hpp"
+#include "hostsim/host_cpu.hpp"
 #include "schemes/metrics.hpp"
 #include "schemes/runners.hpp"
 #include "sim/simulation.hpp"
@@ -27,44 +25,15 @@
 
 namespace bigk::apps {
 
-/// Everything a JobRunner needs besides the target device. The pointers are
-/// externally owned and may be null; `sanitizer` (when set) must already be
-/// installed on the runtime's GPU by the caller.
-struct JobRunConfig {
-  core::Options engine;
-  obs::Tracer* tracer = nullptr;
-  check::Sanitizer* sanitizer = nullptr;
-  /// Prefix for the engine's trace process rows (e.g. "dev2 job7 ") so
-  /// concurrent engines on different devices write disjoint tracks.
-  std::string trace_scope;
-  /// bigkcache: chunk cache + pinned assembly-buffer pool of the target
-  /// device (both owned by the serving layer; must live on the same device
-  /// the job runs on). `dataset_id` identifies the app's generated dataset
-  /// for cache keying — the serving layer hashes the app name.
-  cache::ChunkCache* chunk_cache = nullptr;
-  cache::PinnedPool* pinned_pool = nullptr;
-  std::uint64_t dataset_id = 0;
-  /// bigkprof: per-device bottleneck profiler the engine feeds its stage
-  /// intervals to (owned by the serving layer; may be null).
-  obs::prof::StageProfiler* profiler = nullptr;
-  /// bigkprof: when set, the runner writes the sim time at which the engine
-  /// launch completed (before table download / epilogue) — the serving
-  /// layer's execution/write-back boundary for the latency breakdown.
-  sim::TimePs* exec_done = nullptr;
-  /// bigkstatic: the app's statically derived access-pattern signature
-  /// (KernelReport::pattern_signature), mixed into chunk-cache keys so a
-  /// kernel change that alters the pattern invalidates cached chunks.
-  std::uint64_t static_signature = 0;
-  /// bigkdur: record window [rec_begin, rec_end) to execute this call
-  /// (0/0 = the whole job). The serving layer launches jobs in checkpoint
-  /// windows so a crashed server can resume from the last journaled window;
-  /// rec_begin == 0 resets the app's output state, later windows keep it.
-  std::uint64_t rec_begin = 0;
-  std::uint64_t rec_end = 0;
-  /// bigkdur: end-to-end chunk integrity plane the engine verifies custody
-  /// transfers against (null = integrity off).
-  dur::Integrity* integrity = nullptr;
-};
+/// Everything a JobRunner needs besides the target device: the engine
+/// options, the engine's attachments and the job's record window. It is one
+/// engine launch of the app (schemes::launch_app); the pointers are
+/// externally owned and may be null, and `sanitizer` (when set) must already
+/// be installed on the runtime's GPU by the caller. The serving layer
+/// launches jobs in checkpoint windows ([rec_begin, rec_end), 0/0 = the
+/// whole job); rec_begin == 0 resets the app's output state, later windows
+/// keep it.
+using JobRunConfig = schemes::LaunchConfig;
 
 /// Configuration for CPU-side job execution (bigkhetero serve spill-over):
 /// the job's kernel runs on hostsim cores through the plain CPU runner path
@@ -94,12 +63,12 @@ class JobRunner {
   virtual std::uint64_t input_bytes() const = 0;
 
   /// Executes one BigKernel launch of this app on `runtime` (fresh
-  /// core::Engine per call, as in schemes::run_bigkernel): upload tables,
-  /// launch, download, release.
+  /// core::Engine per call, the schemes::launch_app that run_bigkernel
+  /// makes): upload tables, launch, download, release.
   virtual sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) = 0;
 
   /// Executes this app entirely on host cores (bigkhetero spill path),
-  /// through the same cpu_partition path schemes::run_cpu uses. Produces
+  /// through the same cpu_fan_out schemes::run_cpu uses. Produces
   /// output identical to run() — the kernels are partition-invariant and
   /// execution-side agnostic.
   virtual sim::Task<> run_cpu(hostsim::HostCpu& cpu,
@@ -114,6 +83,69 @@ class JobRunner {
     (void)records_done;
     return 0;
   }
+};
+
+/// JobRunner over one concrete app type: run() is schemes::launch_app
+/// against a caller-provided device of a pool, run_cpu() the CPU fan-out.
+template <class App>
+class AppJobRunner : public JobRunner {
+ public:
+  /// Builds the app from `args` (its dataset is generated here).
+  template <class... Args>
+  explicit AppJobRunner(std::string name, Args&&... args)
+      : app_(std::forward<Args>(args)...), name_(std::move(name)) {}
+
+  const std::string& app_name() const noexcept override { return name_; }
+  std::uint64_t num_records() const override { return app_.num_records(); }
+
+  std::uint64_t input_bytes() const override {
+    std::uint64_t total = 0;
+    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
+      total += decl.binding.size_bytes();
+    }
+    return total;
+  }
+
+  sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) override {
+    // bigkdur: windowed launches resume mid-job — only the first window may
+    // reset the app's output state, later windows append to it.
+    if (cfg.rec_begin == 0) app_.reset();
+    co_await schemes::launch_app(runtime, app_, cfg);
+  }
+
+  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
+                      const CpuJobConfig& cfg) override {
+    app_.reset();
+    auto bindings = schemes::detail::make_bindings(app_.stream_decls());
+    co_await schemes::detail::cpu_fan_out(
+        cpu, bindings, app_.tables(), app_.kernel(), 0, app_.num_records(),
+        cfg.threads > 0 ? cfg.threads : cpu.config().hw_threads,
+        cfg.batch_records);
+    if (cfg.exec_done != nullptr) *cfg.exec_done = cpu.sim().now();
+  }
+
+  std::uint64_t output_digest(std::uint64_t records_done) override {
+    // Digest the write-mode output prefix the first `records_done` records
+    // produced — the journal's proof that a checkpoint's bytes survived.
+    dur::Checksum sum;
+    bool any = false;
+    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
+      const core::StreamBinding& b = decl.binding;
+      if (b.mode != core::AccessMode::kReadWrite) continue;
+      const std::uint64_t bytes = std::min(
+          records_done * b.elems_per_record * b.elem_size, b.size_bytes());
+      sum.mix_bytes({b.host_data, bytes});
+      any = true;
+    }
+    return any ? sum.value() : 0;
+  }
+
+  App& app() noexcept { return app_; }
+
+ private:
+  // stream_decls() is non-const on the duck-typed app interface.
+  mutable App app_;
+  std::string name_;
 };
 
 struct BenchApp {

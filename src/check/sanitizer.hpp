@@ -1,8 +1,10 @@
 // Facade bundling the bigkcheck checkers behind one object: constructs the
 // checkers CheckOptions enables, installs them on a simulated GPU (memory
 // observer + warp-access observer), and enforces the collected verdict at
-// the end of a run. core::Engine and the scheme runners own one of these
-// when checking is enabled (core::Options::check / BIGK_CHECK).
+// the end of a run. The scheme runners (schemes::RunScaffold) and the
+// serving layer own one of these when checking is enabled
+// (SchemeConfig::check / ServerConfig::check / BIGK_CHECK); the engine only
+// feeds its pipeline checker.
 #pragma once
 
 #include <memory>

@@ -95,7 +95,7 @@ void Engine::build_blocks(std::uint64_t num_records) {
 
   blocks_.reserve(geometry_.blocks);
   for (std::uint32_t b = 0; b < geometry_.blocks; ++b) {
-    auto block = std::make_unique<BlockState>(sim(), depth,
+    auto block = std::make_shared<BlockState>(sim(), depth,
                                               runtime_.create_stream());
     block->index = b;
     block->records.begin = std::min(std::uint64_t{b} * per_block, num_records);

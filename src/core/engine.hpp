@@ -172,9 +172,8 @@ class Engine {
   const std::string& trace_scope() const noexcept { return trace_scope_; }
 
   /// Uses an externally owned bigkcheck sanitizer (already installed on the
-  /// GPU by the caller) instead of constructing one from options().check.
-  /// The caller keeps responsibility for finalize(); the engine only feeds
-  /// the pipeline checker. nullptr detaches.
+  /// GPU by the caller). The caller keeps responsibility for finalize(); the
+  /// engine only feeds the pipeline checker. nullptr detaches.
   void set_sanitizer(check::Sanitizer* sanitizer) noexcept {
     sanitizer_ = sanitizer;
   }
@@ -243,7 +242,9 @@ class Engine {
     std::uint64_t size() const noexcept { return empty() ? 0 : end - begin; }
   };
 
-  struct BlockState {
+  /// Shared-owned so a landing posted for one of its flags can hold it
+  /// weakly (raise_on_landing).
+  struct BlockState : std::enable_shared_from_this<BlockState> {
     BlockState(sim::Simulation& sim, std::uint32_t depth, cusim::Stream dma)
         : depth(depth),
           addr_ready(sim),
@@ -311,13 +312,24 @@ class Engine {
   /// out so blocked drivers observe aborted_ and exit.
   void abort_launch(std::exception_ptr error);
 
-  /// Effective state of a seeded protocol bug: the legacy Options::fault
-  /// toggle ORed with a matching always-on spec on the runtime's fault plane.
-  bool seeded_bug(fault::FaultKind kind, bool legacy_toggle) const {
-    if (legacy_toggle) return true;
+  /// Seeded protocol bug (test-only): true when the runtime's fault plane
+  /// carries an always-on spec of `kind` for this device.
+  bool seeded_bug(fault::FaultKind kind) const {
     fault::FaultPlane* plane = runtime_.fault_plane();
     return plane != nullptr &&
            plane->protocol_bug(kind, runtime_.fault_device());
+  }
+
+  /// Raises `flag`, a member of `block`, to `value` when the transfer that
+  /// carries it lands. The wake-up holds the block weakly: an aborted launch
+  /// frees its blocks without waiting for posted landings, and a landing
+  /// that finds its block gone is dropped (the abort already flooded every
+  /// flag past it).
+  void raise_on_landing(BlockState& block, sim::Flag& flag,
+                        std::uint64_t value, sim::TimePs landed) {
+    runtime_.gpu().set_flag_at(
+        std::shared_ptr<sim::Flag>(block.shared_from_this(), &flag), value,
+        std::max(landed, sim().now()));
   }
 
   // --- host-side pipeline stages (engine.cpp) ----------------------------
@@ -368,7 +380,7 @@ class Engine {
 
   const DeviceTables* tables_ = nullptr;
   Geometry geometry_;
-  std::vector<std::unique_ptr<BlockState>> blocks_;
+  std::vector<std::shared_ptr<BlockState>> blocks_;
   std::vector<std::uint64_t> device_allocs_;
   EngineMetrics metrics_;
 
@@ -400,7 +412,6 @@ class Engine {
 
   // --- bigkcheck ---------------------------------------------------------
   check::Sanitizer* sanitizer_ = nullptr;  // externally owned, optional
-  std::unique_ptr<check::Sanitizer> owned_sanitizer_;  // from options_.check
   check::PipelineChecker* pipecheck_ = nullptr;  // active during launch()
 
   /// Replays the per-thread staged-element counts of (block, chunk, stream)
@@ -451,19 +462,7 @@ sim::Task<> Engine::launch(const Kernel& kernel, std::uint64_t num_records,
   degraded_ = false;
   supervisors_.clear();
 
-  // bigkcheck: construct and install a sanitizer when options_.check asks
-  // for one and the caller did not provide one via set_sanitizer(). Install
-  // happens before build_blocks() so the memory sanitizer sees the staging
-  // allocations with their exact requested sizes.
-  if (options_.check.enabled && sanitizer_ == nullptr) {
-    owned_sanitizer_ = std::make_unique<check::Sanitizer>(
-        options_.check, runtime_.metrics());
-    owned_sanitizer_->install(runtime_.gpu());
-  }
-  check::Sanitizer* active_sanitizer =
-      sanitizer_ != nullptr ? sanitizer_ : owned_sanitizer_.get();
-  pipecheck_ =
-      active_sanitizer != nullptr ? active_sanitizer->pipecheck() : nullptr;
+  pipecheck_ = sanitizer_ != nullptr ? sanitizer_->pipecheck() : nullptr;
   if (pipecheck_ != nullptr) {
     pipecheck_->begin_launch(geometry_.blocks, options_.buffer_depth,
                              options_.compute_threads_per_block,
@@ -524,15 +523,6 @@ sim::Task<> Engine::launch(const Kernel& kernel, std::uint64_t num_records,
 
   if (chunk_cache_ != nullptr) chunk_cache_->set_checker(nullptr);
   pipecheck_ = nullptr;
-  if (owned_sanitizer_ != nullptr) {
-    // Detach and enforce: throws check::CheckError with the diagnostic
-    // summary when any checker reported a violation. An external sanitizer
-    // (set_sanitizer) is finalized by its owner instead. An aborted launch
-    // skips enforcement — the fault error below is the diagnosis.
-    std::unique_ptr<check::Sanitizer> sanitizer = std::move(owned_sanitizer_);
-    sanitizer->uninstall();
-    if (!aborted_) sanitizer->finalize();
-  }
   if (aborted_) {
     std::exception_ptr error = abort_error_;
     abort_error_ = nullptr;
@@ -591,9 +581,8 @@ sim::Task<> Engine::addr_gen_driver(gpusim::BlockCtx& ctx, BlockState& block,
     // Busy = SM service time; the span ends now and sums to the metric.
     record_stage(obs::Stage::kAddrGen, block.index, chunk, sim().now() - busy,
                  sim().now());
-    const sim::TimePs landed = runtime_.gpu().post_d2h(wire_bytes);
-    runtime_.gpu().set_flag_at(block.addr_ready, chunk + 1,
-                               std::max(landed, sim().now()));
+    raise_on_landing(block, block.addr_ready, chunk + 1,
+                     runtime_.gpu().post_d2h(wire_bytes));
   }
 }
 
@@ -602,8 +591,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
                                    const Kernel& kernel) {
   const std::uint32_t c_threads = options_.compute_threads_per_block;
   for (std::uint64_t chunk = 0; chunk < block.chunks; ++chunk) {
-    if (seeded_bug(fault::FaultKind::kSkipDataReadyWait,
-                   options_.fault.skip_data_ready_wait)) {
+    if (seeded_bug(fault::FaultKind::kSkipDataReadyWait)) {
       // Seeded bug: wait for the *previous* chunk's flag only (none at all
       // for chunk 0) — the compute stage races the staged DMA.
       if (chunk > 0) co_await block.data_ready.wait_ge(chunk);
@@ -617,7 +605,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
                                    block.data_ready.value());
     }
     if (chunk_cache_ != nullptr &&
-        seeded_bug(fault::FaultKind::kStaleCache, options_.fault.stale_cache)) {
+        seeded_bug(fault::FaultKind::kStaleCache)) {
       // Seeded bug: yank every cache entry backing this chunk out from under
       // the compute stage after the hit was declared — the
       // reuse-after-invalidation protocol violation.
@@ -650,11 +638,9 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
             slot.streams[s].staged_writes.size() * bindings_[s].elem_size;
       }
       metrics_.write_bytes_sent += wb_bytes;
-      const sim::TimePs landed = runtime_.gpu().post_d2h(wb_bytes);
-      runtime_.gpu().set_flag_at(block.wb_landed, chunk + 1,
-                                 std::max(landed, sim().now()));
-      if (seeded_bug(fault::FaultKind::kEarlyRingRelease,
-                     options_.fault.early_ring_release)) {
+      raise_on_landing(block, block.wb_landed, chunk + 1,
+                       runtime_.gpu().post_d2h(wb_bytes));
+      if (seeded_bug(fault::FaultKind::kEarlyRingRelease)) {
         // Seeded bug: hand the ring slot back while the write-back scatter
         // is still in flight — assembly may overwrite live staged writes.
         // (Deliberately no on_slot_release: the slot is NOT actually safe.)

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "check/options.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::core {
@@ -45,12 +44,6 @@ struct Options {
   /// Gather one GPU thread's data at a time for CPU cache locality (§IV.B).
   bool locality_assembly = true;
 
-  // --- Correctness checking --------------------------------------------
-  /// bigkcheck configuration; when check.enabled the engine owns a
-  /// check::Sanitizer for the launch and throws check::CheckError on any
-  /// violation (see src/check/).
-  check::CheckOptions check{};
-
   // --- bigkfault recovery policy ----------------------------------------
   /// How the engine responds to faults injected by the runtime's
   /// fault::FaultPlane (dma_error / ecc_corrupt retries, stage_stall
@@ -75,28 +68,6 @@ struct Options {
     }
   };
   Recovery recovery{};
-
-  /// Test-only seeded-bug injection: deliberately breaks a pipeline
-  /// invariant so the checkers' seeded-violation tests can prove they catch
-  /// real protocol bugs. Never enable outside tests.
-  ///
-  /// These toggles are the legacy spelling of the fault::FaultPlane protocol
-  /// bugs: the engine ORs each with the plane's matching spec
-  /// ("skip_data_ready_wait" / "early_ring_release" / "stale_cache", also
-  /// accepted with a "fault." prefix), so either registry triggers the bug.
-  struct FaultInjection {
-    /// Compute stage skips the data_ready wait for the current chunk
-    /// (waits for the previous chunk only), racing ahead of the staged DMA —
-    /// the classic missing flag-after-data bug.
-    bool skip_data_ready_wait = false;
-    /// Compute stage releases the ring slot before the write-back scatter
-    /// drained, letting assembly overwrite an in-flight slot.
-    bool early_ring_release = false;
-    /// With a chunk cache attached: invalidate every cache entry backing the
-    /// current chunk after the hit was declared but before compute reads it —
-    /// the reuse-after-invalidation bug pipecheck's stale_cache_read catches.
-    bool stale_cache = false;
-  } fault;
 
   void validate() const {
     if (compute_threads_per_block == 0 ||

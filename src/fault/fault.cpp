@@ -76,8 +76,8 @@ const char* fault_kind_name(FaultKind kind) {
 }
 
 FaultKind fault_kind_from_name(std::string_view name) {
-  // "fault.stale_cache" aliases "stale_cache": the old Options::fault seeds
-  // were spelled with the "fault." prefix in docs and tests.
+  // "fault.stale_cache" aliases "stale_cache": the seeded protocol bugs were
+  // once spelled with the "fault." prefix in docs and tests.
   if (name.rfind("fault.", 0) == 0) name.remove_prefix(6);
   for (std::size_t i = 0; i < kKindNames.size(); ++i) {
     if (name == kKindNames[i]) return static_cast<FaultKind>(i);

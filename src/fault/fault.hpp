@@ -48,9 +48,8 @@ enum class FaultKind : std::uint8_t {
   kEccCorrupt,         // H2D lands, then device bytes are corrupted
   kPinnedAllocFail,    // pinned staging allocation throws PinnedAllocError
   kStageStall,         // assembly stage stalls for `stall` picoseconds
-  // Seeded protocol bugs (formerly core::Options::FaultInjection): always-on
-  // behaviors used by the checker tests, named here so one registry covers
-  // every injectable fault.
+  // Seeded protocol bugs: always-on behaviors used by the checker tests,
+  // named here so one registry covers every injectable fault.
   kSkipDataReadyWait,
   kEarlyRingRelease,
   kStaleCache,

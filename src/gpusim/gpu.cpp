@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace bigk::gpusim {
 
@@ -208,14 +209,16 @@ sim::TimePs Gpu::post_d2h(std::uint64_t bytes) {
   return d2h_link_.post(cost);
 }
 
-void Gpu::set_flag_at(sim::Flag& flag, std::uint64_t value,
+void Gpu::set_flag_at(std::weak_ptr<sim::Flag> flag, std::uint64_t value,
                       sim::TimePs when) {
   assert(when >= sim_.now());
-  sim_.spawn([](sim::Simulation& sim, sim::Flag& f, std::uint64_t v,
-                sim::TimePs t) -> sim::Task<> {
+  sim_.spawn([](sim::Simulation& sim, std::weak_ptr<sim::Flag> f,
+                std::uint64_t v, sim::TimePs t) -> sim::Task<> {
     co_await sim.delay(t - sim.now());
-    f.advance_to(v);
-  }(sim_, flag, value, when));
+    if (const std::shared_ptr<sim::Flag> target = f.lock()) {
+      target->advance_to(v);
+    }
+  }(sim_, std::move(flag), value, when));
 }
 
 std::uint32_t Gpu::max_active_blocks_per_sm(

@@ -220,8 +220,11 @@ class Gpu {
   sim::TimePs post_d2h(std::uint64_t bytes);
 
   /// Raises `flag` to `value` at virtual time `when` (used to model a DMA
-  /// engine copying a ready-flag after in-order data, §IV.C).
-  void set_flag_at(sim::Flag& flag, std::uint64_t value, sim::TimePs when);
+  /// engine copying a ready-flag after in-order data, §IV.C). The pending
+  /// wake-up holds the flag weakly: if its owner frees it first, the
+  /// wake-up is dropped instead of writing freed memory.
+  void set_flag_at(std::weak_ptr<sim::Flag> flag, std::uint64_t value,
+                   sim::TimePs when);
 
   /// --- Kernel execution -------------------------------------------------
   /// Active thread-blocks across the whole GPU for `launch` (§IV.D):

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -62,40 +61,30 @@ inline void accumulate(core::EngineMetrics* into,
   into->degraded_blocks += round.degraded_blocks;
 }
 
-/// One round's GPU side: engine launch over `count` records, kernel already
-/// offset-shifted. Records the side's completion time.
+/// One round's GPU side: the engine's window launch over records
+/// [rec_begin, rec_end). Records the side's completion time.
 template <class Kernel>
 sim::Task<> gpu_round(core::Engine& engine, Kernel kernel,
-                      std::uint64_t count, const core::DeviceTables& tables,
-                      sim::Simulation& sim, sim::TimePs* done,
-                      core::EngineMetrics* engine_sum) {
-  co_await engine.launch(kernel, count, tables);
+                      std::uint64_t rec_begin, std::uint64_t rec_end,
+                      const core::DeviceTables& tables, sim::Simulation& sim,
+                      sim::TimePs* done, core::EngineMetrics* engine_sum) {
+  co_await schemes::launch_window(engine, kernel, rec_begin, rec_end, tables);
   accumulate(engine_sum, engine.metrics());
   *done = sim.now();
 }
 
 /// One round's CPU side: the record range fans out over `threads` host
-/// threads through the same cpu_partition path run_cpu uses.
+/// threads through the same cpu_fan_out run_cpu uses.
 template <class Kernel>
 sim::Task<> cpu_round(hostsim::HostCpu& cpu,
                       std::vector<core::StreamBinding>& bindings,
                       core::TableSet& tables, Kernel kernel,
                       std::uint64_t rec_begin, std::uint64_t rec_end,
                       std::uint32_t threads, std::uint64_t batch,
-                      sim::Simulation& sim, sim::TimePs* done) {
-  const std::uint64_t per =
-      schemes::detail::ceil_div(rec_end - rec_begin, threads);
-  std::vector<sim::Process> workers;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const std::uint64_t begin =
-        std::min(rec_begin + std::uint64_t{t} * per, rec_end);
-    const std::uint64_t end = std::min(begin + per, rec_end);
-    if (begin >= end) break;
-    workers.push_back(sim.spawn(schemes::detail::cpu_partition(
-        cpu, bindings, tables, kernel, begin, end, threads, batch)));
-  }
-  for (sim::Process& worker : workers) co_await worker.join();
-  *done = sim.now();
+                      sim::TimePs* done) {
+  co_await schemes::detail::cpu_fan_out(cpu, bindings, tables, kernel,
+                                        rec_begin, rec_end, threads, batch);
+  *done = cpu.sim().now();
 }
 
 /// The co-execution main loop. Free function (not a capturing lambda) so the
@@ -148,13 +137,8 @@ sim::Task<> co_exec_main(cusim::Runtime& runtime, core::Engine& engine,
       }
       const std::uint64_t rb = splitter.rec_begin(split.gpu_begin);
       const std::uint64_t re = splitter.rec_end(split.gpu_end - 1);
-      const std::uint64_t offset = rb;
-      auto shifted = [kernel, offset](auto& ctx, std::uint64_t b,
-                                      std::uint64_t e, std::uint64_t stride) {
-        kernel(ctx, b + offset, e + offset, stride);
-      };
       out->hetero.gpu_records += re - rb;
-      sides.push_back(sim.spawn(gpu_round(engine, shifted, re - rb,
+      sides.push_back(sim.spawn(gpu_round(engine, kernel, rb, re,
                                           *dev_tables, sim, &gpu_done,
                                           &out->engine)));
     }
@@ -164,7 +148,7 @@ sim::Task<> co_exec_main(cusim::Runtime& runtime, core::Engine& engine,
       out->hetero.cpu_records += re - rb;
       sides.push_back(sim.spawn(cpu_round(
           runtime.cpu(), bindings, cpu_tables, kernel, rb, re, cpu_threads,
-          sc.cpu_batch_records, sim, &cpu_done)));
+          sc.cpu_batch_records, &cpu_done)));
     }
     for (sim::Process& side : sides) co_await side.join();
 
@@ -208,18 +192,9 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
                                const schemes::SchemeConfig& sc) {
   const Options& ho = sc.hetero;
   app.reset();
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, config);
-  runtime.attach_observability(sc.tracer, sc.metrics);
-  if (sc.fault_plane != nullptr) runtime.set_fault_plane(sc.fault_plane);
-  std::unique_ptr<check::Sanitizer> sanitizer;
-  if (sc.check.enabled) {
-    sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
-    sanitizer->install(runtime.gpu());
-  }
+  schemes::RunScaffold run(config, sc, sc.fault_plane);
 
-  auto decls = app.stream_decls();
-  auto bindings = schemes::detail::make_bindings(decls);
+  auto bindings = schemes::detail::make_bindings(app.stream_decls());
   const std::uint64_t num_records = app.num_records();
   const std::uint64_t rpc =
       ho.records_per_chunk > 0
@@ -245,19 +220,19 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
                  ? config.cpu.cores - sc.bigkernel.num_blocks
                  : 1);
 
-  core::Engine engine(runtime, sc.bigkernel);
-  engine.set_tracer(sc.tracer);
-  engine.set_sanitizer(sanitizer.get());
-  engine.set_integrity(sc.integrity);
-  for (const schemes::StreamDecl& decl : decls) {
-    engine.map_stream(decl.binding, decl.overfetch_elems);
-  }
+  // One engine serves every GPU round; the tables stay on the device across
+  // rounds, so only the attach step and the window launch are shared with
+  // schemes::launch_app.
+  const schemes::LaunchConfig launch = run.engine_launch(sc);
+  core::Engine engine(run.runtime, launch.engine);
+  schemes::attach(engine, launch);
+  schemes::map_streams(engine, app);
 
   schemes::RunMetrics metrics;
   metrics.scheme = schemes::Scheme::kHetero;
   std::uint64_t cpu_digest = 0;
-  sim.run_until_complete(detail::co_exec_main(
-      runtime, engine, app, app.kernel(), bindings, cpu_tables, splitter,
+  run.sim.run_until_complete(detail::co_exec_main(
+      run.runtime, engine, app, app.kernel(), bindings, cpu_tables, splitter,
       balancer, ho, sc, cpu_threads, &metrics,
       sc.integrity != nullptr ? &cpu_digest : nullptr));
   if (sc.integrity != nullptr) {
@@ -265,7 +240,7 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
     // bytes its rounds produced — verified before they merge into the
     // canonical tables.
     if (detail::tables_digest(cpu_tables) != cpu_digest) {
-      sc.integrity->note_detected(dur::Site::kCpuPartition, 0, sim.now());
+      sc.integrity->note_detected(dur::Site::kCpuPartition, 0, run.sim.now());
       throw dur::IntegrityError(
           "hetero CPU partition digest mismatch before table merge");
     }
@@ -273,13 +248,6 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
   }
   merge_tables(app.tables(), cpu_tables, snapshot);
 
-  metrics.total_time = sim.now();
-  metrics.comm_busy = runtime.gpu().h2d_busy() + runtime.gpu().d2h_busy();
-  metrics.comp_busy = runtime.gpu().compute_wall_busy();
-  metrics.h2d_bytes = runtime.gpu().stats().h2d_bytes;
-  metrics.d2h_bytes = runtime.gpu().stats().d2h_bytes;
-  metrics.kernel_launches = runtime.gpu().stats().kernel_launches;
-  metrics.pinned_bytes = runtime.pinned_bytes();
   metrics.hetero.final_cpu_ratio = balancer.ratio();
   metrics.hetero.cpu_chunks_per_s = balancer.cpu_chunks_per_s();
   metrics.hetero.gpu_chunks_per_s = balancer.gpu_chunks_per_s();
@@ -292,11 +260,7 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
     sc.metrics->gauge("hetero.rounds")
         .set(static_cast<double>(metrics.hetero.rounds));
   }
-  if (sanitizer != nullptr) {
-    metrics.check_violations = sanitizer->reporter().total();
-    sanitizer->uninstall();
-    sanitizer->finalize();  // throws check::CheckError on violations
-  }
+  run.finish(metrics);
   return metrics;
 }
 

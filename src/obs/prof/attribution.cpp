@@ -23,49 +23,43 @@ void StageProfiler::record(Stage stage, sim::TimePs begin, sim::TimePs end) {
   }
 }
 
-namespace {
-
-Stage argmax_stage(const std::array<sim::DurationPs, kStageCount>& busy) {
+Attribution attribute(const StageBusy& busy, sim::DurationPs wall) {
+  Attribution out;
   std::size_t best = 0;
-  for (std::size_t s = 1; s < kStageCount; ++s) {
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    out.busy_sum += busy[s];
     if (busy[s] > busy[best]) best = s;
   }
-  return static_cast<Stage>(best);
+  out.bottleneck = static_cast<Stage>(best);
+  if (out.busy_sum > 0) {
+    const double ratio =
+        static_cast<double>(wall) / static_cast<double>(out.busy_sum);
+    out.overlap_efficiency = std::max(0.0, 1.0 - ratio);
+  }
+  return out;
 }
 
-}  // namespace
-
 Stage StageProfiler::bottleneck() const noexcept {
-  return argmax_stage(total_busy_);
+  return attribute(total_busy_, 0).bottleneck;
 }
 
 double StageProfiler::overlap_efficiency(
     sim::DurationPs total_time) const noexcept {
-  sim::DurationPs busy_sum = 0;
-  for (const sim::DurationPs busy : total_busy_) busy_sum += busy;
-  if (busy_sum == 0) return 0.0;
-  const double ratio =
-      static_cast<double>(total_time) / static_cast<double>(busy_sum);
-  return std::max(0.0, 1.0 - ratio);
+  return attribute(total_busy_, total_time).overlap_efficiency;
 }
 
 std::vector<WindowAttribution> StageProfiler::windows() const {
   std::vector<WindowAttribution> out;
   out.reserve(windows_.size());
   for (const auto& [index, busy] : windows_) {
+    const Attribution attribution = attribute(busy, window_);
     WindowAttribution w;
     w.index = index;
     w.begin = index * window_;
     w.end = w.begin + window_;
     w.busy = busy;
-    w.bottleneck = argmax_stage(busy);
-    sim::DurationPs busy_sum = 0;
-    for (const sim::DurationPs b : busy) busy_sum += b;
-    if (busy_sum > 0) {
-      const double ratio =
-          static_cast<double>(window_) / static_cast<double>(busy_sum);
-      w.overlap_efficiency = std::max(0.0, 1.0 - ratio);
-    }
+    w.bottleneck = attribution.bottleneck;
+    w.overlap_efficiency = attribution.overlap_efficiency;
     out.push_back(w);
   }
   return out;
@@ -76,7 +70,7 @@ std::uint64_t StageProfiler::bottleneck_flips() const {
   bool first = true;
   Stage prev = Stage::kAddrGen;
   for (const auto& [index, busy] : windows_) {
-    const Stage current = argmax_stage(busy);
+    const Stage current = attribute(busy, 0).bottleneck;
     if (!first && current != prev) ++flips;
     prev = current;
     first = false;

@@ -21,12 +21,34 @@
 
 namespace bigk::obs::prof {
 
+/// Per-stage busy time (picoseconds), indexed by stage_index().
+using StageBusy = std::array<sim::DurationPs, kStageCount>;
+
+/// The one attribution formula, shared by the profiler, run_bigkernel and
+/// serve's reports.
+struct Attribution {
+  /// Limiting stage: argmax of stage busy time; the earlier stage wins ties.
+  Stage bottleneck = Stage::kAddrGen;
+  /// max(0, 1 − wall / Σ busy); 0 when nothing was busy.
+  double overlap_efficiency = 0.0;
+  /// Σ busy; 0 means there is nothing to attribute.
+  sim::DurationPs busy_sum = 0;
+
+  /// The limiting stage as a stage_index() for reports; -1 when nothing was
+  /// busy.
+  std::int32_t bottleneck_index() const noexcept {
+    return busy_sum > 0 ? static_cast<std::int32_t>(stage_index(bottleneck))
+                        : -1;
+  }
+};
+Attribution attribute(const StageBusy& busy, sim::DurationPs wall);
+
 /// One fully-attributed time window.
 struct WindowAttribution {
   std::uint64_t index = 0;          ///< window number: [index*W, (index+1)*W)
   sim::TimePs begin = 0;
   sim::TimePs end = 0;
-  std::array<sim::DurationPs, kStageCount> busy{};
+  StageBusy busy{};
   Stage bottleneck = Stage::kAddrGen;
   double overlap_efficiency = 0.0;  ///< 1 - window_span / sum(busy), >= 0
 };
@@ -45,6 +67,7 @@ class StageProfiler {
   sim::DurationPs stage_busy(Stage stage) const noexcept {
     return total_busy_[stage_index(stage)];
   }
+  const StageBusy& busy() const noexcept { return total_busy_; }
 
   /// Run-level limiting stage: argmax of stage_busy (earlier stage wins
   /// ties). Meaningful only after at least one record().
@@ -68,8 +91,8 @@ class StageProfiler {
   sim::DurationPs window_;
   // window index -> per-stage busy within that window; std::map keeps the
   // timeline chronologically ordered regardless of record() arrival order.
-  std::map<std::uint64_t, std::array<sim::DurationPs, kStageCount>> windows_;
-  std::array<sim::DurationPs, kStageCount> total_busy_{};
+  std::map<std::uint64_t, StageBusy> windows_;
+  StageBusy total_busy_{};
 };
 
 }  // namespace bigk::obs::prof

@@ -6,8 +6,11 @@
 //   (v)   BigKernel
 //
 // Every runner executes the *same* application kernel source through a
-// scheme-specific context, on a fresh Simulation + Runtime, and returns a
-// RunMetrics. Applications are duck-typed (see apps/ for the interface):
+// scheme-specific context, on a fresh Simulation + Runtime (one RunScaffold
+// for every GPU runner), and returns a RunMetrics. run_bigkernel and
+// apps::JobRunner launch an app through one launch_app(); the CPU paths
+// split records through one cpu_fan_out(). Applications are duck-typed (see
+// apps/ for the interface):
 //   app.reset();                        // reinitialize output state
 //   app.num_records();
 //   app.tables();                       // core::TableSet&
@@ -19,9 +22,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/chunk_cache.hpp"
+#include "cache/pinned_pool.hpp"
 #include "check/sanitizer.hpp"
 #include "core/device_tables.hpp"
 #include "core/engine.hpp"
@@ -65,9 +71,10 @@ struct SchemeConfig {
   core::Options bigkernel;
 
   /// bigkcheck configuration shared by the GPU schemes (defaults honour the
-  /// BIGK_CHECK environment variable). When enabled, the runner installs a
-  /// check::Sanitizer on the scheme's GPU for the whole run and throws
-  /// check::CheckError at the end if any checker reported a violation.
+  /// BIGK_CHECK environment variable). When enabled, the run's RunScaffold
+  /// installs a check::Sanitizer on the scheme's GPU for the whole run and
+  /// throws check::CheckError at the end if any checker reported a
+  /// violation.
   check::CheckOptions check = check::CheckOptions::from_env();
 
   // Telemetry sinks shared by every scheme (either may be nullptr; both must
@@ -77,11 +84,12 @@ struct SchemeConfig {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// bigkfault injection plane (nullptr = no injection; must outlive the
-  /// run). Only run_bigkernel installs it: the engine's supervisor is the
-  /// recovery machinery (chunk retry, watchdog, ring degradation), while
-  /// the CPU schemes never touch an injection site and the chunked GPU
-  /// baselines have no retry path — injecting into them would silently
-  /// drop data instead of modelling a survivable fault.
+  /// run). Only the engine runners (run_bigkernel, run_hetero) install it:
+  /// the engine's supervisor is the recovery machinery (chunk retry,
+  /// watchdog, ring degradation), while the CPU schemes never touch an
+  /// injection site and the chunked GPU baselines have no retry path —
+  /// injecting into them would silently drop data instead of modelling a
+  /// survivable fault.
   fault::FaultPlane* fault_plane = nullptr;
 
   /// bigkdur integrity plane (nullptr = integrity off; must outlive the
@@ -135,6 +143,28 @@ sim::Task<> cpu_partition(hostsim::HostCpu& cpu,
     kernel(ctx, r, std::min(rec_end, r + batch), /*stride=*/1);
     co_await thread.commit();
   }
+}
+
+/// The CPU fan-out: splits records [rec_begin, rec_end) into `threads`
+/// contiguous slices, runs each through cpu_partition on its own host
+/// thread, and joins them.
+template <class Kernel>
+sim::Task<> cpu_fan_out(hostsim::HostCpu& cpu,
+                        std::vector<core::StreamBinding>& bindings,
+                        core::TableSet& tables, Kernel kernel,
+                        std::uint64_t rec_begin, std::uint64_t rec_end,
+                        std::uint32_t threads, std::uint64_t batch) {
+  const std::uint64_t per = ceil_div(rec_end - rec_begin, threads);
+  std::vector<sim::Process> workers;
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    const std::uint64_t begin =
+        std::min(rec_begin + std::uint64_t{t} * per, rec_end);
+    const std::uint64_t end = std::min(begin + per, rec_end);
+    if (begin >= end) break;
+    workers.push_back(cpu.sim().spawn(cpu_partition(
+        cpu, bindings, tables, kernel, begin, end, threads, batch)));
+  }
+  for (sim::Process& worker : workers) co_await worker.join();
 }
 
 /// Shared state of one chunked-GPU run.
@@ -417,6 +447,161 @@ sim::Task<> gpu_chunked_main(cusim::Runtime& runtime, App& app,
 
 }  // namespace detail
 
+/// One engine launch of an app: the engine options, the engine's
+/// attachments and the record window. Every pointer is externally owned and
+/// may be null; `sanitizer` must already be installed on the runtime's GPU.
+/// This is apps::JobRunConfig, the serving layer's per-job launch.
+struct LaunchConfig {
+  core::Options engine;
+  obs::Tracer* tracer = nullptr;
+  check::Sanitizer* sanitizer = nullptr;
+  /// Prefix for the engine's trace process rows (e.g. "dev2 job7 ") so
+  /// concurrent engines on different devices write disjoint tracks.
+  std::string trace_scope;
+  /// bigkcache: chunk cache + pinned assembly-buffer pool of the target
+  /// device (both must live on the device the launch runs on). `dataset_id`
+  /// identifies the app's generated dataset for cache keying — the serving
+  /// layer hashes the app name.
+  cache::ChunkCache* chunk_cache = nullptr;
+  cache::PinnedPool* pinned_pool = nullptr;
+  std::uint64_t dataset_id = 0;
+  /// bigkprof: bottleneck profiler the engine feeds its stage intervals to.
+  obs::prof::StageProfiler* profiler = nullptr;
+  /// bigkprof: when set, receives the sim time at which the engine launch
+  /// completed (before table download) — the serving layer's
+  /// execution/write-back boundary for the latency breakdown.
+  sim::TimePs* exec_done = nullptr;
+  /// bigkstatic: the app's statically derived access-pattern signature
+  /// (KernelReport::pattern_signature), mixed into chunk-cache keys so a
+  /// kernel change that alters the pattern invalidates cached chunks.
+  std::uint64_t static_signature = 0;
+  /// bigkdur: record window [rec_begin, rec_end) to execute (0/0 = the
+  /// whole app). The serving layer launches jobs in checkpoint windows so a
+  /// crashed server can resume from the last journaled window.
+  std::uint64_t rec_begin = 0;
+  std::uint64_t rec_end = 0;
+  /// bigkdur: end-to-end chunk integrity plane the engine verifies custody
+  /// transfers against (null = integrity off).
+  dur::Integrity* integrity = nullptr;
+};
+
+/// Applies every attachment of `cfg` to `engine` — the one place an engine
+/// gets its tracer, sanitizer, cache, pool, profiler, signature and
+/// integrity plane.
+inline void attach(core::Engine& engine, const LaunchConfig& cfg) {
+  engine.set_tracer(cfg.tracer);
+  engine.set_trace_scope(cfg.trace_scope);
+  engine.set_sanitizer(cfg.sanitizer);
+  engine.set_chunk_cache(cfg.chunk_cache, cfg.dataset_id);
+  engine.set_pinned_pool(cfg.pinned_pool);
+  engine.set_profiler(cfg.profiler);
+  engine.set_static_signature(cfg.static_signature);
+  engine.set_integrity(cfg.integrity);
+}
+
+/// Maps the app's streams on `engine` in declaration order, the order the
+/// kernel's StreamRef ids follow.
+template <class App>
+void map_streams(core::Engine& engine, App& app) {
+  for (const StreamDecl& decl : app.stream_decls()) {
+    engine.map_stream(decl.binding, decl.overfetch_elems);
+  }
+}
+
+/// Runs records [rec_begin, rec_end) of `kernel` through `engine`; the
+/// kernel sees absolute record ids.
+template <class Kernel>
+sim::Task<> launch_window(core::Engine& engine, Kernel kernel,
+                          std::uint64_t rec_begin, std::uint64_t rec_end,
+                          const core::DeviceTables& tables) {
+  auto shifted = [kernel, rec_begin](auto& ctx, std::uint64_t b,
+                                     std::uint64_t e, std::uint64_t stride) {
+    kernel(ctx, b + rec_begin, e + rec_begin, stride);
+  };
+  co_await engine.launch(shifted, rec_end - rec_begin, tables);
+}
+
+/// One engine launch of `app` on `runtime`: builds the engine with cfg's
+/// attachments, maps the app's streams, uploads its tables, runs cfg's
+/// record window, records exec_done and downloads the tables. The launch's
+/// EngineMetrics land in `engine_metrics` when it is set.
+template <class App>
+sim::Task<> launch_app(cusim::Runtime& runtime, App& app,
+                       const LaunchConfig& cfg,
+                       core::EngineMetrics* engine_metrics = nullptr) {
+  core::Engine engine(runtime, cfg.engine);
+  attach(engine, cfg);
+  map_streams(engine, app);
+  const auto kernel = app.kernel();
+  core::DeviceTables tables =
+      co_await core::DeviceTables::upload(runtime, app.tables());
+  const std::uint64_t end =
+      cfg.rec_end > 0 ? std::min(cfg.rec_end, app.num_records())
+                      : app.num_records();
+  co_await launch_window(engine, kernel, std::min(cfg.rec_begin, end), end,
+                         tables);
+  if (cfg.exec_done != nullptr) *cfg.exec_done = runtime.sim().now();
+  co_await tables.download();
+  tables.release();
+  if (engine_metrics != nullptr) *engine_metrics = engine.metrics();
+}
+
+/// One run of an app on a fresh simulated system, shared by every GPU
+/// runner: a new Simulation and Runtime with sc's tracer and metrics
+/// attached, the bigkcheck sanitizer when sc.check asks for one, and
+/// `fault_plane` when given. Only the engine runners (run_bigkernel,
+/// run_hetero) pass sc.fault_plane: they have the recovery machinery that
+/// makes an injected fault survivable. The sanitizer is installed before any
+/// table upload so memcheck tracks every allocation from birth.
+struct RunScaffold {
+  RunScaffold(const gpusim::SystemConfig& config, const SchemeConfig& sc,
+              fault::FaultPlane* fault_plane = nullptr)
+      : runtime(sim, config) {
+    runtime.attach_observability(sc.tracer, sc.metrics);
+    if (fault_plane != nullptr) runtime.set_fault_plane(fault_plane);
+    if (sc.check.enabled) {
+      sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
+      sanitizer->install(runtime.gpu());
+    }
+  }
+
+  /// The epilogue: fills `metrics`' device fields from the finished run and
+  /// its check_violations, then detaches the sanitizer and finalizes it,
+  /// which throws check::CheckError on any violation.
+  void finish(RunMetrics& metrics) {
+    gpusim::Gpu& gpu = runtime.gpu();
+    metrics.total_time = sim.now();
+    metrics.comm_busy = gpu.h2d_busy() + gpu.d2h_busy();
+    metrics.comp_busy = gpu.compute_wall_busy();
+    metrics.h2d_bytes = gpu.stats().h2d_bytes;
+    metrics.d2h_bytes = gpu.stats().d2h_bytes;
+    metrics.kernel_launches = gpu.stats().kernel_launches;
+    metrics.pinned_bytes = runtime.pinned_bytes();
+    if (sanitizer != nullptr) {
+      metrics.check_violations = sanitizer->reporter().total();
+      sanitizer->uninstall();
+      sanitizer->finalize();
+    }
+  }
+
+  /// The engine launch this run makes: sc's engine options, tracer and
+  /// integrity plane, plus this run's sanitizer.
+  LaunchConfig engine_launch(const SchemeConfig& sc) const {
+    LaunchConfig cfg;
+    cfg.engine = sc.bigkernel;
+    cfg.tracer = sc.tracer;
+    cfg.sanitizer = sanitizer.get();
+    cfg.integrity = sc.integrity;
+    return cfg;
+  }
+
+  sim::Simulation sim;
+  cusim::Runtime runtime;
+  std::unique_ptr<check::Sanitizer> sanitizer;
+};
+
+/// The CPU runners: the kernel never touches the device, so there is no
+/// sanitizer, fault plane or device epilogue.
 template <class App>
 RunMetrics run_cpu(const gpusim::SystemConfig& config, App& app,
                    std::uint32_t num_threads, const SchemeConfig& sc = {}) {
@@ -424,19 +609,10 @@ RunMetrics run_cpu(const gpusim::SystemConfig& config, App& app,
   sim::Simulation sim;
   cusim::Runtime runtime(sim, config);
   runtime.attach_observability(sc.tracer, sc.metrics);
-  auto decls = app.stream_decls();
-  auto bindings = detail::make_bindings(decls);
-  const std::uint64_t num_records = app.num_records();
-  const std::uint64_t per =
-      detail::ceil_div(num_records, num_threads);
-  for (std::uint32_t t = 0; t < num_threads; ++t) {
-    const std::uint64_t begin = std::min(std::uint64_t{t} * per, num_records);
-    const std::uint64_t end = std::min(begin + per, num_records);
-    sim.spawn(detail::cpu_partition(runtime.cpu(), bindings, app.tables(),
-                                    app.kernel(), begin, end, num_threads,
-                                    sc.cpu_batch_records));
-  }
-  sim.run();
+  auto bindings = detail::make_bindings(app.stream_decls());
+  sim.run_until_complete(detail::cpu_fan_out(
+      runtime.cpu(), bindings, app.tables(), app.kernel(), 0,
+      app.num_records(), num_threads, sc.cpu_batch_records));
   RunMetrics metrics;
   metrics.scheme = num_threads == 1 ? Scheme::kCpuSerial
                                     : Scheme::kCpuMultiThreaded;
@@ -461,33 +637,14 @@ template <class App>
 RunMetrics run_gpu_chunked(const gpusim::SystemConfig& config, App& app,
                            bool double_buffered, const SchemeConfig& sc = {}) {
   app.reset();
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, config);
-  runtime.attach_observability(sc.tracer, sc.metrics);
-  std::unique_ptr<check::Sanitizer> sanitizer;
-  if (sc.check.enabled) {
-    sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
-    sanitizer->install(runtime.gpu());
-  }
-  auto decls = app.stream_decls();
-  auto bindings = detail::make_bindings(decls);
-  sim.run_until_complete(
-      detail::gpu_chunked_main(runtime, app, bindings, double_buffered, sc));
+  RunScaffold run(config, sc);
+  auto bindings = detail::make_bindings(app.stream_decls());
+  run.sim.run_until_complete(detail::gpu_chunked_main(
+      run.runtime, app, bindings, double_buffered, sc));
   RunMetrics metrics;
   metrics.scheme = double_buffered ? Scheme::kGpuDoubleBuffer
                                    : Scheme::kGpuSingleBuffer;
-  metrics.total_time = sim.now();
-  metrics.comm_busy = runtime.gpu().h2d_busy() + runtime.gpu().d2h_busy();
-  metrics.comp_busy = runtime.gpu().compute_wall_busy();
-  metrics.h2d_bytes = runtime.gpu().stats().h2d_bytes;
-  metrics.d2h_bytes = runtime.gpu().stats().d2h_bytes;
-  metrics.kernel_launches = runtime.gpu().stats().kernel_launches;
-  metrics.pinned_bytes = runtime.pinned_bytes();
-  if (sanitizer != nullptr) {
-    metrics.check_violations = sanitizer->reporter().total();
-    sanitizer->uninstall();
-    sanitizer->finalize();  // throws check::CheckError on violations
-  }
+  run.finish(metrics);
   return metrics;
 }
 
@@ -507,79 +664,28 @@ template <class App>
 RunMetrics run_bigkernel(const gpusim::SystemConfig& config, App& app,
                          const SchemeConfig& sc = {}) {
   app.reset();
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, config);
-  runtime.attach_observability(sc.tracer, sc.metrics);
-  if (sc.fault_plane != nullptr) runtime.set_fault_plane(sc.fault_plane);
-  std::unique_ptr<check::Sanitizer> sanitizer;
-  if (sc.check.enabled) {
-    // Installed before table upload so the memory sanitizer tracks every
-    // allocation from birth; the engine feeds the pipeline checker.
-    sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
-    sanitizer->install(runtime.gpu());
-  }
-  core::Engine engine(runtime, sc.bigkernel);
-  engine.set_tracer(sc.tracer);
-  engine.set_sanitizer(sanitizer.get());
-  engine.set_integrity(sc.integrity);
+  RunScaffold run(config, sc, sc.fault_plane);
   std::unique_ptr<obs::prof::StageProfiler> profiler;
   if (sc.prof_window > 0) {
     profiler = std::make_unique<obs::prof::StageProfiler>(sc.prof_window);
-    engine.set_profiler(profiler.get());
   }
-  for (const StreamDecl& decl : app.stream_decls()) {
-    engine.map_stream(decl.binding, decl.overfetch_elems);
-  }
-  const auto kernel = app.kernel();
-  sim.run_until_complete(
-      [](cusim::Runtime& rt, core::Engine& eng, App& application,
-         decltype(kernel) k) -> sim::Task<> {
-        core::DeviceTables tables =
-            co_await core::DeviceTables::upload(rt, application.tables());
-        co_await eng.launch(k, application.num_records(), tables);
-        co_await tables.download();
-        tables.release();
-      }(runtime, engine, app, kernel));
+  LaunchConfig launch = run.engine_launch(sc);
+  launch.profiler = profiler.get();
   RunMetrics metrics;
   metrics.scheme = Scheme::kBigKernel;
-  metrics.total_time = sim.now();
-  metrics.comm_busy = runtime.gpu().h2d_busy() + runtime.gpu().d2h_busy();
-  metrics.comp_busy = runtime.gpu().compute_wall_busy();
-  metrics.h2d_bytes = runtime.gpu().stats().h2d_bytes;
-  metrics.d2h_bytes = runtime.gpu().stats().d2h_bytes;
-  metrics.kernel_launches = runtime.gpu().stats().kernel_launches;
-  metrics.pinned_bytes = runtime.pinned_bytes();
-  metrics.engine = engine.metrics();
-  {
-    // Run-level attribution comes straight from the engine's stage sums so
-    // prof.bottleneck_stage always agrees with the Fig. 6 breakdown.
-    sim::DurationPs busy_sum = 0;
-    std::size_t best = 0;
-    for (obs::Stage stage : obs::all_stages()) {
-      const sim::DurationPs busy = metrics.engine.stage_busy(stage);
-      busy_sum += busy;
-      if (busy > metrics.engine.stage_busy(
-                     static_cast<obs::Stage>(best))) {
-        best = obs::stage_index(stage);
-      }
-    }
-    if (busy_sum > 0) {
-      metrics.prof.bottleneck = static_cast<std::int32_t>(best);
-      metrics.prof.overlap_efficiency =
-          std::max(0.0, 1.0 - static_cast<double>(metrics.total_time) /
-                                  static_cast<double>(busy_sum));
-    }
-    if (profiler != nullptr) {
-      metrics.prof.windows = profiler->window_count();
-      metrics.prof.bottleneck_flips = profiler->bottleneck_flips();
-      metrics.prof.window_ms =
-          static_cast<double>(sc.prof_window) / 1e9;
-    }
-  }
-  if (sanitizer != nullptr) {
-    metrics.check_violations = sanitizer->reporter().total();
-    sanitizer->uninstall();
-    sanitizer->finalize();  // throws check::CheckError on violations
+  run.sim.run_until_complete(
+      launch_app(run.runtime, app, launch, &metrics.engine));
+  run.finish(metrics);
+  // Run-level attribution comes straight from the engine's stage sums so
+  // prof.bottleneck_stage always agrees with the Fig. 6 breakdown.
+  const obs::prof::Attribution attribution =
+      obs::prof::attribute(metrics.engine.stage_busy_ps, metrics.total_time);
+  metrics.prof.bottleneck = attribution.bottleneck_index();
+  metrics.prof.overlap_efficiency = attribution.overlap_efficiency;
+  if (profiler != nullptr) {
+    metrics.prof.windows = profiler->window_count();
+    metrics.prof.bottleneck_flips = profiler->bottleneck_flips();
+    metrics.prof.window_ms = static_cast<double>(sc.prof_window) / 1e9;
   }
   return metrics;
 }

@@ -188,24 +188,16 @@ template <class App>
 RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
                        const SchemeConfig& sc = {}, UvmConfig uvm = {}) {
   app.reset();
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, config);
-  runtime.attach_observability(sc.tracer, sc.metrics);
-  std::unique_ptr<check::Sanitizer> sanitizer;
-  if (sc.check.enabled) {
-    sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
-    sanitizer->install(runtime.gpu());
-  }
-  auto decls = app.stream_decls();
-  auto bindings = detail::make_bindings(decls);
+  RunScaffold run(config, sc);
+  auto bindings = detail::make_bindings(app.stream_decls());
   const auto kernel = app.kernel();
   const std::uint64_t num_records = app.num_records();
 
-  sim.run_until_complete([](cusim::Runtime& rt, App& application,
-                            std::vector<core::StreamBinding>& binds,
-                            decltype(kernel) k, std::uint64_t records,
-                            const SchemeConfig& scheme_config,
-                            UvmConfig cfg) -> sim::Task<> {
+  run.sim.run_until_complete([](cusim::Runtime& rt, App& application,
+                                std::vector<core::StreamBinding>& binds,
+                                decltype(kernel) k, std::uint64_t records,
+                                const SchemeConfig& scheme_config,
+                                UvmConfig cfg) -> sim::Task<> {
     core::DeviceTables tables =
         co_await core::DeviceTables::upload(rt, application.tables());
 
@@ -251,21 +243,11 @@ RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
     }
     co_await tables.download();
     tables.release();
-  }(runtime, app, bindings, kernel, num_records, sc, uvm));
+  }(run.runtime, app, bindings, kernel, num_records, sc, uvm));
 
   RunMetrics metrics;
   metrics.scheme = Scheme::kGpuSingleBuffer;  // closest bucket for reporting
-  metrics.total_time = sim.now();
-  metrics.comm_busy = runtime.gpu().h2d_busy() + runtime.gpu().d2h_busy();
-  metrics.comp_busy = runtime.gpu().compute_wall_busy();
-  metrics.h2d_bytes = runtime.gpu().stats().h2d_bytes;
-  metrics.d2h_bytes = runtime.gpu().stats().d2h_bytes;
-  metrics.kernel_launches = runtime.gpu().stats().kernel_launches;
-  if (sanitizer != nullptr) {
-    metrics.check_violations = sanitizer->reporter().total();
-    sanitizer->uninstall();
-    sanitizer->finalize();  // throws check::CheckError on violations
-  }
+  run.finish(metrics);  // pinned_bytes stays 0: paging stages nothing
   return metrics;
 }
 

@@ -694,7 +694,6 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
     }
     apps::JobRunConfig run_cfg;
     run_cfg.engine = st.config.engine;
-    run_cfg.engine.check.enabled = false;  // the server owns the sanitizer
     run_cfg.tracer = st.config.tracer;
     run_cfg.sanitizer = sanitizer.get();
     run_cfg.trace_scope = device.trace_prefix();
@@ -1136,15 +1135,10 @@ ServeReport run_server(const ServerConfig& config,
     }
     if (!state.profilers.empty()) {
       const obs::prof::StageProfiler& prof = *state.profilers[d];
-      sim::DurationPs busy_sum = 0;
-      for (obs::Stage stage : obs::all_stages()) {
-        busy_sum += prof.stage_busy(stage);
-      }
-      if (busy_sum > 0) {
-        dev.bottleneck_stage =
-            static_cast<std::int32_t>(obs::stage_index(prof.bottleneck()));
-        dev.overlap_efficiency = prof.overlap_efficiency(report.makespan);
-      }
+      const obs::prof::Attribution attribution =
+          obs::prof::attribute(prof.busy(), report.makespan);
+      dev.bottleneck_stage = attribution.bottleneck_index();
+      dev.overlap_efficiency = attribution.overlap_efficiency;
       dev.prof_windows = prof.window_count();
       dev.bottleneck_flips = prof.bottleneck_flips();
     }
@@ -1158,18 +1152,10 @@ ServeReport run_server(const ServerConfig& config,
       report.prof_windows += prof->window_count();
       report.bottleneck_flips += prof->bottleneck_flips();
     }
-    sim::DurationPs busy_sum = 0;
-    std::size_t best = 0;
-    for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-      busy_sum += pool_busy[s];
-      if (pool_busy[s] > pool_busy[best]) best = s;
-    }
-    if (busy_sum > 0) {
-      report.bottleneck_stage = static_cast<std::int32_t>(best);
-      report.overlap_efficiency =
-          std::max(0.0, 1.0 - static_cast<double>(report.makespan) /
-                                  static_cast<double>(busy_sum));
-    }
+    const obs::prof::Attribution attribution =
+        obs::prof::attribute(pool_busy, report.makespan);
+    report.bottleneck_stage = attribution.bottleneck_index();
+    report.overlap_efficiency = attribution.overlap_efficiency;
   }
   if (report.cache_hits + report.cache_misses > 0) {
     report.cache_hit_rate =

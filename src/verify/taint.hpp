@@ -120,7 +120,10 @@ class TaintMonitor {
     return z ^ (z >> 31);
   }
 
-  static thread_local TaintMonitor* active_;
+  // The installed monitor. A plain static, not thread_local: the simulator
+  // runs on one OS thread (see scripts/ci.sh), and UBSan reported every
+  // access to the thread_local as a null-pointer store or load.
+  static inline TaintMonitor* active_ = nullptr;
 
   std::vector<Site> sites_;
   std::vector<BranchEvent> branches_;

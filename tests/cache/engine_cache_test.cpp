@@ -1,6 +1,8 @@
 // End-to-end tests for bigkcache wired into the core engine: a second launch
 // over the same read-only stream must hit the chunk cache, skip the H2D
-// transfer for every hit, and still compute byte-identical results.
+// transfer for every hit, and still compute byte-identical results. The
+// static-signature tests launch through schemes::launch_app, the launch every
+// runner and JobRunner makes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include "core/device_tables.hpp"
 #include "core/engine.hpp"
 #include "cusim/runtime.hpp"
+#include "schemes/runners.hpp"
 #include "sim/simulation.hpp"
 
 namespace bigk::core {
@@ -80,6 +83,50 @@ struct CacheFixture {
           co_await eng.launch(k, kRecords, device);
         }(runtime, engine, tables, kernel));
     return engine.metrics();
+  }
+
+  /// The fixture's streams as a duck-typed app for schemes::launch_app.
+  struct SumApp {
+    CacheFixture& fixture;
+    TableSet table_set;
+
+    void reset() {}
+    std::uint64_t num_records() const { return kRecords; }
+    TableSet& tables() { return table_set; }
+    std::vector<schemes::StreamDecl> stream_decls() {
+      schemes::StreamDecl in;
+      in.binding.host_data = reinterpret_cast<std::byte*>(fixture.input.data());
+      in.binding.num_elements = fixture.input.size();
+      in.binding.elem_size = 8;
+      in.binding.mode = AccessMode::kReadOnly;
+      in.binding.elems_per_record = 2;
+      in.binding.reads_per_record = 2;
+      schemes::StreamDecl out;
+      out.binding.host_data =
+          reinterpret_cast<std::byte*>(fixture.output.data());
+      out.binding.num_elements = fixture.output.size();
+      out.binding.elem_size = 8;
+      out.binding.mode = AccessMode::kReadWrite;
+      out.binding.elems_per_record = 1;
+      out.binding.writes_per_record = 1;
+      return {in, out};
+    }
+    SumKernel kernel() const { return SumKernel{{0}, {1}}; }
+  };
+
+  /// One schemes::launch_app of SumApp over `cache` (dataset 1) carrying
+  /// the static pattern signature `signature`.
+  EngineMetrics launch_app(cache::ChunkCache* cache,
+                           std::uint64_t signature) {
+    SumApp app{*this, {}};
+    schemes::LaunchConfig cfg;
+    cfg.engine = small_options();
+    cfg.chunk_cache = cache;
+    cfg.dataset_id = 1;
+    cfg.static_signature = signature;
+    EngineMetrics metrics;
+    sim.run_until_complete(schemes::launch_app(runtime, app, cfg, &metrics));
+    return metrics;
   }
 
   void check_output() const {
@@ -165,6 +212,35 @@ TEST(EngineCacheTest, DistinctDatasetsDoNotCollide) {
   EXPECT_EQ(other.cache_hits, 0u);
   EXPECT_GT(other.cache_misses, 0u);
   EXPECT_GT(cache.resident_bytes(2), 0u);
+}
+
+TEST(EngineCacheTest, EqualStaticSignaturesShareCacheEntries) {
+  CacheFixture fixture;
+  cache::ChunkCache cache(fixture.runtime.gpu().memory(),
+                          cache::ChunkCache::Config{4 << 20});
+  const EngineMetrics cold = fixture.launch_app(&cache, 0x5157);
+  EXPECT_GT(cold.cache_misses, 0u);
+  const EngineMetrics warm = fixture.launch_app(&cache, 0x5157);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
+  fixture.check_output();
+}
+
+TEST(EngineCacheTest, DistinctStaticSignaturesShareNoCacheEntries) {
+  // Same app, dataset and geometry: only the signature differs, so the
+  // second launch must miss every chunk and insert its own entries.
+  CacheFixture fixture;
+  cache::ChunkCache cache(fixture.runtime.gpu().memory(),
+                          cache::ChunkCache::Config{4 << 20});
+  const EngineMetrics first = fixture.launch_app(&cache, 0x5157);
+  const std::uint64_t first_insertions = cache.stats().insertions;
+  EXPECT_GT(first_insertions, 0u);
+  const EngineMetrics second = fixture.launch_app(&cache, 0xA11CE);
+  EXPECT_EQ(second.cache_hits, 0u);
+  EXPECT_EQ(second.cache_misses, first.cache_misses);
+  EXPECT_EQ(cache.stats().insertions, 2 * first_insertions);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  fixture.check_output();
 }
 
 TEST(EngineCacheTest, PinnedPoolReusesAssemblyBuffers) {

@@ -1,7 +1,8 @@
 // End-to-end tests of the bigkcheck sanitizers against the real BigKernel
 // engine. The healthy pipeline must run clean under every checker; the
-// seeded protocol faults (core::Options::fault) must corrupt results
-// silently without the checkers and be precisely diagnosed with them.
+// seeded protocol bugs (always-on fault-plane specs such as
+// "skip_data_ready_wait") must corrupt results silently without the
+// checkers and be precisely diagnosed with them.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/device_tables.hpp"
 #include "core/options.hpp"
 #include "cusim/runtime.hpp"
+#include "fault/fault.hpp"
 #include "sim/simulation.hpp"
 
 namespace bigk::core {
@@ -87,13 +89,24 @@ Options small_options() {
   return options;
 }
 
+/// Arms `seeded_bug` (a protocol-bug fault spec; null = none) on a fault
+/// plane attached to `runtime`.
+void seed_bug(cusim::Runtime& runtime, fault::FaultPlane& plane,
+              const char* seeded_bug) {
+  if (seeded_bug == nullptr) return;
+  plane.add_all(fault::FaultSpec::parse(seeded_bug));
+  runtime.set_fault_plane(&plane);
+}
+
 /// Runs ScaleKernel through the engine; `sanitizer` (optional) is installed
 /// before any engine allocation and fed to the engine for pipeline events.
-void run_scale(Fixture& fixture, Options options,
-               check::Sanitizer* sanitizer = nullptr) {
+void run_scale(Fixture& fixture, check::Sanitizer* sanitizer = nullptr,
+               const char* seeded_bug = nullptr) {
+  fault::FaultPlane plane;
   cusim::Runtime runtime(fixture.sim, fixture.config);
+  seed_bug(runtime, plane, seeded_bug);
   if (sanitizer != nullptr) sanitizer->install(runtime.gpu());
-  Engine engine(runtime, options);
+  Engine engine(runtime, small_options());
   if (sanitizer != nullptr) engine.set_sanitizer(sanitizer);
   auto stream = engine.streaming_map<std::uint64_t>(
       std::span(fixture.host), AccessMode::kReadWrite,
@@ -123,39 +136,27 @@ std::uint64_t count_scale_mismatches(const Fixture& fixture) {
   return mismatches;
 }
 
-TEST(EngineCheckTest, HealthyPipelineRunsCleanUnderAllCheckers) {
-  Fixture fixture;
-  Options options = small_options();
-  options.check = check::CheckOptions::all_enabled();
-  // The engine owns the sanitizer and would throw CheckError on violations.
-  run_scale(fixture, options);
-  EXPECT_EQ(count_scale_mismatches(fixture), 0u);
-}
-
 TEST(EngineCheckTest, ExternalSanitizerCollectsNothingOnHealthyRun) {
   Fixture fixture;
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_scale(fixture, small_options(), &sanitizer);
+  run_scale(fixture, &sanitizer);
   EXPECT_EQ(sanitizer.reporter().total(), 0u);
   EXPECT_NO_THROW(sanitizer.finalize());
+  EXPECT_EQ(count_scale_mismatches(fixture), 0u);
 }
 
 TEST(EngineCheckTest, SkippedDataReadyWaitCorruptsResultsSilently) {
   // The seeded bug without the checker: the run "succeeds" while the compute
   // stage consumed staging buffers before the DMA landed.
   Fixture fixture;
-  Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
-  run_scale(fixture, options);
+  run_scale(fixture, nullptr, "skip_data_ready_wait");
   EXPECT_GT(count_scale_mismatches(fixture), 0u);
 }
 
 TEST(EngineCheckTest, SkippedDataReadyWaitIsDiagnosedAsFlagBeforeData) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_scale(fixture, options, &sanitizer);
+  run_scale(fixture, &sanitizer, "skip_data_ready_wait");
 
   ASSERT_GT(sanitizer.reporter().total(), 0u);
   const check::Violation* flag_violation = nullptr;
@@ -183,20 +184,10 @@ TEST(EngineCheckTest, SkippedDataReadyWaitIsDiagnosedAsFlagBeforeData) {
   }
 }
 
-TEST(EngineCheckTest, EngineOwnedSanitizerThrowsOnSeededFault) {
-  Fixture fixture;
-  Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
-  options.check = check::CheckOptions::all_enabled();
-  EXPECT_THROW(run_scale(fixture, options), check::CheckError);
-}
-
 TEST(EngineCheckTest, EarlyRingReleaseIsDiagnosedAsSlotOverrun) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.early_ring_release = true;
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_scale(fixture, options, &sanitizer);
+  run_scale(fixture, &sanitizer, "early_ring_release");
 
   const check::Violation* overrun = nullptr;
   for (const check::Violation& violation : sanitizer.reporter().recorded()) {
@@ -263,14 +254,16 @@ struct CachedSumKernel {
 };
 
 /// One cached launch over a read-only stream with an external sanitizer.
-void run_cached_sum(Fixture& fixture, Options options,
-                    check::Sanitizer& sanitizer) {
+void run_cached_sum(Fixture& fixture, check::Sanitizer& sanitizer,
+                    const char* seeded_bug = nullptr) {
+  fault::FaultPlane plane;
   cusim::Runtime runtime(fixture.sim, fixture.config);
+  seed_bug(runtime, plane, seeded_bug);
   sanitizer.install(runtime.gpu());
   cache::ChunkCache cache(runtime.gpu().memory(),
                           cache::ChunkCache::Config{2 << 20});
   std::vector<std::uint64_t> output(Fixture::kRecords);
-  Engine engine(runtime, options);
+  Engine engine(runtime, small_options());
   engine.set_sanitizer(&sanitizer);
   engine.set_chunk_cache(&cache, /*dataset_id=*/1);
   auto in_ref = engine.streaming_map<std::uint64_t>(
@@ -293,17 +286,15 @@ void run_cached_sum(Fixture& fixture, Options options,
 TEST(EngineCheckTest, CachedLaunchRunsCleanUnderAllCheckers) {
   Fixture fixture;
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_cached_sum(fixture, small_options(), sanitizer);
+  run_cached_sum(fixture, sanitizer);
   EXPECT_EQ(sanitizer.reporter().total(), 0u)
       << sanitizer.reporter().summary();
 }
 
 TEST(EngineCheckTest, StaleCacheFaultIsDiagnosedAsStaleCacheRead) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.stale_cache = true;
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_cached_sum(fixture, options, sanitizer);
+  run_cached_sum(fixture, sanitizer, "stale_cache");
 
   const check::Violation* stale = nullptr;
   for (const check::Violation& violation : sanitizer.reporter().recorded()) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -170,16 +171,28 @@ TEST(GpuTest, PostedTrafficCompletesInOrder) {
 TEST(GpuTest, SetFlagAtFiresAtRequestedTime) {
   sim::Simulation sim;
   Gpu gpu(sim, small_config());
-  sim::Flag flag(sim);
+  auto flag = std::make_shared<sim::Flag>(sim);
   sim::TimePs seen_at = 0;
   gpu.set_flag_at(flag, 1, sim::microseconds(5));
   sim.spawn([](sim::Flag& f, sim::Simulation& s,
                sim::TimePs& out) -> sim::Task<> {
     co_await f.wait_ge(1);
     out = s.now();
-  }(flag, sim, seen_at));
+  }(*flag, sim, seen_at));
   sim.run();
   EXPECT_EQ(seen_at, sim::microseconds(5));
+}
+
+TEST(GpuTest, SetFlagAtDropsWakeupOfFreedFlag) {
+  // An aborted engine launch frees its block state while landings it posted
+  // are still pending; the wake-up must not write the freed flag.
+  sim::Simulation sim;
+  Gpu gpu(sim, small_config());
+  auto flag = std::make_shared<sim::Flag>(sim);
+  gpu.set_flag_at(flag, 1, sim::microseconds(5));
+  flag.reset();
+  sim.run();
+  EXPECT_EQ(sim.now(), sim::microseconds(5));
 }
 
 TEST(GpuTest, KernelWaitsOnHostFlag) {

@@ -13,9 +13,6 @@
 #include <vector>
 
 #include "apps/registry.hpp"
-#include "core/device_tables.hpp"
-#include "core/engine.hpp"
-#include "dur/checksum.hpp"
 #include "schemes/runners.hpp"
 #include "verify/verifier.hpp"
 
@@ -106,101 +103,27 @@ struct ToyServeApp {
   }
 };
 
-/// JobRunner over the toy app, mirroring the registry's per-app runner.
-class ToyRunner final : public apps::JobRunner {
+/// The registry's per-app runner over the toy app, plus the toy's own
+/// result check after every run that completes the job.
+class ToyRunner final : public apps::AppJobRunner<ToyServeApp> {
  public:
   ToyRunner(std::string name, std::uint64_t records, double alu_ops)
-      : name_(std::move(name)), app_(records, alu_ops) {}
-
-  const std::string& app_name() const noexcept override { return name_; }
-  std::uint64_t num_records() const override { return app_.num_records(); }
-
-  std::uint64_t input_bytes() const override {
-    std::uint64_t total = 0;
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      total += decl.binding.size_bytes();
-    }
-    return total;
-  }
+      : AppJobRunner(std::move(name), records, alu_ops) {}
 
   sim::Task<> run(cusim::Runtime& runtime,
                   const apps::JobRunConfig& cfg) override {
-    // bigkdur: only a run starting at record zero may wipe the output —
-    // later checkpoint windows append to what earlier windows produced.
-    if (cfg.rec_begin == 0) app_.reset();
-    core::Engine engine(runtime, cfg.engine);
-    engine.set_tracer(cfg.tracer);
-    engine.set_trace_scope(cfg.trace_scope);
-    engine.set_sanitizer(cfg.sanitizer);
-    engine.set_chunk_cache(cfg.chunk_cache, cfg.dataset_id);
-    engine.set_pinned_pool(cfg.pinned_pool);
-    engine.set_profiler(cfg.profiler);
-    engine.set_integrity(cfg.integrity);
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      engine.map_stream(decl.binding, decl.overfetch_elems);
-    }
-    const auto kernel = app_.kernel();
-    core::DeviceTables tables =
-        co_await core::DeviceTables::upload(runtime, app_.tables());
-    const std::uint64_t end =
-        cfg.rec_end > 0 ? std::min(cfg.rec_end, app_.num_records())
-                        : app_.num_records();
-    const std::uint64_t offset = std::min(cfg.rec_begin, end);
-    auto shifted = [kernel, offset](auto& ctx, std::uint64_t b,
-                                    std::uint64_t e, std::uint64_t stride) {
-      kernel(ctx, b + offset, e + offset, stride);
-    };
-    co_await engine.launch(shifted, end - offset, tables);
-    if (cfg.exec_done != nullptr) *cfg.exec_done = runtime.sim().now();
-    co_await tables.download();
-    tables.release();
+    co_await AppJobRunner::run(runtime, cfg);
     // The full result only exists once the final window has run.
-    if (end == app_.num_records()) app_.expect_results();
+    if (cfg.rec_end == 0 || cfg.rec_end >= num_records()) {
+      app().expect_results();
+    }
   }
 
   sim::Task<> run_cpu(hostsim::HostCpu& cpu,
                       const apps::CpuJobConfig& cfg) override {
-    app_.reset();
-    auto decls = app_.stream_decls();
-    auto bindings = schemes::detail::make_bindings(decls);
-    const std::uint64_t num_records = app_.num_records();
-    const std::uint32_t threads =
-        cfg.threads > 0 ? cfg.threads : cpu.config().hw_threads;
-    const std::uint64_t per =
-        threads == 0 ? num_records : (num_records + threads - 1) / threads;
-    std::vector<sim::Process> workers;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      const std::uint64_t begin =
-          std::min(std::uint64_t{t} * per, num_records);
-      const std::uint64_t end = std::min(begin + per, num_records);
-      if (begin >= end) break;
-      workers.push_back(cpu.sim().spawn(schemes::detail::cpu_partition(
-          cpu, bindings, app_.tables(), app_.kernel(), begin, end, threads,
-          cfg.batch_records)));
-    }
-    for (sim::Process& worker : workers) co_await worker.join();
-    if (cfg.exec_done != nullptr) *cfg.exec_done = cpu.sim().now();
-    app_.expect_results();
+    co_await AppJobRunner::run_cpu(cpu, cfg);
+    app().expect_results();
   }
-
-  std::uint64_t output_digest(std::uint64_t records_done) override {
-    dur::Checksum sum;
-    for (const schemes::StreamDecl& decl : app_.stream_decls()) {
-      const core::StreamBinding& b = decl.binding;
-      if (b.mode != core::AccessMode::kReadWrite) continue;
-      const std::uint64_t bytes = std::min(
-          records_done * b.elems_per_record * b.elem_size, b.size_bytes());
-      sum.mix_bytes({b.host_data, bytes});
-    }
-    return sum.value();
-  }
-
-  /// Direct access for crash-restart tests (records, data bytes).
-  ToyServeApp& app() { return app_; }
-
- private:
-  std::string name_;
-  mutable ToyServeApp app_;
 };
 
 /// bigkdur: forwards to an externally owned runner, so the app's output
