@@ -41,7 +41,6 @@ using JobRunConfig = schemes::LaunchConfig;
 struct CpuJobConfig {
   /// Software threads (0 = all of the host's hardware threads).
   std::uint32_t threads = 0;
-  std::uint64_t batch_records = 2048;
   /// When set, the runner writes the sim time at which kernel execution
   /// finished (there is no separate write-back phase on the CPU path).
   sim::TimePs* exec_done = nullptr;
@@ -120,7 +119,7 @@ class AppJobRunner : public JobRunner {
     co_await schemes::detail::cpu_fan_out(
         cpu, bindings, app_.tables(), app_.kernel(), 0, app_.num_records(),
         cfg.threads > 0 ? cfg.threads : cpu.config().hw_threads,
-        cfg.batch_records);
+        schemes::kCpuBatchRecords);
     if (cfg.exec_done != nullptr) *cfg.exec_done = cpu.sim().now();
   }
 

@@ -319,48 +319,44 @@ sim::Task<> Engine::assembly_process(BlockState& block) {
         block.slot_leases[chunk % block.depth];
     for (std::uint32_t s = 0; s < bindings_.size(); ++s) {
       StreamStage& stage = slot.streams[s];
-      if (chunk_cache_ == nullptr || !stream_cacheable(s)) {
-        bytes[s] = assemble_stream(block, slot, s, chunk, thread);
-        if (integrity_ != nullptr && bytes[s] > 0) {
-          stage.image_checksum = dur::checksum_bytes(
-              {slot.prefetch.data() + slot.prefetch_offset[s], bytes[s]});
-        }
-        continue;
-      }
+      const bool cached = chunk_cache_ != nullptr && stream_cacheable(s);
       cache::CacheKey key;
-      key.dataset = cache_dataset_;
-      key.stream = s;
-      key.range_begin = block.records.begin;
-      key.range_end = block.records.end;
-      key.chunk = chunk;
-      key.layout = static_cast<std::uint8_t>(geometry_.layout);
-      key.signature = chunk_signature(block, slot, s, chunk);
-      if (auto lease = chunk_cache_->lookup(key, sim().now())) {
-        // Hit: the entry's device range already holds this exact image —
-        // skip assembly and the H2D DMA entirely; compute reads the entry.
-        stage.cached_dev_base = lease->dev_base;
-        leases.push_back(lease->entry);
-        ++metrics_.cache_hits;
-        metrics_.cache_bytes_saved += lease->bytes;
-        if (pipecheck_ != nullptr) {
-          pipecheck_->on_cache_slot(block.index, chunk, s, lease->entry,
-                                    /*hit=*/true);
+      if (cached) {
+        key.dataset = cache_dataset_;
+        key.stream = s;
+        key.range_begin = block.records.begin;
+        key.range_end = block.records.end;
+        key.chunk = chunk;
+        key.layout = static_cast<std::uint8_t>(geometry_.layout);
+        key.signature = chunk_signature(block, slot, s, chunk);
+        if (auto lease = chunk_cache_->lookup(key, sim().now())) {
+          // Hit: the entry's device range already holds this exact image —
+          // skip assembly and the H2D DMA entirely; compute reads the entry.
+          stage.cached_dev_base = lease->dev_base;
+          leases.push_back(lease->entry);
+          ++metrics_.cache_hits;
+          metrics_.cache_bytes_saved += lease->bytes;
+          if (pipecheck_ != nullptr) {
+            pipecheck_->on_cache_slot(block.index, chunk, s, lease->entry,
+                                      /*hit=*/true);
+          }
+          // Lookup + bookkeeping cost on the assembly thread (tiny next to
+          // the gather it replaces).
+          thread.compute(
+              static_cast<double>(options_.compute_threads_per_block) * 0.25);
+          continue;
         }
-        // Lookup + bookkeeping cost on the assembly thread (tiny next to
-        // the gather it replaces).
-        thread.compute(
-            static_cast<double>(options_.compute_threads_per_block) * 0.25);
-        continue;
+        ++metrics_.cache_misses;
       }
-      ++metrics_.cache_misses;
       bytes[s] = assemble_stream(block, slot, s, chunk, thread);
       if (bytes[s] == 0) continue;
       if (integrity_ != nullptr) {
         // Digest the image once here; the same digest covers the cache
-        // entry (hit/scrub verification) and the post-DMA check below.
+        // entry (hit/scrub verification) and the post-DMA check.
         stage.image_checksum = dur::checksum_bytes(
             {slot.prefetch.data() + slot.prefetch_offset[s], bytes[s]});
       }
+      if (!cached) continue;
       if (auto lease = chunk_cache_->insert(key, bytes[s], sim().now(),
                                             stage.image_checksum)) {
         // The DMA below lands in the entry's range directly, so the image
@@ -386,30 +382,14 @@ sim::Task<> Engine::assembly_process(BlockState& block) {
       const std::uint64_t op =
           block.dma.memcpy_h2d_async(stage.active_data_base(), host, bytes[s]);
       metrics_.data_bytes_sent += bytes[s];
-      if (plane != nullptr || integrity_ != nullptr) {
-        copies.push_back(PendingCopy{s, op, stage.active_data_base(), host,
-                                     bytes[s], stage.image_checksum});
-      }
+      copies.push_back(PendingCopy{s, op, stage.active_data_base(), host,
+                                   bytes[s], stage.image_checksum});
     }
-    if (plane != nullptr || integrity_ != nullptr) {
-      // Fault path: the ready flag is raised by a supervisor that verifies
-      // (and retries) the chunk's copies instead of riding the stream
-      // in-order — a failed op must not signal data that never landed.
-      supervisors_.push_back(sim().spawn(
-          transfer_supervisor(block, chunk, std::move(copies), sim().now())));
-      continue;
-    }
-    block.dma.signal_flag(block.data_ready, chunk + 1);
-    // Measure the transfer stage as wall time from enqueue to the ready
-    // flag landing (includes PCIe link contention with other blocks), like
-    // the paper's continuous transfer-status pinging (fn. 7).
-    sim().spawn([](Engine* engine, BlockState* blk,
-                   std::uint64_t c) -> sim::Task<> {
-      const sim::TimePs begin = engine->sim().now();
-      co_await blk->data_ready.wait_ge(c + 1);
-      engine->record_stage(obs::Stage::kTransfer, blk->index, c, begin,
-                           engine->sim().now());
-    }(this, &block, chunk));
+    // The chunk's supervisor raises its ready flag once the in-order stream
+    // reports every copy done (verified, and retried if an op failed), so a
+    // flag never signals data that has not landed (§IV.C).
+    supervisors_.push_back(sim().spawn(
+        transfer_supervisor(block, chunk, std::move(copies), sim().now())));
   }
 }
 
@@ -503,7 +483,14 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
   co_await block.data_ready.wait_ge(chunk);
   if (aborted_) co_return;
   block.data_ready.advance_to(chunk + 1);
+  // The transfer stage is the wall time from enqueue to the ready flag
+  // (PCIe contention with other blocks included), like the paper's
+  // continuous transfer-status pinging (fn. 7).
   record_stage(obs::Stage::kTransfer, block.index, chunk, begin, sim().now());
+  if (tracer_ != nullptr) {
+    tracer_->instant(stage_track(obs::Stage::kTransfer, block.index, chunk),
+                     "data ready", sim().now(), "engine");
+  }
   if (plane != nullptr) {
     for (std::size_t k = 0; k < absorbed.size(); ++k) {
       if (absorbed[k] > 0) {

@@ -147,6 +147,8 @@ class Engine {
   sim::Task<> launch(const Kernel& kernel, std::uint64_t num_records,
                      const DeviceTables& tables);
 
+  /// Totals over every launch of this engine (a fresh engine per launch
+  /// reports that launch alone).
   const EngineMetrics& metrics() const noexcept { return metrics_; }
   const Options& options() const noexcept { return options_; }
 
@@ -284,7 +286,7 @@ class Engine {
                            std::uint64_t chunk) const;
   gpusim::KernelLaunch launch_shape() const;
 
-  // --- bigkfault recovery (engine.cpp) -----------------------------------
+  // --- chunk transfer and bigkfault recovery (engine.cpp) ---------------
   /// One H2D copy in flight for a chunk, retained so a failed op can be
   /// re-issued verbatim (the pinned image stays intact until slot release —
   /// the idempotent chunk redo).
@@ -299,10 +301,12 @@ class Engine {
     std::uint64_t checksum = 0;
   };
 
-  /// Awaits the chunk's H2D ops, retries failed ones with capped exponential
-  /// backoff, then raises data_ready in chunk order (chained behind the
-  /// previous chunk so a slow retry never lets a later flag overtake it).
-  /// Aborts the launch on device_lost or exhausted retries.
+  /// The one raiser of data_ready: awaits the chunk's H2D ops, retries
+  /// failed ones with capped exponential backoff, then raises the flag in
+  /// chunk order (chained behind the previous chunk so a slow retry never
+  /// lets a later flag overtake it), records the transfer span and, with a
+  /// tracer, a "data ready" instant on the transfer row. Aborts the launch
+  /// on device_lost or exhausted retries.
   sim::Task<> transfer_supervisor(BlockState& block, std::uint64_t chunk,
                                   std::vector<PendingCopy> copies,
                                   sim::TimePs begin);
@@ -394,8 +398,8 @@ class Engine {
   /// Pipecheck is detached for the launch: its slot geometry is fixed at
   /// begin_launch and cannot describe a per-block depth.
   bool degraded_ = false;
-  /// Per-chunk transfer supervisors (fault path only); joined by launch()
-  /// after the kernel and host stages complete.
+  /// One transfer supervisor per chunk (each raises its chunk's ready
+  /// flag); joined by launch() after the kernel and host stages complete.
   std::vector<sim::Process> supervisors_;
   obs::Tracer* tracer_ = nullptr;
   std::string trace_scope_;
@@ -431,17 +435,24 @@ class Engine {
       profiler_->record(stage, begin, end);
     }
     if (tracer_ != nullptr && end > begin) {
-      const std::string process =
-          trace_scope_ + "engine block " + std::to_string(block);
-      std::string thread{obs::stage_name(stage)};
-      if (stage == obs::Stage::kTransfer) {
-        // One row per ring slot: transfers for consecutive chunks overlap.
-        thread += " s" + std::to_string(chunk % options_.buffer_depth);
-      }
-      tracer_->complete(tracer_->track(process, thread),
+      tracer_->complete(stage_track(stage, block, chunk),
                         obs::stage_name(stage), begin, end, "engine",
                         {{"chunk", static_cast<double>(chunk)}});
     }
+  }
+
+  /// The trace row of `stage` for (block, chunk): one "engine block <b>"
+  /// process per block, one thread row per stage.
+  obs::TrackId stage_track(obs::Stage stage, std::uint32_t block,
+                           std::uint64_t chunk) {
+    const std::string process =
+        trace_scope_ + "engine block " + std::to_string(block);
+    std::string thread{obs::stage_name(stage)};
+    if (stage == obs::Stage::kTransfer) {
+      // One row per ring slot: transfers for consecutive chunks overlap.
+      thread += " s" + std::to_string(chunk % options_.buffer_depth);
+    }
+    return tracer_->track(process, thread);
   }
 };
 
@@ -474,7 +485,6 @@ sim::Task<> Engine::launch(const Kernel& kernel, std::uint64_t num_records,
     chunk_cache_->set_checker(pipecheck_);
   }
 
-  metrics_ = EngineMetrics{};
   build_blocks(num_records);
   if (degraded_) {
     // A shrunken ring invalidates the slot geometry pipecheck was armed

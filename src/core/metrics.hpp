@@ -1,5 +1,7 @@
-// Per-launch metrics collected by the BigKernel engine: stage busy times
-// (Fig. 6), traffic volumes, and pattern-recognition outcomes (Table II).
+// Metrics the BigKernel engine accumulates over its launches: stage busy
+// times (Fig. 6), traffic volumes, and pattern-recognition outcomes
+// (Table II). The engine is their only accumulator; a caller that launches
+// one engine several times reads the totals from Engine::metrics().
 #pragma once
 
 #include <array>

@@ -17,25 +17,9 @@ struct Options {
   /// deterministic, no wall clock). Off = one STATIC round at `cpu_ratio`.
   bool dynamic = false;
 
-  /// Software threads for the CPU side (0 = auto: the host cores the
-  /// engine's per-block assembly threads leave free, i.e.
-  /// cores - num_blocks, at least one). Oversubscribing past that just
-  /// time-slices the assembly side on the shared cores.
-  std::uint32_t cpu_threads = 0;
-
   /// Records per hetero chunk — the splitting granularity (0 = auto:
   /// ceil(num_records / 64), at least one record).
   std::uint64_t records_per_chunk = 0;
-
-  /// Chunks per dynamic re-split window (0 = auto: half of the remaining
-  /// chunks, at least 4 — geometric shrink, so early rounds amortise the
-  /// engine's fixed launch latency and late rounds still adapt). Ignored
-  /// for static splits.
-  std::uint64_t window_chunks = 0;
-
-  /// EWMA smoothing factor for the per-side throughput observations,
-  /// in (0, 1]; 1 = use only the latest round.
-  double ewma_alpha = 0.5;
 };
 
 }  // namespace bigk::hetero

@@ -28,6 +28,16 @@ namespace bigk::hetero {
 
 namespace detail {
 
+/// Fewest chunks in a dynamic re-split window. A window is half of the
+/// remaining chunks, at least this many: the geometric shrink lets early
+/// rounds amortise the engine's fixed launch latency while late rounds
+/// still adapt.
+inline constexpr std::uint64_t kMinWindowChunks = 4;
+
+/// EWMA smoothing factor for the balancer's per-side throughput
+/// observations (1 would use only the latest round).
+inline constexpr double kEwmaAlpha = 0.5;
+
 /// bigkdur digest of the CPU side's private table copies — taken when the
 /// CPU rounds finish, re-verified by run_hetero before merge_tables folds
 /// the deltas into the app's tables.
@@ -39,37 +49,14 @@ inline std::uint64_t tables_digest(const core::TableSet& tables) {
   return sum.value();
 }
 
-inline void accumulate(core::EngineMetrics* into,
-                       const core::EngineMetrics& round) {
-  for (std::size_t i = 0; i < into->stage_busy_ps.size(); ++i) {
-    into->stage_busy_ps[i] += round.stage_busy_ps[i];
-  }
-  into->addr_bytes_sent += round.addr_bytes_sent;
-  into->data_bytes_sent += round.data_bytes_sent;
-  into->write_bytes_sent += round.write_bytes_sent;
-  into->source_bytes_read += round.source_bytes_read;
-  into->chunks += round.chunks;
-  into->thread_chunks += round.thread_chunks;
-  into->pattern_hits += round.pattern_hits;
-  into->elements_fetched += round.elements_fetched;
-  into->elements_written += round.elements_written;
-  into->cache_hits += round.cache_hits;
-  into->cache_misses += round.cache_misses;
-  into->cache_bytes_saved += round.cache_bytes_saved;
-  into->chunk_retries += round.chunk_retries;
-  into->retried_bytes += round.retried_bytes;
-  into->degraded_blocks += round.degraded_blocks;
-}
-
 /// One round's GPU side: the engine's window launch over records
 /// [rec_begin, rec_end). Records the side's completion time.
 template <class Kernel>
 sim::Task<> gpu_round(core::Engine& engine, Kernel kernel,
                       std::uint64_t rec_begin, std::uint64_t rec_end,
                       const core::DeviceTables& tables, sim::Simulation& sim,
-                      sim::TimePs* done, core::EngineMetrics* engine_sum) {
+                      sim::TimePs* done) {
   co_await schemes::launch_window(engine, kernel, rec_begin, rec_end, tables);
-  accumulate(engine_sum, engine.metrics());
   *done = sim.now();
 }
 
@@ -118,10 +105,8 @@ sim::Task<> co_exec_main(cusim::Runtime& runtime, core::Engine& engine,
     const std::uint64_t remaining = total_chunks - next;
     std::uint64_t window = remaining;
     if (ho.dynamic) {
-      const std::uint64_t w = ho.window_chunks > 0
-                                  ? ho.window_chunks
-                                  : std::max<std::uint64_t>(4, remaining / 2);
-      window = std::min(remaining, w);
+      window = std::min(remaining,
+                        std::max(kMinWindowChunks, remaining / 2));
     }
     const ChunkSplitter::Split split =
         ChunkSplitter::split_window(next, next + window, balancer.ratio());
@@ -139,8 +124,7 @@ sim::Task<> co_exec_main(cusim::Runtime& runtime, core::Engine& engine,
       const std::uint64_t re = splitter.rec_end(split.gpu_end - 1);
       out->hetero.gpu_records += re - rb;
       sides.push_back(sim.spawn(gpu_round(engine, kernel, rb, re,
-                                          *dev_tables, sim, &gpu_done,
-                                          &out->engine)));
+                                          *dev_tables, sim, &gpu_done)));
     }
     if (split.cpu_chunks() > 0) {
       const std::uint64_t rb = splitter.rec_begin(split.cpu_begin);
@@ -185,8 +169,8 @@ sim::Task<> co_exec_main(cusim::Runtime& runtime, core::Engine& engine,
 }  // namespace detail
 
 /// Runs `app` under CPU+GPU co-execution per sc.hetero and returns the usual
-/// RunMetrics (scheme kHetero, engine metrics summed over GPU rounds,
-/// RunMetrics::hetero filled with the split summary).
+/// RunMetrics (scheme kHetero, the engine's metrics totalled over every GPU
+/// round, RunMetrics::hetero filled with the split summary).
 template <class App>
 schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
                                const schemes::SchemeConfig& sc) {
@@ -202,23 +186,22 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
           : std::max<std::uint64_t>(
                 1, schemes::detail::ceil_div(num_records, 64));
   const ChunkSplitter splitter(num_records, rpc);
-  DynamicBalancer balancer(ho.cpu_ratio, ho.ewma_alpha);
+  DynamicBalancer balancer(ho.cpu_ratio, detail::kEwmaAlpha);
 
   // The CPU side runs against private table copies; `snapshot` is the
   // pre-run state the merge subtracts to recover the CPU-side deltas.
   const core::TableSet snapshot = app.tables();
   core::TableSet cpu_tables = app.tables();
   // Host cores are the shared resource: the engine pins one assembly thread
-  // per block (plus a mostly idle scatter thread when the app writes), so by
-  // default the CPU side takes only the cores assembly leaves free. Sizing
-  // both sides at the full core count just makes them time-slice each other
-  // — every record the CPU side gains costs the engine an assembly slot.
+  // per block (plus a mostly idle scatter thread when the app writes), so
+  // the CPU side takes only the cores assembly leaves free, at least one.
+  // Sizing both sides at the full core count just makes them time-slice
+  // each other — every record the CPU side gains costs the engine an
+  // assembly slot.
   const std::uint32_t cpu_threads =
-      ho.cpu_threads > 0
-          ? ho.cpu_threads
-          : (config.cpu.cores > sc.bigkernel.num_blocks
-                 ? config.cpu.cores - sc.bigkernel.num_blocks
-                 : 1);
+      config.cpu.cores > sc.bigkernel.num_blocks
+          ? config.cpu.cores - sc.bigkernel.num_blocks
+          : 1;
 
   // One engine serves every GPU round; the tables stay on the device across
   // rounds, so only the attach step and the window launch are shared with
@@ -235,6 +218,7 @@ schemes::RunMetrics run_hetero(const gpusim::SystemConfig& config, App& app,
       run.runtime, engine, app, app.kernel(), bindings, cpu_tables, splitter,
       balancer, ho, sc, cpu_threads, &metrics,
       sc.integrity != nullptr ? &cpu_digest : nullptr));
+  metrics.engine = engine.metrics();
   if (sc.integrity != nullptr) {
     // bigkdur custody check: the CPU partition's deltas must be exactly the
     // bytes its rounds produced — verified before they merge into the

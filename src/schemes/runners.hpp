@@ -55,17 +55,22 @@ struct StreamDecl {
   std::uint32_t overfetch_elems = 0;
 };
 
+/// Registers per thread of the chunked-GPU and UVM baseline kernels.
+inline constexpr std::uint32_t kBaselineRegsPerThread = 32;
+/// Fraction (percent) of free device memory the chunked-GPU baselines use
+/// for chunk buffers; the double-buffer scheme halves it per set.
+inline constexpr std::uint32_t kChunkBudgetPct = 80;
+/// Records each host thread runs between cost commits on the CPU paths
+/// (SchemeConfig's default, and always on the serve spill path).
+inline constexpr std::uint64_t kCpuBatchRecords = 2048;
+
 struct SchemeConfig {
   // Chunked GPU baselines.
   std::uint32_t gpu_blocks = 32;
   std::uint32_t gpu_threads_per_block = 256;
-  std::uint32_t regs_per_thread = 32;
-  /// Fraction (percent) of free device memory used for chunk buffers; the
-  /// double-buffer scheme halves it per set.
-  std::uint32_t chunk_budget_pct = 80;
 
   // CPU baselines.
-  std::uint64_t cpu_batch_records = 2048;
+  std::uint64_t cpu_batch_records = kCpuBatchRecords;
 
   // BigKernel.
   core::Options bigkernel;
@@ -349,12 +354,12 @@ sim::Task<> gpu_chunked_main(cusim::Runtime& runtime, App& app,
   const std::uint64_t num_records = app.num_records();
   const std::uint32_t sets = double_buffered ? 2 : 1;
   ChunkPlan plan =
-      plan_chunks(runtime, decls, num_records, sets, sc.chunk_budget_pct);
+      plan_chunks(runtime, decls, num_records, sets, kChunkBudgetPct);
 
   gpusim::KernelLaunch launch;
   launch.num_blocks = sc.gpu_blocks;
   launch.threads_per_block = sc.gpu_threads_per_block;
-  launch.regs_per_thread = sc.regs_per_thread;
+  launch.regs_per_thread = kBaselineRegsPerThread;
 
   const auto kernel = app.kernel();
   hostsim::HostThread stage_thread = runtime.cpu().make_thread(2);

@@ -215,7 +215,7 @@ RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
     gpusim::KernelLaunch launch;
     launch.num_blocks = scheme_config.gpu_blocks;
     launch.threads_per_block = scheme_config.gpu_threads_per_block;
-    launch.regs_per_thread = scheme_config.regs_per_thread;
+    launch.regs_per_thread = kBaselineRegsPerThread;
     const std::uint64_t total_threads =
         std::uint64_t{launch.num_blocks} * launch.threads_per_block;
 

@@ -29,7 +29,7 @@ struct AutoscalerConfig {
   std::uint32_t min_active = 1;
   /// Active-device ceiling; 0 = the whole pool.
   std::uint32_t max_active = 0;
-  /// Decision (and signal-averaging) period.
+  /// Decision (and signal-averaging) period; must be > 0 when enabled.
   sim::DurationPs period = sim::DurationPs{100'000'000};  // 100 us
   /// Grow when the period's average queue depth reaches this many jobs per
   /// active device.

@@ -114,9 +114,6 @@ struct WorkloadConfig {
   sim::DurationPs mean_gap = 0;
   /// Deadline applied to every job (0 = none).
   sim::DurationPs deadline = 0;
-  /// Draw apps from the first `distinct_apps` names only (0 = all of them);
-  /// small values produce the reuse-heavy mixes that reward app-affinity.
-  std::uint32_t distinct_apps = 0;
 };
 
 /// Builds a mixed job sequence over `app_names` (round-started by a
@@ -126,17 +123,13 @@ inline std::vector<JobSpec> make_workload(
     const std::vector<std::string>& app_names, const WorkloadConfig& cfg) {
   std::vector<JobSpec> specs;
   if (app_names.empty()) return specs;
-  const std::uint64_t pool =
-      cfg.distinct_apps == 0
-          ? app_names.size()
-          : std::min<std::uint64_t>(cfg.distinct_apps, app_names.size());
   apps::Rng rng(cfg.seed);
   sim::TimePs t = 0;
   specs.reserve(cfg.num_jobs);
   for (std::uint32_t j = 0; j < cfg.num_jobs; ++j) {
     JobSpec spec;
     spec.id = j;
-    spec.app = app_names[rng.below(pool)];
+    spec.app = app_names[rng.below(app_names.size())];
     spec.submit_time = t;
     spec.deadline = cfg.deadline;
     specs.push_back(std::move(spec));

@@ -64,8 +64,8 @@ struct Job {
   /// bigkstatic pattern signature of the (verified) app, 0 when the
   /// verification gate is disabled.
   std::uint64_t static_signature = 0;
-  /// bigkload closed loop: raised once when the job settles, so the owning
-  /// chain client can submit its next link (null in open-loop runs).
+  /// Raised once when the job settles, so the owning chain client can
+  /// submit its next link (or, for the last link, return).
   std::unique_ptr<sim::Flag> done;
   /// bigkdur: record high-water mark across this session's run attempts —
   /// windows at or below it that execute again count as replayed work.
@@ -111,8 +111,8 @@ struct ServerState {
   /// The simulated whole-server crash fired (dur.crash_at elapsed).
   bool crashed = false;
   // --- bigkprof -----------------------------------------------------------
-  /// One bottleneck profiler per device (empty when prof_window == 0); every
-  /// engine launch on the device feeds it via JobRunConfig::profiler.
+  /// One bottleneck profiler per device; every engine launch on the device
+  /// feeds it via JobRunConfig::profiler.
   std::vector<std::unique_ptr<obs::prof::StageProfiler>> profilers;
   /// P² latency sketch over completed-job latencies in ms (always on — this
   /// is the source of the report's p50/p95/p99).
@@ -184,19 +184,16 @@ struct ServerState {
                               ".devices" + std::to_string(pool.size())
                         : cfg.metrics_prefix;
     slo.attach(cfg.metrics, cfg.tracer, metrics_scope + ".");
-    if (cfg.prof_window > 0) {
-      for (std::uint32_t d = 0; d < pool.size(); ++d) {
-        profilers.push_back(
-            std::make_unique<obs::prof::StageProfiler>(cfg.prof_window));
-        device_completions.push_back(
-            std::make_unique<obs::WindowedStats>(cfg.prof_window));
-      }
-      completions = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-      h2d_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-      d2h_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-      queue_depth_window =
-          std::make_unique<obs::WindowedStats>(cfg.prof_window);
+    for (std::uint32_t d = 0; d < pool.size(); ++d) {
+      profilers.push_back(
+          std::make_unique<obs::prof::StageProfiler>(cfg.prof_window));
+      device_completions.push_back(
+          std::make_unique<obs::WindowedStats>(cfg.prof_window));
     }
+    completions = std::make_unique<obs::WindowedStats>(cfg.prof_window);
+    h2d_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
+    d2h_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
+    queue_depth_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
     pool.attach_observability(cfg.tracer, cfg.metrics);
     if (!cfg.fault_spec.empty()) {
       fault_plane = std::make_unique<fault::FaultPlane>(cfg.fault_seed);
@@ -274,23 +271,19 @@ struct ServerState {
       active_devices = autoscaler->min_active();
     }
     min_active_seen = max_active_seen = active_devices;
-    if (queue_depth_window != nullptr || scaler_depth != nullptr) {
-      queue.set_depth_observer([this](std::uint32_t depth) {
-        if (queue_depth_window != nullptr) {
-          queue_depth_window->add(sim.now(), static_cast<double>(depth));
-        }
-        if (scaler_depth != nullptr) {
-          scaler_depth->add(sim.now(), static_cast<double>(depth));
-        }
-      });
-    }
+    queue.set_depth_observer([this](std::uint32_t depth) {
+      queue_depth_window->add(sim.now(), static_cast<double>(depth));
+      if (scaler_depth != nullptr) {
+        scaler_depth->add(sim.now(), static_cast<double>(depth));
+      }
+    });
   }
 
   void settle_one() { all_settled.advance_to(++settled); }
 
-  /// Settles `job` and signals its closed-loop chain (if any).
+  /// Settles `job` and signals its chain client.
   void settle_job(Job& job) {
-    if (job.done != nullptr) job.done->increment();
+    job.done->increment();
     settle_one();
   }
 
@@ -314,9 +307,6 @@ bool should_spill(const ServerState& st) {
 void spill_job(ServerState& st, Job& job) {
   job.record.cpu_executed = true;
   ++st.spills;
-  if (st.config.metrics != nullptr) {
-    st.config.metrics->counter("serve.spills").add(1);
-  }
   st.trace_serve_instant("spill job " + std::to_string(job.record.spec.id) +
                          " to cpu");
   st.cpu_dispatch->push(&job);
@@ -400,11 +390,9 @@ void complete(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
   if (st.scaler_latency != nullptr) {
     st.scaler_latency->observe(to_ms(record.latency()));
   }
-  if (st.completions != nullptr) {
-    st.completions->add(record.finish_time);
-    if (device.has_value()) {
-      st.device_completions[*device]->add(record.finish_time);
-    }
+  st.completions->add(record.finish_time);
+  if (device.has_value()) {
+    st.device_completions[*device]->add(record.finish_time);
   }
   st.settle_job(job);
   if (st.config.tracer != nullptr) {
@@ -463,19 +451,11 @@ sim::Task<> submit_one(ServerState& st, Job& job) {
   }
 }
 
-/// One open-loop client: waits until the job's arrival time, then submits.
-sim::Task<> client(ServerState& st, Job& job) {
-  if (job.record.spec.submit_time > 0) {
-    co_await st.sim.delay(job.record.spec.submit_time);
-  }
-  co_await submit_one(st, job);
-}
-
-/// One closed-loop client: its jobs (all sharing one JobSpec::client) form a
-/// chain — each link submits only after the previous settled plus the
-/// tenant's think time, and its submit timestamp is re-stamped to the actual
+/// One client: its jobs form a chain — the first link submits at its stamped
+/// instant, each later link only after the previous settled plus the
+/// tenant's think time, with its submit timestamp re-stamped to the actual
 /// instant so latency is measured from the real submission. A shed link does
-/// not break the chain.
+/// not break the chain. An open-loop job is a chain of one.
 sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
   for (std::size_t k = 0; k < chain.size(); ++k) {
     Job& job = st.jobs[chain[k]];
@@ -524,32 +504,33 @@ void quarantine_device(ServerState& st, std::uint32_t device) {
   if (!st.caches.empty()) {
     st.caches[device]->invalidate_all(st.sim.now(), /*device_reset=*/true);
   }
-  if (st.config.metrics != nullptr) {
-    st.config.metrics->counter("serve.quarantines").add(1);
-  }
   st.trace_serve_instant("quarantine dev" + std::to_string(device));
 }
 
-/// Periodically probes quarantined devices and reinstates the ones whose
-/// outage has elapsed (for a device that was never lost — quarantined on
-/// consecutive DMA failures — the first probe succeeds). Reinstatement is
-/// flap-damped: the device must pass `reinstate_after` consecutive clean
-/// probes, so an outage that clears and re-trips between probes keeps it out.
-sim::Task<> probe_daemon(ServerState& st) {
+/// The one daemon loop: runs `tick` once every `period` until shutdown.
+template <class Tick>
+sim::Task<> every(ServerState& st, sim::DurationPs period, Tick tick) {
   while (!st.shutdown) {
-    co_await st.sim.delay(st.config.probe_interval);
+    co_await st.sim.delay(period);
     if (st.shutdown) break;
-    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      if (!st.health.quarantined(d)) continue;
-      const bool clean = st.fault_plane->probe_device(d, st.sim.now());
-      if (!st.health.on_probe(d, clean)) continue;
-      st.scheduler.set_available(d, true);
-      if (st.config.metrics != nullptr) {
-        st.config.metrics->counter("serve.reinstatements").add(1);
-      }
-      st.trace_serve_instant("reinstate dev" + std::to_string(d));
-      dispatch(st);
-    }
+    tick();
+  }
+}
+
+/// Probe tick (every probe_interval): probes quarantined devices and
+/// reinstates the ones whose outage has elapsed (for a device that was never
+/// lost — quarantined on consecutive DMA failures — the first probe
+/// succeeds). Reinstatement is flap-damped: the device must pass
+/// `reinstate_after` consecutive clean probes, so an outage that clears and
+/// re-trips between probes keeps it out.
+void probe_tick(ServerState& st) {
+  for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+    if (!st.health.quarantined(d)) continue;
+    const bool clean = st.fault_plane->probe_device(d, st.sim.now());
+    if (!st.health.on_probe(d, clean)) continue;
+    st.scheduler.set_available(d, true);
+    st.trace_serve_instant("reinstate dev" + std::to_string(d));
+    dispatch(st);
   }
 }
 
@@ -561,99 +542,86 @@ sim::Task<> crash_daemon(ServerState& st) {
   co_await st.sim.delay(st.config.dur.crash_at);
   if (st.shutdown) co_return;
   st.crashed = true;
-  if (st.config.metrics != nullptr) {
-    st.config.metrics->counter("serve.crashes").add(1);
-  }
   st.trace_serve_instant("server crash");
 }
 
-/// bigkdur cache scrub daemon: every dur.scrub_period, re-verifies up to
+/// bigkdur cache scrub tick (every dur.scrub_period): re-verifies up to
 /// dur.scrub_entries resident chunk-cache entries on `device` against their
 /// insert digests and evicts any whose bytes no longer match (the engine
 /// then re-assembles those chunks on the next miss).
-sim::Task<> scrub_daemon(ServerState& st, std::uint32_t device) {
-  while (!st.shutdown) {
-    co_await st.sim.delay(st.config.dur.scrub_period);
-    if (st.shutdown) break;
-    st.caches[device]->scrub(st.config.dur.scrub_entries, st.sim.now());
-  }
+void scrub_tick(ServerState& st, std::uint32_t device) {
+  st.caches[device]->scrub(st.config.dur.scrub_entries, st.sim.now());
 }
 
-/// bigkprof telemetry daemon: once per profiling window, folds per-tick
-/// deltas of the pool's DMA/compute totals into the windowed stats, publishes
-/// the live throughput signals as tracer counter tracks, and evaluates the
-/// SLO rules against a snapshot of the windowed metrics.
-sim::Task<> telemetry_daemon(ServerState& st) {
+/// bigkprof telemetry tick (every prof_window): folds per-tick deltas of the
+/// pool's DMA/compute totals into the windowed stats, publishes the live
+/// throughput signals as tracer counter tracks, and evaluates the SLO rules
+/// against a snapshot of the windowed metrics.
+void telemetry_tick(ServerState& st) {
   const sim::DurationPs window = st.config.prof_window;
-  const double window_s = static_cast<double>(window) * 1e-12;
-  while (!st.shutdown) {
-    co_await st.sim.delay(window);
-    if (st.shutdown) break;
-    const sim::TimePs now = st.sim.now();
+  const sim::TimePs now = st.sim.now();
 
-    std::uint64_t h2d = 0;
-    std::uint64_t d2h = 0;
-    std::uint64_t busy = 0;
+  std::uint64_t h2d = 0;
+  std::uint64_t d2h = 0;
+  std::uint64_t busy = 0;
+  for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+    const gpusim::Gpu& gpu = st.pool.device(d).gpu();
+    h2d += gpu.stats().h2d_bytes;
+    d2h += gpu.stats().d2h_bytes;
+    busy += gpu.compute_wall_busy();
+  }
+  st.h2d_window->add(now, static_cast<double>(h2d - st.last_h2d_bytes));
+  st.d2h_window->add(now, static_cast<double>(d2h - st.last_d2h_bytes));
+  const double utilization =
+      static_cast<double>(busy - st.last_compute_busy) /
+      (static_cast<double>(window) * static_cast<double>(st.pool.size()));
+  st.last_h2d_bytes = h2d;
+  st.last_d2h_bytes = d2h;
+  st.last_compute_busy = busy;
+
+  double fault_rate = 0.0;
+  if (st.fault_plane != nullptr) {
+    const std::uint64_t injected = st.fault_plane->stats().injected;
+    fault_rate = static_cast<double>(injected - st.last_fault_injected) /
+                 (static_cast<double>(window) * 1e-12);
+    st.last_fault_injected = injected;
+  }
+
+  if (st.config.tracer != nullptr) {
+    const std::uint32_t pid = st.config.tracer->process("serve");
+    st.config.tracer->counter_set(pid, "prof.jobs_per_s", now,
+                                  st.completions->rate_per_s(now));
+    st.config.tracer->counter_set(pid, "prof.h2d_gbps", now,
+                                  st.h2d_window->sum_per_s(now) / 1e9);
+    st.config.tracer->counter_set(pid, "prof.d2h_gbps", now,
+                                  st.d2h_window->sum_per_s(now) / 1e9);
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      const gpusim::Gpu& gpu = st.pool.device(d).gpu();
-      h2d += gpu.stats().h2d_bytes;
-      d2h += gpu.stats().d2h_bytes;
-      busy += gpu.compute_wall_busy();
+      const std::uint32_t dev_pid =
+          st.config.tracer->process(st.pool.device(d).device_name());
+      st.config.tracer->counter_set(dev_pid, "prof.jobs_per_s", now,
+                                    st.device_completions[d]->rate_per_s(now));
     }
-    st.h2d_window->add(now, static_cast<double>(h2d - st.last_h2d_bytes));
-    st.d2h_window->add(now, static_cast<double>(d2h - st.last_d2h_bytes));
-    const double utilization =
-        static_cast<double>(busy - st.last_compute_busy) /
-        (static_cast<double>(window) * static_cast<double>(st.pool.size()));
-    st.last_h2d_bytes = h2d;
-    st.last_d2h_bytes = d2h;
-    st.last_compute_busy = busy;
+  }
 
-    double fault_rate = 0.0;
-    if (st.fault_plane != nullptr) {
-      const std::uint64_t injected = st.fault_plane->stats().injected;
-      fault_rate =
-          static_cast<double>(injected - st.last_fault_injected) / window_s;
-      st.last_fault_injected = injected;
+  if (!st.slo.rules().empty()) {
+    std::map<std::string, double> values;
+    if (st.latency_sketch.count() > 0) {
+      const auto [p50, p95, p99] = percentiles(st.latency_sketch);
+      values["p50_ms"] = p50;
+      values["p95_ms"] = p95;
+      values["p99_ms"] = p99;
     }
-
-    if (st.config.tracer != nullptr) {
-      const std::uint32_t pid = st.config.tracer->process("serve");
-      st.config.tracer->counter_set(pid, "prof.jobs_per_s", now,
-                                    st.completions->rate_per_s(now));
-      st.config.tracer->counter_set(pid, "prof.h2d_gbps", now,
-                                    st.h2d_window->sum_per_s(now) / 1e9);
-      st.config.tracer->counter_set(pid, "prof.d2h_gbps", now,
-                                    st.d2h_window->sum_per_s(now) / 1e9);
-      for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-        const std::uint32_t dev_pid = st.config.tracer->process(
-            st.pool.device(d).device_name());
-        st.config.tracer->counter_set(
-            dev_pid, "prof.jobs_per_s", now,
-            st.device_completions[d]->rate_per_s(now));
-      }
-    }
-
-    if (!st.slo.rules().empty()) {
-      std::map<std::string, double> values;
-      if (st.latency_sketch.count() > 0) {
-        const auto [p50, p95, p99] = percentiles(st.latency_sketch);
-        values["p50_ms"] = p50;
-        values["p95_ms"] = p95;
-        values["p99_ms"] = p99;
-      }
-      values["throughput_jobs_per_s"] = st.completions->rate_per_s(now);
-      values["queue_depth"] =
-          st.queue_depth_window->events(now) > 0
-              ? st.queue_depth_window->sum(now) /
-                    static_cast<double>(st.queue_depth_window->events(now))
-              : static_cast<double>(st.queue.outstanding());
-      values["utilization"] = utilization;
-      values["fault_rate"] = fault_rate;
-      values["h2d_gbps"] = st.h2d_window->sum_per_s(now) / 1e9;
-      values["d2h_gbps"] = st.d2h_window->sum_per_s(now) / 1e9;
-      st.slo.evaluate(now, values);
-    }
+    values["throughput_jobs_per_s"] = st.completions->rate_per_s(now);
+    values["queue_depth"] =
+        st.queue_depth_window->events(now) > 0
+            ? st.queue_depth_window->sum(now) /
+                  static_cast<double>(st.queue_depth_window->events(now))
+            : static_cast<double>(st.queue.outstanding());
+    values["utilization"] = utilization;
+    values["fault_rate"] = fault_rate;
+    values["h2d_gbps"] = st.h2d_window->sum_per_s(now) / 1e9;
+    values["d2h_gbps"] = st.d2h_window->sum_per_s(now) / 1e9;
+    st.slo.evaluate(now, values);
   }
 }
 
@@ -702,9 +670,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       run_cfg.pinned_pool = st.pools[device_index].get();
       run_cfg.dataset_id = dataset_id_of(job.record.spec.app);
     }
-    if (!st.profilers.empty()) {
-      run_cfg.profiler = st.profilers[device_index].get();
-    }
+    run_cfg.profiler = st.profilers[device_index].get();
     run_cfg.exec_done = &job.record.exec_done_time;
     run_cfg.static_signature = job.static_signature;
     run_cfg.integrity = st.integrity.get();
@@ -818,7 +784,6 @@ sim::Task<> cpu_worker(ServerState& st) {
     job.record.start_time = st.sim.now();
     job.record.staging_done_time = job.record.start_time;  // no staging
     apps::CpuJobConfig cpu_cfg;
-    cpu_cfg.threads = st.config.hetero.cpu_threads;
     cpu_cfg.exec_done = &job.record.exec_done_time;
     co_await job.runner->run_cpu(st.pool.cpu(), cpu_cfg);
     if (st.config.dur.journal != nullptr) {
@@ -832,97 +797,88 @@ sim::Task<> cpu_worker(ServerState& st) {
   }
 }
 
-/// bigkload autoscaler daemon: once per decision period, feeds the period's
-/// mean admission-queue depth and p99 latency to the Autoscaler and applies
-/// the returned step to the scheduler's active axis. Scale-up wakes the
-/// lowest-index parked device (preferring a healthy one); scale-down parks
-/// the highest-index active device, whose queued work still drains.
-sim::Task<> autoscaler_daemon(ServerState& st) {
-  const AutoscalerConfig& cfg = st.config.qos.autoscaler;
-  while (!st.shutdown) {
-    co_await st.sim.delay(cfg.period);
-    if (st.shutdown) break;
-    const sim::TimePs now = st.sim.now();
-    const double depth =
-        st.scaler_depth->events(now) > 0
-            ? st.scaler_depth->sum(now) /
-                  static_cast<double>(st.scaler_depth->events(now))
-            : static_cast<double>(st.queue.outstanding());
-    const double p99 = st.scaler_latency->count() > 0
-                           ? st.scaler_latency->quantile(0.99)
-                           : 0.0;
-    // The latency signal is per-period: fresh sketch for the next decision.
-    st.scaler_latency = std::make_unique<obs::prof::QuantileSketch>();
-    const int step = st.autoscaler->decide(depth, p99, st.active_devices);
-    if (step > 0) {
-      std::uint32_t pick = st.pool.size();
-      for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-        if (st.scheduler.active(d)) continue;
-        if (pick == st.pool.size()) pick = d;
-        if (!st.health.quarantined(d)) {
-          pick = d;
-          break;
-        }
-      }
-      if (pick < st.pool.size()) {
-        st.scheduler.set_active(pick, true);
-        ++st.active_devices;
-        st.trace_serve_instant("scale-up dev" + std::to_string(pick));
-        dispatch(st);
-      }
-    } else if (step < 0) {
-      for (std::uint32_t d = st.pool.size(); d-- > 0;) {
-        if (!st.scheduler.active(d)) continue;
-        st.scheduler.set_active(d, false);
-        --st.active_devices;
-        st.trace_serve_instant("scale-down dev" + std::to_string(d));
+/// bigkload autoscaler tick (every qos.autoscaler.period): feeds the
+/// period's mean admission-queue depth and p99 latency to the Autoscaler and
+/// applies the returned step to the scheduler's active axis. Scale-up wakes
+/// the lowest-index parked device (preferring a healthy one); scale-down
+/// parks the highest-index active device, whose queued work still drains.
+void autoscaler_tick(ServerState& st) {
+  const sim::TimePs now = st.sim.now();
+  const double depth =
+      st.scaler_depth->events(now) > 0
+          ? st.scaler_depth->sum(now) /
+                static_cast<double>(st.scaler_depth->events(now))
+          : static_cast<double>(st.queue.outstanding());
+  const double p99 = st.scaler_latency->count() > 0
+                         ? st.scaler_latency->quantile(0.99)
+                         : 0.0;
+  // The latency signal is per-period: fresh sketch for the next decision.
+  st.scaler_latency = std::make_unique<obs::prof::QuantileSketch>();
+  const int step = st.autoscaler->decide(depth, p99, st.active_devices);
+  if (step > 0) {
+    std::uint32_t pick = st.pool.size();
+    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+      if (st.scheduler.active(d)) continue;
+      if (pick == st.pool.size()) pick = d;
+      if (!st.health.quarantined(d)) {
+        pick = d;
         break;
       }
     }
-    // Never leave the pool with nothing placeable while a healthy parked
-    // device exists (quarantines can empty the active set between periods).
-    if (!st.scheduler.any_available()) {
-      for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-        if (st.scheduler.active(d) || st.health.quarantined(d)) continue;
-        st.scheduler.set_active(d, true);
-        ++st.active_devices;
-        st.trace_serve_instant("scale-up dev" + std::to_string(d) +
-                               " (failover)");
-        dispatch(st);
-        break;
-      }
+    if (pick < st.pool.size()) {
+      st.scheduler.set_active(pick, true);
+      ++st.active_devices;
+      st.trace_serve_instant("scale-up dev" + std::to_string(pick));
+      dispatch(st);
     }
-    st.min_active_seen = std::min(st.min_active_seen, st.active_devices);
-    st.max_active_seen = std::max(st.max_active_seen, st.active_devices);
-    if (st.config.metrics != nullptr) {
-      st.config.metrics->gauge(st.metrics_scope + ".autoscaler.active")
-          .set(static_cast<double>(st.active_devices));
+  } else if (step < 0) {
+    for (std::uint32_t d = st.pool.size(); d-- > 0;) {
+      if (!st.scheduler.active(d)) continue;
+      st.scheduler.set_active(d, false);
+      --st.active_devices;
+      st.trace_serve_instant("scale-down dev" + std::to_string(d));
+      break;
     }
-    if (st.config.tracer != nullptr) {
-      const std::uint32_t pid = st.config.tracer->process("serve");
-      st.config.tracer->counter_set(pid, "load.active_devices", now,
-                                    static_cast<double>(st.active_devices));
+  }
+  // Never leave the pool with nothing placeable while a healthy parked
+  // device exists (quarantines can empty the active set between periods).
+  if (!st.scheduler.any_available()) {
+    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+      if (st.scheduler.active(d) || st.health.quarantined(d)) continue;
+      st.scheduler.set_active(d, true);
+      ++st.active_devices;
+      st.trace_serve_instant("scale-up dev" + std::to_string(d) +
+                             " (failover)");
+      dispatch(st);
+      break;
     }
+  }
+  st.min_active_seen = std::min(st.min_active_seen, st.active_devices);
+  st.max_active_seen = std::max(st.max_active_seen, st.active_devices);
+  if (st.config.metrics != nullptr) {
+    st.config.metrics->gauge(st.metrics_scope + ".autoscaler.active")
+        .set(static_cast<double>(st.active_devices));
+  }
+  if (st.config.tracer != nullptr) {
+    const std::uint32_t pid = st.config.tracer->process("serve");
+    st.config.tracer->counter_set(pid, "load.active_devices", now,
+                                  static_cast<double>(st.active_devices));
   }
 }
 
 sim::Task<> serve_main(ServerState& st) {
+  // One chain client per JobSpec::client in closed loop, one per job in open
+  // loop; spec order is preserved inside each chain, and std::map keys make
+  // the spawn order deterministic.
+  std::map<std::uint64_t, std::vector<std::size_t>> chains;
+  for (std::size_t i = 0; i < st.jobs.size(); ++i) {
+    chains[st.config.qos.closed_loop ? st.jobs[i].record.spec.client : i]
+        .push_back(i);
+  }
   std::vector<sim::Process> clients;
-  if (st.config.qos.closed_loop) {
-    // Group jobs into per-client chains; spec order is preserved inside
-    // each, and std::map keys make the spawn order deterministic.
-    std::map<std::uint64_t, std::vector<std::size_t>> chains;
-    for (std::size_t i = 0; i < st.jobs.size(); ++i) {
-      chains[st.jobs[i].record.spec.client].push_back(i);
-    }
-    clients.reserve(chains.size());
-    for (auto& entry : chains) {
-      clients.push_back(
-          st.sim.spawn(chain_client(st, std::move(entry.second))));
-    }
-  } else {
-    clients.reserve(st.jobs.size());
-    for (Job& job : st.jobs) clients.push_back(st.sim.spawn(client(st, job)));
+  clients.reserve(chains.size());
+  for (auto& entry : chains) {
+    clients.push_back(st.sim.spawn(chain_client(st, std::move(entry.second))));
   }
   std::vector<sim::Process> workers;
   workers.reserve(st.pool.size());
@@ -933,25 +889,25 @@ sim::Task<> serve_main(ServerState& st) {
   if (st.cpu_dispatch != nullptr) {
     spill_worker = st.sim.spawn(cpu_worker(st));
   }
-  sim::Process scaler;
-  if (st.autoscaler != nullptr) scaler = st.sim.spawn(autoscaler_daemon(st));
-  sim::Process probe;
+  // The spawn order decides ties between daemon events at one instant.
+  std::vector<sim::Process> daemons;
+  if (st.autoscaler != nullptr) {
+    daemons.push_back(st.sim.spawn(every(st, st.config.qos.autoscaler.period,
+                                         [&st] { autoscaler_tick(st); })));
+  }
   if (st.fault_plane != nullptr) {
-    probe = st.sim.spawn(probe_daemon(st));
+    daemons.push_back(st.sim.spawn(
+        every(st, st.config.probe_interval, [&st] { probe_tick(st); })));
   }
-  sim::Process telemetry;
-  if (st.config.prof_window > 0) {
-    telemetry = st.sim.spawn(telemetry_daemon(st));
-  }
-  sim::Process crasher;
+  daemons.push_back(st.sim.spawn(
+      every(st, st.config.prof_window, [&st] { telemetry_tick(st); })));
   if (st.config.dur.crash_at > 0) {
-    crasher = st.sim.spawn(crash_daemon(st));
+    daemons.push_back(st.sim.spawn(crash_daemon(st)));
   }
-  std::vector<sim::Process> scrubbers;
   if (st.config.dur.scrub_period > 0 && st.config.dur.scrub_entries > 0) {
-    scrubbers.reserve(st.pool.size());
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      scrubbers.push_back(st.sim.spawn(scrub_daemon(st, d)));
+      daemons.push_back(st.sim.spawn(every(st, st.config.dur.scrub_period,
+                                           [&st, d] { scrub_tick(st, d); })));
     }
   }
   for (sim::Process& process : clients) co_await process.join();
@@ -965,11 +921,7 @@ sim::Task<> serve_main(ServerState& st) {
   if (st.cpu_dispatch != nullptr) st.cpu_dispatch->close();
   for (sim::Process& process : workers) co_await process.join();
   if (spill_worker.valid()) co_await spill_worker.join();
-  if (scaler.valid()) co_await scaler.join();
-  if (probe.valid()) co_await probe.join();
-  if (telemetry.valid()) co_await telemetry.join();
-  if (crasher.valid()) co_await crasher.join();
-  for (sim::Process& scrubber : scrubbers) co_await scrubber.join();
+  for (sim::Process& daemon : daemons) co_await daemon.join();
 }
 
 }  // namespace
@@ -982,6 +934,22 @@ ServeReport run_server(const ServerConfig& config,
     throw std::invalid_argument(
         "dur.scrub_period needs dur.integrity and cache_enabled: the scrub "
         "daemon re-verifies chunk-cache entries against their digests");
+  }
+  // A zero period would re-arm its daemon at one instant forever.
+  if (config.probe_interval == 0) {
+    throw std::invalid_argument(
+        "probe_interval must be > 0: it is the period of the reinstatement "
+        "probe");
+  }
+  if (config.prof_window == 0) {
+    throw std::invalid_argument(
+        "prof_window must be > 0: it is the telemetry period and the window "
+        "of every profiler and windowed signal");
+  }
+  if (config.qos.autoscaler.enabled && config.qos.autoscaler.period == 0) {
+    throw std::invalid_argument(
+        "qos.autoscaler.period must be > 0 when the autoscaler is enabled: "
+        "it is the decision period");
   }
   ServerState state(config);
   state.jobs.reserve(specs.size());
@@ -998,9 +966,7 @@ ServeReport run_server(const ServerConfig& config,
       }
       job.tenant = spec.tenant;
     }
-    if (config.qos.closed_loop) {
-      job.done = std::make_unique<sim::Flag>(state.sim);
-    }
+    job.done = std::make_unique<sim::Flag>(state.sim);
     const apps::BenchApp& app = apps::find_app(suite, spec.app);
     if (config.require_verified) {
       // bigkstatic gate: refuse kernels the static verifier rejects, naming
@@ -1133,30 +1099,26 @@ ServeReport run_server(const ServerConfig& config,
       report.cache_misses += stats.misses;
       report.cache_bytes_saved += stats.bytes_saved;
     }
-    if (!state.profilers.empty()) {
-      const obs::prof::StageProfiler& prof = *state.profilers[d];
-      const obs::prof::Attribution attribution =
-          obs::prof::attribute(prof.busy(), report.makespan);
-      dev.bottleneck_stage = attribution.bottleneck_index();
-      dev.overlap_efficiency = attribution.overlap_efficiency;
-      dev.prof_windows = prof.window_count();
-      dev.bottleneck_flips = prof.bottleneck_flips();
-    }
-  }
-  if (!state.profilers.empty()) {
-    std::array<sim::DurationPs, obs::kStageCount> pool_busy{};
-    for (const auto& prof : state.profilers) {
-      for (obs::Stage stage : obs::all_stages()) {
-        pool_busy[obs::stage_index(stage)] += prof->stage_busy(stage);
-      }
-      report.prof_windows += prof->window_count();
-      report.bottleneck_flips += prof->bottleneck_flips();
-    }
+    const obs::prof::StageProfiler& prof = *state.profilers[d];
     const obs::prof::Attribution attribution =
-        obs::prof::attribute(pool_busy, report.makespan);
-    report.bottleneck_stage = attribution.bottleneck_index();
-    report.overlap_efficiency = attribution.overlap_efficiency;
+        obs::prof::attribute(prof.busy(), report.makespan);
+    dev.bottleneck_stage = attribution.bottleneck_index();
+    dev.overlap_efficiency = attribution.overlap_efficiency;
+    dev.prof_windows = prof.window_count();
+    dev.bottleneck_flips = prof.bottleneck_flips();
   }
+  std::array<sim::DurationPs, obs::kStageCount> pool_busy{};
+  for (const auto& prof : state.profilers) {
+    for (obs::Stage stage : obs::all_stages()) {
+      pool_busy[obs::stage_index(stage)] += prof->stage_busy(stage);
+    }
+    report.prof_windows += prof->window_count();
+    report.bottleneck_flips += prof->bottleneck_flips();
+  }
+  const obs::prof::Attribution attribution =
+      obs::prof::attribute(pool_busy, report.makespan);
+  report.bottleneck_stage = attribution.bottleneck_index();
+  report.overlap_efficiency = attribution.overlap_efficiency;
   if (report.cache_hits + report.cache_misses > 0) {
     report.cache_hit_rate =
         static_cast<double>(report.cache_hits) /

@@ -92,7 +92,8 @@ struct ServerConfig {
   /// Consecutive job failures on one device before it is quarantined; a
   /// device-lost failure quarantines immediately.
   std::uint32_t quarantine_after = 2;
-  /// Period of the reinstatement probe run against quarantined devices.
+  /// Period of the reinstatement probe run against quarantined devices;
+  /// must be > 0.
   sim::DurationPs probe_interval = sim::DurationPs{2'000'000'000};  // 2 ms
   /// bigkdur flap damping: consecutive clean probes a quarantined device
   /// must pass before reinstatement (1 = first clean probe reinstates).
@@ -106,9 +107,8 @@ struct ServerConfig {
   // --- bigkprof -----------------------------------------------------------
   /// Attribution / telemetry window: every device gets a StageProfiler with
   /// this window, windowed throughput + latency-sketch signals tick at this
-  /// period, and the SLO monitor is evaluated once per window. 0 disables
-  /// the windowed plane (the latency sketch still replaces the percentile
-  /// sort). Default 100 us.
+  /// period, and the SLO monitor is evaluated once per window. Must be > 0
+  /// (run_server throws std::invalid_argument otherwise). Default 100 us.
   sim::DurationPs prof_window = sim::DurationPs{100'000'000};
   /// Declarative SLO rules over the windowed metrics, ';'-separated
   /// "<metric> <op> <threshold>" (obs::prof::parse_slo_rules grammar).
@@ -130,8 +130,8 @@ struct ServerConfig {
     Discipline discipline = Discipline::kWfq;
     /// Closed-loop mode: jobs sharing a JobSpec::client id form one chain —
     /// each submits only after the previous settled plus the tenant's think
-    /// time, 0 for the default tenant (open loop, the default, submits at
-    /// the stamped instants).
+    /// time, 0 for the default tenant. Open loop (the default) is a chain of
+    /// one per job, submitted at its stamped instant.
     bool closed_loop = false;
     /// Denominator for the offered-load gauge; 0 = the last submit instant.
     sim::DurationPs offered_window = 0;
@@ -148,10 +148,9 @@ struct ServerConfig {
     /// pre-hetero build.
     bool spill_enabled = false;
     /// Outstanding-jobs threshold past which admitted jobs spill to the CPU
-    /// instead of queueing for a device.
+    /// instead of queueing for a device. A spilled job runs on all of the
+    /// host's hardware threads.
     std::uint32_t spill_depth = 8;
-    /// Software threads for each spilled job (0 = all host hw threads).
-    std::uint32_t cpu_threads = 0;
   };
   HeteroConfig hetero;
 

@@ -12,6 +12,9 @@
 #include "apps/opinion.hpp"
 #include "apps/registry.hpp"
 #include "apps/wordcount.hpp"
+#include "dur/integrity.hpp"
+#include "fault/fault.hpp"
+#include "obs/stage.hpp"
 #include "schemes/runners.hpp"
 
 namespace bigk::apps {
@@ -125,6 +128,47 @@ TEST(AppsAblation, MastercardAllVariantsAgree) {
 TEST(AppsAblation, MastercardIndexedAllVariantsAgree) {
   check_ablations<MastercardIndexedApp>(
       {.data_bytes = kTinyBytes, .seed = 204});
+}
+
+// An inert fault plane (no specs) and an integrity plane change no number:
+// their verification rides the same chunk-transfer path a bare run takes.
+template <class App>
+void check_inert_planes(typename App::Params params, core::Options options) {
+  App app(params);
+  const gpusim::SystemConfig config = tiny_config();
+  schemes::SchemeConfig sc = tiny_scheme_config();
+  options.num_blocks = sc.bigkernel.num_blocks;
+  options.compute_threads_per_block = sc.bigkernel.compute_threads_per_block;
+  sc.bigkernel = options;
+  const schemes::RunMetrics bare = schemes::run_bigkernel(config, app, sc);
+  const std::uint64_t digest = app.result_digest();
+
+  fault::FaultPlane plane(/*seed=*/1);
+  dur::Integrity integrity;
+  sc.fault_plane = &plane;
+  sc.integrity = &integrity;
+  const schemes::RunMetrics planes = schemes::run_bigkernel(config, app, sc);
+  EXPECT_EQ(app.result_digest(), digest);
+  EXPECT_GT(integrity.stats().verified, 0u);
+  EXPECT_EQ(plane.stats().injected, 0u);
+  EXPECT_EQ(planes.total_time, bare.total_time);
+  for (obs::Stage stage : obs::all_stages()) {
+    EXPECT_EQ(planes.engine.stage_busy(stage), bare.engine.stage_busy(stage))
+        << obs::stage_name(stage);
+  }
+  EXPECT_EQ(planes.h2d_bytes, bare.h2d_bytes);
+  EXPECT_EQ(planes.d2h_bytes, bare.d2h_bytes);
+  EXPECT_EQ(planes.engine.chunks, bare.engine.chunks);
+}
+
+TEST(AppsInertPlanes, KmeansInterleavedLayoutMatchesBareRun) {
+  check_inert_planes<KmeansApp>({.data_bytes = kTinyBytes, .seed = 301},
+                                core::Options::full());
+}
+
+TEST(AppsInertPlanes, WordCountThreadMajorLayoutMatchesBareRun) {
+  check_inert_planes<WordCountApp>({.data_bytes = kTinyBytes, .seed = 302},
+                                   core::Options::with_transfer_reduction());
 }
 
 // Sanity of the generated datasets themselves.

@@ -183,6 +183,48 @@ TEST(EngineTest, SingleKernelLaunchForWholeStream) {
   EXPECT_GT(engine.metrics().chunks, engine.active_blocks());
 }
 
+// The engine is the one accumulator of its metrics: a second launch adds to
+// the first instead of replacing it.
+TEST(EngineTest, RepeatedLaunchesSumTheirMetrics) {
+  Fixture fixture;
+  cusim::Runtime runtime(fixture.sim, fixture.config);
+  Engine engine(runtime, small_options());
+  auto stream = engine.streaming_map<std::uint64_t>(
+      std::span(fixture.host), AccessMode::kReadWrite, 4, 2, 1);
+  TableSet tables;
+  auto bias = tables.add<std::uint64_t>(1);
+  tables.host_span(bias)[0] = 7;
+  ScaleKernel kernel{stream, bias};
+  EngineMetrics first;
+  fixture.sim.run_until_complete(
+      [](cusim::Runtime& rt, Engine& eng, TableSet& tbl, ScaleKernel k,
+         EngineMetrics* after_first) -> sim::Task<> {
+        DeviceTables device = co_await DeviceTables::upload(rt, tbl);
+        co_await eng.launch(k, Fixture::kRecords, device);
+        *after_first = eng.metrics();
+        co_await eng.launch(k, Fixture::kRecords, device);
+      }(runtime, engine, tables, kernel, &first));
+  expect_scale_output(fixture);
+
+  // Both launches move the same records through the same geometry, so every
+  // count doubles exactly; busy time only grows.
+  const EngineMetrics& total = engine.metrics();
+  ASSERT_GT(first.chunks, 0u);
+  EXPECT_EQ(total.chunks, 2 * first.chunks);
+  EXPECT_EQ(total.thread_chunks, 2 * first.thread_chunks);
+  EXPECT_EQ(total.pattern_hits, 2 * first.pattern_hits);
+  EXPECT_EQ(total.addr_bytes_sent, 2 * first.addr_bytes_sent);
+  EXPECT_EQ(total.data_bytes_sent, 2 * first.data_bytes_sent);
+  EXPECT_EQ(total.write_bytes_sent, 2 * first.write_bytes_sent);
+  EXPECT_EQ(total.source_bytes_read, 2 * first.source_bytes_read);
+  EXPECT_EQ(total.elements_fetched, 2 * first.elements_fetched);
+  EXPECT_EQ(total.elements_written, 2 * first.elements_written);
+  for (obs::Stage stage : obs::all_stages()) {
+    EXPECT_GT(total.stage_busy(stage), first.stage_busy(stage))
+        << obs::stage_name(stage);
+  }
+}
+
 TEST(EngineTest, TransferReductionShrinksDataTraffic) {
   Fixture full_fixture;
   const EngineMetrics full = run_scale(full_fixture, small_options());

@@ -204,7 +204,7 @@ TEST_F(TracedEngineRun, SpansCoverAllSubsystemsWithCounters) {
 
   EXPECT_GE(tracer_.counter_track_count(), 3u)
       << "expected queue depth, bytes in flight, and active blocks tracks";
-  EXPECT_FALSE(tracer_.instants().empty()) << "signal-flag instants missing";
+  EXPECT_FALSE(tracer_.instants().empty()) << "data-ready instants missing";
 
   // Registry counters fed by the same run.
   EXPECT_GT(metrics_.counter("gpusim.h2d_bytes").value(), 0u);

@@ -262,6 +262,40 @@ TEST(ServeServerTest, ScrubWithoutIntegrityAndCacheIsRejected) {
   }
 }
 
+/// run_server must refuse `config` with a std::invalid_argument naming
+/// `field`, before any daemon could re-arm a zero delay at one instant.
+void expect_rejected(const ServerConfig& config, const std::string& field) {
+  const auto suite = make_toy_suite(2, 1'000);
+  try {
+    run_server(config, toy_workload(2, 2), suite);
+    FAIL() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ServeServerTest, ZeroProbeIntervalIsRejected) {
+  // A fault plane spawns the probe daemon; its spec never fires.
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.fault_spec = "dma_error,nth=1000000";
+  config.probe_interval = 0;
+  expect_rejected(config, "probe_interval");
+}
+
+TEST(ServeServerTest, ZeroProfWindowIsRejected) {
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.prof_window = 0;
+  expect_rejected(config, "prof_window");
+}
+
+TEST(ServeServerTest, ZeroAutoscalerPeriodIsRejected) {
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.qos.autoscaler.enabled = true;
+  config.qos.autoscaler.period = 0;
+  expect_rejected(config, "qos.autoscaler.period");
+}
+
 TEST(ServeServerTest, ExportsMetricsGauges) {
   const auto suite = make_toy_suite(2, 4'000);
   const auto specs = toy_workload(4, 2);

@@ -127,9 +127,6 @@ TEST(ServeSpillTest, ReportAndMetricsCarrySpillCounters) {
       metrics.find_gauge("serve.test.hetero.spills");
   ASSERT_NE(spills_gauge, nullptr);
   EXPECT_EQ(spills_gauge->value(), static_cast<double>(report.spills));
-  const obs::Counter* spill_counter = metrics.find_counter("serve.spills");
-  ASSERT_NE(spill_counter, nullptr);
-  EXPECT_EQ(spill_counter->value(), report.spills);
 }
 
 // Same config + workload => byte-identical spill decisions.
