@@ -12,6 +12,12 @@
 //                GPU). Any value keeps every ratio intact; smaller is
 //                faster.
 //
+// Numeric flags and BIGK_SCALE are parsed whole by the shared spec
+// tokenizer (sim/spec.hpp); BIGK_SCALE, --offered-load and the counts must
+// be positive. A malformed or out-of-range value ("8abc", "0.0O1", a seed
+// past 64 bits) stops the binary with exit status 1 and an error naming the
+// flag.
+//
 // Command-line knobs (stripped before google-benchmark sees argv):
 //   --metrics-json=<file>  write every RunMetrics plus the telemetry
 //                          counters as one JSON document after the run
@@ -71,7 +77,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -92,9 +97,29 @@
 #include "obs/tracer.hpp"
 #include "schemes/metrics.hpp"
 #include "schemes/runners.hpp"
+#include "sim/spec.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::bench {
+
+/// A strictly positive T for a numeric flag or environment knob. Throws
+/// std::invalid_argument naming `flag` and the value.
+template <class T>
+T parse_positive(std::string_view value, const char* flag) {
+  return sim::spec::Field{flag, {}, value}.positive<T>();
+}
+
+/// Runs `parse`; a std::invalid_argument becomes "error: <what>" on stderr
+/// and exit status 1, so a malformed flag stops the binary before it runs.
+template <class Parse>
+auto or_exit(Parse parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(1);
+  }
+}
 
 struct Context {
   apps::ScaledSystem scaled;
@@ -106,8 +131,7 @@ struct Context {
     Context ctx;
     ctx.scaled.scale = 0.005;
     if (const char* env = std::getenv("BIGK_SCALE")) {
-      ctx.scaled.scale = std::atof(env);
-      if (ctx.scaled.scale <= 0.0) ctx.scaled.scale = 0.005;
+      ctx.scaled.scale = parse_positive<double>(env, "BIGK_SCALE");
     }
     ctx.config = ctx.scaled.config();
     ctx.scheme_config.gpu_blocks = 32;
@@ -183,8 +207,8 @@ class Harness {
   obs::MetricsRegistry metrics;
 
   Harness(std::string name, int* argc, char** argv)
-      : ctx(Context::from_env()), name_(std::move(name)) {
-    strip_output_flags(argc, argv);
+      : ctx(or_exit(Context::from_env)), name_(std::move(name)) {
+    or_exit([&] { strip_output_flags(argc, argv); });
     if (prof_window_us_ > 0) {
       ctx.scheme_config.prof_window =
           static_cast<sim::DurationPs>(prof_window_us_) * sim::kMicrosecond;
@@ -206,7 +230,8 @@ class Harness {
       // fault_spec() through ServerConfig so each device pool gets its own
       // plane.
       fault_plane_.emplace(fault_seed_);
-      fault_plane_->add_all(fault::FaultSpec::parse(fault_spec_));
+      fault_plane_->add_all(
+          or_exit([&] { return fault::FaultSpec::parse(fault_spec_); }));
       fault_plane_->attach_observability(&metrics,
                                          ctx.scheme_config.tracer);
       ctx.scheme_config.fault_plane = &*fault_plane_;
@@ -261,23 +286,13 @@ class Harness {
 
   /// Parses a fraction in [0, 1] for ratio-valued flags. Throws
   /// std::invalid_argument on malformed input (empty, non-numeric, trailing
-  /// garbage, overflow) or out-of-range values — callers report the message
-  /// and exit instead of silently clamping a typo into a valid split.
+  /// garbage, non-finite) or out-of-range values — callers report the
+  /// message and exit instead of silently clamping a typo into a valid
+  /// split.
   static double parse_ratio(const std::string& value, const char* flag) {
-    const char* begin = value.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
-      throw std::invalid_argument(std::string(flag) +
-                                  " needs a number in [0, 1], got \"" +
-                                  value + "\"");
-    }
-    if (!(parsed >= 0.0 && parsed <= 1.0)) {  // negated: also rejects NaN
-      throw std::invalid_argument(std::string(flag) +
-                                  " must be within [0, 1], got \"" + value +
-                                  "\"");
-    }
+    const sim::spec::Field field{flag, {}, value};
+    const double parsed = field.number<double>();
+    if (parsed < 0.0 || parsed > 1.0) field.fail("must be within [0, 1]");
     return parsed;
   }
 
@@ -409,26 +424,25 @@ class Harness {
       } else if (arg == "--check") {
         check_requested_ = true;
       } else if (take(&i, arg, "--devices")) {
-        devices_ = parse_count(value, "--devices");
+        devices_ = parse_positive<std::uint32_t>(value, "--devices");
       } else if (take(&i, arg, "--jobs")) {
-        jobs_ = parse_count(value, "--jobs");
+        jobs_ = parse_positive<std::uint32_t>(value, "--jobs");
       } else if (take(&i, arg, "--policy")) {
         policy_ = value;
       } else if (arg == "--cache") {
         cache_requested_ = true;
       } else if (take(&i, arg, "--cache-bytes")) {
         cache_requested_ = true;
-        cache_bytes_ = parse_bytes(value, "--cache-bytes");
+        cache_bytes_ = parse_positive<std::uint64_t>(value, "--cache-bytes");
       } else if (take(&i, arg, "--cache-policy")) {
         cache_requested_ = true;
         cache_policy_ = cache::eviction_from_name(value);
       } else if (take(&i, arg, "--fault")) {
         fault_spec_ = value;
       } else if (take(&i, arg, "--fault-seed")) {
-        fault_seed_ = static_cast<std::uint64_t>(parse_count(value,
-                                                             "--fault-seed"));
+        fault_seed_ = parse_positive<std::uint64_t>(value, "--fault-seed");
       } else if (take(&i, arg, "--prof-window")) {
-        prof_window_us_ = parse_count(value, "--prof-window");
+        prof_window_us_ = parse_positive<std::uint32_t>(value, "--prof-window");
       } else if (take(&i, arg, "--slo")) {
         slo_spec_ = value;
       } else if (take(&i, arg, "--bench-prof")) {
@@ -438,17 +452,12 @@ class Harness {
       } else if (take(&i, arg, "--tenants")) {
         tenants_spec_ = value;
       } else if (take(&i, arg, "--duration")) {
-        duration_us_ = parse_count(value, "--duration");
+        duration_us_ = parse_positive<std::uint32_t>(value, "--duration");
       } else if (take(&i, arg, "--offered-load")) {
         offered_load_ = value;
       } else if (take(&i, arg, "--cpu-ratio")) {
-        try {
-          cpu_ratio_ = parse_ratio(value, "--cpu-ratio");
-          cpu_ratio_set_ = true;
-        } catch (const std::invalid_argument& error) {
-          std::fprintf(stderr, "error: %s\n", error.what());
-          std::exit(1);
-        }
+        cpu_ratio_ = parse_ratio(value, "--cpu-ratio");
+        cpu_ratio_set_ = true;
       } else {
         if (arg == "--help") print_harness_help();
         argv[kept++] = argv[i];  // --help falls through to google-benchmark
@@ -456,28 +465,6 @@ class Harness {
     }
     for (int i = kept; i < *argc; ++i) argv[i] = nullptr;
     *argc = kept;
-  }
-
-  static std::uint32_t parse_count(const std::string& value,
-                                   const char* flag) {
-    const long parsed = std::atol(value.c_str());
-    if (parsed <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive integer, got \"%s\"\n",
-                   flag, value.c_str());
-      std::exit(1);
-    }
-    return static_cast<std::uint32_t>(parsed);
-  }
-
-  static std::uint64_t parse_bytes(const std::string& value,
-                                   const char* flag) {
-    const long long parsed = std::atoll(value.c_str());
-    if (parsed <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive byte count, got \"%s\"\n",
-                   flag, value.c_str());
-      std::exit(1);
-    }
-    return static_cast<std::uint64_t>(parsed);
   }
 
   static void print_harness_help() {

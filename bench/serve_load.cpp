@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common.hpp"
@@ -44,6 +45,8 @@
 namespace {
 
 using bigk::bench::Harness;
+using bigk::bench::or_exit;
+using bigk::bench::parse_positive;
 namespace load = bigk::load;
 namespace serve = bigk::serve;
 namespace schemes = bigk::schemes;
@@ -61,29 +64,15 @@ schemes::RunMetrics to_run_metrics(const serve::ServeReport& report) {
   return metrics;
 }
 
-std::vector<double> parse_multipliers(const std::string& text) {
+/// The --offered-load list: comma-separated positive multipliers, at least
+/// one.
+std::vector<double> parse_multipliers(std::string_view text) {
   std::vector<double> multipliers;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string token = text.substr(pos, end - pos);
-    if (!token.empty()) {
-      const double value = std::atof(token.c_str());
-      if (value <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --offered-load needs positive multipliers, got "
-                     "\"%s\"\n",
-                     token.c_str());
-        std::exit(1);
-      }
-      multipliers.push_back(value);
-    }
-    pos = end + 1;
+  for (const std::string_view token : sim::spec::split(text, ',')) {
+    multipliers.push_back(parse_positive<double>(token, "--offered-load"));
   }
   if (multipliers.empty()) {
-    std::fprintf(stderr, "error: --offered-load needs at least one value\n");
-    std::exit(1);
+    sim::spec::fail("--offered-load", {}, text, "needs at least one value");
   }
   return multipliers;
 }
@@ -124,9 +113,11 @@ int main(int argc, char** argv) {
   const std::uint32_t devices = std::max(2u, harness.devices());
   const std::uint32_t jobs = harness.jobs();
   const serve::Policy policy = serve::policy_from_name(harness.policy());
-  const std::vector<double> multipliers = parse_multipliers(
-      harness.offered_load().empty() ? "0.5,1.5,2.5"
-                                     : harness.offered_load());
+  const std::vector<double> multipliers = or_exit([&] {
+    return parse_multipliers(harness.offered_load().empty()
+                                 ? "0.5,1.5,2.5"
+                                 : harness.offered_load());
+  });
   // Base arrival spec; each scenario overrides the rate against the
   // calibrated capacity (the seed stays, so --arrival pins determinism).
   load::ArrivalSpec arrival_base;

@@ -1,6 +1,6 @@
-// Shared application infrastructure: deterministic RNG, Table-I metadata,
-// and the scaling rule that maps the paper's multi-gigabyte inputs onto
-// simulation-friendly sizes.
+// Shared application infrastructure: the deterministic RNG and digest (from
+// sim/hash.hpp), Table-I metadata, and the scaling rule that maps the
+// paper's multi-gigabyte inputs onto simulation-friendly sizes.
 //
 // Scaling: every capacity (input bytes, GPU memory) is multiplied by the
 // same factor, so the out-of-core ratio — the property all of the paper's
@@ -13,6 +13,7 @@
 
 #include "core/stream.hpp"
 #include "gpusim/config.hpp"
+#include "sim/hash.hpp"
 
 namespace bigk::apps {
 
@@ -23,37 +24,11 @@ using core::value_cast;
 
 /// Deterministic 64-bit RNG (splitmix64): seedable, fast, and identical on
 /// every platform, so generated datasets and results are reproducible.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [0, bound).
-  std::uint64_t below(std::uint64_t bound) { return next() % bound; }
-
-  double unit() {  // uniform in [0, 1)
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
- private:
-  std::uint64_t state_;
-};
+using Rng = sim::SplitMix64;
 
 /// FNV-1a, used for both in-kernel hashing and result digests.
-constexpr std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (i * 8)) & 0xFF;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+using sim::fnv1a;
+using sim::kFnvBasis;
 
 /// Charges `ops` arithmetic operations, inflated by `warp_divergence` on
 /// SIMD (GPU) contexts. Divergent branches make lock-step warps execute both

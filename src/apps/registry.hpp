@@ -15,11 +15,11 @@
 #include "apps/common.hpp"
 #include "core/stream.hpp"
 #include "cusim/runtime.hpp"
-#include "dur/checksum.hpp"
 #include "gpusim/config.hpp"
 #include "hostsim/host_cpu.hpp"
 #include "schemes/metrics.hpp"
 #include "schemes/runners.hpp"
+#include "sim/hash.hpp"
 #include "sim/simulation.hpp"
 #include "verify/contracts.hpp"
 
@@ -126,7 +126,7 @@ class AppJobRunner : public JobRunner {
   std::uint64_t output_digest(std::uint64_t records_done) override {
     // Digest the write-mode output prefix the first `records_done` records
     // produced — the journal's proof that a checkpoint's bytes survived.
-    dur::Checksum sum;
+    sim::Digest sum;
     bool any = false;
     for (const schemes::StreamDecl& decl : app_.stream_decls()) {
       const core::StreamBinding& b = decl.binding;

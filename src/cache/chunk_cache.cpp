@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dur/checksum.hpp"
+#include "sim/hash.hpp"
 
 namespace bigk::cache {
 
@@ -209,7 +209,7 @@ void ChunkCache::maybe_corrupt(const Entry& entry, sim::TimePs now) {
 }
 
 bool ChunkCache::verify_entry(const Entry& entry) const {
-  return dur::checksum_bytes(memory_.bytes(entry.offset, entry.bytes)) ==
+  return sim::digest_bytes(memory_.bytes(entry.offset, entry.bytes)) ==
          entry.checksum;
 }
 

@@ -11,11 +11,11 @@
 //   * range_begin / range_end: the block's record range.
 //   * chunk: the chunk index within that range.
 //   * layout: the core::DataLayout the bytes were assembled into.
-//   * signature: an FNV-1a hash over the launch geometry (computation
-//     threads, per-thread slot capacity, records per thread-chunk) and the
-//     generated address stream of every thread, so a kernel that generates
-//     different addresses — or the same addresses under different geometry —
-//     never aliases a stale image.
+//   * signature: an FNV-1a hash (sim/hash.hpp) over the launch geometry
+//     (computation threads, per-thread slot capacity, records per
+//     thread-chunk) and the generated address stream of every thread, so a
+//     kernel that generates different addresses — or the same addresses
+//     under different geometry — never aliases a stale image.
 #pragma once
 
 #include <compare>
@@ -33,26 +33,6 @@ struct CacheKey {
   std::uint64_t signature = 0;
 
   auto operator<=>(const CacheKey&) const = default;
-};
-
-/// Incremental FNV-1a (64-bit): the standard cheap deterministic hash; used
-/// for both pattern signatures and dataset ids.
-struct Fnv1a {
-  std::uint64_t state = 1469598103934665603ull;
-
-  void mix(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (value >> (8 * i)) & 0xffu;
-      state *= 1099511628211ull;
-    }
-  }
-
-  void mix_bytes(const char* data, std::uint64_t size) noexcept {
-    for (std::uint64_t i = 0; i < size; ++i) {
-      state ^= static_cast<unsigned char>(data[i]);
-      state *= 1099511628211ull;
-    }
-  }
 };
 
 }  // namespace bigk::cache

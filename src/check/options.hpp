@@ -1,13 +1,14 @@
 // Configuration for the bigkcheck correctness checkers (the repo's
-// compute-sanitizer analogue). Dependency-free so core::Options and
-// schemes::SchemeConfig can embed it.
+// compute-sanitizer analogue). Header-only, depending on nothing but the
+// shared spec tokenizer, so core::Options and schemes::SchemeConfig can
+// embed it.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <string_view>
+
+#include "sim/spec.hpp"
 
 namespace bigk::check {
 
@@ -49,18 +50,14 @@ struct CheckOptions {
 
   static CheckOptions parse(std::string_view spec) {
     CheckOptions options;
+    spec = sim::spec::trim(spec);
     if (spec.empty() || spec == "0" || spec == "off") return options;
     if (spec == "1" || spec == "on" || spec == "all") {
       return all_enabled();
     }
     options.enabled = true;
     options.memcheck = options.racecheck = options.pipecheck = false;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-      const std::size_t comma = spec.find(',', pos);
-      const std::string_view item =
-          spec.substr(pos, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - pos);
+    for (const std::string_view item : sim::spec::split(spec, ',')) {
       if (item == "memcheck") {
         options.memcheck = true;
       } else if (item == "racecheck") {
@@ -69,12 +66,11 @@ struct CheckOptions {
         options.pipecheck = true;
       } else if (item == "fail_fast") {
         options.fail_fast = true;
-      } else if (!item.empty()) {
-        throw std::invalid_argument("unknown BIGK_CHECK item: " +
-                                    std::string(item));
+      } else {
+        sim::spec::fail("BIGK_CHECK", {}, item,
+                        "unknown item (valid: memcheck racecheck pipecheck "
+                        "fail_fast, or 0 off 1 on all)");
       }
-      if (comma == std::string_view::npos) break;
-      pos = comma + 1;
     }
     return options;
   }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "sim/hash.hpp"
+
 namespace bigk::core {
 
 namespace {
@@ -13,7 +15,7 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
 
 /// bigkdur digest of a stream's staged write-back values.
 std::uint64_t staged_checksum_of(const StreamStage& stage) {
-  dur::Checksum sum;
+  sim::Digest sum;
   for (const StagedWrite& write : stage.staged_writes) {
     sum.mix(write.elem);
     sum.mix(write.raw);
@@ -353,7 +355,7 @@ sim::Task<> Engine::assembly_process(BlockState& block) {
       if (integrity_ != nullptr) {
         // Digest the image once here; the same digest covers the cache
         // entry (hit/scrub verification) and the post-DMA check.
-        stage.image_checksum = dur::checksum_bytes(
+        stage.image_checksum = sim::digest_bytes(
             {slot.prefetch.data() + slot.prefetch_offset[s], bytes[s]});
       }
       if (!cached) continue;
@@ -441,7 +443,7 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
         if (already_failed) continue;
         const auto landed =
             runtime_.gpu().memory().bytes(copy.dev_base, copy.bytes);
-        if (dur::checksum_bytes(landed) == copy.checksum) {
+        if (sim::digest_bytes(landed) == copy.checksum) {
           integrity_->note_verified(dur::Site::kDma);
         } else {
           integrity_->note_detected(dur::Site::kDma, device, sim().now());
@@ -661,7 +663,7 @@ std::uint64_t Engine::chunk_signature(const BlockState& block,
                                       std::uint64_t chunk) const {
   const StreamStage& stage = slot.streams[stream];
   const std::uint32_t c_threads = options_.compute_threads_per_block;
-  cache::Fnv1a hash;
+  sim::Digest hash;
   hash.mix(c_threads);
   hash.mix(stage.slots_per_thread);
   hash.mix(geometry_.rptc);
@@ -674,7 +676,7 @@ std::uint64_t Engine::chunk_signature(const BlockState& block,
       hash.mix(range.begin);
       hash.mix(range.size());
     }
-    return hash.state;
+    return hash.value();
   }
   for (std::uint32_t v = 0; v < c_threads && v < stage.read_addrs.size();
        ++v) {
@@ -689,7 +691,7 @@ std::uint64_t Engine::chunk_signature(const BlockState& block,
       for (std::uint64_t elem : addrs.elems) hash.mix(elem);
     }
   }
-  return hash.state;
+  return hash.value();
 }
 
 void Engine::release_slot_leases(BlockState& block, std::uint64_t chunk) {

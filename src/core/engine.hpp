@@ -37,7 +37,6 @@
 #include "core/staging.hpp"
 #include "core/stream.hpp"
 #include "cusim/runtime.hpp"
-#include "dur/checksum.hpp"
 #include "dur/integrity.hpp"
 #include "obs/prof/attribution.hpp"
 #include "obs/stage.hpp"

@@ -1,11 +1,14 @@
 #include "fault/fault.hpp"
 
-#include <charconv>
-#include <cstdlib>
 #include <sstream>
+
+#include "sim/hash.hpp"
+#include "sim/spec.hpp"
 
 namespace bigk::fault {
 namespace {
+
+constexpr std::string_view kGrammar = "fault spec";
 
 constexpr std::array<const char*, kNumFaultKinds> kKindNames = {
     "dma_error",        "pcie_degrade",      "device_lost",
@@ -22,53 +25,6 @@ bool is_protocol_bug(FaultKind kind) {
          kind == FaultKind::kStaleCache;
 }
 
-// Deterministic mixer: the same (seed, spec, trial) always draws the same
-// value, independent of call interleaving across sites.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && (text.back() == ' ' || text.back() == '\t')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-[[noreturn]] void parse_error(std::string_view text, const std::string& why) {
-  throw std::invalid_argument("fault spec '" + std::string(text) + "': " + why);
-}
-
-std::uint64_t parse_u64(std::string_view text, std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    parse_error(text, "expected integer, got '" + std::string(value) + "'");
-  }
-  return out;
-}
-
-double parse_double(std::string_view text, std::string_view value) {
-  const std::string buf(value);
-  char* end = nullptr;
-  const double out = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || buf.empty()) {
-    parse_error(text, "expected number, got '" + std::string(value) + "'");
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
@@ -82,88 +38,67 @@ FaultKind fault_kind_from_name(std::string_view name) {
   for (std::size_t i = 0; i < kKindNames.size(); ++i) {
     if (name == kKindNames[i]) return static_cast<FaultKind>(i);
   }
-  std::ostringstream message;
-  message << "unknown fault kind '" << name << "'; valid kinds:";
-  for (const char* valid : kKindNames) message << ' ' << valid;
-  throw std::invalid_argument(message.str());
+  std::string valid;
+  for (const char* kind : kKindNames) (valid += ' ') += kind;
+  sim::spec::fail(kGrammar, {}, name,
+                  "unknown fault kind (valid:" + valid + ")");
 }
 
 FaultSpec FaultSpec::parse_one(std::string_view text) {
-  const std::string_view full = text;
+  const std::vector<std::string_view> pieces = sim::spec::split(text, ',');
+  if (pieces.empty()) sim::spec::fail(kGrammar, {}, text, "empty spec");
   FaultSpec spec;
-  std::size_t pos = text.find(',');
-  spec.kind = fault_kind_from_name(trim(text.substr(0, pos)));
-  text = pos == std::string_view::npos ? std::string_view{}
-                                       : text.substr(pos + 1);
-  while (!text.empty()) {
-    pos = text.find(',');
-    const std::string_view field = trim(text.substr(0, pos));
-    text = pos == std::string_view::npos ? std::string_view{}
-                                         : text.substr(pos + 1);
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string_view::npos) {
-      parse_error(full, "expected key=value, got '" + std::string(field) + "'");
-    }
-    const std::string_view key = trim(field.substr(0, eq));
-    const std::string_view value = trim(field.substr(eq + 1));
+  spec.kind = fault_kind_from_name(pieces.front());
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    const sim::spec::Field field = sim::spec::key_value(kGrammar, pieces[i]);
+    const std::string_view key = field.key;
     if (key == "p") {
-      spec.probability = parse_double(full, value);
+      spec.probability = field.number<double>();
       if (spec.probability < 0.0 || spec.probability > 1.0) {
-        parse_error(full, "p must be in [0, 1]");
+        field.fail("must be in [0, 1]");
       }
     } else if (key == "nth") {
-      spec.nth = parse_u64(full, value);
-      if (spec.nth == 0) parse_error(full, "nth is 1-based; must be >= 1");
+      spec.nth = field.positive<std::uint64_t>();
     } else if (key == "every") {
-      spec.every = parse_u64(full, value);
+      spec.every = field.number<std::uint64_t>();
     } else if (key == "max") {
-      spec.max_injections = parse_u64(full, value);
+      spec.max_injections = field.number<std::uint64_t>();
     } else if (key == "device") {
-      spec.device = static_cast<std::uint32_t>(parse_u64(full, value));
+      spec.device = field.number<std::uint32_t>();
     } else if (key == "factor") {
-      spec.factor = parse_double(full, value);
-      if (spec.factor <= 0.0) parse_error(full, "factor must be > 0");
-    } else if (key == "stall_us") {
-      spec.stall = parse_u64(full, value) * 1'000'000ull;
-    } else if (key == "stall_ms") {
-      spec.stall = parse_u64(full, value) * 1'000'000'000ull;
-    } else if (key == "down_us") {
-      spec.down = parse_u64(full, value) * 1'000'000ull;
-    } else if (key == "down_ms") {
-      spec.down = parse_u64(full, value) * 1'000'000'000ull;
+      spec.factor = field.positive<double>();
+    } else if (key == "stall_us" || key == "stall_ms") {
+      spec.stall = field.duration<std::uint64_t>(
+          key == "stall_us" ? sim::kMicrosecond : sim::kMillisecond);
+    } else if (key == "down_us" || key == "down_ms") {
+      spec.down = field.duration<std::uint64_t>(
+          key == "down_us" ? sim::kMicrosecond : sim::kMillisecond);
     } else {
-      parse_error(full, "unknown key '" + std::string(key) +
-                            "' (valid: p nth every max device factor "
-                            "stall_us stall_ms down_us down_ms)");
+      field.fail("unknown key (valid: p nth every max device factor "
+                 "stall_us stall_ms down_us down_ms)");
     }
   }
   // A spec without a trigger never fires — reject it up front instead of
   // letting a typo silently disarm the fault. Protocol bugs are exempt:
   // they are always-on behaviors, not triggered injections.
   if (!is_protocol_bug(spec.kind) && spec.nth == 0 && spec.probability == 0.0) {
-    parse_error(full, std::string("injectable kind '") +
-                          fault_kind_name(spec.kind) +
-                          "' has no trigger; add p=<probability> or "
-                          "nth=<trial> (protocol bugs skip_data_ready_wait "
-                          "early_ring_release stale_cache are always-on and "
-                          "take none)");
+    sim::spec::fail(kGrammar, {}, text,
+                    std::string("injectable kind '") +
+                        fault_kind_name(spec.kind) +
+                        "' has no trigger; add p=<probability> or "
+                        "nth=<trial> (protocol bugs skip_data_ready_wait "
+                        "early_ring_release stale_cache are always-on and "
+                        "take none)");
   }
   return spec;
 }
 
 std::vector<FaultSpec> FaultSpec::parse(std::string_view text) {
   std::vector<FaultSpec> specs;
-  while (true) {
-    const std::size_t pos = text.find(';');
-    const std::string_view piece = trim(text.substr(0, pos));
-    if (!piece.empty()) specs.push_back(parse_one(piece));
-    if (pos == std::string_view::npos) break;
-    text = text.substr(pos + 1);
+  for (const std::string_view piece : sim::spec::split(text, ';')) {
+    specs.push_back(parse_one(piece));
   }
-  if (specs.empty()) {
-    throw std::invalid_argument("fault spec list is empty");
-  }
+  if (specs.empty()) sim::spec::fail(kGrammar, {}, text, "empty spec list");
   return specs;
 }
 
@@ -200,9 +135,9 @@ bool FaultPlane::trial(SpecState& state, std::size_t index, FaultKind kind,
     }
   } else if (spec.probability > 0.0) {
     const std::uint64_t draw =
-        splitmix64(seed_ ^ (static_cast<std::uint64_t>(index) << 48) ^
-                   (static_cast<std::uint64_t>(kind) << 40) ^ t);
-    fire = uniform01(draw) < spec.probability;
+        sim::splitmix64(seed_ ^ (static_cast<std::uint64_t>(index) << 48) ^
+                        (static_cast<std::uint64_t>(kind) << 40) ^ t);
+    fire = sim::unit_interval(draw) < spec.probability;
   }
   if (fire) ++state.fired;
   return fire;

@@ -80,7 +80,9 @@ FaultKind fault_kind_from_name(std::string_view name);
 /// period after nth), max (max injections, 0 = unlimited), device (restrict
 /// to one device index), factor (pcie_degrade divisor), stall_us / stall_ms
 /// (stage_stall duration), down_us / down_ms (device_lost outage before a
-/// reinstatement probe succeeds; 0 = first probe succeeds).
+/// reinstatement probe succeeds; 0 = first probe succeeds). Tokens follow
+/// sim/spec.hpp: blanks are trimmed, empty pieces skipped, p and factor
+/// must be finite, and every integer must fit its field.
 ///
 /// Every injectable (non-protocol-bug) spec must carry a trigger — p or nth —
 /// or parsing rejects it: a trigger-less spec would silently never fire, the

@@ -23,6 +23,7 @@
 #include "hetero/options.hpp"
 #include "hetero/splitter.hpp"
 #include "hetero/table_merge.hpp"
+#include "sim/hash.hpp"
 
 namespace bigk::hetero {
 
@@ -42,7 +43,7 @@ inline constexpr double kEwmaAlpha = 0.5;
 /// CPU rounds finish, re-verified by run_hetero before merge_tables folds
 /// the deltas into the app's tables.
 inline std::uint64_t tables_digest(const core::TableSet& tables) {
-  dur::Checksum sum;
+  sim::Digest sum;
   for (std::uint32_t id = 0; id < tables.size(); ++id) {
     sum.mix_bytes(tables.raw_bytes(id));
   }

@@ -1,64 +1,27 @@
 #include "load/arrival.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "sim/spec.hpp"
 
 namespace bigk::load {
 
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::vector<std::pair<std::string, std::string>> split_kv(
-    std::string_view text, std::string_view what) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view token = text.substr(pos, end - pos);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= token.size()) {
-      throw std::invalid_argument(std::string(what) + ": expected key=value, got \"" +
-                                  std::string(token) + "\"");
-    }
-    pairs.emplace_back(std::string(token.substr(0, eq)),
-                       std::string(token.substr(eq + 1)));
-    pos = end + 1;
-  }
-  return pairs;
-}
-
-double parse_positive(const std::string& value, const std::string& key) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || parsed <= 0.0) {
-    throw std::invalid_argument("--arrival " + key +
-                                " needs a positive number, got \"" + value +
-                                "\"");
-  }
-  return parsed;
-}
+constexpr std::string_view kGrammar = "--arrival";
 
 }  // namespace
 
 ArrivalSpec ArrivalSpec::parse(std::string_view text) {
+  const std::vector<std::string_view> pieces = sim::spec::split(text, ',');
+  const std::string_view kind = pieces.empty() ? text : pieces.front();
   ArrivalSpec spec;
-  std::size_t comma = text.find(',');
-  const std::string_view kind =
-      comma == std::string_view::npos ? text : text.substr(0, comma);
   if (kind == "poisson") {
     spec.kind = ArrivalKind::kPoisson;
   } else if (kind == "mmpp") {
@@ -66,34 +29,34 @@ ArrivalSpec ArrivalSpec::parse(std::string_view text) {
   } else if (kind == "diurnal") {
     spec.kind = ArrivalKind::kDiurnal;
   } else {
-    throw std::invalid_argument(
-        "unknown arrival process \"" + std::string(kind) +
-        "\"; valid: \"poisson\" \"mmpp\" \"diurnal\"");
+    sim::spec::fail(kGrammar, {}, kind,
+                    "unknown arrival process (valid: poisson mmpp diurnal)");
   }
-  if (comma == std::string_view::npos) return spec;
-  for (const auto& [key, value] : split_kv(text.substr(comma + 1), "--arrival")) {
-    if (key == "rate") {
-      spec.rate_per_s = parse_positive(value, key);
-    } else if (key == "burst") {
-      spec.burst_rate_per_s = parse_positive(value, key);
-    } else if (key == "calm_us") {
-      spec.mean_calm = static_cast<sim::DurationPs>(
-          parse_positive(value, key) * static_cast<double>(sim::kMicrosecond));
-    } else if (key == "burst_us") {
-      spec.mean_burst = static_cast<sim::DurationPs>(
-          parse_positive(value, key) * static_cast<double>(sim::kMicrosecond));
-    } else if (key == "amplitude") {
-      spec.amplitude = parse_positive(value, key);
-      if (spec.amplitude >= 1.0) {
-        throw std::invalid_argument("--arrival amplitude must be in (0, 1)");
-      }
-    } else if (key == "period_us") {
-      spec.period = static_cast<sim::DurationPs>(
-          parse_positive(value, key) * static_cast<double>(sim::kMicrosecond));
-    } else if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parse_positive(value, key));
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    const sim::spec::Field field = sim::spec::key_value(kGrammar, pieces[i]);
+    const auto duration = [&field] {
+      const sim::DurationPs ps = field.duration<double>(sim::kMicrosecond);
+      if (ps == 0) field.fail("must be at least 1 ps");
+      return ps;
+    };
+    if (field.key == "rate") {
+      spec.rate_per_s = field.positive<double>();
+    } else if (field.key == "burst") {
+      spec.burst_rate_per_s = field.positive<double>();
+    } else if (field.key == "calm_us") {
+      spec.mean_calm = duration();
+    } else if (field.key == "burst_us") {
+      spec.mean_burst = duration();
+    } else if (field.key == "amplitude") {
+      spec.amplitude = field.positive<double>();
+      if (spec.amplitude >= 1.0) field.fail("must be in (0, 1)");
+    } else if (field.key == "period_us") {
+      spec.period = duration();
+    } else if (field.key == "seed") {
+      spec.seed = field.number<std::uint64_t>();
     } else {
-      throw std::invalid_argument("--arrival: unknown key \"" + key + "\"");
+      field.fail("unknown key (valid: rate burst calm_us burst_us amplitude "
+                 "period_us seed)");
     }
   }
   return spec;
@@ -103,12 +66,18 @@ std::string ArrivalSpec::to_string() const {
   std::ostringstream out;
   out << arrival_kind_name(kind) << ",rate=" << rate_per_s;
   if (kind == ArrivalKind::kMmpp) {
-    out << ",burst=" << (burst_rate_per_s > 0.0 ? burst_rate_per_s
-                                                : 8.0 * rate_per_s)
-        << ",calm_us=" << static_cast<double>(mean_calm) / 1e6
+    // An unset burst rate stays unset: 8x a rate near the double maximum
+    // would print as "inf".
+    if (burst_rate_per_s > 0.0) out << ",burst=" << burst_rate_per_s;
+    out << ",calm_us=" << static_cast<double>(mean_calm) / 1e6
         << ",burst_us=" << static_cast<double>(mean_burst) / 1e6;
   } else if (kind == ArrivalKind::kDiurnal) {
-    out << ",amplitude=" << amplitude
+    // Shortest round-trip form: at the stream's 6 digits an amplitude just
+    // below 1 would print as the out-of-range "1".
+    char digits[32];
+    const auto printed =
+        std::to_chars(digits, digits + sizeof(digits), amplitude);
+    out << ",amplitude=" << std::string_view(digits, printed.ptr)
         << ",period_us=" << static_cast<double>(period) / 1e6;
   }
   out << ",seed=" << seed;
@@ -123,7 +92,7 @@ ArrivalSpec ArrivalSpec::scaled(double factor) const {
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec, std::uint64_t seed)
-    : spec_(spec), state_(seed) {
+    : spec_(spec), rng_(seed) {
   if (spec_.rate_per_s <= 0.0) {
     throw std::invalid_argument("arrival rate must be positive");
   }
@@ -137,7 +106,7 @@ ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec, std::uint64_t seed)
 
 double ArrivalProcess::uniform() {
   // (0, 1]: keeps -log() finite.
-  return 1.0 - static_cast<double>(splitmix64(state_) >> 11) * 0x1.0p-53;
+  return 1.0 - rng_.unit();
 }
 
 sim::DurationPs ArrivalProcess::exp_gap(double rate_per_s) {

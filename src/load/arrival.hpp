@@ -19,12 +19,16 @@
 //        [,burst_us=<mean dwell>][,seed=<n>]"
 //   "diurnal[,rate=<mean jobs/s>][,amplitude=<0..1>][,period_us=<n>]
 //           [,seed=<n>]"
+// Tokens follow sim/spec.hpp: rates and the amplitude are finite and
+// positive, the *_us durations are decimal microseconds rounded to the
+// picosecond (at least 1 ps), and the seed is a 64-bit integer read exactly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "sim/hash.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::load {
@@ -85,7 +89,7 @@ class ArrivalProcess {
   sim::DurationPs exp_dwell(sim::DurationPs mean);
 
   ArrivalSpec spec_;
-  std::uint64_t state_;
+  sim::SplitMix64 rng_;
   sim::TimePs now_ = 0;
   // mmpp state machine.
   bool in_burst_ = false;

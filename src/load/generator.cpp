@@ -2,104 +2,73 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "apps/common.hpp"
+#include "sim/spec.hpp"
 
 namespace bigk::load {
 
 namespace {
 
-double parse_number(const std::string& value, const std::string& key) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || parsed < 0.0) {
-    throw std::invalid_argument("--tenants " + key +
-                                " needs a non-negative number, got \"" + value +
-                                "\"");
-  }
-  return parsed;
-}
+constexpr std::string_view kGrammar = "--tenants";
 
+/// The "App A|App B*3" mix of an `apps=` value.
 std::vector<MixEntry> parse_mix(std::string_view text) {
   std::vector<MixEntry> mix;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find('|', pos);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view token = text.substr(pos, end - pos);
+  for (const std::string_view piece : sim::spec::split(text, '|')) {
     MixEntry entry;
-    const std::size_t star = token.rfind('*');
-    if (star != std::string_view::npos && star + 1 < token.size()) {
-      entry.weight =
-          parse_number(std::string(token.substr(star + 1)), "apps weight");
-      token = token.substr(0, star);
+    const std::size_t star = piece.rfind('*');
+    entry.app = std::string(sim::spec::trim(piece.substr(0, star)));
+    if (star != std::string_view::npos) {
+      const sim::spec::Field weight{kGrammar, "apps",
+                                    sim::spec::trim(piece.substr(star + 1))};
+      entry.weight = weight.positive<double>();
     }
-    if (token.empty() || entry.weight <= 0.0) {
-      throw std::invalid_argument("--tenants apps: bad mix entry \"" +
-                                  std::string(token) + "\"");
+    if (entry.app.empty()) {
+      sim::spec::fail(kGrammar, "apps", piece, "expected <app>[*<weight>]");
     }
-    entry.app = std::string(token);
     mix.push_back(std::move(entry));
-    pos = end + 1;
   }
+  if (mix.empty()) sim::spec::fail(kGrammar, "apps", text, "empty app mix");
   return mix;
 }
 
 TenantSpec parse_tenant_entry(std::string_view text) {
   TenantSpec tenant;
   const std::size_t colon = text.find(':');
-  const std::string_view name =
-      colon == std::string_view::npos ? text : text.substr(0, colon);
-  if (name.empty()) {
-    throw std::invalid_argument("--tenants: tenant entry needs a name");
+  tenant.qos.name = std::string(sim::spec::trim(text.substr(0, colon)));
+  // A ',' or '=' in the name is a field list missing its ':'.
+  if (tenant.qos.name.empty() ||
+      tenant.qos.name.find_first_of(",=") != std::string::npos) {
+    sim::spec::fail(kGrammar, {}, text,
+                    "expected <name>[:<key>=<value>,...]");
   }
-  tenant.qos.name = std::string(name);
   if (colon == std::string_view::npos) return tenant;
-  std::string_view rest = text.substr(colon + 1);
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    std::size_t end = rest.find(',', pos);
-    if (end == std::string_view::npos) end = rest.size();
-    const std::string_view token = rest.substr(pos, end - pos);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= token.size()) {
-      throw std::invalid_argument("--tenants: expected key=value, got \"" +
-                                  std::string(token) + "\"");
-    }
-    const std::string key(token.substr(0, eq));
-    const std::string value(token.substr(eq + 1));
-    if (key == "class") {
-      tenant.qos.slo = serve::slo_class_from_name(value);
-    } else if (key == "weight") {
-      tenant.qos.weight =
-          static_cast<std::uint32_t>(parse_number(value, key));
-    } else if (key == "share") {
-      tenant.share = parse_number(value, key);
-      if (tenant.share <= 0.0) {
-        throw std::invalid_argument("--tenants share must be positive");
-      }
-    } else if (key == "quota") {
-      tenant.qos.quota = static_cast<std::uint32_t>(parse_number(value, key));
-    } else if (key == "deadline_us") {
-      tenant.qos.deadline = static_cast<sim::DurationPs>(
-          parse_number(value, key) * static_cast<double>(sim::kMicrosecond));
-    } else if (key == "think_us") {
-      tenant.qos.think_time = static_cast<sim::DurationPs>(
-          parse_number(value, key) * static_cast<double>(sim::kMicrosecond));
-    } else if (key == "clients") {
-      tenant.clients = static_cast<std::uint32_t>(parse_number(value, key));
-      if (tenant.clients == 0) {
-        throw std::invalid_argument("--tenants clients must be positive");
-      }
-    } else if (key == "apps") {
-      tenant.mix = parse_mix(value);
+  for (const std::string_view piece :
+       sim::spec::split(text.substr(colon + 1), ',')) {
+    const sim::spec::Field field = sim::spec::key_value(kGrammar, piece);
+    if (field.key == "class") {
+      tenant.qos.slo = serve::slo_class_from_name(field.value);
+    } else if (field.key == "weight") {
+      tenant.qos.weight = field.number<std::uint32_t>();
+    } else if (field.key == "share") {
+      tenant.share = field.positive<double>();
+    } else if (field.key == "quota") {
+      tenant.qos.quota = field.number<std::uint32_t>();
+    } else if (field.key == "deadline_us") {
+      tenant.qos.deadline = field.duration<double>(sim::kMicrosecond);
+    } else if (field.key == "think_us") {
+      tenant.qos.think_time = field.duration<double>(sim::kMicrosecond);
+    } else if (field.key == "clients") {
+      tenant.clients = field.positive<std::uint32_t>();
+    } else if (field.key == "apps") {
+      tenant.mix = parse_mix(field.value);
     } else {
-      throw std::invalid_argument("--tenants: unknown key \"" + key + "\"");
+      field.fail("unknown key (valid: class weight share quota deadline_us "
+                 "think_us clients apps)");
     }
-    pos = end + 1;
   }
   return tenant;
 }
@@ -117,13 +86,8 @@ std::size_t weighted_pick(const std::vector<double>& cumulative, double u) {
 
 std::vector<TenantSpec> parse_tenants(std::string_view text) {
   std::vector<TenantSpec> tenants;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(';', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view entry = text.substr(pos, end - pos);
-    if (!entry.empty()) tenants.push_back(parse_tenant_entry(entry));
-    pos = end + 1;
+  for (const std::string_view entry : sim::spec::split(text, ';')) {
+    tenants.push_back(parse_tenant_entry(entry));
   }
   return tenants;
 }
@@ -194,7 +158,7 @@ LoadPlan make_load(const LoadConfig& config,
   // Separate streams for the arrival clock and the categorical draws, both
   // derived from the one spec seed: the plan is a pure function of
   // (config, app_names).
-  apps::Rng draw(config.arrival.seed ^ 0x9E3779B97F4A7C15ull);
+  apps::Rng draw(config.arrival.seed ^ sim::kSplitMixGamma);
 
   if (!config.closed_loop) {
     ArrivalProcess process(config.arrival);

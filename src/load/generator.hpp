@@ -21,7 +21,10 @@
 //    think_us=<n>,clients=<n>,apps=<App A|App B*3|...>"
 // Every key is optional; `share` values are relative weights over the
 // tenants, an app's `*<w>` suffix is its relative weight in the mix, and an
-// absent `apps` key means a uniform mix over the whole suite.
+// absent `apps` key means a uniform mix over the whole suite. Tokens follow
+// sim/spec.hpp: weight, quota and clients are 32-bit integers, share and
+// mix weights are finite and positive, and the *_us durations are decimal
+// microseconds.
 #pragma once
 
 #include <cstdint>

@@ -1,21 +1,13 @@
 #include "obs/prof/slo.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
+
+#include "sim/spec.hpp"
 
 namespace bigk::obs::prof {
 namespace {
 
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && (text.back() == ' ' || text.back() == '\t')) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
+constexpr std::string_view kGrammar = "SLO rule";
 
 const char* op_text(SloRule::Op op) {
   switch (op) {
@@ -51,7 +43,7 @@ std::string SloRule::to_string() const {
 }
 
 SloRule SloRule::parse(std::string_view text) {
-  const std::string_view rule_text = trim(text);
+  const std::string_view rule_text = sim::spec::trim(text);
   // Two-character operators first so "<=" is not read as "<" + "=...".
   static constexpr struct {
     std::string_view token;
@@ -62,30 +54,24 @@ SloRule SloRule::parse(std::string_view text) {
     const std::size_t pos = rule_text.find(candidate.token);
     if (pos == std::string_view::npos) continue;
     SloRule rule;
-    rule.metric = std::string(trim(rule_text.substr(0, pos)));
+    rule.metric = std::string(sim::spec::trim(rule_text.substr(0, pos)));
     rule.op = candidate.op;
-    const std::string threshold_text(
-        trim(rule_text.substr(pos + candidate.token.size())));
-    if (rule.metric.empty() || threshold_text.empty()) break;
-    char* end = nullptr;
-    rule.threshold = std::strtod(threshold_text.c_str(), &end);
-    if (end == nullptr || *end != '\0') break;
+    if (rule.metric.empty()) break;
+    const sim::spec::Field threshold{
+        kGrammar, rule.metric,
+        sim::spec::trim(rule_text.substr(pos + candidate.token.size()))};
+    rule.threshold = threshold.number<double>();
     return rule;
   }
-  throw std::invalid_argument("malformed SLO rule: '" + std::string(text) +
-                              "' (expected '<metric> <op> <threshold>' with "
-                              "op one of < <= > >=)");
+  sim::spec::fail(kGrammar, {}, text,
+                  "expected '<metric> <op> <threshold>' with op one of "
+                  "< <= > >=");
 }
 
 std::vector<SloRule> parse_slo_rules(std::string_view spec) {
   std::vector<SloRule> rules;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    std::size_t sep = spec.find(';', start);
-    if (sep == std::string_view::npos) sep = spec.size();
-    const std::string_view segment = trim(spec.substr(start, sep - start));
-    if (!segment.empty()) rules.push_back(SloRule::parse(segment));
-    start = sep + 1;
+  for (const std::string_view piece : sim::spec::split(spec, ';')) {
+    rules.push_back(SloRule::parse(piece));
   }
   return rules;
 }

@@ -36,7 +36,8 @@ struct SloRule {
   std::string to_string() const;
 
   /// Parse a single "<metric> <op> <threshold>" rule. Throws
-  /// std::invalid_argument on malformed input.
+  /// std::invalid_argument on malformed input, a non-finite threshold
+  /// included (tokens follow sim/spec.hpp).
   static SloRule parse(std::string_view text);
 };
 

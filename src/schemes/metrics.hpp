@@ -76,10 +76,13 @@ struct RunMetrics {
   /// clean; a non-zero value also makes the runner throw check::CheckError).
   std::uint64_t check_violations = 0;
 
-  /// Populated only for BigKernel runs.
+  /// Populated only for the engine schemes (BigKernel and hetero).
   core::EngineMetrics engine;
 
-  /// bigkprof attribution summary, populated only for BigKernel runs.
+  /// bigkprof attribution summary. The run-level bottleneck and overlap
+  /// come from `engine`'s stage sums (RunScaffold::finish), so they are set
+  /// for the engine schemes only; the windowed fields for BigKernel runs
+  /// with a profiling window.
   struct ProfSummary {
     /// Run-level limiting stage as an obs::Stage index; -1 = not profiled.
     std::int32_t bottleneck = -1;

@@ -249,38 +249,39 @@ inline std::vector<std::uint64_t> chunk_views(
   return bytes;
 }
 
-/// Stages one chunk host->pinned (CPU cost: one read + one streamed write
-/// per byte, as in traditional GPGPU apps) and copies it to the device.
-inline sim::Task<> stage_and_copy(
-    cusim::Runtime& runtime, hostsim::HostThread& thread,
-    const std::vector<core::StreamBinding>& bindings,
-    const std::vector<GpuChunkCtx::ChunkView>& views,
-    const std::vector<std::uint64_t>& bytes, cusim::Stream* async_stream,
-    sim::Flag* copied_flag, std::uint64_t flag_value,
-    std::vector<std::vector<std::byte>>* pinned) {
-  for (std::uint32_t s = 0; s < bindings.size(); ++s) {
-    if (bytes[s] == 0) continue;
-    thread.read(bindings[s].host_region,
-                views[s].elem_begin * bindings[s].elem_size, bytes[s]);
-    thread.write_stream(bytes[s]);
-    thread.compute(static_cast<double>(bytes[s]) / 64.0);
-  }
-  co_await thread.commit();
-  for (std::uint32_t s = 0; s < bindings.size(); ++s) {
-    if (bytes[s] == 0) continue;
-    const std::byte* src =
-        bindings[s].host_data + views[s].elem_begin * bindings[s].elem_size;
-    if (async_stream != nullptr) {
-      auto& staging = (*pinned)[s];
-      staging.assign(src, src + bytes[s]);
-      async_stream->memcpy_h2d_async(views[s].dev_base, staging.data(),
-                                     bytes[s]);
-    } else {
-      co_await runtime.memcpy_h2d_bytes(views[s].dev_base, {src, bytes[s]});
+/// The copier of the chunked baselines. Chunk c waits until the kernel has
+/// freed buffer set c % sets, is staged host->pinned (CPU cost: one read +
+/// one streamed write per byte, as in traditional GPGPU apps) and is copied
+/// to the device on `stream`, which raises `copied` to c + 1 behind it.
+inline sim::Task<> copy_chunks(
+    std::vector<core::StreamBinding>& bindings, const ChunkPlan& plan,
+    std::uint64_t num_records, hostsim::HostThread& thread,
+    sim::Semaphore& buffers_free, sim::Flag& copied, cusim::Stream& stream,
+    std::vector<std::vector<std::vector<std::byte>>>& pinned,
+    std::vector<std::vector<GpuChunkCtx::ChunkView>>& views) {
+  const std::uint64_t sets = views.size();
+  for (std::uint64_t c = 0; c < plan.num_chunks; ++c) {
+    co_await buffers_free.acquire();
+    const std::uint64_t set = c % sets;
+    const std::vector<std::uint64_t> bytes =
+        chunk_views(bindings, plan, set, c, num_records, &views[set]);
+    for (std::uint32_t s = 0; s < bindings.size(); ++s) {
+      if (bytes[s] == 0) continue;
+      thread.read(bindings[s].host_region,
+                  views[set][s].elem_begin * bindings[s].elem_size, bytes[s]);
+      thread.write_stream(bytes[s]);
+      thread.compute(static_cast<double>(bytes[s]) / 64.0);
     }
-  }
-  if (async_stream != nullptr) {
-    async_stream->signal_flag(*copied_flag, flag_value);
+    co_await thread.commit();
+    for (std::uint32_t s = 0; s < bindings.size(); ++s) {
+      if (bytes[s] == 0) continue;
+      const std::byte* src = bindings[s].host_data +
+                             views[set][s].elem_begin * bindings[s].elem_size;
+      pinned[set][s].assign(src, src + bytes[s]);
+      stream.memcpy_h2d_async(views[set][s].dev_base, pinned[set][s].data(),
+                              bytes[s]);
+    }
+    stream.signal_flag(copied, c + 1);
   }
 }
 
@@ -312,47 +313,38 @@ inline sim::Task<> writeback_chunk(
   co_await thread.commit();
 }
 
-/// Runs the kernel over one resident chunk. Record->thread assignment is
+/// Runs `kernel` over global thread `tid`'s share of records [rec_begin,
+/// rec_end), one of `total_threads`. Record->thread assignment is
 /// interleaved for fixed-length records and contiguous for text streams
 /// (whose records cannot be found without scanning, §VI-A).
-template <class Kernel>
-sim::Task<> run_chunk_kernel(
-    cusim::Runtime& runtime, const gpusim::KernelLaunch& launch,
-    const Kernel& kernel, const std::vector<core::StreamBinding>& bindings,
-    const core::DeviceTables& tables,
-    const std::vector<GpuChunkCtx::ChunkView>& views, std::uint64_t rec_begin,
-    std::uint64_t rec_end, bool interleaved,
-    std::vector<std::pair<std::uint32_t, std::uint64_t>>* writes) {
-  const std::uint64_t total_threads =
-      std::uint64_t{launch.num_blocks} * launch.threads_per_block;
-  co_await runtime.gpu().run_simple_kernel(
-      launch, [&](gpusim::LaneCtx& lane, std::uint32_t) {
-        GpuChunkCtx ctx(lane, bindings, tables, views, writes);
-        const std::uint64_t tid = lane.global_thread();
-        if (interleaved) {
-          if (rec_begin + tid < rec_end) {
-            kernel(ctx, rec_begin + tid, rec_end, total_threads);
-          }
-        } else {
-          const std::uint64_t count = rec_end - rec_begin;
-          const std::uint64_t per = ceil_div(count, total_threads);
-          const std::uint64_t begin =
-              std::min(rec_begin + tid * per, rec_end);
-          const std::uint64_t end = std::min(begin + per, rec_end);
-          if (begin < end) kernel(ctx, begin, end, /*stride=*/1);
-        }
-      });
+template <class Kernel, class Ctx>
+void run_thread_records(const Kernel& kernel, Ctx& ctx, std::uint64_t tid,
+                        std::uint64_t total_threads, std::uint64_t rec_begin,
+                        std::uint64_t rec_end, bool interleaved) {
+  if (interleaved) {
+    if (rec_begin + tid < rec_end) {
+      kernel(ctx, rec_begin + tid, rec_end, total_threads);
+    }
+    return;
+  }
+  const std::uint64_t per = ceil_div(rec_end - rec_begin, total_threads);
+  const std::uint64_t begin = std::min(rec_begin + tid * per, rec_end);
+  const std::uint64_t end = std::min(begin + per, rec_end);
+  if (begin < end) kernel(ctx, begin, end, /*stride=*/1);
 }
 
+/// The chunked-GPU baselines: a copier process fills buffer set c % sets
+/// while the kernel consumes the sets before it. One set (single buffer)
+/// serializes every transfer with computation; two (double buffer) overlap
+/// them.
 template <class App>
 sim::Task<> gpu_chunked_main(cusim::Runtime& runtime, App& app,
                              std::vector<core::StreamBinding>& bindings,
-                             bool double_buffered, const SchemeConfig& sc) {
+                             std::uint32_t sets, const SchemeConfig& sc) {
   core::DeviceTables tables =
       co_await core::DeviceTables::upload(runtime, app.tables());
   const std::vector<StreamDecl> decls = app.stream_decls();
   const std::uint64_t num_records = app.num_records();
-  const std::uint32_t sets = double_buffered ? 2 : 1;
   ChunkPlan plan =
       plan_chunks(runtime, decls, num_records, sets, kChunkBudgetPct);
 
@@ -361,85 +353,51 @@ sim::Task<> gpu_chunked_main(cusim::Runtime& runtime, App& app,
   launch.threads_per_block = sc.gpu_threads_per_block;
   launch.regs_per_thread = kBaselineRegsPerThread;
 
+  const std::uint64_t total_threads =
+      std::uint64_t{launch.num_blocks} * launch.threads_per_block;
+  const bool interleaved = app.interleaved_records();
   const auto kernel = app.kernel();
   hostsim::HostThread stage_thread = runtime.cpu().make_thread(2);
   hostsim::HostThread scatter_thread = runtime.cpu().make_thread(2);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> writes;
 
-  if (!double_buffered) {
-    std::vector<GpuChunkCtx::ChunkView> views;
-    for (std::uint64_t c = 0; c < plan.num_chunks; ++c) {
-      const std::uint64_t rec_begin = c * plan.records_per_chunk;
-      const std::uint64_t rec_end =
-          std::min(num_records, rec_begin + plan.records_per_chunk);
-      auto bytes =
-          chunk_views(bindings, plan, 0, c, num_records, &views);
-      co_await stage_and_copy(runtime, stage_thread, bindings, views, bytes,
-                              nullptr, nullptr, 0, nullptr);
-      writes.clear();
-      co_await run_chunk_kernel(runtime, launch, kernel, bindings, tables,
-                                views, rec_begin, rec_end,
-                                app.interleaved_records(), &writes);
-      co_await writeback_chunk(runtime, scatter_thread, bindings, views,
-                               writes);
-    }
-  } else {
-    // Double buffering: a copier process fills buffer set c%2 while the
-    // kernel consumes set (c-1)%2.
-    sim::Simulation& sim = runtime.sim();
-    sim::Semaphore buffers_free(sim, 2);
-    sim::Flag copied(sim);
-    cusim::Stream stream = runtime.create_stream();
-    // One pinned staging buffer per (set, stream): a set's staging may not
-    // be overwritten until its async copy has executed, which the
-    // buffers_free semaphore guarantees per set.
-    std::vector<std::vector<std::vector<std::byte>>> pinned(
-        2, std::vector<std::vector<std::byte>>(bindings.size()));
-    runtime.note_pinned([&] {
-      std::uint64_t total = 0;
-      for (std::uint32_t s = 0; s < bindings.size(); ++s) {
-        total += plan.capacity_elems[s] * bindings[s].elem_size;
-      }
-      return sets * total;
-    }());
-
-    std::vector<std::vector<GpuChunkCtx::ChunkView>> views(2);
-    sim::Process copier = sim.spawn([](cusim::Runtime& rt,
-                                       std::vector<core::StreamBinding>& binds,
-                                       const ChunkPlan& pl,
-                                       std::uint64_t records,
-                                       hostsim::HostThread& thread,
-                                       sim::Semaphore& freed, sim::Flag& done,
-                                       cusim::Stream& st,
-                                       std::vector<std::vector<
-                                           std::vector<std::byte>>>& pin,
-                                       std::vector<std::vector<
-                                           GpuChunkCtx::ChunkView>>& vw)
-                                        -> sim::Task<> {
-      for (std::uint64_t c = 0; c < pl.num_chunks; ++c) {
-        co_await freed.acquire();
-        auto bytes = chunk_views(binds, pl, c % 2, c, records, &vw[c % 2]);
-        co_await stage_and_copy(rt, thread, binds, vw[c % 2], bytes, &st,
-                                &done, c + 1, &pin[c % 2]);
-      }
-    }(runtime, bindings, plan, num_records, stage_thread, buffers_free,
-      copied, stream, pinned, views));
-
-    for (std::uint64_t c = 0; c < plan.num_chunks; ++c) {
-      co_await copied.wait_ge(c + 1);
-      const std::uint64_t rec_begin = c * plan.records_per_chunk;
-      const std::uint64_t rec_end =
-          std::min(num_records, rec_begin + plan.records_per_chunk);
-      writes.clear();
-      co_await run_chunk_kernel(runtime, launch, kernel, bindings, tables,
-                                views[c % 2], rec_begin, rec_end,
-                                app.interleaved_records(), &writes);
-      co_await writeback_chunk(runtime, scatter_thread, bindings,
-                               views[c % 2], writes);
-      buffers_free.release();
-    }
-    co_await copier.join();
+  sim::Simulation& sim = runtime.sim();
+  sim::Semaphore buffers_free(sim, sets);
+  sim::Flag copied(sim);
+  cusim::Stream stream = runtime.create_stream();
+  // One pinned staging buffer per (set, stream): a set's staging may not be
+  // overwritten until its async copy has executed, which the buffers_free
+  // semaphore guarantees per set.
+  std::vector<std::vector<std::vector<std::byte>>> pinned(
+      sets, std::vector<std::vector<std::byte>>(bindings.size()));
+  std::uint64_t set_bytes = 0;
+  for (std::uint32_t s = 0; s < bindings.size(); ++s) {
+    set_bytes += plan.capacity_elems[s] * bindings[s].elem_size;
   }
+  runtime.note_pinned(sets * set_bytes);
+
+  std::vector<std::vector<GpuChunkCtx::ChunkView>> views(sets);
+  sim::Process copier = sim.spawn(
+      copy_chunks(bindings, plan, num_records, stage_thread, buffers_free,
+                  copied, stream, pinned, views));
+  for (std::uint64_t c = 0; c < plan.num_chunks; ++c) {
+    co_await copied.wait_ge(c + 1);
+    const std::uint64_t rec_begin = c * plan.records_per_chunk;
+    const std::uint64_t rec_end =
+        std::min(num_records, rec_begin + plan.records_per_chunk);
+    const std::vector<GpuChunkCtx::ChunkView>& set_views = views[c % sets];
+    writes.clear();
+    co_await runtime.gpu().run_simple_kernel(
+        launch, [&](gpusim::LaneCtx& lane, std::uint32_t) {
+          GpuChunkCtx ctx(lane, bindings, tables, set_views, &writes);
+          run_thread_records(kernel, ctx, lane.global_thread(), total_threads,
+                             rec_begin, rec_end, interleaved);
+        });
+    co_await writeback_chunk(runtime, scatter_thread, bindings, set_views,
+                             writes);
+    buffers_free.release();
+  }
+  co_await copier.join();
 
   co_await tables.download();
   for (std::uint32_t set = 0; set < sets; ++set) {
@@ -570,9 +528,12 @@ struct RunScaffold {
     }
   }
 
-  /// The epilogue: fills `metrics`' device fields from the finished run and
-  /// its check_violations, then detaches the sanitizer and finalizes it,
-  /// which throws check::CheckError on any violation.
+  /// The epilogue: fills `metrics`' device fields from the finished run, the
+  /// run-level attribution from `metrics.engine`'s stage sums (so
+  /// prof.bottleneck always agrees with the Fig. 6 breakdown; runs without
+  /// an engine keep -1 and 0) and its check_violations, then detaches the
+  /// sanitizer and finalizes it, which throws check::CheckError on any
+  /// violation.
   void finish(RunMetrics& metrics) {
     gpusim::Gpu& gpu = runtime.gpu();
     metrics.total_time = sim.now();
@@ -582,6 +543,10 @@ struct RunScaffold {
     metrics.d2h_bytes = gpu.stats().d2h_bytes;
     metrics.kernel_launches = gpu.stats().kernel_launches;
     metrics.pinned_bytes = runtime.pinned_bytes();
+    const obs::prof::Attribution attribution =
+        obs::prof::attribute(metrics.engine.stage_busy_ps, metrics.total_time);
+    metrics.prof.bottleneck = attribution.bottleneck_index();
+    metrics.prof.overlap_efficiency = attribution.overlap_efficiency;
     if (sanitizer != nullptr) {
       metrics.check_violations = sanitizer->reporter().total();
       sanitizer->uninstall();
@@ -645,7 +610,7 @@ RunMetrics run_gpu_chunked(const gpusim::SystemConfig& config, App& app,
   RunScaffold run(config, sc);
   auto bindings = detail::make_bindings(app.stream_decls());
   run.sim.run_until_complete(detail::gpu_chunked_main(
-      run.runtime, app, bindings, double_buffered, sc));
+      run.runtime, app, bindings, double_buffered ? 2 : 1, sc));
   RunMetrics metrics;
   metrics.scheme = double_buffered ? Scheme::kGpuDoubleBuffer
                                    : Scheme::kGpuSingleBuffer;
@@ -681,12 +646,6 @@ RunMetrics run_bigkernel(const gpusim::SystemConfig& config, App& app,
   run.sim.run_until_complete(
       launch_app(run.runtime, app, launch, &metrics.engine));
   run.finish(metrics);
-  // Run-level attribution comes straight from the engine's stage sums so
-  // prof.bottleneck_stage always agrees with the Fig. 6 breakdown.
-  const obs::prof::Attribution attribution =
-      obs::prof::attribute(metrics.engine.stage_busy_ps, metrics.total_time);
-  metrics.prof.bottleneck = attribution.bottleneck_index();
-  metrics.prof.overlap_efficiency = attribution.overlap_efficiency;
   if (profiler != nullptr) {
     metrics.prof.windows = profiler->window_count();
     metrics.prof.bottleneck_flips = profiler->bottleneck_flips();

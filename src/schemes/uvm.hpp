@@ -26,14 +26,13 @@
 
 namespace bigk::schemes {
 
-struct UvmConfig {
-  std::uint64_t page_bytes = 4 << 10;
-  /// Fraction (percent) of free device memory usable for resident pages.
-  std::uint32_t resident_budget_pct = 80;
-  /// Fault service latency (driver + interrupt + map), on top of the page's
-  /// PCIe transfer time. 2014-era UVM faults were tens of microseconds.
-  sim::DurationPs fault_latency = sim::microseconds(20);
-};
+/// Migration granule of the demand pager.
+inline constexpr std::uint64_t kUvmPageBytes = 4 << 10;
+/// Fraction (percent) of free device memory usable for resident pages.
+inline constexpr std::uint32_t kUvmResidentBudgetPct = 80;
+/// Fault service latency (driver + interrupt + map), on top of the page's
+/// PCIe transfer time. 2014-era UVM faults were tens of microseconds.
+inline constexpr sim::DurationPs kUvmFaultLatency = sim::microseconds(20);
 
 namespace detail {
 
@@ -186,7 +185,7 @@ class GpuUvmCtx {
 /// Runs `app` under demand-paged unified memory: one launch, no pipeline.
 template <class App>
 RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
-                       const SchemeConfig& sc = {}, UvmConfig uvm = {}) {
+                       const SchemeConfig& sc = {}) {
   app.reset();
   RunScaffold run(config, sc);
   auto bindings = detail::make_bindings(app.stream_decls());
@@ -196,19 +195,18 @@ RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
   run.sim.run_until_complete([](cusim::Runtime& rt, App& application,
                                 std::vector<core::StreamBinding>& binds,
                                 decltype(kernel) k, std::uint64_t records,
-                                const SchemeConfig& scheme_config,
-                                UvmConfig cfg) -> sim::Task<> {
+                                const SchemeConfig& scheme_config)
+                                   -> sim::Task<> {
     core::DeviceTables tables =
         co_await core::DeviceTables::upload(rt, application.tables());
 
     const std::uint64_t budget = rt.gpu().memory().free_bytes() *
-                                 cfg.resident_budget_pct / 100;
+                                 kUvmResidentBudgetPct / 100;
     detail::UvmPageTable pages(
-        std::max<std::uint64_t>(1, budget / cfg.page_bytes), cfg.page_bytes);
+        std::max<std::uint64_t>(1, budget / kUvmPageBytes), kUvmPageBytes);
     // Fault stall expressed in warp cycles so it lands on the faulting lane.
-    const double stall_cycles =
-        static_cast<double>(cfg.fault_latency) / 1000.0 *
-        rt.gpu().config().core_clock_ghz;
+    const double stall_cycles = static_cast<double>(kUvmFaultLatency) /
+                                1000.0 * rt.gpu().config().core_clock_ghz;
 
     std::uint64_t h2d_pages = 0;
     std::uint64_t d2h_pages = 0;
@@ -223,27 +221,20 @@ RunMetrics run_gpu_uvm(const gpusim::SystemConfig& config, App& app,
         launch, [&](gpusim::LaneCtx& lane, std::uint32_t) {
           detail::GpuUvmCtx ctx(lane, binds, tables, &pages, stall_cycles,
                                 &h2d_pages, &d2h_pages);
-          const std::uint64_t tid = lane.global_thread();
-          if (application.interleaved_records()) {
-            if (tid < records) k(ctx, tid, records, total_threads);
-          } else {
-            const std::uint64_t per = (records + total_threads - 1) /
-                                      total_threads;
-            const std::uint64_t begin = std::min(tid * per, records);
-            const std::uint64_t end = std::min(begin + per, records);
-            if (begin < end) k(ctx, begin, end, 1);
-          }
+          detail::run_thread_records(k, ctx, lane.global_thread(),
+                                     total_threads, 0, records,
+                                     application.interleaved_records());
         });
 
     // The migrations the faults implied, serialized over PCIe.
-    co_await rt.gpu().h2d_transfer(h2d_pages * cfg.page_bytes);
+    co_await rt.gpu().h2d_transfer(h2d_pages * kUvmPageBytes);
     const std::uint64_t flush = d2h_pages + pages.dirty_resident();
     if (flush > 0) {
-      co_await rt.gpu().d2h_transfer(flush * cfg.page_bytes);
+      co_await rt.gpu().d2h_transfer(flush * kUvmPageBytes);
     }
     co_await tables.download();
     tables.release();
-  }(run.runtime, app, bindings, kernel, num_records, sc, uvm));
+  }(run.runtime, app, bindings, kernel, num_records, sc));
 
   RunMetrics metrics;
   metrics.scheme = Scheme::kGpuSingleBuffer;  // closest bucket for reporting

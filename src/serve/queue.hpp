@@ -23,6 +23,7 @@
 #include <string>
 
 #include "obs/metrics_registry.hpp"
+#include "sim/hash.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::serve {
@@ -123,8 +124,8 @@ class JobQueue {
     }
     if (hint > config_.max_retry_after) hint = config_.max_retry_after;
     if (config_.jitter_seed != 0) {
-      hint += splitmix64(config_.jitter_seed ^ (client * 0x9e3779b97f4a7c15ull)
-                         ^ streak) %
+      hint += sim::splitmix64(config_.jitter_seed ^
+                              (client * sim::kSplitMixGamma) ^ streak) %
               (hint / 4 + 1);
     }
     ++streak;
@@ -177,13 +178,6 @@ class JobQueue {
   }
 
  private:
-  static std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
   Config config_;
   std::uint32_t outstanding_ = 0;
   std::uint32_t peak_depth_ = 0;

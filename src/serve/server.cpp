@@ -7,13 +7,14 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cache/chunk_cache.hpp"
-#include "cache/key.hpp"
 #include "cache/pinned_pool.hpp"
 #include "check/sanitizer.hpp"
 #include "cusim/device_pool.hpp"
@@ -25,6 +26,7 @@
 #include "obs/prof/slo.hpp"
 #include "obs/prof/windowed.hpp"
 #include "serve/health.hpp"
+#include "sim/hash.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 
@@ -49,13 +51,43 @@ std::array<double, 3> percentiles(const obs::prof::QuantileSketch& sketch) {
   return {p50, p95, std::max(p95, sketch.quantile(0.99))};
 }
 
+/// Ceiling of the admission queue's escalating retry-after hint (0 = 8x
+/// ServerConfig::retry_after).
+constexpr sim::DurationPs kRetryAfterCap = 0;
+/// Seed of the admission queue's retry-after jitter (0 = no jitter).
+constexpr std::uint64_t kRetryJitterSeed = 0;
+
+/// The windowed metrics telemetry_tick offers the SLO monitor, in snapshot
+/// order. The monitor skips a metric missing from a snapshot, so a rule on
+/// any other name could never fire; run_server rejects it instead.
+constexpr std::array<std::string_view, 9> kSloMetrics = {
+    "p50_ms",      "p95_ms",      "p99_ms",     "throughput_jobs_per_s",
+    "queue_depth", "utilization", "fault_rate", "h2d_gbps",
+    "d2h_gbps"};
+/// The latency percentiles lead kSloMetrics: they are not observable before
+/// the first job completes.
+constexpr std::size_t kSloPercentiles = 3;
+
+/// The rules of `spec`, each on a metric in kSloMetrics.
+std::vector<obs::prof::SloRule> slo_rules(const std::string& spec) {
+  std::vector<obs::prof::SloRule> rules = obs::prof::parse_slo_rules(spec);
+  for (const obs::prof::SloRule& rule : rules) {
+    if (std::find(kSloMetrics.begin(), kSloMetrics.end(), rule.metric) ==
+        kSloMetrics.end()) {
+      std::string valid;
+      for (const std::string_view name : kSloMetrics) (valid += ' ') += name;
+      throw std::invalid_argument("slo_spec: serve publishes no metric '" +
+                                  rule.metric + "' (valid:" + valid + ")");
+    }
+  }
+  return rules;
+}
+
 /// Cache dataset identity of an app's generated input: apps regenerate the
 /// same dataset from the same seed on every runner, so the app name is the
 /// dataset.
 std::uint64_t dataset_id_of(const std::string& app) {
-  cache::Fnv1a hash;
-  hash.mix_bytes(app.data(), app.size());
-  return hash.state;
+  return sim::digest_bytes(std::as_bytes(std::span(app)));
 }
 
 struct Job {
@@ -174,11 +206,11 @@ struct ServerState {
       : config(cfg),
         pool(sim, cfg.system, cfg.devices),
         queue(JobQueue::Config{cfg.queue_depth, cfg.retry_after,
-                               cfg.retry_after_cap, cfg.retry_jitter_seed}),
+                               kRetryAfterCap, kRetryJitterSeed}),
         scheduler(cfg.policy, pool.size()),
         health(pool.size(), HealthMonitor::Config{cfg.quarantine_after,
                                                   cfg.reinstate_after}),
-        slo(obs::prof::parse_slo_rules(cfg.slo_spec)) {
+        slo(slo_rules(cfg.slo_spec)) {
     metrics_scope = cfg.metrics_prefix.empty()
                         ? std::string("serve.") + policy_name(cfg.policy) +
                               ".devices" + std::to_string(pool.size())
@@ -604,23 +636,27 @@ void telemetry_tick(ServerState& st) {
   }
 
   if (!st.slo.rules().empty()) {
-    std::map<std::string, double> values;
-    if (st.latency_sketch.count() > 0) {
-      const auto [p50, p95, p99] = percentiles(st.latency_sketch);
-      values["p50_ms"] = p50;
-      values["p95_ms"] = p95;
-      values["p99_ms"] = p99;
-    }
-    values["throughput_jobs_per_s"] = st.completions->rate_per_s(now);
-    values["queue_depth"] =
+    const bool completed = st.latency_sketch.count() > 0;
+    const std::array<double, 3> latency =
+        completed ? percentiles(st.latency_sketch) : std::array<double, 3>{};
+    const std::array<double, kSloMetrics.size()> snapshot = {
+        latency[0],
+        latency[1],
+        latency[2],
+        st.completions->rate_per_s(now),
         st.queue_depth_window->events(now) > 0
             ? st.queue_depth_window->sum(now) /
                   static_cast<double>(st.queue_depth_window->events(now))
-            : static_cast<double>(st.queue.outstanding());
-    values["utilization"] = utilization;
-    values["fault_rate"] = fault_rate;
-    values["h2d_gbps"] = st.h2d_window->sum_per_s(now) / 1e9;
-    values["d2h_gbps"] = st.d2h_window->sum_per_s(now) / 1e9;
+            : static_cast<double>(st.queue.outstanding()),
+        utilization,
+        fault_rate,
+        st.h2d_window->sum_per_s(now) / 1e9,
+        st.d2h_window->sum_per_s(now) / 1e9};
+    std::map<std::string, double> values;
+    for (std::size_t i = completed ? 0 : kSloPercentiles;
+         i < kSloMetrics.size(); ++i) {
+      values.emplace(kSloMetrics[i], snapshot[i]);
+    }
     st.slo.evaluate(now, values);
   }
 }

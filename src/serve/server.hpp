@@ -53,7 +53,8 @@ struct ServerConfig {
 
   /// Admission control: max admitted-but-unfinished jobs across the pool.
   std::uint32_t queue_depth = 16;
-  /// Retry-after hint returned on rejection.
+  /// Retry-after hint returned on a client's first rejection; it doubles per
+  /// consecutive rejection up to 8x, with no jitter.
   sim::DurationPs retry_after = sim::DurationPs{1'000'000'000};  // 1 ms
   /// Resubmissions a client attempts before giving up (0 = no retries).
   std::uint32_t max_retries = 64;
@@ -98,11 +99,6 @@ struct ServerConfig {
   /// bigkdur flap damping: consecutive clean probes a quarantined device
   /// must pass before reinstatement (1 = first clean probe reinstates).
   std::uint32_t reinstate_after = 1;
-  /// Ceiling for the per-client escalating retry-after hint (0 = 8x
-  /// retry_after; equal to retry_after disables escalation).
-  sim::DurationPs retry_after_cap = 0;
-  /// Seed for the deterministic retry-after jitter (0 = no jitter).
-  std::uint64_t retry_jitter_seed = 0;
 
   // --- bigkprof -----------------------------------------------------------
   /// Attribution / telemetry window: every device gets a StageProfiler with
@@ -113,7 +109,8 @@ struct ServerConfig {
   /// Declarative SLO rules over the windowed metrics, ';'-separated
   /// "<metric> <op> <threshold>" (obs::prof::parse_slo_rules grammar).
   /// Metrics: p50_ms p95_ms p99_ms throughput_jobs_per_s queue_depth
-  /// utilization fault_rate h2d_gbps d2h_gbps. Empty = no rules.
+  /// utilization fault_rate h2d_gbps d2h_gbps; run_server throws
+  /// std::invalid_argument on a rule over any other name. Empty = no rules.
   std::string slo_spec;
 
   // --- bigkload QoS plane --------------------------------------------------

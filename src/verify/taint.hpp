@@ -32,6 +32,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/hash.hpp"
+
 namespace bigk::verify {
 
 /// Taint lattice as a bitmask; join is bitwise-or.
@@ -99,7 +101,7 @@ class TaintMonitor {
     // Cap the perturbation so a (contract-violating) loop guarded by a
     // tainted condition still terminates under random outcomes.
     if (perturb_ && branches_.size() < kMaxPerturbedBranches) {
-      outcome = ((next() >> 33) & 1) != 0;
+      outcome = ((rng_.next() >> 33) & 1) != 0;
     }
     branches_.push_back(BranchEvent{origin, taint, thread_, outcome});
     return outcome;
@@ -113,13 +115,6 @@ class TaintMonitor {
   friend class TaintScope;
   static constexpr std::size_t kMaxPerturbedBranches = 1u << 16;
 
-  std::uint64_t next() {  // splitmix64
-    std::uint64_t z = (rng_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
   // The installed monitor. A plain static, not thread_local: the simulator
   // runs on one OS thread (see scripts/ci.sh), and UBSan reported every
   // access to the thread_local as a null-pointer store or load.
@@ -127,7 +122,7 @@ class TaintMonitor {
 
   std::vector<Site> sites_;
   std::vector<BranchEvent> branches_;
-  std::uint64_t rng_;
+  sim::SplitMix64 rng_;
   bool perturb_;
   std::uint32_t thread_ = 0;
 };
@@ -280,13 +275,8 @@ constexpr Tainted<To> value_cast(const Tainted<From>& value) {
 /// ADL overload of apps::fnv1a for tainted hashes (same fold, joined taint).
 constexpr Tainted<std::uint64_t> fnv1a(Tainted<std::uint64_t> hash,
                                        Tainted<std::uint64_t> value) {
-  std::uint64_t h = hash.v;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value.v >> (i * 8)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
   return Tainted<std::uint64_t>(
-      h, hash.taint | value.taint,
+      sim::fnv1a(hash.v, value.v), hash.taint | value.taint,
       detail::join_origin(hash.taint, hash.origin, value.taint, value.origin));
 }
 

@@ -34,8 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/key.hpp"
 #include "core/stream.hpp"
+#include "sim/hash.hpp"
 #include "verify/affine.hpp"
 #include "verify/contracts.hpp"
 #include "verify/seq_ctx.hpp"
@@ -449,7 +449,7 @@ KernelReport verify_app(App& app, const VerifyOptions& opts = {}) {
   // ---- verdict + pattern signature ---------------------------------------
   report.passed = report.checks.all();
   if (report.passed) {
-    cache::Fnv1a hash;
+    sim::Digest hash;
     for (const StreamReport& stream : report.streams) {
       hash.mix(stream.stream);
       hash.mix(bindings[stream.stream].elem_size);
@@ -463,7 +463,7 @@ KernelReport verify_app(App& app, const VerifyOptions& opts = {}) {
         hash.mix(static_cast<std::uint64_t>(stride));
       }
     }
-    report.pattern_signature = hash.state;
+    report.pattern_signature = hash.value();
   }
   return report;
 }

@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "dur/checksum.hpp"
 #include "dur/integrity.hpp"
 #include "fault/fault.hpp"
 #include "gpusim/device_memory.hpp"
+#include "sim/hash.hpp"
 
 namespace bigk::cache {
 namespace {
@@ -51,7 +51,7 @@ struct ScrubFixture {
       image[i] = static_cast<std::byte>(fill + i);
     }
     const std::uint64_t digest =
-        dur::checksum_bytes({image.data(), image.size()});
+        sim::digest_bytes({image.data(), image.size()});
     const auto lease = cache.insert(key_for(chunk), bytes, now, digest);
     EXPECT_TRUE(lease.has_value());
     auto dev = memory.bytes_mut(lease->dev_base, bytes);

@@ -100,6 +100,27 @@ TEST(HeteroRun, SingleChunkJobRunsInOneRound) {
 // degrades the GPU side alone; the balancer must observe the slowdown and
 // finish with a higher CPU share than the fault-free run — with the same
 // bytes in the tables.
+TEST(HeteroRun, RunLevelAttributionIsTheEngineStageArgmax) {
+  // The run-level attribution is computed once, in RunScaffold::finish, from
+  // the engine's stage sums, so a hetero run reports its GPU side's
+  // bottleneck.
+  apps::WordCountApp app({.data_bytes = 1 << 19, .seed = 1003});
+  schemes::SchemeConfig sc = tiny_scheme_config();
+  sc.hetero.cpu_ratio = 0.25;
+  sc.hetero.dynamic = false;
+  const schemes::RunMetrics metrics = run_hetero(tiny_config(), app, sc);
+  const auto& busy = metrics.engine.stage_busy_ps;
+  const auto argmax = std::max_element(busy.begin(), busy.end());
+  ASSERT_GT(*argmax, 0u);
+  EXPECT_EQ(metrics.prof.bottleneck, argmax - busy.begin());
+  EXPECT_STRNE(metrics.bottleneck_stage_name(), "n/a");
+  sim::DurationPs busy_sum = 0;
+  for (const sim::DurationPs stage : busy) busy_sum += stage;
+  EXPECT_DOUBLE_EQ(metrics.prof.overlap_efficiency,
+                   std::max(0.0, 1.0 - static_cast<double>(metrics.total_time) /
+                                           static_cast<double>(busy_sum)));
+}
+
 TEST(HeteroRun, GpuStallFaultShiftsRatioTowardCpu) {
   schemes::SchemeConfig sc = tiny_scheme_config();
   sc.hetero.dynamic = true;

@@ -296,6 +296,14 @@ TEST(ServeServerTest, ZeroAutoscalerPeriodIsRejected) {
   expect_rejected(config, "qos.autoscaler.period");
 }
 
+TEST(ServeServerTest, SloRuleOnAnUnpublishedMetricIsRejected) {
+  // The monitor skips a metric missing from the tick's snapshot, so a typo
+  // ("p99ms") would never fire and the run would report 0 violations.
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.slo_spec = "utilization >= 0; p99ms <= 5";
+  expect_rejected(config, "p99ms");
+}
+
 TEST(ServeServerTest, ExportsMetricsGauges) {
   const auto suite = make_toy_suite(2, 4'000);
   const auto specs = toy_workload(4, 2);
