@@ -21,6 +21,7 @@
 // Command-line knobs (stripped before google-benchmark sees argv):
 //   --metrics-json=<file>  write every RunMetrics plus the telemetry
 //                          counters as one JSON document after the run
+//                          (scripts/bench_compare.py gates its results)
 //   --trace-out=<file>     record a unified Chrome-tracing/Perfetto
 //                          timeline across all benchmark runs
 //   --check                run every scheme under the bigkcheck sanitizers
@@ -53,9 +54,6 @@
 //                          ("p99_ms <= 5; utilization >= 0.2", see
 //                          obs::prof::parse_slo_rules) evaluated once per
 //                          profiling window
-//   --bench-prof=<file>    write the canonical BENCH_prof.json performance
-//                          baseline (per-result total/stage-busy/bottleneck/
-//                          traffic) for scripts/bench_compare.py
 //   --arrival <spec>       bigkload benches: arrival-process spec
 //                          (load::ArrivalSpec::parse grammar, e.g.
 //                          "poisson,rate=20000,seed=7" or "mmpp,rate=...")
@@ -263,15 +261,12 @@ class Harness {
   // bigkfault knobs (--fault / --fault-seed).
   const std::string& fault_spec() const noexcept { return fault_spec_; }
   std::uint64_t fault_seed() const noexcept { return fault_seed_; }
-  // bigkprof knobs (--prof-window / --slo / --bench-prof).
+  // bigkprof knobs (--prof-window / --slo).
   /// Attribution window in picoseconds (0 = not requested).
   sim::DurationPs prof_window() const noexcept {
     return static_cast<sim::DurationPs>(prof_window_us_) * sim::kMicrosecond;
   }
   const std::string& slo_spec() const noexcept { return slo_spec_; }
-  const std::string& bench_prof_path() const noexcept {
-    return bench_prof_path_;
-  }
   // bigkload knobs (--arrival / --tenants / --duration / --offered-load).
   const std::string& arrival_spec() const noexcept { return arrival_spec_; }
   const std::string& tenants_spec() const noexcept { return tenants_spec_; }
@@ -324,17 +319,6 @@ class Harness {
                     trace_path_.c_str());
       }
     }
-    if (!bench_prof_path_.empty()) {
-      std::ofstream out(bench_prof_path_);
-      write_bench_prof(out);
-      if (!out.good()) {
-        std::fprintf(stderr, "error: cannot write bench prof baseline to %s\n",
-                     bench_prof_path_.c_str());
-        ok = false;
-      } else {
-        std::printf("bench prof baseline: %s\n", bench_prof_path_.c_str());
-      }
-    }
     return ok;
   }
 
@@ -356,44 +340,6 @@ class Harness {
     out << "],\"counters\":";
     metrics.write_json_array(out);
     out << "}\n";
-  }
-
-  /// The --bench-prof document consumed by scripts/bench_compare.py: one
-  /// entry per benchmark result with the timing, attribution, and traffic
-  /// signals the regression gate diffs against a committed baseline. The
-  /// result store is an ordered map and every value comes from the
-  /// deterministic simulation, so two runs of the same build produce
-  /// byte-identical documents.
-  void write_bench_prof(std::ostream& out) const {
-    const auto ms = [](sim::DurationPs ps) {
-      return static_cast<double>(ps) / 1e9;
-    };
-    out << "{\"benchmark\":" << obs::json_quote(name_)
-        << ",\"scale\":" << obs::json_number(ctx.scaled.scale)
-        << ",\"schema\":1,\"entries\":{";
-    bool first = true;
-    for (const auto& [key, run_metrics] : results) {
-      if (!first) out << ',';
-      first = false;
-      out << obs::json_quote(key)
-          << ":{\"total_ms\":" << obs::json_number(ms(run_metrics.total_time))
-          << ",\"bottleneck_stage\":"
-          << obs::json_quote(run_metrics.bottleneck_stage_name())
-          << ",\"overlap_efficiency\":"
-          << obs::json_number(run_metrics.prof.overlap_efficiency)
-          << ",\"stage_busy_ms\":{";
-      bool first_stage = true;
-      for (obs::Stage stage : obs::all_stages()) {
-        if (!first_stage) out << ',';
-        first_stage = false;
-        out << obs::json_quote(obs::stage_name(stage)) << ':'
-            << obs::json_number(ms(run_metrics.engine.stage_busy(stage)));
-      }
-      out << "},\"h2d_bytes\":" << run_metrics.h2d_bytes
-          << ",\"d2h_bytes\":" << run_metrics.d2h_bytes
-          << ",\"chunks\":" << run_metrics.engine.chunks << '}';
-    }
-    out << "}}\n";
   }
 
  private:
@@ -445,8 +391,6 @@ class Harness {
         prof_window_us_ = parse_positive<std::uint32_t>(value, "--prof-window");
       } else if (take(&i, arg, "--slo")) {
         slo_spec_ = value;
-      } else if (take(&i, arg, "--bench-prof")) {
-        bench_prof_path_ = value;
       } else if (take(&i, arg, "--arrival")) {
         arrival_spec_ = value;
       } else if (take(&i, arg, "--tenants")) {
@@ -488,8 +432,6 @@ class Harness {
         "                         microseconds (0 = run-level only)\n"
         "  --slo <rules>          serving benches: ';'-separated SLO rules,\n"
         "                         e.g. \"p99_ms <= 5; utilization >= 0.2\"\n"
-        "  --bench-prof=<file>    write the BENCH_prof.json perf baseline\n"
-        "                         (input to scripts/bench_compare.py)\n"
         "  --arrival <spec>       bigkload: arrival process, e.g.\n"
         "                         \"poisson,rate=20000,seed=7\"\n"
         "  --tenants <spec>       bigkload: ';'-separated tenant specs\n"
@@ -517,7 +459,6 @@ class Harness {
   std::optional<fault::FaultPlane> fault_plane_;
   std::uint32_t prof_window_us_ = 0;
   std::string slo_spec_;
-  std::string bench_prof_path_;
   std::string arrival_spec_;
   std::string tenants_spec_;
   std::uint32_t duration_us_ = 0;

@@ -99,7 +99,7 @@ void print_report_line(const std::string& name,
                 tenant.weight,
                 static_cast<unsigned long long>(tenant.submitted),
                 static_cast<unsigned long long>(tenant.completed),
-                static_cast<unsigned long long>(tenant.shed),
+                static_cast<unsigned long long>(tenant.dropped),
                 tenant.slo_attainment,
                 static_cast<double>(tenant.latency_p99) / 1e9);
   }

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over a --bench-prof baseline (bench/BENCH_prof.json
-for fig6_stages, bench/BENCH_fig4a.json for fig4a_speedup).
+"""Perf-regression gate over a bench baseline (bench/BENCH_prof.json for
+fig6_stages, bench/BENCH_fig4a.json for fig4a_speedup, bench/BENCH_serve.json
+for serve_throughput).
 
-Compares a freshly produced bench-prof document against a committed baseline
-and fails (exit 1) on any regression outside tolerance:
+Builds the current entries from a bench's --metrics-json results array and
+fails (exit 1) on any regression outside tolerance against the committed
+baseline:
 
   * total_ms / per-stage stage_busy_ms: current may not exceed baseline by
     more than --tolerance (default 2%),
@@ -22,13 +24,13 @@ must report zero regressions; improvements (current faster than baseline)
 never fail, they are just reported.
 
 Usage:
-  bench_compare.py --baseline bench/BENCH_prof.json --current out.json
+  bench_compare.py --baseline bench/BENCH_prof.json --current metrics.json
   bench_compare.py --baseline bench/BENCH_prof.json \
                    --bench build/bench/fig6_stages --scale 0.001
   bench_compare.py ... --update        # rewrite the baseline and exit 0
 
 With --bench, the binary is run with BIGK_SCALE=<scale> and
---bench-prof=<tmpfile> to produce the current document.
+--metrics-json=<tmpfile> to produce the current document.
 """
 
 import argparse
@@ -45,11 +47,15 @@ def fail(message):
     sys.exit(1)
 
 
-def load_document(path):
+def read_json(path):
     try:
-        document = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as error:
         fail(f"cannot read {path}: {error}")
+
+
+def load_document(path):
+    document = read_json(path)
     for key in ("benchmark", "schema", "entries"):
         if key not in document:
             fail(f'{path}: missing "{key}" field')
@@ -60,6 +66,47 @@ def load_document(path):
     return document
 
 
+def entries_from_metrics(path):
+    """The gated fields of every result in a --metrics-json document, as a
+    baseline-schema document."""
+    metrics = read_json(path)
+    entries = {}
+    for result in metrics.get("results", []):
+        run = result["metrics"]
+        entries[result["name"]] = {
+            "total_ms": run["total_ms"],
+            "bottleneck_stage": run["prof"]["bottleneck_stage"],
+            "overlap_efficiency": run["prof"]["overlap_efficiency"],
+            "stage_busy_ms": run["engine"]["stage_busy_ms"],
+            "h2d_bytes": run["h2d_bytes"],
+            "d2h_bytes": run["d2h_bytes"],
+            "chunks": run["engine"]["chunks"],
+        }
+    if not entries:
+        fail(f'{path}: "results" is empty')
+    return {
+        "benchmark": metrics["benchmark"],
+        "scale": metrics["scale"],
+        "schema": 1,
+        "entries": entries,
+    }
+
+
+def serialize(value):
+    """Compact JSON with numbers formatted as obs::json_number formats them
+    (integral values without a fraction, others to 9 significant digits), so
+    a document rewritten from the same run is byte-identical."""
+    if isinstance(value, dict):
+        return "{" + ",".join(
+            f"{serialize(key)}:{serialize(item)}" for key, item in value.items()
+        ) + "}"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, float) and not value.is_integer():
+        return "%.9g" % value
+    return str(int(value))
+
+
 def run_bench(binary, scale, out_path, extra_args):
     binary = Path(binary).resolve()
     if not binary.exists():
@@ -67,7 +114,7 @@ def run_bench(binary, scale, out_path, extra_args):
     env = dict(os.environ)
     if scale is not None:
         env["BIGK_SCALE"] = str(scale)
-    command = [str(binary), f"--bench-prof={out_path}"] + list(extra_args)
+    command = [str(binary), f"--metrics-json={out_path}"] + list(extra_args)
     result = subprocess.run(
         command, capture_output=True, text=True, timeout=1200, env=env
     )
@@ -77,7 +124,7 @@ def run_bench(binary, scale, out_path, extra_args):
             f"{result.stdout}\n{result.stderr}"
         )
     if not Path(out_path).exists():
-        fail(f"{binary.name} wrote no bench-prof document to {out_path}")
+        fail(f"{binary.name} wrote no metrics document to {out_path}")
 
 
 def compare_entry(key, base, cur, args, problems):
@@ -141,10 +188,10 @@ def main():
     parser.add_argument("--baseline", required=True,
                         help="committed BENCH_prof.json to compare against")
     parser.add_argument("--current",
-                        help="bench-prof document produced by this build")
+                        help="--metrics-json document produced by this build")
     parser.add_argument("--bench",
                         help="bench binary to run (writes the current "
-                             "document itself via --bench-prof)")
+                             "document itself via --metrics-json)")
     parser.add_argument("--scale", type=float,
                         help="BIGK_SCALE for --bench (default: environment)")
     parser.add_argument("--bench-args", nargs=argparse.REMAINDER, default=[],
@@ -169,19 +216,17 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         current_path = args.current
         if args.bench:
-            current_path = Path(tmp) / "bench_prof.json"
+            current_path = Path(tmp) / "metrics.json"
             run_bench(args.bench, args.scale, current_path, args.bench_args)
-        current = load_document(current_path)
+        current = entries_from_metrics(current_path)
 
-        if args.update:
-            Path(args.baseline).write_text(
-                Path(current_path).read_text()
-            )
-            print(f"bench_compare: baseline updated: {args.baseline} "
-                  f"({len(current['entries'])} entries)")
-            return
+    if args.update:
+        Path(args.baseline).write_text(serialize(current) + "\n")
+        print(f"bench_compare: baseline updated: {args.baseline} "
+              f"({len(current['entries'])} entries)")
+        return
 
-        baseline = load_document(args.baseline)
+    baseline = load_document(args.baseline)
 
     if baseline["benchmark"] != current["benchmark"]:
         fail(

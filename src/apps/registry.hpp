@@ -44,6 +44,10 @@ struct CpuJobConfig {
   /// When set, the runner writes the sim time at which kernel execution
   /// finished (there is no separate write-back phase on the CPU path).
   sim::TimePs* exec_done = nullptr;
+  /// Record window [rec_begin, rec_end) to execute, as in JobRunConfig: 0/0
+  /// = the whole job, and only rec_begin == 0 resets the output state.
+  std::uint64_t rec_begin = 0;
+  std::uint64_t rec_end = 0;
 };
 
 /// One runnable instance of a benchmark application, type-erased so the
@@ -66,10 +70,10 @@ class JobRunner {
   /// makes): upload tables, launch, download, release.
   virtual sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) = 0;
 
-  /// Executes this app entirely on host cores (bigkhetero spill path),
-  /// through the same cpu_fan_out schemes::run_cpu uses. Produces
-  /// output identical to run() — the kernels are partition-invariant and
-  /// execution-side agnostic.
+  /// Executes cfg's record window of this app on host cores (bigkhetero
+  /// spill path), through the same cpu_fan_out schemes::run_cpu uses.
+  /// Produces output identical to run() — the kernels are
+  /// partition-invariant and execution-side agnostic.
   virtual sim::Task<> run_cpu(hostsim::HostCpu& cpu,
                               const CpuJobConfig& cfg) = 0;
 
@@ -114,10 +118,12 @@ class AppJobRunner : public JobRunner {
 
   sim::Task<> run_cpu(hostsim::HostCpu& cpu,
                       const CpuJobConfig& cfg) override {
-    app_.reset();
+    if (cfg.rec_begin == 0) app_.reset();
     auto bindings = schemes::detail::make_bindings(app_.stream_decls());
+    const auto [begin, end] = schemes::record_window(
+        cfg.rec_begin, cfg.rec_end, app_.num_records());
     co_await schemes::detail::cpu_fan_out(
-        cpu, bindings, app_.tables(), app_.kernel(), 0, app_.num_records(),
+        cpu, bindings, app_.tables(), app_.kernel(), begin, end,
         cfg.threads > 0 ? cfg.threads : cpu.config().hw_threads,
         schemes::kCpuBatchRecords);
     if (cfg.exec_done != nullptr) *cfg.exec_done = cpu.sim().now();

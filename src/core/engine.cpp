@@ -9,6 +9,11 @@
 namespace bigk::core {
 
 namespace {
+/// Per-thread registers and per-block shared memory of the BigKernel launch
+/// shape, which bound its occupancy (§IV.D).
+constexpr std::uint32_t kRegsPerThread = 32;
+constexpr std::uint32_t kSharedBytesPerBlock = 8 << 10;
+
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
   return b == 0 ? 0 : (a + b - 1) / b;
 }
@@ -35,8 +40,8 @@ Engine::Geometry Engine::plan(std::uint64_t num_records) {
   gpusim::KernelLaunch probe;
   probe.num_blocks = options_.num_blocks;
   probe.threads_per_block = 2 * options_.compute_threads_per_block;
-  probe.regs_per_thread = options_.regs_per_thread;
-  probe.shared_bytes_per_block = options_.shared_bytes_per_block;
+  probe.regs_per_thread = kRegsPerThread;
+  probe.shared_bytes_per_block = kSharedBytesPerBlock;
   geometry.blocks = runtime_.gpu().max_active_blocks(probe);
   if (geometry.blocks == 0) {
     throw std::invalid_argument("BigKernel launch shape fits no SM");
@@ -81,13 +86,18 @@ gpusim::KernelLaunch Engine::launch_shape() const {
   gpusim::KernelLaunch shape;
   shape.num_blocks = geometry_.blocks;
   shape.threads_per_block = 2 * options_.compute_threads_per_block;
-  shape.regs_per_thread = options_.regs_per_thread;
-  shape.shared_bytes_per_block = options_.shared_bytes_per_block;
+  shape.regs_per_thread = kRegsPerThread;
+  shape.shared_bytes_per_block = kSharedBytesPerBlock;
   return shape;
 }
 
 void Engine::build_blocks(std::uint64_t num_records) {
   release_buffers();
+  // Ring buffers come from the attached pool, or from one that lives for
+  // this launch only, so without an attached pool nothing is reused across
+  // launches. Either way every ring slot is a pinned_alloc_fail site.
+  if (pinned_pool_ == nullptr) launch_pool_.emplace(runtime_);
+  cache::PinnedPool& pool = ring_pool();
   auto& memory = runtime_.gpu().memory();
   const std::uint32_t c_threads = options_.compute_threads_per_block;
   const std::uint32_t depth = options_.buffer_depth;
@@ -152,43 +162,37 @@ void Engine::build_blocks(std::uint64_t num_records) {
         slot_addr_bytes +=
             std::uint64_t{c_threads} * stage.slots_per_thread * 8;
       }
-      if (pinned_pool_ != nullptr) {
-        cache::PinnedPool::Buffer buffer;
-        try {
-          buffer = pinned_pool_->acquire(total);
-        } catch (const fault::PinnedAllocError&) {
-          if (slot_idx < 2) {
-            // A ring needs two slots to pipeline at all; below that the
-            // failure is fatal and propagates to the caller.
-            throw;
-          }
-          // Graceful degradation: run this block with the slots already
-          // built. The extra ring tokens are withheld permanently so the
-          // pipeline never acquires the abandoned slot.
-          for (std::size_t a = device_allocs_.size(); a > allocs_before; --a) {
-            memory.free_offset(device_allocs_[a - 1]);
-          }
-          device_allocs_.resize(allocs_before);
-          block->slots.resize(slot_idx);
-          block->depth = slot_idx;
-          for (std::uint32_t k = slot_idx; k < depth; ++k) {
-            block->ring.try_acquire();
-          }
-          degraded_ = true;
-          ++metrics_.degraded_blocks;
-          if (fault::FaultPlane* plane = runtime_.fault_plane()) {
-            plane->on_degraded();
-            plane->on_recovered(fault::FaultKind::kPinnedAllocFail);
-          }
-          break;
+      cache::PinnedPool::Buffer buffer;
+      try {
+        buffer = pool.acquire(total);
+      } catch (const fault::PinnedAllocError&) {
+        if (slot_idx < 2) {
+          // A ring needs two slots to pipeline at all; below that the
+          // failure is fatal and propagates to the caller.
+          throw;
         }
-        slot.prefetch = std::move(buffer.data);
-        slot.prefetch_region = buffer.region;
-      } else {
-        slot.prefetch.resize(total);
-        slot.prefetch_region = runtime_.next_region_id();
-        runtime_.note_pinned(total);
+        // Graceful degradation: run this block with the slots already
+        // built. The extra ring tokens are withheld permanently so the
+        // pipeline never acquires the abandoned slot.
+        for (std::size_t a = device_allocs_.size(); a > allocs_before; --a) {
+          memory.free_offset(device_allocs_[a - 1]);
+        }
+        device_allocs_.resize(allocs_before);
+        block->slots.resize(slot_idx);
+        block->depth = slot_idx;
+        for (std::uint32_t k = slot_idx; k < depth; ++k) {
+          block->ring.try_acquire();
+        }
+        degraded_ = true;
+        ++metrics_.degraded_blocks;
+        if (fault::FaultPlane* plane = runtime_.fault_plane()) {
+          plane->on_degraded();
+          plane->on_recovered(fault::FaultKind::kPinnedAllocFail);
+        }
+        break;
       }
+      slot.prefetch = std::move(buffer.data);
+      slot.prefetch_region = buffer.region;
       pinned_addr_bytes += slot_addr_bytes;
     }
     block->slot_leases.resize(block->depth);
@@ -202,17 +206,14 @@ void Engine::release_buffers() {
     runtime_.gpu().memory().free_offset(offset);
   }
   device_allocs_.clear();
-  if (pinned_pool_ != nullptr) {
-    for (auto& block : blocks_) {
-      for (ChunkSlot& slot : block->slots) {
-        if (slot.prefetch.empty() && slot.prefetch_region == 0) continue;
-        pinned_pool_->release(cache::PinnedPool::Buffer{
-            std::move(slot.prefetch), slot.prefetch_region});
-        slot.prefetch_region = 0;
-      }
+  for (auto& block : blocks_) {
+    for (ChunkSlot& slot : block->slots) {
+      ring_pool().release(cache::PinnedPool::Buffer{std::move(slot.prefetch),
+                                                    slot.prefetch_region});
     }
   }
   blocks_.clear();
+  launch_pool_.reset();
 }
 
 Engine::Range Engine::thread_chunk_range(const BlockState& block,
@@ -454,7 +455,7 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
       }
     }
     if (failed.empty()) break;
-    if (attempt >= options_.recovery.max_chunk_retries) {
+    if (attempt >= kMaxChunkRetries) {
       const std::string what =
           "block " + std::to_string(block.index) + " chunk " +
           std::to_string(chunk) + " H2D still failing after " +
@@ -465,7 +466,7 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
       co_return;
     }
     // Capped exponential backoff before the redo.
-    const sim::DurationPs backoff = options_.recovery.backoff_for(attempt);
+    const sim::DurationPs backoff = retry_backoff_for(attempt);
     co_await sim().delay(backoff);
     if (aborted_) co_return;
     ++metrics_.chunk_retries;

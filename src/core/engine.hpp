@@ -194,7 +194,8 @@ class Engine {
 
   /// Attaches a pinned assembly-buffer pool (externally owned): per-slot
   /// prefetch buffers are acquired from / released to it instead of being
-  /// freshly pinned every launch. nullptr detaches.
+  /// freshly pinned every launch. nullptr detaches: each launch then takes
+  /// its ring buffers from a pool of its own.
   void set_pinned_pool(cache::PinnedPool* pool) noexcept {
     pinned_pool_ = pool;
   }
@@ -409,6 +410,11 @@ class Engine {
   std::uint64_t cache_dataset_ = 0;
   std::uint64_t static_signature_ = 0;  // bigkstatic pattern signature
   cache::PinnedPool* pinned_pool_ = nullptr;  // externally owned, optional
+  /// Without an attached pool, the ring buffers' pool for one launch.
+  std::optional<cache::PinnedPool> launch_pool_;
+  cache::PinnedPool& ring_pool() {
+    return pinned_pool_ != nullptr ? *pinned_pool_ : *launch_pool_;
+  }
 
   // --- bigkdur -----------------------------------------------------------
   dur::Integrity* integrity_ = nullptr;  // externally owned, optional

@@ -10,6 +10,20 @@
 
 namespace bigk::core {
 
+/// Re-issued H2D rounds per chunk before a launch aborts with
+/// fault::DmaError.
+constexpr std::uint32_t kMaxChunkRetries = 4;
+/// Backoff before the first chunk retry; doubles per attempt, capped at 16x.
+constexpr sim::DurationPs kRetryBackoff = 200'000'000;  // 200 us
+
+/// Backoff before chunk retry `attempt` (0-based): kRetryBackoff doubled per
+/// attempt, capped at 16x. Deterministic — the recovery tests assert the
+/// exact sequence.
+inline sim::DurationPs retry_backoff_for(std::uint32_t attempt) {
+  return std::min<sim::DurationPs>(
+      kRetryBackoff << std::min<std::uint32_t>(attempt, 4), kRetryBackoff * 16);
+}
+
 struct Options {
   /// Computation threads per block; the engine launches twice as many GPU
   /// threads (half address generation, half computation, §III). Must be a
@@ -29,9 +43,6 @@ struct Options {
   /// blocks => larger buffers).
   std::uint64_t data_buf_bytes = 0;
 
-  std::uint32_t regs_per_thread = 32;
-  std::uint32_t shared_bytes_per_block = 8 << 10;
-
   // --- Feature toggles -------------------------------------------------
   /// Transfer only the elements the kernel will access (off = fetch the
   /// whole chunk, the paper's fallback / "overlap only" variant).
@@ -45,27 +56,13 @@ struct Options {
   bool locality_assembly = true;
 
   // --- bigkfault recovery policy ----------------------------------------
-  /// How the engine responds to faults injected by the runtime's
-  /// fault::FaultPlane (dma_error / ecc_corrupt retries, stage_stall
-  /// watchdog). Inert when no plane is attached.
+  /// How the engine responds to a stage_stall the runtime's
+  /// fault::FaultPlane injects (the chunk-retry ladder is kMaxChunkRetries
+  /// and retry_backoff_for). Inert when no plane is attached.
   struct Recovery {
-    /// Re-issued H2D rounds per chunk before the launch aborts with
-    /// fault::DmaError.
-    std::uint32_t max_chunk_retries = 4;
-    /// Backoff before the first retry; doubles per attempt, capped at 16x.
-    sim::DurationPs retry_backoff = 200'000'000;  // 200 us
     /// An assembly stall at or past this converts into fault::TimeoutError
     /// (the stage watchdog) instead of being absorbed as a delay.
     sim::DurationPs watchdog_timeout = 50'000'000'000;  // 50 ms
-
-    /// Backoff before retry `attempt` (0-based): retry_backoff doubled per
-    /// attempt, capped at 16x. Deterministic — the recovery tests assert the
-    /// exact sequence.
-    sim::DurationPs backoff_for(std::uint32_t attempt) const {
-      return std::min<sim::DurationPs>(
-          retry_backoff << std::min<std::uint32_t>(attempt, 4),
-          retry_backoff * 16);
-    }
   };
   Recovery recovery{};
 

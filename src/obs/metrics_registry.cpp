@@ -138,12 +138,6 @@ std::string MetricsRegistry::entry_json(const Entry& entry) const {
   return line;
 }
 
-void MetricsRegistry::write_jsonl(std::ostream& out) const {
-  for (const auto& entry : entries_) {
-    out << entry_json(*entry) << '\n';
-  }
-}
-
 void MetricsRegistry::write_json_array(std::ostream& out,
                                        const char* indent) const {
   out << '[';
@@ -152,38 +146,6 @@ void MetricsRegistry::write_json_array(std::ostream& out,
   }
   if (!entries_.empty()) out << '\n';
   out << ']';
-}
-
-void MetricsRegistry::write_csv(std::ostream& out) const {
-  out << "type,name,value,count,sum,min,max,bucket_le,bucket_count\n";
-  for (const auto& entry : entries_) {
-    switch (entry->kind) {
-      case Kind::kCounter:
-        out << "counter," << entry->name << ',' << entry->counter->value()
-            << ",,,,,,\n";
-        break;
-      case Kind::kGauge:
-        out << "gauge," << entry->name << ','
-            << json_number(entry->gauge->value()) << ",,,,,,\n";
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        out << "histogram," << entry->name << ",," << h.count() << ','
-            << json_number(h.sum()) << ',' << json_number(h.min()) << ','
-            << json_number(h.max()) << ",,\n";
-        for (std::size_t b = 0; b < h.bucket_counts().size(); ++b) {
-          out << "histogram.bucket," << entry->name << ",,,,,,";
-          if (b < h.upper_bounds().size()) {
-            out << json_number(h.upper_bounds()[b]);
-          } else {
-            out << "inf";
-          }
-          out << ',' << h.bucket_counts()[b] << '\n';
-        }
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace bigk::obs

@@ -7,8 +7,8 @@
 //
 // Instruments are created on first use and live for the registry's lifetime,
 // so hot paths can cache the returned reference and bump it lock-free (the
-// simulation is single-threaded; no atomics needed). Exporters emit JSONL
-// (one metric object per line), CSV, and an embeddable JSON array.
+// simulation is single-threaded; no atomics needed). The exporter emits an
+// embeddable JSON array.
 #pragma once
 
 #include <cstdint>
@@ -91,24 +91,14 @@ class MetricsRegistry {
 
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// One JSON object per line:
+  /// A JSON array with one object per instrument, in registration order
+  /// (for embedding in a larger document):
   ///   {"type":"counter","name":"...","value":N}
   ///   {"type":"gauge","name":"...","value":X}
   ///   {"type":"histogram","name":"...","count":N,"sum":X,"min":X,"max":X,
   ///    "buckets":[{"le":B,"count":N},...,{"le":"inf","count":N}]}
-  void write_jsonl(std::ostream& out) const;
-
-  /// A JSON array of the same objects (for embedding in a larger document).
   /// `indent` prefixes every element line.
   void write_json_array(std::ostream& out, const char* indent = "  ") const;
-
-  /// Flat CSV: type,name,value,count,sum,min,max,bucket_le,bucket_count
-  /// (value empty for histograms; count/sum/min/max empty for counters and
-  /// gauges; bucket columns empty except on bucket rows). Every histogram
-  /// summary row is followed by one "histogram.bucket" row per bucket giving
-  /// its inclusive upper bound ("inf" for the overflow bucket) and count, so
-  /// the full distribution survives the flat export.
-  void write_csv(std::ostream& out) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

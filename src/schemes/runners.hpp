@@ -484,6 +484,15 @@ sim::Task<> launch_window(core::Engine& engine, Kernel kernel,
   co_await engine.launch(shifted, rec_end - rec_begin, tables);
 }
 
+/// The record window [rec_begin, rec_end) clamped to an app of
+/// `num_records` records; rec_end == 0 runs through the last record.
+inline std::pair<std::uint64_t, std::uint64_t> record_window(
+    std::uint64_t rec_begin, std::uint64_t rec_end, std::uint64_t num_records) {
+  const std::uint64_t end =
+      rec_end > 0 ? std::min(rec_end, num_records) : num_records;
+  return {std::min(rec_begin, end), end};
+}
+
 /// One engine launch of `app` on `runtime`: builds the engine with cfg's
 /// attachments, maps the app's streams, uploads its tables, runs cfg's
 /// record window, records exec_done and downloads the tables. The launch's
@@ -498,11 +507,9 @@ sim::Task<> launch_app(cusim::Runtime& runtime, App& app,
   const auto kernel = app.kernel();
   core::DeviceTables tables =
       co_await core::DeviceTables::upload(runtime, app.tables());
-  const std::uint64_t end =
-      cfg.rec_end > 0 ? std::min(cfg.rec_end, app.num_records())
-                      : app.num_records();
-  co_await launch_window(engine, kernel, std::min(cfg.rec_begin, end), end,
-                         tables);
+  const auto [begin, end] =
+      record_window(cfg.rec_begin, cfg.rec_end, app.num_records());
+  co_await launch_window(engine, kernel, begin, end, tables);
   if (cfg.exec_done != nullptr) *cfg.exec_done = runtime.sim().now();
   co_await tables.download();
   tables.release();

@@ -105,6 +105,35 @@ struct JobRecord {
   }
 };
 
+/// The outcome statistics of a set of jobs: the pool's report block and each
+/// tenant's.
+struct Outcome {
+  std::uint64_t submitted = 0;
+  std::uint64_t completed = 0;
+  /// Gave up at admission (retries exhausted).
+  std::uint64_t dropped = 0;
+  /// Admitted but abandoned: the run failed with no device left to take it,
+  /// or the server crashed first.
+  std::uint64_t failed_jobs = 0;
+  /// Admission rejections (a job may be rejected several times).
+  std::uint64_t rejections = 0;
+  /// Completions past their deadline.
+  std::uint64_t deadline_misses = 0;
+  /// Deadline-met completions (jobs without a deadline count as attained).
+  std::uint64_t slo_attained = 0;
+  /// Streaming-sketch (P²) percentiles over completed-job latencies,
+  /// clamped monotone (p50 <= p95 <= p99).
+  sim::DurationPs latency_p50 = 0;
+  sim::DurationPs latency_p95 = 0;
+  sim::DurationPs latency_p99 = 0;
+  /// Completions per second of makespan.
+  double throughput_jobs_per_s = 0.0;
+  /// Useful throughput: deadline-met completions per second of makespan.
+  double goodput_jobs_per_s = 0.0;
+  /// slo_attained / submitted, in [0, 1].
+  double slo_attainment = 0.0;
+};
+
 /// Deterministic workload shape for make_workload.
 struct WorkloadConfig {
   std::uint32_t num_jobs = 32;

@@ -51,11 +51,56 @@ std::array<double, 3> percentiles(const obs::prof::QuantileSketch& sketch) {
   return {p50, p95, std::max(p95, sketch.quantile(0.99))};
 }
 
+/// The Outcome of `records` over `makespan`. The P² sketch depends on
+/// observation order, so completed latencies feed it in the order given.
+Outcome summarize(const std::vector<const JobRecord*>& records,
+                  sim::TimePs makespan) {
+  Outcome out;
+  obs::prof::QuantileSketch sketch;
+  for (const JobRecord* record : records) {
+    ++out.submitted;
+    out.rejections += record->rejections;
+    if (record->completed) {
+      ++out.completed;
+      sketch.observe(to_ms(record->latency()));
+      // deadline_met stays true for a job without a deadline.
+      if (record->deadline_met) {
+        ++out.slo_attained;
+      } else {
+        ++out.deadline_misses;
+      }
+    } else if (record->failed) {
+      ++out.failed_jobs;
+    } else if (!record->admitted) {
+      ++out.dropped;
+    }
+  }
+  if (sketch.count() > 0) {
+    const auto [p50, p95, p99] = percentiles(sketch);
+    out.latency_p50 = ms_to_ps(p50);
+    out.latency_p95 = ms_to_ps(p95);
+    out.latency_p99 = ms_to_ps(p99);
+  }
+  const double makespan_s = static_cast<double>(makespan) * 1e-12;
+  if (makespan_s > 0) {
+    out.throughput_jobs_per_s = static_cast<double>(out.completed) / makespan_s;
+    out.goodput_jobs_per_s = static_cast<double>(out.slo_attained) / makespan_s;
+  }
+  if (out.submitted > 0) {
+    out.slo_attainment = static_cast<double>(out.slo_attained) /
+                         static_cast<double>(out.submitted);
+  }
+  return out;
+}
+
 /// Ceiling of the admission queue's escalating retry-after hint (0 = 8x
 /// ServerConfig::retry_after).
 constexpr sim::DurationPs kRetryAfterCap = 0;
 /// Seed of the admission queue's retry-after jitter (0 = no jitter).
 constexpr std::uint64_t kRetryJitterSeed = 0;
+/// Consecutive job failures on one device before it is quarantined; a
+/// device-lost failure quarantines immediately.
+constexpr std::uint32_t kQuarantineAfter = 2;
 
 /// The windowed metrics telemetry_tick offers the SLO monitor, in snapshot
 /// order. The monitor skips a metric missing from a snapshot, so a rule on
@@ -121,10 +166,9 @@ struct ServerState {
   /// hetero.spill_enabled). Its single cpu_worker serializes spilled jobs,
   /// so the host cores never oversubscribe across concurrent spills.
   std::unique_ptr<sim::Channel<Job*>> cpu_dispatch;
-  std::uint64_t spills = 0;
-  std::uint64_t cpu_completed = 0;
   std::vector<Job> jobs;
-  std::vector<std::uint64_t> completion_order;
+  /// Completed jobs in the order they finished.
+  std::vector<const Job*> finished;
   /// bigkcache: one chunk cache + pinned pool per device (empty when the
   /// cache is disabled). Shared by every job dispatched to that device.
   std::vector<std::unique_ptr<cache::ChunkCache>> caches;
@@ -146,8 +190,8 @@ struct ServerState {
   /// One bottleneck profiler per device; every engine launch on the device
   /// feeds it via JobRunConfig::profiler.
   std::vector<std::unique_ptr<obs::prof::StageProfiler>> profilers;
-  /// P² latency sketch over completed-job latencies in ms (always on — this
-  /// is the source of the report's p50/p95/p99).
+  /// P² latency sketch over completed-job latencies in ms, fed as jobs
+  /// finish: the SLO monitor's live p50/p95/p99.
   obs::prof::QuantileSketch latency_sketch;
   /// Windowed completion streams: pool-wide plus one per device.
   std::unique_ptr<obs::WindowedStats> completions;
@@ -208,7 +252,7 @@ struct ServerState {
         queue(JobQueue::Config{cfg.queue_depth, cfg.retry_after,
                                kRetryAfterCap, kRetryJitterSeed}),
         scheduler(cfg.policy, pool.size()),
-        health(pool.size(), HealthMonitor::Config{cfg.quarantine_after,
+        health(pool.size(), HealthMonitor::Config{kQuarantineAfter,
                                                   cfg.reinstate_after}),
         slo(slo_rules(cfg.slo_spec)) {
     metrics_scope = cfg.metrics_prefix.empty()
@@ -338,7 +382,6 @@ bool should_spill(const ServerState& st) {
 /// Routes `job` to host-core execution (the cpu_worker completes it).
 void spill_job(ServerState& st, Job& job) {
   job.record.cpu_executed = true;
-  ++st.spills;
   st.trace_serve_instant("spill job " + std::to_string(job.record.spec.id) +
                          " to cpu");
   st.cpu_dispatch->push(&job);
@@ -415,8 +458,7 @@ void complete(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
     record.deadline_met =
         record.finish_time - record.spec.submit_time <= record.spec.deadline;
   }
-  st.completion_order.push_back(record.spec.id);
-  if (record.cpu_executed) ++st.cpu_completed;
+  st.finished.push_back(&job);
   release(st, job, device);
   st.latency_sketch.observe(to_ms(record.latency()));
   if (st.scaler_latency != nullptr) {
@@ -661,6 +703,88 @@ void telemetry_tick(ServerState& st) {
   }
 }
 
+/// How one run attempt of a job ended.
+enum class RunEnd : std::uint8_t {
+  kCompleted,
+  /// The simulated crash stopped it before its next window.
+  kCrashed,
+  /// An unrecovered fault: retries exhausted, watchdog timeout or an
+  /// unrepairable integrity mismatch.
+  kFault,
+  /// The device was lost; it quarantines at once.
+  kDeviceLost,
+};
+
+/// bigkdur: runs `job` as a sequence of checkpoint windows, each through
+/// `run_window(rec_begin, rec_end)`, with a journal write after each, so a
+/// later attempt — redispatch after a failure, or a fresh server over the
+/// same journal — resumes from the last checkpoint instead of record zero.
+/// Resume is verified: the runner's current output prefix must re-digest to
+/// the journaled value, otherwise the output did not survive and the job
+/// restarts from zero. Device and spilled runs share it; `run_window` is an
+/// engine launch or the host cores' fan-out.
+template <class RunWindow>
+sim::Task<RunEnd> run_windows(ServerState& st, Job& job, RunWindow run_window) {
+  const std::uint64_t total = job.runner->num_records();
+  const std::uint64_t window = st.config.dur.checkpoint_records > 0
+                                   ? st.config.dur.checkpoint_records
+                                   : total;
+  dur::JobJournal* journal = st.config.dur.journal;
+  std::uint64_t begin = 0;
+  std::uint64_t journaled = 0;
+  std::uint64_t windows_done = 0;
+  if (journal != nullptr) {
+    if (const dur::JobCheckpoint* cp = journal->find(job.record.spec.id)) {
+      journaled = cp->records_done;
+      // A zero digest means the app has no write-mode streams — its
+      // output lives in table state the journal cannot vouch for — so
+      // only a nonzero digest match proves the checkpoint survived.
+      const std::uint64_t digest =
+          cp->records_done > 0 ? job.runner->output_digest(cp->records_done)
+                               : 0;
+      if (digest != 0 && digest == cp->output_digest) {
+        begin = std::min(cp->records_done, total);
+        windows_done = cp->windows_done;
+      }
+    }
+  }
+  const std::uint64_t prior = std::max(job.progress, journaled);
+  if (begin > 0) {
+    ++st.resumed;
+    job.record.resumed = true;
+    st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
+                           " resumed at record " + std::to_string(begin));
+  }
+  for (std::uint64_t wb = begin; wb < total;) {
+    if (st.crashed) co_return RunEnd::kCrashed;
+    const std::uint64_t we = std::min(wb + window, total);
+    // Unrecovered faults surface here; anything else — checker violations
+    // included — still propagates out of run_server.
+    RunEnd fault = RunEnd::kCompleted;
+    try {
+      co_await run_window(wb, we);
+    } catch (const fault::DeviceLostError&) {
+      fault = RunEnd::kDeviceLost;
+    } catch (const fault::FaultError&) {
+      fault = RunEnd::kFault;
+    }
+    if (fault != RunEnd::kCompleted) co_return fault;
+    if (we <= prior) ++st.chunks_replayed;
+    job.progress = std::max(job.progress, we);
+    ++windows_done;
+    if (journal != nullptr) {
+      const std::uint64_t digest = job.runner->output_digest(we);
+      if (we == total) {
+        journal->mark_complete(job.record.spec.id, we, digest);
+      } else {
+        journal->record(job.record.spec.id, we, windows_done, digest);
+      }
+    }
+    wb = we;
+  }
+  co_return RunEnd::kCompleted;
+}
+
 /// Per-device worker: drains the device's dispatch FIFO one job at a time.
 /// Cold jobs first stage their mapped input through the shared host memory
 /// bus (one sequential read + one streamed write of input_bytes); warm jobs
@@ -710,90 +834,23 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
     run_cfg.exec_done = &job.record.exec_done_time;
     run_cfg.static_signature = job.static_signature;
     run_cfg.integrity = st.integrity.get();
-    // bigkdur: the job runs as a sequence of checkpoint windows with a
-    // journal write after each, so a later attempt — redispatch after a
-    // failure, or a fresh server over the same journal — resumes from the
-    // last checkpoint instead of record zero. Resume is verified: the
-    // runner's current output prefix must re-digest to the journaled value,
-    // otherwise the output did not survive and the job restarts from zero.
-    const std::uint64_t total = job.runner->num_records();
-    const std::uint64_t window = st.config.dur.checkpoint_records > 0
-                                     ? st.config.dur.checkpoint_records
-                                     : total;
-    dur::JobJournal* journal = st.config.dur.journal;
-    std::uint64_t begin = 0;
-    std::uint64_t journaled = 0;
-    std::uint64_t windows_done = 0;
-    if (journal != nullptr) {
-      if (const dur::JobCheckpoint* cp = journal->find(job.record.spec.id)) {
-        journaled = cp->records_done;
-        // A zero digest means the app has no write-mode streams — its
-        // output lives in table state the journal cannot vouch for — so
-        // only a nonzero digest match proves the checkpoint survived.
-        const std::uint64_t digest =
-            cp->records_done > 0 ? job.runner->output_digest(cp->records_done)
-                                 : 0;
-        if (digest != 0 && digest == cp->output_digest) {
-          begin = std::min(cp->records_done, total);
-          windows_done = cp->windows_done;
-        }
-      }
-    }
-    const std::uint64_t prior = std::max(job.progress, journaled);
-    if (begin > 0) {
-      ++st.resumed;
-      job.record.resumed = true;
-      st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                             " resumed at record " + std::to_string(begin));
-    }
-    // Unrecovered faults (retries exhausted, device lost, watchdog timeout,
-    // unrepairable integrity mismatch) surface here; anything else — checker
-    // violations included — still propagates out of run_server.
-    std::exception_ptr failure;
-    bool fatal = false;
-    bool crashed_out = false;
-    for (std::uint64_t wb = begin; wb < total;) {
-      if (st.crashed) {
-        crashed_out = true;
-        break;
-      }
-      const std::uint64_t we = std::min(wb + window, total);
-      run_cfg.rec_begin = wb;
-      run_cfg.rec_end = we;
-      try {
-        co_await job.runner->run(device, run_cfg);
-      } catch (const fault::DeviceLostError&) {
-        failure = std::current_exception();
-        fatal = true;
-      } catch (const fault::FaultError&) {
-        failure = std::current_exception();
-      }
-      if (failure != nullptr) break;
-      if (we <= prior) ++st.chunks_replayed;
-      job.progress = std::max(job.progress, we);
-      ++windows_done;
-      if (journal != nullptr) {
-        const std::uint64_t digest = job.runner->output_digest(we);
-        if (we == total) {
-          journal->mark_complete(job.record.spec.id, we, digest);
-        } else {
-          journal->record(job.record.spec.id, we, windows_done, digest);
-        }
-      }
-      wb = we;
-    }
+    const RunEnd end = co_await run_windows(
+        st, job, [&](std::uint64_t rec_begin, std::uint64_t rec_end) {
+          run_cfg.rec_begin = rec_begin;
+          run_cfg.rec_end = rec_end;
+          return job.runner->run(device, run_cfg);
+        });
+    const bool faulted = end == RunEnd::kFault || end == RunEnd::kDeviceLost;
     if (sanitizer != nullptr) {
       sanitizer->uninstall();
-      if (failure == nullptr) {
-        sanitizer->finalize();  // throws check::CheckError on violations
-      }
+      if (!faulted) sanitizer->finalize();  // throws check::CheckError
     }
-    if (crashed_out) {
+    if (end == RunEnd::kCrashed) {
       fail_job(st, job, device_index, "server crashed");
       continue;
     }
-    if (failure != nullptr) {
-      if (st.health.on_failure(device_index, fatal)) {
+    if (faulted) {
+      if (st.health.on_failure(device_index, end == RunEnd::kDeviceLost)) {
         quarantine_device(st, device_index);
       }
       redispatch(st, device_index, job);
@@ -804,10 +861,10 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
   }
 }
 
-/// bigkhetero CPU worker: drains spilled jobs one at a time, running each
-/// entirely on the shared host cores (JobRunner::run_cpu — no staging, no
-/// DMA, no engine). A spilled job holds no device slot, so its exits name
-/// no device.
+/// bigkhetero CPU worker: drains spilled jobs one at a time, running each on
+/// the shared host cores (JobRunner::run_cpu — no staging, no DMA, no
+/// engine) in the same checkpoint windows as a device run. A spilled job
+/// holds no device slot, so its exits name no device.
 sim::Task<> cpu_worker(ServerState& st) {
   while (true) {
     std::optional<Job*> item = co_await st.cpu_dispatch->pop();
@@ -821,15 +878,18 @@ sim::Task<> cpu_worker(ServerState& st) {
     job.record.staging_done_time = job.record.start_time;  // no staging
     apps::CpuJobConfig cpu_cfg;
     cpu_cfg.exec_done = &job.record.exec_done_time;
-    co_await job.runner->run_cpu(st.pool.cpu(), cpu_cfg);
-    if (st.config.dur.journal != nullptr) {
-      // The CPU path runs the job whole; journal its terminal checkpoint so
-      // a restarted server does not redo it.
-      const std::uint64_t total = job.runner->num_records();
-      st.config.dur.journal->mark_complete(job.record.spec.id, total,
-                                           job.runner->output_digest(total));
+    const RunEnd end = co_await run_windows(
+        st, job, [&](std::uint64_t rec_begin, std::uint64_t rec_end) {
+          cpu_cfg.rec_begin = rec_begin;
+          cpu_cfg.rec_end = rec_end;
+          return job.runner->run_cpu(st.pool.cpu(), cpu_cfg);
+        });
+    // The host cores inject no faults: a spilled run completes or crashes.
+    if (end == RunEnd::kCompleted) {
+      complete(st, job, std::nullopt);
+    } else {
+      fail_job(st, job, std::nullopt, "server crashed");
     }
-    complete(st, job, std::nullopt);
   }
 }
 
@@ -1027,15 +1087,21 @@ ServeReport run_server(const ServerConfig& config,
 
   ServeReport report;
   report.makespan = state.finish_time;
-  report.completion_order = std::move(state.completion_order);
-  report.rejections = state.queue.rejected();
+  // The pool's sketch observes in completion order, as the live one did.
+  std::vector<const JobRecord*> pool_records;
+  for (const Job* job : state.finished) {
+    report.completion_order.push_back(job->record.spec.id);
+    pool_records.push_back(&job->record);
+  }
+  for (const Job& job : state.jobs) {
+    if (!job.record.completed) pool_records.push_back(&job.record);
+  }
+  static_cast<Outcome&>(report) = summarize(pool_records, report.makespan);
   report.rejections_queue_full = state.queue.rejected(RejectCause::kQueueFull);
   report.rejections_no_device = state.queue.rejected(RejectCause::kNoDevice);
   report.rejections_tenant_quota =
       state.queue.rejected(RejectCause::kTenantQuota);
   report.peak_queue_depth = state.queue.peak_depth();
-  report.spills = state.spills;
-  report.cpu_completed = state.cpu_completed;
   report.quarantines = state.health.quarantines();
   report.reinstatements = state.health.reinstatements();
   if (state.fault_plane != nullptr) {
@@ -1064,11 +1130,14 @@ ServeReport run_server(const ServerConfig& config,
   report.devices.resize(state.pool.size());
 
   JobRecord::Breakdown breakdown_sums;
-  for (Job& job : state.jobs) {
+  for (const Job& job : state.jobs) {
     const JobRecord& record = job.record;
     report.redispatches += record.redispatches;
+    if (record.cpu_executed) {
+      ++report.spills;
+      if (record.completed) ++report.cpu_completed;
+    }
     if (record.completed) {
-      ++report.completed;
       const JobRecord::Breakdown b = record.breakdown();
       breakdown_sums.admission += b.admission;
       breakdown_sums.queue += b.queue;
@@ -1084,21 +1153,10 @@ ServeReport run_server(const ServerConfig& config,
           ++report.warm_hits;
         }
       }
-      if (!record.deadline_met) ++report.deadline_misses;
-    } else if (record.failed) {
-      ++report.failed_jobs;
-    } else if (!record.admitted) {
-      ++report.dropped;
     }
     report.jobs.push_back(record);
   }
 
-  if (state.latency_sketch.count() > 0) {
-    const auto [p50, p95, p99] = percentiles(state.latency_sketch);
-    report.latency_p50 = ms_to_ps(p50);
-    report.latency_p95 = ms_to_ps(p95);
-    report.latency_p99 = ms_to_ps(p99);
-  }
   if (report.completed > 0) {
     const double n = static_cast<double>(report.completed);
     report.breakdown_admission_ms = to_ms(breakdown_sums.admission) / n;
@@ -1110,10 +1168,6 @@ ServeReport run_server(const ServerConfig& config,
   }
   report.slo_rules = state.slo.rules().size();
   report.slo_violations = state.slo.violations();
-  if (report.makespan > 0) {
-    report.throughput_jobs_per_s = static_cast<double>(report.completed) /
-                                   (static_cast<double>(report.makespan) * 1e-12);
-  }
   for (std::uint32_t d = 0; d < state.pool.size(); ++d) {
     const gpusim::Gpu& gpu = state.pool.device(d).gpu();
     DeviceReport& dev = report.devices[d];
@@ -1169,15 +1223,6 @@ ServeReport run_server(const ServerConfig& config,
     report.scale_ups = state.autoscaler->scale_ups();
     report.scale_downs = state.autoscaler->scale_downs();
   }
-  const double makespan_s = static_cast<double>(report.makespan) * 1e-12;
-  std::uint64_t goodput_jobs = 0;
-  for (const JobRecord& record : report.jobs) {
-    if (record.completed && record.deadline_met) ++goodput_jobs;
-  }
-  report.slo_attained = goodput_jobs;
-  if (makespan_s > 0) {
-    report.goodput_jobs_per_s = static_cast<double>(goodput_jobs) / makespan_s;
-  }
   sim::TimePs offered_window = config.qos.offered_window;
   if (offered_window == 0) {
     for (const JobRecord& record : report.jobs) {
@@ -1185,68 +1230,28 @@ ServeReport run_server(const ServerConfig& config,
     }
   }
   if (offered_window > 0) {
-    report.offered_jobs_per_s = static_cast<double>(report.jobs.size()) /
+    report.offered_jobs_per_s = static_cast<double>(report.submitted) /
                                 (static_cast<double>(offered_window) * 1e-12);
   }
-  if (!config.qos.tenants.empty()) {
-    const std::vector<TenantConfig>& tenants_cfg = config.qos.tenants;
-    report.tenants.resize(tenants_cfg.size());
-    std::vector<obs::prof::QuantileSketch> sketches(tenants_cfg.size());
-    std::vector<std::uint64_t> tenant_goodput(tenants_cfg.size(), 0);
-    for (std::size_t t = 0; t < tenants_cfg.size(); ++t) {
-      report.tenants[t].name = tenants_cfg[t].name;
-      report.tenants[t].slo = tenants_cfg[t].slo;
-      report.tenants[t].weight = tenants_cfg[t].weight;
+  std::vector<double> normalized;
+  for (std::uint32_t t = 0; t < config.qos.tenants.size(); ++t) {
+    std::vector<const JobRecord*> tenant_records;
+    for (const Job& job : state.jobs) {
+      if (job.record.spec.tenant == t) tenant_records.push_back(&job.record);
     }
-    for (const JobRecord& record : report.jobs) {
-      TenantReport& tenant = report.tenants[record.spec.tenant];
-      ++tenant.submitted;
-      tenant.rejections += record.rejections;
-      if (record.completed) {
-        ++tenant.completed;
-        sketches[record.spec.tenant].observe(to_ms(record.latency()));
-        if (record.spec.deadline > 0) {
-          if (record.deadline_met) {
-            ++tenant.deadline_hits;
-          } else {
-            ++tenant.deadline_misses;
-          }
-        }
-        if (record.deadline_met) ++tenant_goodput[record.spec.tenant];
-      } else if (record.failed) {
-        ++tenant.failed;
-      } else if (!record.admitted) {
-        ++tenant.shed;
-      }
+    TenantReport& tenant = report.tenants.emplace_back();
+    static_cast<Outcome&>(tenant) = summarize(tenant_records, report.makespan);
+    tenant.name = config.qos.tenants[t].name;
+    tenant.slo = config.qos.tenants[t].slo;
+    tenant.weight = config.qos.tenants[t].weight;
+    // Weight-0 background tenants are excluded: they hold no fair-share
+    // entitlement, so they neither lift nor sink the index.
+    if (tenant.weight > 0) {
+      normalized.push_back(tenant.goodput_jobs_per_s /
+                           static_cast<double>(tenant.weight));
     }
-    std::vector<double> normalized;
-    for (std::size_t t = 0; t < tenants_cfg.size(); ++t) {
-      TenantReport& tenant = report.tenants[t];
-      if (sketches[t].count() > 0) {
-        const auto [p50, p95, p99] = percentiles(sketches[t]);
-        tenant.latency_p50 = ms_to_ps(p50);
-        tenant.latency_p95 = ms_to_ps(p95);
-        tenant.latency_p99 = ms_to_ps(p99);
-      }
-      if (makespan_s > 0) {
-        tenant.throughput_jobs_per_s =
-            static_cast<double>(tenant.completed) / makespan_s;
-        tenant.goodput_jobs_per_s =
-            static_cast<double>(tenant_goodput[t]) / makespan_s;
-      }
-      if (tenant.submitted > 0) {
-        tenant.slo_attainment = static_cast<double>(tenant_goodput[t]) /
-                                static_cast<double>(tenant.submitted);
-      }
-      // Weight-0 background tenants are excluded: they hold no fair-share
-      // entitlement, so they neither lift nor sink the index.
-      if (tenant.weight > 0) {
-        normalized.push_back(tenant.goodput_jobs_per_s /
-                             static_cast<double>(tenant.weight));
-      }
-    }
-    report.fairness_jain = jain_index(normalized);
   }
+  report.fairness_jain = jain_index(normalized);
 
   if (config.metrics != nullptr) {
     report.export_metrics(*config.metrics, state.metrics_scope);
@@ -1256,7 +1261,7 @@ ServeReport run_server(const ServerConfig& config,
 
 void ServeReport::export_metrics(obs::MetricsRegistry& registry,
                                  const std::string& prefix) const {
-  registry.gauge(prefix + ".jobs").set(static_cast<double>(jobs.size()));
+  registry.gauge(prefix + ".jobs").set(static_cast<double>(submitted));
   registry.gauge(prefix + ".completed").set(static_cast<double>(completed));
   registry.gauge(prefix + ".dropped").set(static_cast<double>(dropped));
   registry.gauge(prefix + ".rejections").set(static_cast<double>(rejections));
@@ -1351,7 +1356,7 @@ void ServeReport::export_metrics(obs::MetricsRegistry& registry,
     registry.gauge(tenant_prefix + ".completed")
         .set(static_cast<double>(tenant.completed));
     registry.gauge(tenant_prefix + ".shed")
-        .set(static_cast<double>(tenant.shed));
+        .set(static_cast<double>(tenant.dropped));
     registry.gauge(tenant_prefix + ".goodput_jobs_per_s")
         .set(tenant.goodput_jobs_per_s);
     registry.gauge(tenant_prefix + ".attainment").set(tenant.slo_attainment);

@@ -11,12 +11,13 @@
 //             per-device limit — 1 with tenants (late binding), unbounded
 //             without (placement at admission)
 //          -> per-device FIFO worker: cold jobs stage their mapped input
-//             through the shared host memory bus, then one core::Engine
-//             launch runs the app's kernel on that device (BigKernel
-//             pipeline, per-job sanitizer when checking is enabled).
-// With hetero.spill_enabled an admitted job may instead run whole on the
-// host cores. Every job exit (completion, failure, crash) releases its
-// slots through one path and dispatches again.
+//             through the shared host memory bus, then core::Engine
+//             launches run the app's kernel on that device (BigKernel
+//             pipeline, per-job sanitizer when checking is enabled), one
+//             per checkpoint window.
+// With hetero.spill_enabled an admitted job may instead run on the host
+// cores, in the same checkpoint windows. Every job exit (completion,
+// failure, crash) releases its slots through one path and dispatches again.
 //
 // Everything is deterministic: the same config + workload produce the same
 // schedule, completion order, latencies, and metrics, byte for byte.
@@ -90,9 +91,6 @@ struct ServerConfig {
   /// the server behaves byte-identically to the fault-free build.
   std::string fault_spec;
   std::uint64_t fault_seed = 1;
-  /// Consecutive job failures on one device before it is quarantined; a
-  /// device-lost failure quarantines immediately.
-  std::uint32_t quarantine_after = 2;
   /// Period of the reinstatement probe run against quarantined devices;
   /// must be > 0.
   sim::DurationPs probe_interval = sim::DurationPs{2'000'000'000};  // 2 ms
@@ -139,10 +137,10 @@ struct ServerConfig {
 
   // --- bigkhetero spill-over ----------------------------------------------
   struct HeteroConfig {
-    /// Spill whole jobs to host-core execution (JobRunner::run_cpu — no
-    /// staging, no DMA) when no device is available at placement time or
-    /// the pool backlog exceeds `spill_depth`. Off = byte-identical to the
-    /// pre-hetero build.
+    /// Spill jobs to host-core execution (JobRunner::run_cpu — no staging,
+    /// no DMA, the same checkpoint windows as a device run) when no device
+    /// is available at placement time or the pool backlog exceeds
+    /// `spill_depth`. Off = byte-identical to the pre-hetero build.
     bool spill_enabled = false;
     /// Outstanding-jobs threshold past which admitted jobs spill to the CPU
     /// instead of queueing for a device. A spilled job runs on all of the
@@ -214,7 +212,9 @@ struct DeviceReport {
   std::uint64_t bottleneck_flips = 0;
 };
 
-struct ServeReport {
+/// The pool's Outcome (its latency sketch fed in completion order) plus what
+/// only the pool knows.
+struct ServeReport : Outcome {
   /// One record per submitted job, in spec order.
   std::vector<JobRecord> jobs;
   /// Job ids in the order they finished.
@@ -222,21 +222,12 @@ struct ServeReport {
   std::vector<DeviceReport> devices;
 
   sim::TimePs makespan = 0;
-  std::uint64_t completed = 0;
-  /// Jobs that exhausted their retries without being admitted.
-  std::uint64_t dropped = 0;
-  /// Total admission rejections (a job may be rejected several times).
-  std::uint64_t rejections = 0;
-  std::uint64_t deadline_misses = 0;
   std::uint64_t warm_hits = 0;
   std::uint32_t peak_queue_depth = 0;
 
   /// bigkfault (all zero without a fault plane).
   std::uint64_t fault_injected = 0;
   std::uint64_t fault_recovered = 0;
-  /// Jobs admitted but abandoned: their run failed with every other device
-  /// quarantined.
-  std::uint64_t failed_jobs = 0;
   /// Jobs handed to another device after a failure or quarantine.
   std::uint64_t redispatches = 0;
   std::uint64_t quarantines = 0;
@@ -257,13 +248,6 @@ struct ServeReport {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_bytes_saved = 0;
   double cache_hit_rate = 0.0;
-
-  /// Streaming-sketch (P²) percentiles over completed-job latencies,
-  /// clamped monotone (p50 <= p95 <= p99).
-  sim::DurationPs latency_p50 = 0;
-  sim::DurationPs latency_p95 = 0;
-  sim::DurationPs latency_p99 = 0;
-  double throughput_jobs_per_s = 0.0;
 
   // --- bigkprof -----------------------------------------------------------
   /// Mean queueing-delay breakdown over completed jobs, in ms. The five
@@ -313,12 +297,8 @@ struct ServeReport {
   /// Jain index over weight-normalized tenant goodput (weight-0 background
   /// tenants excluded); 1.0 when fewer than two weighted tenants exist.
   double fairness_jain = 1.0;
-  /// Offered load (submitted jobs over the configured window) and pool-wide
-  /// goodput (deadline-met completions per second of makespan).
+  /// Offered load: submitted jobs over the configured window.
   double offered_jobs_per_s = 0.0;
-  double goodput_jobs_per_s = 0.0;
-  /// Deadline-met completions (jobs without a deadline count as attained).
-  std::uint64_t slo_attained = 0;
   /// Autoscaler trajectory (static pool: min == max == devices, 0 events).
   std::uint64_t scale_ups = 0;
   std::uint64_t scale_downs = 0;

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "serve/job.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::serve {
@@ -64,31 +65,12 @@ struct TenantConfig {
   sim::DurationPs think_time = 0;
 };
 
-/// Per-tenant outcome block of a ServeReport.
-struct TenantReport {
+/// Per-tenant outcome block of a ServeReport: the Outcome of the tenant's
+/// jobs, with its latency sketch fed in spec order.
+struct TenantReport : Outcome {
   std::string name;
   SloClass slo = SloClass::kBatch;
   std::uint32_t weight = 1;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  /// Gave up at admission (retries exhausted).
-  std::uint64_t shed = 0;
-  /// Admitted but abandoned after a failure with no device left.
-  std::uint64_t failed = 0;
-  /// Admission rejections its clients absorbed (retries included).
-  std::uint64_t rejections = 0;
-  std::uint64_t deadline_hits = 0;
-  std::uint64_t deadline_misses = 0;
-  sim::DurationPs latency_p50 = 0;
-  sim::DurationPs latency_p95 = 0;
-  sim::DurationPs latency_p99 = 0;
-  double throughput_jobs_per_s = 0.0;
-  /// Useful throughput: completions that met their deadline (all completions
-  /// for deadline-free tenants) per second of makespan.
-  double goodput_jobs_per_s = 0.0;
-  /// Deadline-met completions / submitted jobs (completion ratio when the
-  /// tenant has no deadlines). In [0, 1].
-  double slo_attainment = 0.0;
 };
 
 /// Jain fairness index J(x) = (sum x)^2 / (n * sum x^2), in (0, 1]; 1 is a

@@ -2,9 +2,8 @@
 //
 // These model the paper's coordination mechanisms: memory flags that one side
 // sets and the other busy-waits on (Flag), counted buffer tokens (Semaphore),
-// GPU `bar.red`-style thread barriers (Barrier), and FIFO work queues between
-// pipeline stages (Channel). All wakeups go through the simulation's event
-// queue, preserving deterministic ordering.
+// and FIFO work queues between pipeline stages (Channel). All wakeups go
+// through the simulation's event queue, preserving deterministic ordering.
 #pragma once
 
 #include <cassert>
@@ -127,51 +126,6 @@ class Semaphore {
   Simulation& sim_;
   std::uint32_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Reusable barrier for a fixed number of participants, modelling the GPU
-/// `bar.red` instruction the paper uses to barrier a given number of threads.
-class Barrier {
- public:
-  Barrier(Simulation& sim, std::uint32_t participants)
-      : sim_(sim), participants_(participants) {
-    assert(participants_ > 0);
-  }
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  auto arrive_and_wait() {
-    struct Awaiter {
-      Barrier& barrier;
-      bool await_ready() const noexcept {
-        return barrier.participants_ == 1;  // degenerate barrier
-      }
-      bool await_suspend(std::coroutine_handle<> handle) {
-        if (barrier.arrived_ + 1 == barrier.participants_) {
-          // Last arrival releases everyone and does not suspend.
-          for (std::coroutine_handle<> waiter : barrier.parked_) {
-            barrier.sim_.schedule_in(0, waiter);
-          }
-          barrier.parked_.clear();
-          barrier.arrived_ = 0;
-          return false;
-        }
-        ++barrier.arrived_;
-        barrier.parked_.push_back(handle);
-        return true;
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  std::uint32_t participants() const noexcept { return participants_; }
-
- private:
-  Simulation& sim_;
-  std::uint32_t participants_;
-  std::uint32_t arrived_ = 0;
-  std::vector<std::coroutine_handle<>> parked_;
 };
 
 /// Unbounded FIFO channel between pipeline stages. close() wakes all blocked

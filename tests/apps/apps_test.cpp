@@ -171,6 +171,26 @@ TEST(AppsInertPlanes, WordCountThreadMajorLayoutMatchesBareRun) {
                                    core::Options::with_transfer_reduction());
 }
 
+// Without an attached pool run_bigkernel still takes its ring buffers from
+// a pool, so pinned_alloc_fail fires there: block 0's third slot fails, the
+// block runs on the two it built, and the output stays the serial CPU's.
+TEST(AppsFaults, PinnedAllocFailDegradesARingInRunBigkernel) {
+  KmeansApp app({.data_bytes = kTinyBytes, .seed = 303});
+  const gpusim::SystemConfig config = tiny_config();
+  schemes::SchemeConfig sc = tiny_scheme_config();
+  (void)schemes::run_cpu_serial(config, app, sc);
+  const std::uint64_t reference = app.result_digest();
+
+  fault::FaultPlane plane(/*seed=*/1);
+  plane.add_all(fault::FaultSpec::parse("pinned_alloc_fail,nth=3"));
+  sc.fault_plane = &plane;
+  const schemes::RunMetrics metrics = schemes::run_bigkernel(config, app, sc);
+  EXPECT_EQ(app.result_digest(), reference);
+  EXPECT_EQ(plane.stats().injected, 1u);
+  EXPECT_EQ(plane.stats().recovered, 1u);
+  EXPECT_GE(metrics.engine.degraded_blocks, 1u);
+}
+
 // Sanity of the generated datasets themselves.
 TEST(AppsData, WordCountHasWords) {
   WordCountApp app({.data_bytes = 1 << 18, .seed = 1});

@@ -1,9 +1,9 @@
-// bigkdur durable checkpoint/resume at the serving layer: jobs run as
-// checkpoint windows journaled after each verified window; a redispatch
-// resumes mid-job instead of restarting; and a whole-server crash (teardown +
-// rebuild over the same journal) resumes every in-flight job from its last
-// checkpoint — replaying strictly fewer windows, and finishing sooner, than a
-// restart from zero. Resume is digest-verified: a successor whose output
+// bigkdur durable checkpoint/resume at the serving layer: jobs — on a device
+// or spilled to the host cores — run as checkpoint windows journaled after
+// each verified window; a redispatch resumes mid-job instead of restarting;
+// and a whole-server crash (teardown + rebuild over the same journal)
+// resumes every in-flight job from its last checkpoint — replaying strictly
+// fewer windows, and finishing sooner, than a restart from zero. Resume is digest-verified: a successor whose output
 // storage did not survive the crash falls back to record zero instead of
 // emitting a hole.
 #include "serve/server.hpp"
@@ -192,6 +192,59 @@ TEST(DurResumeTest, CrashRestartIsDeterministicAcrossSeededRuns) {
                       resumed.completion_order};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// dur_server with spill on: at t=0 every job past the first admitted one
+/// exceeds the spill depth and runs on the host cores.
+ServerConfig spill_dur_server(dur::JobJournal* journal) {
+  ServerConfig config = dur_server(journal);
+  config.hetero.spill_enabled = true;
+  config.hetero.spill_depth = 1;
+  return config;
+}
+
+TEST(DurResumeTest, SpilledJobsCheckpointInWindows) {
+  // ToyRunner::run_cpu verifies the output after the last window.
+  dur::JobJournal journal;
+  const auto suite = make_toy_suite(kJobs, kRecords);
+  const ServeReport report =
+      run_server(spill_dur_server(&journal), one_job_per_app(), suite);
+
+  EXPECT_EQ(report.completed, kJobs);
+  EXPECT_GT(report.spills, 0u);
+  EXPECT_EQ(report.cpu_completed, report.spills);
+  ASSERT_EQ(journal.size(), kJobs);
+  for (const auto& [job, cp] : journal.entries()) {
+    EXPECT_TRUE(cp.complete) << "job " << job;
+    EXPECT_EQ(cp.records_done, kRecords) << "job " << job;
+    // Spilled or not: three mid-job record() writes plus mark_complete.
+    EXPECT_EQ(cp.updates, kRecords / kWindow) << "job " << job;
+  }
+}
+
+TEST(DurResumeTest, RestartOverAFinishedJournalRunsNoJobAgain) {
+  const auto specs = one_job_per_app();
+  const auto runners = durable_runners();
+  const auto suite = make_durable_toy_suite(runners);
+  dur::JobJournal journal;
+  const ServeReport first =
+      run_server(spill_dur_server(&journal), specs, suite);
+  ASSERT_EQ(first.completed, kJobs);
+
+  const ServeReport second =
+      run_server(spill_dur_server(&journal), specs, suite);
+  EXPECT_EQ(second.completed, kJobs);
+  EXPECT_GT(second.spills, 0u);
+  EXPECT_EQ(second.resumed, kJobs);
+  EXPECT_EQ(second.chunks_replayed, 0u);
+  for (const JobRecord& record : second.jobs) {
+    EXPECT_TRUE(record.resumed) << "job " << record.spec.id;
+    // A window would stamp its execution time.
+    EXPECT_EQ(record.exec_done_time, 0u) << "job " << record.spec.id;
+  }
+  for (const DeviceReport& device : second.devices) {
+    EXPECT_EQ(device.kernel_launches, 0u);
+  }
 }
 
 TEST(DurResumeTest, DeviceFailureResumesMidJobFromTheJournal) {

@@ -180,16 +180,15 @@ TEST(EngineRecoveryTest, PinnedAllocFailureDegradesRingByteIdentical) {
 }
 
 TEST(EngineRecoveryTest, RetryBackoffIsExponentialAndCapped) {
-  const Options::Recovery recovery{};
-  const sim::DurationPs b = recovery.retry_backoff;
-  EXPECT_EQ(recovery.backoff_for(0), b);
-  EXPECT_EQ(recovery.backoff_for(1), 2 * b);
-  EXPECT_EQ(recovery.backoff_for(2), 4 * b);
-  EXPECT_EQ(recovery.backoff_for(3), 8 * b);
-  EXPECT_EQ(recovery.backoff_for(4), 16 * b);
+  const sim::DurationPs b = kRetryBackoff;
+  EXPECT_EQ(retry_backoff_for(0), b);
+  EXPECT_EQ(retry_backoff_for(1), 2 * b);
+  EXPECT_EQ(retry_backoff_for(2), 4 * b);
+  EXPECT_EQ(retry_backoff_for(3), 8 * b);
+  EXPECT_EQ(retry_backoff_for(4), 16 * b);
   // Past the cap the backoff is flat — attempts never overflow the shift.
-  EXPECT_EQ(recovery.backoff_for(5), 16 * b);
-  EXPECT_EQ(recovery.backoff_for(1'000'000), 16 * b);
+  EXPECT_EQ(retry_backoff_for(5), 16 * b);
+  EXPECT_EQ(retry_backoff_for(1'000'000), 16 * b);
 }
 
 TEST(EngineRecoveryTest, CapBoundaryRetriesRecoverByteIdentical) {

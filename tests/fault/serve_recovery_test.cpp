@@ -83,7 +83,6 @@ TEST(ServeRecoveryTest, ConsecutiveDmaFailuresQuarantineWithoutLosingJobs) {
   // failures in a row trip the quarantine; the other three devices absorb
   // the redispatches.
   config.fault_spec = "dma_error,nth=1,every=1,device=0";
-  config.quarantine_after = 2;
   const ServeReport report = run_server(config, specs, suite);
 
   EXPECT_EQ(report.completed, 12u);

@@ -100,7 +100,8 @@ void expect_identical(const RunOutput& first, const RunOutput& second) {
   for (std::size_t t = 0; t < first.report.tenants.size(); ++t) {
     EXPECT_EQ(first.report.tenants[t].completed,
               second.report.tenants[t].completed);
-    EXPECT_EQ(first.report.tenants[t].shed, second.report.tenants[t].shed);
+    EXPECT_EQ(first.report.tenants[t].dropped,
+              second.report.tenants[t].dropped);
     EXPECT_EQ(first.report.tenants[t].latency_p99,
               second.report.tenants[t].latency_p99);
   }

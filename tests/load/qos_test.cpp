@@ -199,7 +199,7 @@ TEST(QosServeTest, AllShedTenantYieldsHalfJain) {
   ASSERT_EQ(report.tenants.size(), 2u);
   EXPECT_EQ(report.tenants[0].completed, 4u);
   EXPECT_EQ(report.tenants[1].completed, 0u);
-  EXPECT_EQ(report.tenants[1].shed, 3u);
+  EXPECT_EQ(report.tenants[1].dropped, 3u);
   EXPECT_DOUBLE_EQ(report.tenants[1].goodput_jobs_per_s, 0.0);
   EXPECT_NEAR(report.fairness_jain, 0.5, 1e-9);
 }
@@ -242,11 +242,27 @@ TEST(QosServeTest, MultiTenantConcurrent) {
   EXPECT_EQ(report.completed + report.dropped + report.failed_jobs,
             plan.specs.size());
   EXPECT_GT(report.completed, 0u);
-  std::uint64_t tenant_sum = 0;
+  EXPECT_EQ(report.submitted, plan.specs.size());
+  // The pool and every tenant summarize the same job records.
+  Outcome tenant_sum;
   for (const TenantReport& tenant : report.tenants) {
-    tenant_sum += tenant.submitted;
+    tenant_sum.submitted += tenant.submitted;
+    tenant_sum.completed += tenant.completed;
+    tenant_sum.dropped += tenant.dropped;
+    tenant_sum.failed_jobs += tenant.failed_jobs;
+    tenant_sum.rejections += tenant.rejections;
+    tenant_sum.slo_attained += tenant.slo_attained;
   }
-  EXPECT_EQ(tenant_sum, plan.specs.size());
+  EXPECT_EQ(tenant_sum.submitted, report.submitted);
+  EXPECT_EQ(tenant_sum.completed, report.completed);
+  EXPECT_EQ(tenant_sum.dropped, report.dropped);
+  EXPECT_EQ(tenant_sum.failed_jobs, report.failed_jobs);
+  EXPECT_EQ(tenant_sum.rejections, report.rejections);
+  EXPECT_EQ(tenant_sum.slo_attained, report.slo_attained);
+  EXPECT_GT(report.rejections_tenant_quota, 0u);
+  EXPECT_EQ(report.rejections_queue_full + report.rejections_no_device +
+                report.rejections_tenant_quota,
+            report.rejections);
 }
 
 TEST(QosServeTest, ThousandsOfClosedLoopClients) {

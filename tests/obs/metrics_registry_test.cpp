@@ -1,11 +1,12 @@
 // Unit tests for the metrics registry: instrument semantics, get-or-create
-// identity, kind-mismatch detection, and the three exporters (validated with
-// a real JSON parse, not substring checks).
+// identity, kind-mismatch detection, and the JSON array exporter (validated
+// with a real JSON parse, not substring checks).
 #include "obs/metrics_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "json_util.hpp"
 
@@ -87,18 +88,14 @@ MetricsRegistry& populated(MetricsRegistry& registry) {
   return registry;
 }
 
-TEST(MetricsRegistry, JsonlRoundTrips) {
+TEST(MetricsRegistry, JsonArrayParsesAndPreservesOrder) {
   MetricsRegistry registry;
   populated(registry);
   std::ostringstream out;
-  registry.write_jsonl(out);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::vector<testjson::Value> parsed;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) parsed.push_back(testjson::parse(line));
-  }
+  registry.write_json_array(out);
+  const testjson::Value doc = testjson::parse(out.str());
+  ASSERT_EQ(doc.kind, testjson::Value::Kind::kArray);
+  const std::vector<testjson::Value>& parsed = doc.items;
   ASSERT_EQ(parsed.size(), 3u);
 
   EXPECT_EQ(parsed[0].at("type").str, "counter");
@@ -106,6 +103,7 @@ TEST(MetricsRegistry, JsonlRoundTrips) {
   EXPECT_DOUBLE_EQ(parsed[0].at("value").number, 123.0);
 
   EXPECT_EQ(parsed[1].at("type").str, "gauge");
+  EXPECT_EQ(parsed[1].at("name").str, "depth");
   EXPECT_DOUBLE_EQ(parsed[1].at("value").number, 2.5);
 
   EXPECT_EQ(parsed[2].at("type").str, "histogram");
@@ -119,44 +117,8 @@ TEST(MetricsRegistry, JsonlRoundTrips) {
   EXPECT_EQ(buckets[2].at("le").str, "inf");
 }
 
-TEST(MetricsRegistry, JsonArrayParsesAndPreservesOrder) {
-  MetricsRegistry registry;
-  populated(registry);
-  std::ostringstream out;
-  registry.write_json_array(out);
-  const testjson::Value doc = testjson::parse(out.str());
-  ASSERT_EQ(doc.kind, testjson::Value::Kind::kArray);
-  ASSERT_EQ(doc.items.size(), 3u);
-  EXPECT_EQ(doc.items[0].at("type").str, "counter");
-  EXPECT_EQ(doc.items[1].at("name").str, "depth");
-  EXPECT_EQ(doc.items[2].at("type").str, "histogram");
-}
-
-TEST(MetricsRegistry, CsvHasHeaderAndBucketRows) {
-  MetricsRegistry registry;
-  populated(registry);
-  std::ostringstream out;
-  registry.write_csv(out);
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, "type,name,value,count,sum,min,max,bucket_le,bucket_count");
-  std::vector<std::string> rows;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) rows.push_back(line);
-  }
-  // counter + gauge + histogram summary + 3 bucket rows (2 bounds + inf).
-  ASSERT_EQ(rows.size(), 6u);
-  EXPECT_EQ(rows[3], "histogram.bucket,sizes,,,,,,10,0");
-  EXPECT_EQ(rows[4], "histogram.bucket,sizes,,,,,,100,1");
-  EXPECT_EQ(rows[5], "histogram.bucket,sizes,,,,,,inf,0");
-}
-
 TEST(MetricsRegistry, EmptyExports) {
   MetricsRegistry registry;
-  std::ostringstream jsonl;
-  registry.write_jsonl(jsonl);
-  EXPECT_TRUE(jsonl.str().empty());
   std::ostringstream array;
   registry.write_json_array(array);
   const testjson::Value doc = testjson::parse(array.str());

@@ -104,7 +104,8 @@ struct ToyServeApp {
 };
 
 /// The registry's per-app runner over the toy app, plus the toy's own
-/// result check after every run that completes the job.
+/// result check after every run, on a device or the host cores, that
+/// completes the job.
 class ToyRunner final : public apps::AppJobRunner<ToyServeApp> {
  public:
   ToyRunner(std::string name, std::uint64_t records, double alu_ops)
@@ -122,7 +123,9 @@ class ToyRunner final : public apps::AppJobRunner<ToyServeApp> {
   sim::Task<> run_cpu(hostsim::HostCpu& cpu,
                       const apps::CpuJobConfig& cfg) override {
     co_await AppJobRunner::run_cpu(cpu, cfg);
-    app().expect_results();
+    if (cfg.rec_end == 0 || cfg.rec_end >= num_records()) {
+      app().expect_results();
+    }
   }
 };
 

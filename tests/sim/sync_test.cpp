@@ -1,4 +1,4 @@
-// Tests for Flag / Semaphore / Barrier / Channel / FifoServer, the
+// Tests for Flag / Semaphore / Channel / FifoServer, the
 // primitives the BigKernel pipeline synchronization is built on.
 #include "sim/sync.hpp"
 
@@ -115,51 +115,6 @@ TEST(SemaphoreTest, WaitersServedFifo) {
   }(sim, sem));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(BarrierTest, AllParticipantsLeaveTogether) {
-  Simulation sim;
-  Barrier barrier(sim, 3);
-  std::vector<TimePs> times;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(
-        [](Simulation& s, Barrier& b, std::vector<TimePs>& out, int id)
-            -> Task<> {
-          co_await s.delay(microseconds(static_cast<std::uint64_t>(id)));
-          co_await b.arrive_and_wait();
-          out.push_back(s.now());
-        }(sim, barrier, times, i));
-  }
-  sim.run();
-  ASSERT_EQ(times.size(), 3u);
-  for (TimePs t : times) EXPECT_EQ(t, microseconds(2));  // slowest arrival
-}
-
-TEST(BarrierTest, BarrierIsReusable) {
-  Simulation sim;
-  Barrier barrier(sim, 2);
-  int rounds_done = 0;
-  for (int i = 0; i < 2; ++i) {
-    sim.spawn([](Simulation& s, Barrier& b, int& out, int id) -> Task<> {
-      for (int round = 0; round < 5; ++round) {
-        co_await s.delay(nanoseconds(static_cast<std::uint64_t>(id + 1)));
-        co_await b.arrive_and_wait();
-      }
-      ++out;
-    }(sim, barrier, rounds_done, i));
-  }
-  sim.run();
-  EXPECT_EQ(rounds_done, 2);
-}
-
-TEST(BarrierTest, SingleParticipantNeverBlocks) {
-  Simulation sim;
-  sim.run_until_complete([](Simulation& s) -> Task<> {
-    Barrier b(s, 1);
-    co_await b.arrive_and_wait();
-    co_await b.arrive_and_wait();
-    EXPECT_EQ(s.now(), 0u);
-  }(sim));
 }
 
 TEST(ChannelTest, PopReturnsPushedItemsInOrder) {
