@@ -7,6 +7,9 @@
 //     fewer synchronization points, but less CPU-side parallelism),
 //   * locality-aware assembly order (§IV.B).
 #include <cstdio>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common.hpp"
 
@@ -15,37 +18,47 @@ namespace {
 using bigk::bench::Context;
 using bigk::bench::ResultStore;
 
+constexpr std::uint32_t kDepths[] = {2, 3, 4, 6};
+constexpr std::uint32_t kBlocks[] = {4, 8, 16, 32};
+
+std::vector<std::string> tags(const char* prefix,
+                              std::span<const std::uint32_t> values) {
+  std::vector<std::string> out;
+  for (std::uint32_t value : values) {
+    out.push_back(prefix + std::to_string(value));
+  }
+  return out;
+}
+
 void print_tables(const Context& ctx, const ResultStore& results) {
   bigk::bench::print_header(
       "Design ablations: buffer depth / active blocks / assembly locality",
       ctx);
 
   std::printf("%-30s", "Buffer ring depth:");
-  for (std::uint32_t depth : {2u, 3u, 4u, 6u}) {
-    std::printf("   depth=%u", depth);
-  }
+  for (std::uint32_t depth : kDepths) std::printf("   depth=%u", depth);
   std::printf("\n");
   for (const auto& app : ctx.suite) {
+    const auto row =
+        bigk::bench::row_results(results, app.name, tags("depth", kDepths));
+    if (row.empty()) continue;
     std::printf("%-30s", app.name.c_str());
-    for (std::uint32_t depth : {2u, 3u, 4u, 6u}) {
-      const auto& metrics =
-          results.at(app.name + "/depth" + std::to_string(depth));
-      std::printf(" %7.2fms", bigk::sim::to_milliseconds(metrics.total_time));
+    for (const auto* metrics : row) {
+      std::printf(" %7.2fms", bigk::sim::to_milliseconds(metrics->total_time));
     }
     std::printf("\n");
   }
 
   std::printf("\n%-30s", "Active thread blocks (IV.D):");
-  for (std::uint32_t blocks : {4u, 8u, 16u, 32u}) {
-    std::printf("  blocks=%-2u", blocks);
-  }
+  for (std::uint32_t blocks : kBlocks) std::printf("  blocks=%-2u", blocks);
   std::printf("\n");
   for (const auto& app : ctx.suite) {
+    const auto row =
+        bigk::bench::row_results(results, app.name, tags("blocks", kBlocks));
+    if (row.empty()) continue;
     std::printf("%-30s", app.name.c_str());
-    for (std::uint32_t blocks : {4u, 8u, 16u, 32u}) {
-      const auto& metrics =
-          results.at(app.name + "/blocks" + std::to_string(blocks));
-      std::printf(" %7.2fms", bigk::sim::to_milliseconds(metrics.total_time));
+    for (const auto* metrics : row) {
+      std::printf(" %7.2fms", bigk::sim::to_milliseconds(metrics->total_time));
     }
     std::printf("\n");
   }
@@ -53,8 +66,11 @@ void print_tables(const Context& ctx, const ResultStore& results) {
   std::printf("\n%-30s %14s %14s %8s\n", "Assembly locality (IV.B):",
               "locality on", "locality off", "gain");
   for (const auto& app : ctx.suite) {
-    const auto& on = results.at(app.name + "/loc-on");
-    const auto& off = results.at(app.name + "/loc-off");
+    const auto row =
+        bigk::bench::row_results(results, app.name, {"loc-on", "loc-off"});
+    if (row.empty()) continue;
+    const auto& on = *row[0];
+    const auto& off = *row[1];
     std::printf("%-30s %11.2f ms %11.2f ms %7.2fx\n", app.name.c_str(),
                 bigk::sim::to_milliseconds(on.total_time),
                 bigk::sim::to_milliseconds(off.total_time),
@@ -69,7 +85,7 @@ int main(int argc, char** argv) {
   Context& ctx = harness.ctx;
   ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
-    for (std::uint32_t depth : {2u, 3u, 4u, 6u}) {
+    for (std::uint32_t depth : kDepths) {
       bigk::bench::register_sim_benchmark(
           app.name + "/depth" + std::to_string(depth), &results,
           [&ctx, &app, depth] {
@@ -78,7 +94,7 @@ int main(int argc, char** argv) {
             return app.run(bigk::schemes::Scheme::kBigKernel, ctx.config, sc);
           });
     }
-    for (std::uint32_t blocks : {4u, 8u, 16u, 32u}) {
+    for (std::uint32_t blocks : kBlocks) {
       bigk::bench::register_sim_benchmark(
           app.name + "/blocks" + std::to_string(blocks), &results,
           [&ctx, &app, blocks] {

@@ -145,6 +145,22 @@ struct Context {
 /// consumed by the table printer after RunSpecifiedBenchmarks().
 using ResultStore = std::map<std::string, schemes::RunMetrics>;
 
+/// The entries "<app>/<tag>" one table row shows, in the order of `tags`.
+/// Empty when any of them did not run (a --benchmark_filter can leave some
+/// out), so a table prints a row only for an app whose entries all ran.
+inline std::vector<const schemes::RunMetrics*> row_results(
+    const ResultStore& results, const std::string& app,
+    const std::vector<std::string>& tags) {
+  std::vector<const schemes::RunMetrics*> row;
+  row.reserve(tags.size());
+  for (const std::string& tag : tags) {
+    const auto it = results.find(app + "/" + tag);
+    if (it == results.end()) return {};
+    row.push_back(&it->second);
+  }
+  return row;
+}
+
 /// Registers a google-benchmark entry that performs `run` once, reports its
 /// simulated completion time as manual time, and stores the metrics.
 inline void register_sim_benchmark(

@@ -33,11 +33,15 @@ void print_table(const Context& ctx, const ResultStore& results) {
   double max_over_double = 0.0, max_over_single = 0.0, max_over_mt = 0.0;
   int apps = 0;
   for (const auto& app : ctx.suite) {
-    const RunMetrics& serial = results.at(app.name + "/serial");
-    const RunMetrics& mt = results.at(app.name + "/cpu-mt");
-    const RunMetrics& single = results.at(app.name + "/gpu-single");
-    const RunMetrics& dbl = results.at(app.name + "/gpu-double");
-    const RunMetrics& big = results.at(app.name + "/bigkernel");
+    const auto row = bigk::bench::row_results(
+        results, app.name,
+        {"serial", "cpu-mt", "gpu-single", "gpu-double", "bigkernel"});
+    if (row.empty()) continue;
+    const RunMetrics& serial = *row[0];
+    const RunMetrics& mt = *row[1];
+    const RunMetrics& single = *row[2];
+    const RunMetrics& dbl = *row[3];
+    const RunMetrics& big = *row[4];
     const double s_mt = bigk::schemes::speedup(serial, mt);
     const double s_single = bigk::schemes::speedup(serial, single);
     const double s_double = bigk::schemes::speedup(serial, dbl);
@@ -54,6 +58,7 @@ void print_table(const Context& ctx, const ResultStore& results) {
     max_over_mt = std::max(max_over_mt, s_big / s_mt);
     ++apps;
   }
+  if (apps == 0) return;
   const double n = apps;
   std::printf("%-30s %9.2fx %9.2fx %9.2fx %9.2fx\n", "geomean",
               std::exp(geo_mt / n), std::exp(geo_single / n),

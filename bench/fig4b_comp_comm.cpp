@@ -19,7 +19,10 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s %14s %14s %12s\n", "Application", "Computation",
               "Communication", "comp:comm");
   for (const auto& app : ctx.suite) {
-    const auto& metrics = results.at(app.name + "/gpu-single");
+    const auto row =
+        bigk::bench::row_results(results, app.name, {"gpu-single"});
+    if (row.empty()) continue;
+    const auto& metrics = *row[0];
     const double comm = metrics.comm_fraction();
     const double comp = 1.0 - comm;
     std::printf("%-30s %13.1f%% %13.1f%% %11.2f\n", app.name.c_str(),

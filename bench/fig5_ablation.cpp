@@ -23,10 +23,13 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s %10s %12s %12s %12s\n", "Application", "overlap",
               "+xfer-vol", "+coalescing", "(=BigKernel)");
   for (const auto& app : ctx.suite) {
-    const RunMetrics& single = results.at(app.name + "/gpu-single");
-    const RunMetrics& overlap = results.at(app.name + "/overlap");
-    const RunMetrics& reduced = results.at(app.name + "/reduced");
-    const RunMetrics& full = results.at(app.name + "/full");
+    const auto row = bigk::bench::row_results(
+        results, app.name, {"gpu-single", "overlap", "reduced", "full"});
+    if (row.empty()) continue;
+    const RunMetrics& single = *row[0];
+    const RunMetrics& overlap = *row[1];
+    const RunMetrics& reduced = *row[2];
+    const RunMetrics& full = *row[3];
     const double s1 = bigk::schemes::speedup(single, overlap);
     const double s2 = bigk::schemes::speedup(single, reduced);
     const double s3 = bigk::schemes::speedup(single, full);

@@ -22,7 +22,9 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s %10s %10s %10s %10s\n", "Application", "AddrGen",
               "Assembly", "Transfer", "Compute");
   for (const auto& app : ctx.suite) {
-    const auto& engine = results.at(app.name + "/bigkernel").engine;
+    const auto row = bigk::bench::row_results(results, app.name, {"bigkernel"});
+    if (row.empty()) continue;
+    const auto& engine = row[0]->engine;
     const double stages[4] = {
         static_cast<double>(engine.addr_gen_busy()),
         static_cast<double>(engine.assembly_busy()),

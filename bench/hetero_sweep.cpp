@@ -40,18 +40,22 @@ void print_table(const Context& ctx, const ResultStore& results,
   double max_gain = 0.0;
   int apps = 0;
   int wins = 0;
+  std::vector<std::string> tags = {"cpu-only", "gpu-only", "dynamic"};
+  for (double ratio : grid) tags.push_back(ratio_tag(ratio));
   for (const auto& app : ctx.suite) {
-    const RunMetrics& cpu_only = results.at(app.name + "/cpu-only");
-    const RunMetrics& gpu_only = results.at(app.name + "/gpu-only");
-    const RunMetrics& dynamic = results.at(app.name + "/dynamic");
+    const auto row = bigk::bench::row_results(results, app.name, tags);
+    if (row.empty()) continue;
+    const RunMetrics& cpu_only = *row[0];
+    const RunMetrics& gpu_only = *row[1];
+    const RunMetrics& dynamic = *row[2];
     const RunMetrics* best_static = nullptr;
     double best_static_ratio = 0.0;
-    for (double ratio : grid) {
-      const RunMetrics& entry = results.at(app.name + "/" + ratio_tag(ratio));
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const RunMetrics* entry = row[3 + i];
       if (best_static == nullptr ||
-          entry.total_time < best_static->total_time) {
-        best_static = &entry;
-        best_static_ratio = ratio;
+          entry->total_time < best_static->total_time) {
+        best_static = entry;
+        best_static_ratio = grid[i];
       }
     }
     const double best_single = bigk::sim::to_milliseconds(
@@ -70,6 +74,7 @@ void print_table(const Context& ctx, const ResultStore& results,
     if (gain > 1.0) ++wins;
     ++apps;
   }
+  if (apps == 0) return;
   std::printf(
       "\ndynamic vs best single side: geomean %.2fx, max %.2fx, faster on "
       "%d/%d apps\n",

@@ -9,6 +9,7 @@
 // insensitive throughout.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 
@@ -20,8 +21,8 @@ using bigk::bench::ResultStore;
 
 constexpr double kBandwidths[] = {2.0, 4.0, 8.0, 16.0, 32.0};
 
-std::string key(const std::string& app, double gbps, const char* scheme) {
-  return app + "/" + std::to_string(static_cast<int>(gbps)) + "/" + scheme;
+std::string tag(double gbps, const char* scheme) {
+  return std::to_string(static_cast<int>(gbps)) + "/" + scheme;
 }
 
 void print_table(const Context& ctx, const ResultStore& results) {
@@ -32,12 +33,17 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s", "Application \\ link GB/s");
   for (double gbps : kBandwidths) std::printf("%9.0f", gbps);
   std::printf("\n");
+  std::vector<std::string> tags;
+  for (double gbps : kBandwidths) {
+    tags.push_back(tag(gbps, "double"));
+    tags.push_back(tag(gbps, "bigkernel"));
+  }
   for (const auto& app : ctx.suite) {
+    const auto row = bigk::bench::row_results(results, app.name, tags);
+    if (row.empty()) continue;
     std::printf("%-30s", app.name.c_str());
-    for (double gbps : kBandwidths) {
-      const auto& dbl = results.at(key(app.name, gbps, "double"));
-      const auto& big = results.at(key(app.name, gbps, "bigkernel"));
-      std::printf("%8.2fx", bigk::schemes::speedup(dbl, big));
+    for (std::size_t i = 0; i < row.size(); i += 2) {
+      std::printf("%8.2fx", bigk::schemes::speedup(*row[i], *row[i + 1]));
     }
     std::printf("\n");
   }
@@ -59,12 +65,14 @@ int main(int argc, char** argv) {
       config.pcie.h2d_gbps = gbps;
       config.pcie.d2h_gbps = gbps;
       bigk::bench::register_sim_benchmark(
-          key(app.name, gbps, "double"), &results, [&ctx, &app, config] {
+          app.name + "/" + tag(gbps, "double"), &results,
+          [&ctx, &app, config] {
             return app.run(bigk::schemes::Scheme::kGpuDoubleBuffer, config,
                            ctx.scheme_config);
           });
       bigk::bench::register_sim_benchmark(
-          key(app.name, gbps, "bigkernel"), &results, [&ctx, &app, config] {
+          app.name + "/" + tag(gbps, "bigkernel"), &results,
+          [&ctx, &app, config] {
             return app.run(bigk::schemes::Scheme::kBigKernel, config,
                            ctx.scheme_config);
           });

@@ -20,7 +20,9 @@ void print_table(const Context& ctx, const ResultStore& results) {
               "meas.R%", "meas.M%");
   for (const auto& app : ctx.suite) {
     const auto& info = app.info;
-    const auto& metrics = results.at(app.name + "/bigkernel");
+    const auto row = bigk::bench::row_results(results, app.name, {"bigkernel"});
+    if (row.empty()) continue;
+    const auto& metrics = *row[0];
     const double data_bytes =
         static_cast<double>(ctx.scaled.data_bytes(info.paper_data_gb));
     const double measured_read =

@@ -20,8 +20,11 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s %14s %12s %14s\n", "Application", "improvement",
               "hit rate", "addr traffic");
   for (const auto& app : ctx.suite) {
-    const auto& with = results.at(app.name + "/pattern-on");
-    const auto& without = results.at(app.name + "/pattern-off");
+    const auto row = bigk::bench::row_results(results, app.name,
+                                              {"pattern-on", "pattern-off"});
+    if (row.empty()) continue;
+    const auto& with = *row[0];
+    const auto& without = *row[1];
     if (!app.pattern_applicable) {
       std::printf("%-30s %14s %11.0f%% %13s\n", app.name.c_str(), "NA",
                   100.0 * with.engine.pattern_hit_rate(), "-");

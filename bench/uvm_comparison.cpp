@@ -30,8 +30,11 @@ void print_table(const Context& ctx, const ResultStore& results) {
   std::printf("%-30s %12s %12s %9s %14s %14s\n", "Application", "UVM",
               "BigKernel", "speedup", "UVM h2d", "BigKernel h2d");
   for (const auto& app : ctx.suite) {
-    const auto& uvm = results.at(app.name + "/uvm");
-    const auto& big = results.at(app.name + "/bigkernel");
+    const auto row =
+        bigk::bench::row_results(results, app.name, {"uvm", "bigkernel"});
+    if (row.empty()) continue;
+    const auto& uvm = *row[0];
+    const auto& big = *row[1];
     std::printf("%-30s %9.2f ms %9.2f ms %8.2fx %11.1f MB %11.1f MB\n",
                 app.name.c_str(), bigk::sim::to_milliseconds(uvm.total_time),
                 bigk::sim::to_milliseconds(big.total_time),

@@ -8,7 +8,9 @@
 #
 #   scripts/ci.sh [preset ...]     presets: lint plain asan-ubsan tidy
 #
-# With no arguments lint, plain and asan-ubsan run. Each build preset's ctest
+# With no arguments lint, plain and asan-ubsan run. plain builds with
+# -Werror; asan-ubsan does not, since GCC's sanitizer builds warn in code
+# that is otherwise warning-free. Each build preset's ctest
 # already covers the fault, durability, load and hetero suites, the
 # bench_prof_gate perf gate and the check_serve_bench_schema bench smoke;
 # plain also builds benchmark/ and runs its bigkbench_smoke.
@@ -39,7 +41,8 @@ fi
 for preset in "${presets[@]}"; do
   case "${preset}" in
     plain)
-      run_preset plain
+      # A compiler warning fails the build (the root adds -Wall -Wextra).
+      run_preset plain -DCMAKE_CXX_FLAGS=-Werror
       # The CPU+GPU ratio-sweep smoke; no ctest runs hetero_sweep.
       echo "=== ci preset plain: hetero_sweep smoke ==="
       BIGK_SCALE=0.001 "${repo_root}/build-ci-plain/bench/hetero_sweep"

@@ -27,9 +27,12 @@ bool PatternDetector::feed(std::uint64_t address) {
       }
       return true;
     case State::kVerifying: {
-      const std::uint64_t expected = candidate_.address_at(count_ - 1);
-      if (address == expected) {
+      if (address == expected_) {
         candidate_.count = count_;
+        // address_at(count_), one stride on in the same wrapping arithmetic.
+        const std::vector<std::int64_t>& strides = candidate_.strides;
+        expected_ += static_cast<std::uint64_t>(strides[next_stride_]);
+        if (++next_stride_ == strides.size()) next_stride_ = 0;
         return true;
       }
       state_ = State::kBroken;
@@ -63,6 +66,11 @@ bool PatternDetector::hypothesize() {
       candidate_.base = probe_.front();
       candidate_.strides = std::move(strides);
       candidate_.count = n;
+      // The probe already confirmed address_at(n - 1) == probe_.back().
+      next_stride_ = (n - 1) % cycle;
+      expected_ = probe_.back() +
+                  static_cast<std::uint64_t>(candidate_.strides[next_stride_]);
+      if (++next_stride_ == cycle) next_stride_ = 0;
       state_ = State::kVerifying;
       return true;
     }
@@ -90,7 +98,6 @@ void PatternDetector::reset() {
   probe_.clear();
   candidate_ = StridePattern{};
   count_ = 0;
-  last_address_ = 0;
 }
 
 }  // namespace bigk::core

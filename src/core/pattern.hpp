@@ -10,6 +10,7 @@
 // biggest win for character-granularity streams (Table II).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -79,7 +80,10 @@ class PatternDetector {
   std::vector<std::uint64_t> probe_;
   StridePattern candidate_;
   std::uint64_t count_ = 0;
-  std::uint64_t last_address_ = 0;
+  // While verifying: candidate_.address_at(count_), the next address the
+  // pattern predicts, and the index of the stride that follows it.
+  std::uint64_t expected_ = 0;
+  std::size_t next_stride_ = 0;
 };
 
 }  // namespace bigk::core

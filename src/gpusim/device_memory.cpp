@@ -2,6 +2,28 @@
 
 namespace bigk::gpusim {
 
+namespace detail {
+
+void throw_null_arithmetic() {
+  throw std::logic_error("DevicePtr arithmetic on a null device pointer");
+}
+
+void throw_address_overflow(std::uint64_t base, std::uint64_t elements,
+                            std::uint64_t element_bytes) {
+  throw std::overflow_error(
+      "DevicePtr arithmetic overflows the device address space: base " +
+      std::to_string(base) + " + " + std::to_string(elements) +
+      " elements of " + std::to_string(element_bytes) + " bytes");
+}
+
+void throw_out_of_bounds(std::uint64_t offset, std::uint64_t n) {
+  throw std::out_of_range("device memory access out of bounds: offset " +
+                          std::to_string(offset) + " size " +
+                          std::to_string(n));
+}
+
+}  // namespace detail
+
 namespace {
 constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;

@@ -43,6 +43,17 @@ class InvalidFree : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+namespace detail {
+// The throws of the checked access path. Building their messages takes
+// std::to_string calls, so they live out of line, where they cost nothing
+// until they fire; the checks that guard them stay inline in every access.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_null_arithmetic();
+[[noreturn, gnu::cold, gnu::noinline]] void throw_address_overflow(
+    std::uint64_t base, std::uint64_t elements, std::uint64_t element_bytes);
+[[noreturn, gnu::cold, gnu::noinline]] void throw_out_of_bounds(
+    std::uint64_t offset, std::uint64_t n);
+}  // namespace detail
+
 template <class T>
 struct DevicePtr {
   static constexpr std::uint64_t kNull = ~std::uint64_t{0};
@@ -61,14 +72,9 @@ struct DevicePtr {
   /// Byte address of element `i` (the "device address" the paper's address
   /// buffers carry).
   std::uint64_t element_address(std::uint64_t i) const {
-    if (is_null()) {
-      throw std::logic_error("DevicePtr arithmetic on a null device pointer");
-    }
+    if (is_null()) detail::throw_null_arithmetic();
     if (i != 0 && i > (kNull - 1 - byte_offset) / sizeof(T)) {
-      throw std::overflow_error(
-          "DevicePtr arithmetic overflows the device address space: base " +
-          std::to_string(byte_offset) + " + " + std::to_string(i) +
-          " elements of " + std::to_string(sizeof(T)) + " bytes");
+      detail::throw_address_overflow(byte_offset, i, sizeof(T));
     }
     return byte_offset + i * sizeof(T);
   }
@@ -192,9 +198,7 @@ class DeviceMemory {
  private:
   const void* checked(std::uint64_t offset, std::uint64_t n) const {
     if (offset + n > arena_.size() || offset + n < offset) {
-      throw std::out_of_range("device memory access out of bounds: offset " +
-                              std::to_string(offset) + " size " +
-                              std::to_string(n));
+      detail::throw_out_of_bounds(offset, n);
     }
     return arena_.data() + offset;
   }

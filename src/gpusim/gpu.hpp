@@ -75,29 +75,34 @@ class LaneCtx {
   std::uint32_t thread_in_block() const noexcept { return thread_in_block_; }
   std::uint32_t global_thread() const noexcept { return global_thread_; }
 
+  // Each access computes (and checks) the element address once and hands
+  // the arena the checked address at index 0, where the overflow check is
+  // trivially satisfied.
   template <class T>
   T load(DevicePtr<T> ptr, std::uint64_t index = 0) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T));
-    return memory_.read(ptr, index);
+    const DevicePtr<T> at{ptr.element_address(index)};
+    tracer_.record_access(at.byte_offset, sizeof(T));
+    return memory_.read(at);
   }
 
   template <class T>
   void store(DevicePtr<T> ptr, std::uint64_t index, const T& value) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T),
-                          WarpTracer::kFlagWrite);
-    memory_.write(ptr, index, value);
+    const DevicePtr<T> at{ptr.element_address(index)};
+    tracer_.record_access(at.byte_offset, sizeof(T), WarpTracer::kFlagWrite);
+    memory_.write(at, 0, value);
   }
 
   /// Atomic read-modify-write on global memory (adds the configured extra
   /// serialization cycles on top of the traced access).
   template <class T>
   T atomic_add(DevicePtr<T> ptr, std::uint64_t index, T delta) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T),
+    const DevicePtr<T> at{ptr.element_address(index)};
+    tracer_.record_access(at.byte_offset, sizeof(T),
                           WarpTracer::kFlagWrite | WarpTracer::kFlagAtomic);
     tracer_.record_alu(atomic_extra_cycles_);
     tracer_.record_atomic();
-    T old = memory_.read(ptr, index);
-    memory_.write(ptr, index, static_cast<T>(old + delta));
+    T old = memory_.read(at);
+    memory_.write(at, 0, static_cast<T>(old + delta));
     return old;
   }
 

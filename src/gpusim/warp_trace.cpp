@@ -32,10 +32,21 @@ WarpCost WarpTracer::finish(const GpuConfig& config) {
   const auto segment_of = [txn, txn_shift](std::uint64_t addr) {
     return txn_shift >= 0 ? addr >> txn_shift : addr / txn;
   };
-  const std::uint64_t warp_begin = clock_ + 1;
+  // The hot state lives in locals: a store to a slot may alias `this` as far
+  // as the compiler knows, so member fields would be reloaded (and the cost
+  // and clock kept in memory) on every probe. grow() works on the members,
+  // so the clock is written back before it and the table view reloaded
+  // after.
+  std::uint64_t mem = 0;
+  std::uint64_t issue = 0;
+  std::uint64_t now = clock_;
+  Slot* table = table_.data();
+  std::size_t mask = table_.size() - 1;
+  std::uint32_t shift = table_shift_;
+  const std::uint64_t warp_begin = now + 1;
   std::size_t table_used = 0;  // slots filled by this warp
   for (std::size_t step = 0; step < max_steps; ++step) {
-    const std::uint64_t now = ++clock_;
+    ++now;
     for (const Lane& lane : lanes_) {
       if (step >= lane.accesses.size()) continue;
       const Access& access = lane.accesses[step];
@@ -43,48 +54,59 @@ WarpCost WarpTracer::finish(const GpuConfig& config) {
       const std::uint64_t last = segment_of(
           access.addr + std::max<std::uint32_t>(access.size, 1) - 1);
       for (std::uint64_t seg = first; seg <= last; ++seg) {
-        Slot* slot = &probe(seg, warp_begin);
+        Slot* slot = &table[probe(table, mask, shift, seg, warp_begin)];
         if (slot->stamp < warp_begin) {
-          if (2 * (table_used + 1) > table_.size()) {
+          if (2 * (table_used + 1) > mask + 1) {
+            clock_ = now;
             grow(warp_begin);
-            slot = &probe(seg, warp_begin);
+            table = table_.data();
+            mask = table_.size() - 1;
+            shift = table_shift_;
+            slot = &table[probe(table, mask, shift, seg, warp_begin)];
           }
           *slot = Slot{seg, now};
           ++table_used;
-          ++cost.mem_transactions;
-          ++cost.issue_transactions;
+          ++mem;
+          ++issue;
         } else if (slot->stamp != now) {
           slot->stamp = now;
-          ++cost.issue_transactions;
+          ++issue;
         }
       }
     }
   }
-  cost.mem_bytes = cost.mem_transactions * txn;
+  clock_ = now;
+  cost.mem_transactions = mem;
+  cost.issue_transactions = issue;
+  cost.mem_bytes = mem * txn;
   cost.atomic_ops = atomic_ops_;
   return cost;
 }
 
-WarpTracer::Slot& WarpTracer::probe(std::uint64_t segment,
-                                    std::uint64_t warp_begin) {
+std::size_t WarpTracer::probe(const Slot* table, std::size_t mask,
+                              std::uint32_t shift, std::uint64_t segment,
+                              std::uint64_t warp_begin) {
   // Fibonacci hashing spreads the consecutive segments of coalesced
   // accesses; linear probing stops at the first slot this warp has not
   // filled.
-  const std::size_t mask = table_.size() - 1;
-  std::size_t index = (segment * 0x9E3779B97F4A7C15ull) >> table_shift_;
-  while (table_[index].stamp >= warp_begin &&
-         table_[index].segment != segment) {
+  std::size_t index = (segment * 0x9E3779B97F4A7C15ull) >> shift;
+  while (table[index].stamp >= warp_begin &&
+         table[index].segment != segment) {
     index = (index + 1) & mask;
   }
-  return table_[index];
+  return index;
 }
 
 void WarpTracer::grow(std::uint64_t warp_begin) {
   std::vector<Slot> old(table_.size() * 2);
   old.swap(table_);
   --table_shift_;
+  const std::size_t mask = table_.size() - 1;
   for (const Slot& slot : old) {
-    if (slot.stamp >= warp_begin) probe(slot.segment, warp_begin) = slot;
+    if (slot.stamp >= warp_begin) {
+      table_[probe(table_.data(), mask, table_shift_, slot.segment,
+                   warp_begin)] = slot;
+    }
   }
 }
 

@@ -117,8 +117,12 @@ class WarpTracer {
     std::uint64_t stamp = 0;  // clock_ value of the last step touching it
   };
 
-  /// Returns the slot holding `segment`, or the empty slot where it belongs.
-  Slot& probe(std::uint64_t segment, std::uint64_t warp_begin);
+  /// Returns the index of the slot of `table` (size mask + 1, indexed by the
+  /// top 64 - shift bits of the hash) holding `segment`, or of the empty slot
+  /// where it belongs.
+  static std::size_t probe(const Slot* table, std::size_t mask,
+                           std::uint32_t shift, std::uint64_t segment,
+                           std::uint64_t warp_begin);
   /// Doubles the table, keeping the current warp's slots.
   void grow(std::uint64_t warp_begin);
 

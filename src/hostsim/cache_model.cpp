@@ -27,17 +27,21 @@ CacheModel::CacheModel(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
   lines_.resize(sets * ways_);
 }
 
-bool CacheModel::access(std::uint64_t logical_addr) {
-  const std::uint64_t line = logical_addr >> line_shift_;
+bool CacheModel::access_set(std::uint64_t line) {
   const std::uint64_t set = line & set_mask_;
   const std::uint64_t tag = line >> set_shift_;
   Way* base = &lines_[set * ways_];
   ++tick_;
+  last_line_ = line;
+  has_last_ = true;
 
+  // The victim stays a pointer here: a pointer alone is one conditional
+  // move per way, where an index compiles to an unpredictable branch.
   Way* victim = base;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     if (base[w].tag == tag) {
       base[w].last_use = tick_;
+      last_way_ = set * ways_ + w;
       ++hits_;
       return true;
     }
@@ -45,12 +49,14 @@ bool CacheModel::access(std::uint64_t logical_addr) {
   }
   victim->tag = tag;
   victim->last_use = tick_;
+  last_way_ = static_cast<std::size_t>(victim - lines_.data());
   ++misses_;
   return false;
 }
 
 void CacheModel::reset() {
   std::fill(lines_.begin(), lines_.end(), Way{});
+  has_last_ = false;
   tick_ = hits_ = misses_ = 0;
 }
 

@@ -7,6 +7,7 @@
 // ASLR and runs are reproducible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +29,17 @@ class CacheModel {
              std::uint32_t ways);
 
   /// Touches the line containing `logical_addr`; returns true on hit.
-  bool access(std::uint64_t logical_addr);
+  bool access(std::uint64_t logical_addr) {
+    // A repeat of the last line touched: that line is still resident in the
+    // way that took it, so this is the hit the set scan would find.
+    const std::uint64_t line = logical_addr >> line_shift_;
+    if (line == last_line_ && has_last_) {
+      lines_[last_way_].last_use = ++tick_;
+      ++hits_;
+      return true;
+    }
+    return access_set(line);
+  }
 
   void reset();
 
@@ -50,7 +61,15 @@ class CacheModel {
   std::uint32_t ways_;
   std::uint64_t set_mask_;
   std::uint32_t set_shift_;  // log2(sets()): a tag is `line >> set_shift_`
+  /// The LRU set scan behind access().
+  bool access_set(std::uint64_t line);
+
   std::vector<Way> lines_;  // sets * ways, row-major by set
+  // The last line touched and the index in lines_ of the way holding it (an
+  // index, not a pointer, so a copied or moved model stays valid).
+  std::uint64_t last_line_ = 0;
+  std::size_t last_way_ = 0;
+  bool has_last_ = false;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

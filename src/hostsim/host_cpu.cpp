@@ -1,6 +1,9 @@
 #include "hostsim/host_cpu.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace bigk::hostsim {
 
@@ -14,41 +17,31 @@ HostThread::HostThread(HostCpu& cpu, std::uint32_t hw_thread,
 void HostThread::touch(std::uint32_t region_id, std::uint64_t offset,
                        std::uint64_t size, bool stall_on_miss) {
   if (size == 0) return;
-  const std::uint32_t line = cache_.line_bytes();
   const std::uint32_t shift = cache_.line_shift();
   const std::uint64_t first = offset >> shift;
   const std::uint64_t last = (offset + size - 1) >> shift;
+  const double hit_cycles = cpu_.config().cache_hit_cycles;
+  // Hits still add their cycles one at a time, in the order the scan makes
+  // them, so the floating-point sum is the one a line-by-line charge gives.
+  double cycles = cycles_;
+  std::uint64_t misses = 0;
   for (std::uint64_t l = first; l <= last; ++l) {
     if (cache_.access(logical_address(region_id, l << shift))) {
-      cycles_ += cpu_.config().cache_hit_cycles;
-      if (cpu_.ctr_cache_hits_ != nullptr) cpu_.ctr_cache_hits_->add(1);
+      cycles += hit_cycles;
     } else {
-      bus_bytes_ += line;
-      if (stall_on_miss) latency_ += cpu_.config().cache_miss_latency;
-      if (cpu_.ctr_cache_misses_ != nullptr) cpu_.ctr_cache_misses_->add(1);
+      ++misses;
     }
   }
+  cycles_ = cycles;
+  bus_bytes_ += misses * cache_.line_bytes();
+  if (stall_on_miss) {
+    latency_ += misses * cpu_.config().cache_miss_latency;
+  }
+  if (cpu_.ctr_cache_hits_ != nullptr) {
+    cpu_.ctr_cache_hits_->add(last - first + 1 - misses);
+  }
+  if (cpu_.ctr_cache_misses_ != nullptr) cpu_.ctr_cache_misses_->add(misses);
 }
-
-void HostThread::read(std::uint32_t region_id, std::uint64_t offset,
-                      std::uint64_t size) {
-  touch(region_id, offset, size, /*stall_on_miss=*/true);
-}
-
-void HostThread::read_sequential(std::uint32_t region_id,
-                                 std::uint64_t offset, std::uint64_t size) {
-  touch(region_id, offset, size, /*stall_on_miss=*/false);
-}
-
-void HostThread::write(std::uint32_t region_id, std::uint64_t offset,
-                       std::uint64_t size) {
-  // Write-allocate, but store misses do not stall the core (write buffers).
-  touch(region_id, offset, size, /*stall_on_miss=*/false);
-}
-
-void HostThread::write_stream(std::uint64_t size) { bus_bytes_ += size; }
-
-void HostThread::compute(double ops) { cycles_ += ops; }
 
 sim::Task<> HostThread::commit() {
   const gpusim::CpuConfig& config = cpu_.config();
@@ -84,8 +77,33 @@ sim::Task<> HostThread::commit() {
   }
 }
 
+namespace {
+
+// Rejects configs the host model cannot run: make_thread pins threads modulo
+// the core count, the CPU schemes fan out over hw_threads, and commit()
+// divides by the clock, the IPC and the bus bandwidth.
+const gpusim::CpuConfig& checked(const gpusim::CpuConfig& config) {
+  if (config.cores == 0) throw std::invalid_argument("cpu.cores must be > 0");
+  if (config.hw_threads == 0) {
+    throw std::invalid_argument("cpu.hw_threads must be > 0");
+  }
+  const std::pair<double, const char*> rates[] = {
+      {config.clock_ghz, "cpu.clock_ghz must be finite and > 0"},
+      {config.ipc, "cpu.ipc must be finite and > 0"},
+      {config.mem_gbps, "cpu.mem_gbps must be finite and > 0"},
+  };
+  for (const auto& [value, message] : rates) {
+    if (!std::isfinite(value) || value <= 0.0) {
+      throw std::invalid_argument(message);
+    }
+  }
+  return config;
+}
+
+}  // namespace
+
 HostCpu::HostCpu(sim::Simulation& sim, const gpusim::CpuConfig& config)
-    : sim_(sim), config_(config), bus_(sim, "cpu-mem-bus") {
+    : sim_(sim), config_(checked(config)), bus_(sim, "cpu-mem-bus") {
   cores_.reserve(config_.cores);
   for (std::uint32_t i = 0; i < config_.cores; ++i) {
     cores_.push_back(

@@ -36,24 +36,32 @@ class HostThread {
 
   /// Reads `size` bytes at `offset` within host region `region_id`, touching
   /// the cache line by line. Misses stall the core (pointer-chase style).
-  void read(std::uint32_t region_id, std::uint64_t offset, std::uint64_t size);
+  void read(std::uint32_t region_id, std::uint64_t offset,
+            std::uint64_t size) {
+    touch(region_id, offset, size, /*stall_on_miss=*/true);
+  }
 
   /// Same, but for ascending-address scans the hardware prefetcher covers:
   /// misses consume bus bandwidth without stalling the core.
   void read_sequential(std::uint32_t region_id, std::uint64_t offset,
-                       std::uint64_t size);
+                       std::uint64_t size) {
+    touch(region_id, offset, size, /*stall_on_miss=*/false);
+  }
 
   /// Streaming (non-temporal) write of `size` bytes: occupies bus bandwidth
   /// but neither allocates in cache nor stalls the core.
-  void write_stream(std::uint64_t size);
+  void write_stream(std::uint64_t size) { bus_bytes_ += size; }
 
   /// Cached write of `size` bytes at a logical location (used for in-place
   /// updates such as scattering write-backs into the mapped source).
+  /// Write-allocate, but store misses do not stall the core (write buffers).
   void write(std::uint32_t region_id, std::uint64_t offset,
-             std::uint64_t size);
+             std::uint64_t size) {
+    touch(region_id, offset, size, /*stall_on_miss=*/false);
+  }
 
   /// Charges `ops` arithmetic operations.
-  void compute(double ops);
+  void compute(double ops) { cycles_ += ops; }
 
   /// Realizes all accumulated cost as virtual time and clears accumulators.
   sim::Task<> commit();
@@ -84,6 +92,9 @@ class HostThread {
 
 class HostCpu {
  public:
+  /// Throws std::invalid_argument naming the field when `config` has zero
+  /// cores or hw_threads, or a clock_ghz, ipc or mem_gbps that is not a
+  /// finite positive number.
   HostCpu(sim::Simulation& sim, const gpusim::CpuConfig& config);
 
   const gpusim::CpuConfig& config() const noexcept { return config_; }

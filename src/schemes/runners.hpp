@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,13 +153,17 @@ sim::Task<> cpu_partition(hostsim::HostCpu& cpu,
 
 /// The CPU fan-out: splits records [rec_begin, rec_end) into `threads`
 /// contiguous slices, runs each through cpu_partition on its own host
-/// thread, and joins them.
+/// thread, and joins them. Throws std::invalid_argument when `threads` is 0,
+/// which would run no record at all.
 template <class Kernel>
 sim::Task<> cpu_fan_out(hostsim::HostCpu& cpu,
                         std::vector<core::StreamBinding>& bindings,
                         core::TableSet& tables, Kernel kernel,
                         std::uint64_t rec_begin, std::uint64_t rec_end,
                         std::uint32_t threads, std::uint64_t batch) {
+  if (threads == 0) {
+    throw std::invalid_argument("cpu fan-out needs at least one thread");
+  }
   const std::uint64_t per = ceil_div(rec_end - rec_begin, threads);
   std::vector<sim::Process> workers;
   for (std::uint32_t t = 0; t < threads; ++t) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <random>
 #include <vector>
 
 namespace bigk::core {
@@ -238,6 +240,71 @@ INSTANTIATE_TEST_SUITE_P(
                       PatternCase{100, {8, 8, 32}}, PatternCase{7, {3, 5}},
                       PatternCase{1 << 20, {64, -8, 8, 200}},
                       PatternCase{50, {0}}, PatternCase{1234, {16, 16}}));
+
+// The verifying state advances its expected address one stride per feed;
+// StridePattern::address_at is the reference it must agree with. Each cycle
+// length gets random strides (negative and zero included) and a probe window
+// that varies where in the cycle verification starts.
+struct LongPattern {
+  StridePattern truth;
+  std::uint32_t probe_window;
+};
+
+LongPattern random_long_pattern(std::mt19937_64& rng, std::uint32_t cycle) {
+  LongPattern p;
+  p.truth.base = (std::uint64_t{1} << 40) + rng() % (1 << 20);
+  for (std::uint32_t j = 0; j < cycle; ++j) {
+    p.truth.strides.push_back(static_cast<std::int64_t>(rng() % 129) - 64);
+  }
+  p.probe_window = 2 * cycle + 1 + static_cast<std::uint32_t>(rng() % cycle);
+  return p;
+}
+
+constexpr std::uint32_t kMaxCycle = 32;
+constexpr std::uint64_t kFeeds = 5000;
+
+TEST(PatternDetectorTest, LongStreamsKeepThePatternForEveryCycleLength) {
+  std::mt19937_64 rng(19);
+  for (std::uint32_t cycle = 1; cycle <= kMaxCycle; ++cycle) {
+    const LongPattern p = random_long_pattern(rng, cycle);
+    PatternDetector detector(p.probe_window, kMaxCycle);
+    for (std::uint64_t i = 0; i < kFeeds; ++i) {
+      ASSERT_TRUE(detector.feed(p.truth.address_at(i)))
+          << "cycle " << cycle << ", i=" << i;
+    }
+    EXPECT_EQ(detector.state(), PatternDetector::State::kVerifying);
+    const auto found = detector.pattern();
+    ASSERT_TRUE(found.has_value()) << "cycle " << cycle;
+    EXPECT_EQ(found->count, kFeeds);
+    for (std::uint64_t i = 0; i < kFeeds; i += 7) {
+      ASSERT_EQ(found->address_at(i), p.truth.address_at(i))
+          << "cycle " << cycle << ", i=" << i;
+    }
+  }
+}
+
+// One address off by one byte breaks the pattern at exactly its own feed:
+// the first verified address, the first address of a later cycle, and one
+// deep into the stream.
+TEST(PatternDetectorTest, OnePerturbedAddressFailsExactlyItsOwnFeed) {
+  std::mt19937_64 rng(23);
+  for (std::uint32_t cycle = 1; cycle <= kMaxCycle; ++cycle) {
+    const LongPattern p = random_long_pattern(rng, cycle);
+    const std::uint64_t boundary =
+        (p.probe_window / cycle + 2) * std::uint64_t{cycle};
+    const std::uint64_t late = 3000 + rng() % 1000;
+    for (std::uint64_t bad : {std::uint64_t{p.probe_window}, boundary, late}) {
+      PatternDetector detector(p.probe_window, kMaxCycle);
+      for (std::uint64_t i = 0; i < kFeeds; ++i) {
+        const std::uint64_t address = p.truth.address_at(i) + (i == bad);
+        ASSERT_EQ(detector.feed(address), i != bad)
+            << "cycle " << cycle << ", perturbed " << bad << ", i=" << i;
+      }
+      EXPECT_EQ(detector.state(), PatternDetector::State::kBroken);
+      EXPECT_FALSE(detector.pattern().has_value());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bigk::core

@@ -279,5 +279,66 @@ TEST(GpuTest, ConstructorRejectsConfigsTheWarpModelCannotRun) {
   EXPECT_EQ(message(config), "no exception");
 }
 
+// Every traced lane access still runs the null, overflow and bounds checks,
+// with the exception types and messages of the arena's own checks.
+struct Thrown {
+  std::string type;
+  std::string what;
+};
+
+template <class Fn>
+Thrown thrown_by(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::overflow_error& e) {
+    return {"overflow_error", e.what()};
+  } catch (const std::out_of_range& e) {
+    return {"out_of_range", e.what()};
+  } catch (const std::logic_error& e) {
+    return {"logic_error", e.what()};
+  }
+  return {"none", ""};
+}
+
+TEST(LaneCtxTest, LoadStoreAndAtomicAddKeepEveryCheck) {
+  DeviceMemory memory(4096);
+  WarpTracer tracer(32);
+  tracer.begin_lane(0);
+  LaneCtx lane(memory, tracer, 0, 0);
+  const DevicePtr<std::uint64_t> null{};
+  const DevicePtr<std::uint64_t> valid = memory.allocate<std::uint64_t>(8);
+  const DevicePtr<std::uint64_t> outside{4096};
+  const std::uint64_t huge = (~std::uint64_t{0} >> 3) + 1;  // 2^61 elements
+
+  const auto expect_all = [&](DevicePtr<std::uint64_t> ptr,
+                              std::uint64_t index, const std::string& type,
+                              const std::string& what) {
+    const std::uint64_t one = 1;
+    const Thrown load = thrown_by([&] { (void)lane.load(ptr, index); });
+    const Thrown store = thrown_by([&] { lane.store(ptr, index, one); });
+    const Thrown atomic =
+        thrown_by([&] { (void)lane.atomic_add(ptr, index, one); });
+    for (const Thrown& thrown : {load, store, atomic}) {
+      EXPECT_EQ(thrown.type, type) << what;
+      EXPECT_EQ(thrown.what, what);
+    }
+  };
+  expect_all(null, 0, "logic_error",
+             "DevicePtr arithmetic on a null device pointer");
+  expect_all(valid, huge, "overflow_error",
+             "DevicePtr arithmetic overflows the device address space: "
+             "base 0 + " + std::to_string(huge) + " elements of 8 bytes");
+  expect_all(outside, 0, "out_of_range",
+             "device memory access out of bounds: offset 4096 size 8");
+  expect_all(valid, 512, "out_of_range",
+             "device memory access out of bounds: offset 4096 size 8");
+
+  // The same lane context still reads and writes in bounds.
+  lane.store(valid, 3, std::uint64_t{41});
+  EXPECT_EQ(lane.atomic_add(valid, 3, std::uint64_t{1}), 41u);
+  EXPECT_EQ(lane.load(valid, 3), 42u);
+  EXPECT_EQ(memory.read(valid, 3), 42u);
+}
+
 }  // namespace
 }  // namespace bigk::gpusim

@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "hostsim/cache_model.hpp"
+#include "obs/metrics_registry.hpp"
 #include "sim/simulation.hpp"
 
 namespace bigk::hostsim {
@@ -83,6 +90,173 @@ TEST(CacheModelTest, ConstructorRejectsUnindexableGeometry) {
   EXPECT_EQ(message(64, 8), "no exception");
 }
 
+// The set-scan LRU that CacheModel's repeat-line fast path must reproduce:
+// every access scans its set, takes the first empty way on a miss, and
+// otherwise evicts the least recently used one.
+class ReferenceLru {
+ public:
+  ReferenceLru(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
+               std::uint32_t ways)
+      : line_bytes_(line_bytes),
+        sets_(std::bit_floor(
+            std::max<std::uint64_t>(1, capacity_bytes / line_bytes / ways))),
+        ways_(sets_ * ways),
+        ways_per_set_(ways) {}
+
+  bool access(std::uint64_t logical_addr) {
+    const std::uint64_t line = logical_addr / line_bytes_;
+    const std::uint64_t tag = line / sets_;
+    Way* set = &ways_[(line % sets_) * ways_per_set_];
+    ++tick_;
+    for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
+      if (set[w].valid && set[w].tag == tag) {
+        set[w].last_use = tick_;
+        ++hits_;
+        return true;
+      }
+    }
+    Way* victim = set;
+    for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (set[w].last_use < victim->last_use) victim = &set[w];
+    }
+    *victim = Way{true, tag, tick_};
+    ++misses_;
+    return false;
+  }
+
+  void reset() {
+    std::fill(ways_.begin(), ways_.end(), Way{});
+    tick_ = hits_ = misses_ = 0;
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t sets() const { return sets_; }
+
+ private:
+  struct Way {
+    bool valid = false;
+    std::uint64_t tag = 0;
+    std::uint64_t last_use = 0;
+  };
+
+  std::uint64_t line_bytes_;
+  std::uint64_t sets_;
+  std::vector<Way> ways_;  // sets_ * ways_per_set_, row-major by set
+  std::uint32_t ways_per_set_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+// A seeded stream of repeated lines, strided scans and set conflicts, with a
+// reset(), a copy and a move part-way through: the model must match the
+// reference hit for hit on every access.
+TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
+  struct Geometry {
+    std::uint64_t capacity;
+    std::uint32_t line;
+    std::uint32_t ways;
+  };
+  for (const Geometry g : {Geometry{4 << 10, 64, 4}, Geometry{2 << 10, 64, 1},
+                           Geometry{64 << 10, 64, 8},
+                           Geometry{1 << 10, 32, 16}}) {
+    SCOPED_TRACE(testing::Message() << g.capacity << " B, " << g.line
+                                    << " B lines, " << g.ways << " ways");
+    std::mt19937_64 rng(20 + g.ways);
+    auto model = std::make_unique<CacheModel>(g.capacity, g.line, g.ways);
+    ReferenceLru reference(g.capacity, g.line, g.ways);
+    ASSERT_EQ(model->sets(), reference.sets());
+    std::uint64_t accesses = 0;
+    std::uint64_t last = 0;
+    const auto touch = [&](std::uint64_t addr) {
+      if (testing::Test::HasFatalFailure()) return;
+      last = addr;
+      ++accesses;
+      const bool hit = model->access(addr);
+      ASSERT_EQ(hit, reference.access(addr)) << "access " << accesses;
+      ASSERT_EQ(model->hits(), reference.hits()) << "access " << accesses;
+      ASSERT_EQ(model->misses(), reference.misses()) << "access " << accesses;
+    };
+    // A working set of twice the capacity: about half the accesses hit, so
+    // the outcome depends on which line each set evicted.
+    const auto random_addr = [&] {
+      return logical_address(1 + static_cast<std::uint32_t>(rng() % 2),
+                             rng() % g.capacity);
+    };
+    // Asks copies, so that probing every line of a set leaves the models
+    // as they were.
+    const auto expect_same_residency = [&](std::uint64_t addr) {
+      if (testing::Test::HasFatalFailure()) return;
+      CacheModel model_copy = *model;
+      ReferenceLru reference_copy = reference;
+      ASSERT_EQ(model_copy.access(addr), reference_copy.access(addr))
+          << "residency of " << addr << " after access " << accesses;
+    };
+    const std::uint64_t set_stride = model->sets() * g.line;
+    for (int round = 0; round < 3000; ++round) {
+      if (round == 1000) {
+        model->reset();
+        reference.reset();
+        touch(last);  // the line touched before the reset is gone
+      } else if (round == 1700) {
+        model = std::make_unique<CacheModel>(*model);  // original destroyed
+      } else if (round == 2300) {
+        model = std::make_unique<CacheModel>(std::move(*model));
+      }
+      switch (rng() % 4) {
+        case 0: {  // the same line again, at the same or another byte
+          const std::uint64_t repeats = 1 + rng() % 4;
+          for (std::uint64_t r = 0; r < repeats; ++r) {
+            touch((last & ~std::uint64_t{g.line - 1}) | (rng() % g.line));
+          }
+          break;
+        }
+        case 1: {  // a strided scan
+          constexpr std::uint64_t kStrides[] = {8, 48, 64, 72, 200, 4096};
+          const std::uint64_t stride = kStrides[rng() % 6];
+          std::uint64_t addr = random_addr();
+          for (std::uint64_t n = 1 + rng() % 40; n > 0; --n) {
+            touch(addr);
+            addr += stride;
+          }
+          break;
+        }
+        case 2: {  // one set: more lines than ways, revisited in random
+                   // order with repeats, then partly pushed out by new
+                   // lines; which lines stay resident shows the LRU order
+          const std::uint64_t base = random_addr();
+          const std::uint64_t lines = g.ways + 1 + rng() % 3;
+          const std::uint64_t pushed = 1 + rng() % g.ways;
+          const auto line = [&](std::uint64_t k) {
+            return base + k * set_stride;
+          };
+          for (std::uint64_t k = 0; k < lines; ++k) touch(line(k));
+          for (std::uint64_t n = 0; n < 2 * lines; ++n) {
+            const std::uint64_t k = rng() % lines;
+            touch(line(k));
+            if (rng() % 2 == 0) touch(line(k));
+          }
+          for (std::uint64_t k = 0; k < pushed; ++k) touch(line(lines + k));
+          for (std::uint64_t k = 0; k < lines + pushed; ++k) {
+            expect_same_residency(line(k));
+          }
+          break;
+        }
+        default:
+          touch(random_addr());
+      }
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(model->hits(), 0u);
+    EXPECT_GT(model->misses(), 0u);
+  }
+}
+
 TEST(HostThreadTest, SequentialReadMostlyHits) {
   sim::Simulation sim;
   HostCpu cpu(sim, test_config());
@@ -91,6 +265,80 @@ TEST(HostThreadTest, SequentialReadMostlyHits) {
   EXPECT_EQ(thread.cache().misses(), 1024u);
   thread.read(1, 0, 64);  // now resident
   EXPECT_EQ(thread.cache().hits(), 1u);
+}
+
+// touch() adds a whole call's hits and misses to the registry at once; the
+// totals must still equal the cache model's own line-by-line counts.
+TEST(HostThreadTest, RegistryCountersMatchTheCacheModel) {
+  sim::Simulation sim;
+  obs::MetricsRegistry metrics;
+  HostCpu cpu(sim, test_config());
+  cpu.attach_observability(nullptr, &metrics);
+  HostThread thread = cpu.make_thread();
+  thread.read(1, 0, 96 << 10);  // larger than the cache: all misses
+  thread.read(2, 0, 4096);
+  thread.read(2, 0, 4096);  // now resident: all hits
+  thread.write(2, 100, 1000);
+  thread.read_sequential(1, 40 << 10, 200);
+  EXPECT_GT(thread.cache().hits(), 0u);
+  EXPECT_GT(thread.cache().misses(), 0u);
+  EXPECT_EQ(metrics.counter("hostsim.cache_hits").value(),
+            thread.cache().hits());
+  EXPECT_EQ(metrics.counter("hostsim.cache_misses").value(),
+            thread.cache().misses());
+}
+
+// A CpuConfig the host model cannot run is rejected when the CPU is built,
+// with a message naming the field.
+std::string construction_error(const gpusim::CpuConfig& config) {
+  sim::Simulation sim;
+  try {
+    HostCpu cpu(sim, config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+// make_thread pins threads modulo the core count.
+TEST(HostCpuTest, RejectsZeroCores) {
+  gpusim::CpuConfig config = test_config();
+  config.cores = 0;
+  EXPECT_NE(construction_error(config).find("cpu.cores"), std::string::npos);
+}
+
+// The CPU schemes fan out over hw_threads; zero would run no record.
+TEST(HostCpuTest, RejectsZeroHwThreads) {
+  gpusim::CpuConfig config = test_config();
+  config.hw_threads = 0;
+  EXPECT_NE(construction_error(config).find("cpu.hw_threads"),
+            std::string::npos);
+}
+
+// commit() divides by clock_ghz, ipc and mem_gbps: zero, negative and
+// non-finite values would turn into an infinite or negative duration.
+void expect_rejects_non_positive(double gpusim::CpuConfig::*field,
+                                 const char* name) {
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    gpusim::CpuConfig config = test_config();
+    config.*field = bad;
+    EXPECT_NE(construction_error(config).find(name), std::string::npos)
+        << name << " = " << bad;
+  }
+  EXPECT_EQ(construction_error(test_config()), "no exception");
+}
+
+TEST(HostCpuTest, RejectsBadClock) {
+  expect_rejects_non_positive(&gpusim::CpuConfig::clock_ghz, "cpu.clock_ghz");
+}
+
+TEST(HostCpuTest, RejectsBadIpc) {
+  expect_rejects_non_positive(&gpusim::CpuConfig::ipc, "cpu.ipc");
+}
+
+TEST(HostCpuTest, RejectsBadMemoryBandwidth) {
+  expect_rejects_non_positive(&gpusim::CpuConfig::mem_gbps, "cpu.mem_gbps");
 }
 
 TEST(HostThreadTest, CommitAdvancesTimeByComputeCost) {

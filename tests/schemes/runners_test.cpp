@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "schemes/metrics.hpp"
@@ -198,6 +199,13 @@ TEST(SchemeMetricsTest, DoubleBufferOverlapsCommunication) {
               static_cast<double>(single.h2d_bytes),
               static_cast<double>(single.h2d_bytes) * 0.05);
   EXPECT_LT(dbl.total_time, single.total_time);
+}
+
+// A fan-out over zero host threads would run no record and report a
+// finished job at 0 ps; it is rejected instead.
+TEST(SchemeCpuTest, ZeroThreadFanOutIsRejected) {
+  ToyApp app(1000);
+  EXPECT_THROW(run_cpu(small_config(), app, 0), std::invalid_argument);
 }
 
 TEST(SchemeMetricsTest, SpeedupHelper) {
