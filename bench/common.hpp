@@ -37,8 +37,6 @@
 //                          bigkcache chunk cache + pinned assembly pool
 //   --cache-bytes <N>      cache partition per device in bytes (implies
 //                          --cache; default: a quarter of the device arena)
-//   --cache-policy <name>  cache eviction policy: cost-aware (default) or
-//                          lru (implies --cache)
 //   --fault <spec>         install a bigkfault injection plane
 //                          (fault::FaultSpec::parse grammar, ';'-separated)
 //                          on every BigKernel scheme run; serving-layer
@@ -88,7 +86,6 @@
 
 #include "apps/common.hpp"
 #include "apps/registry.hpp"
-#include "cache/policy.hpp"
 #include "fault/fault.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics_registry.hpp"
@@ -273,7 +270,6 @@ class Harness {
   bool check_requested() const noexcept { return check_requested_; }
   bool cache_requested() const noexcept { return cache_requested_; }
   std::uint64_t cache_bytes() const noexcept { return cache_bytes_; }
-  cache::EvictionKind cache_policy() const noexcept { return cache_policy_; }
   // bigkfault knobs (--fault / --fault-seed).
   const std::string& fault_spec() const noexcept { return fault_spec_; }
   std::uint64_t fault_seed() const noexcept { return fault_seed_; }
@@ -396,9 +392,6 @@ class Harness {
       } else if (take(&i, arg, "--cache-bytes")) {
         cache_requested_ = true;
         cache_bytes_ = parse_positive<std::uint64_t>(value, "--cache-bytes");
-      } else if (take(&i, arg, "--cache-policy")) {
-        cache_requested_ = true;
-        cache_policy_ = cache::eviction_from_name(value);
       } else if (take(&i, arg, "--fault")) {
         fault_spec_ = value;
       } else if (take(&i, arg, "--fault-seed")) {
@@ -466,7 +459,6 @@ class Harness {
   bool check_requested_ = false;
   bool cache_requested_ = false;
   std::uint64_t cache_bytes_ = 0;
-  cache::EvictionKind cache_policy_ = cache::EvictionKind::kCostAware;
   std::uint32_t devices_ = 1;
   std::uint32_t jobs_ = 32;
   std::string policy_ = "least-bytes";

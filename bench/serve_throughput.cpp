@@ -245,7 +245,6 @@ int main(int argc, char** argv) {
                           "serve.reuse.app-affinity+cache");
           config.cache_enabled = true;
           config.cache_bytes = harness.cache_bytes();
-          config.cache_eviction = harness.cache_policy();
           return run_serve("reuse/app-affinity+cache", config, reuse,
                            reuse_apps);
         });
@@ -307,7 +306,6 @@ int main(int argc, char** argv) {
                         "serve.dur.integrity");
         config.cache_enabled = true;
         config.cache_bytes = harness.cache_bytes();
-        config.cache_eviction = harness.cache_policy();
         config.dur.integrity = true;
         config.dur.scrub_period = sim::DurationPs{20'000'000};  // 20 us
         config.dur.scrub_entries = 4;

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
 
   core::Options options;
   options.num_blocks = 4;  // few blocks keep the timeline readable
-  core::Engine engine(runtime, options);
-  engine.set_tracer(&tracer);
+  core::Engine engine(runtime, options);  // traces through the runtime
   for (const auto& decl : app.stream_decls()) {
     engine.map_stream(decl.binding, decl.overfetch_elems);
   }

@@ -313,8 +313,7 @@ ChunkCache::pick_victim() {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     const Entry& entry = it->second;
     if (entry.pins > 0 || entry.zombie) continue;
-    if (config_.eviction == EvictionKind::kCostAware &&
-        tick_ - entry.last_use <= config_.stale_ticks) {
+    if (tick_ - entry.last_use <= config_.stale_ticks) {
       // Admission control: a new, unproven image may not displace an entry
       // that is still earning its seat. Without this, a chunk scan larger
       // than the partition churns every slot and evicts each image moments
@@ -328,18 +327,14 @@ ChunkCache::pick_victim() {
       best = it;
       continue;
     }
+    // Among stale entries: least accumulated PCIe savings first — an entry
+    // that served hits proved its worth and outlives one that never did —
+    // then oldest last use.
     const Entry& leader = best->second;
-    if (config_.eviction == EvictionKind::kLru) {
-      if (entry.last_use < leader.last_use) best = it;
-    } else {
-      // Among stale entries: least accumulated PCIe savings first — an entry
-      // that served hits proved its worth and outlives one that never did —
-      // then oldest last use.
-      if (entry.saved_bytes < leader.saved_bytes ||
-          (entry.saved_bytes == leader.saved_bytes &&
-           entry.last_use < leader.last_use)) {
-        best = it;
-      }
+    if (entry.saved_bytes < leader.saved_bytes ||
+        (entry.saved_bytes == leader.saved_bytes &&
+         entry.last_use < leader.last_use)) {
+      best = it;
     }
   }
   return best;

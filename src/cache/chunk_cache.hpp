@@ -12,7 +12,7 @@
 //   * lookup() pins the entry on a hit; the engine unpins at slot release,
 //     so an entry backing an in-flight chunk can never be evicted.
 //   * On a miss the engine assembles as usual, then insert() allocates an
-//     entry (evicting per policy under pressure) and the H2D DMA targets the
+//     entry (evicting under pressure, see Eviction) and the H2D DMA targets the
 //     entry's device range directly — no device-to-device copy; the entry is
 //     born pinned and the engine unpins it at slot release.
 //   * invalidate_dataset() / invalidate_entry() drop entries whose source
@@ -20,6 +20,15 @@
 //     index immediately, storage reclaimed at the last unpin) and the
 //     pipeline checker is told so a read after the invalidation is flagged
 //     as stale_cache_read.
+//
+// Eviction is cost-aware with admission control: a resident entry is only
+// evictable for a new, unproven image after it has gone Config::stale_ticks
+// of cache traffic without a use; among stale entries the one with the least
+// accumulated PCIe savings (hits x bytes) goes first, then the oldest. This
+// makes the cache scan-resistant: a sequential chunk scan bigger than the
+// partition keeps a stable resident prefix that serves every later pass,
+// instead of the LRU pathology of evicting each chunk moments before its
+// reuse.
 //
 // Everything is deterministic: ordered containers, monotonic entry ids, and
 // a recency tick instead of wall clocks.
@@ -31,7 +40,6 @@
 #include <string>
 
 #include "cache/key.hpp"
-#include "cache/policy.hpp"
 #include "check/pipecheck.hpp"
 #include "dur/integrity.hpp"
 #include "fault/fault.hpp"
@@ -47,12 +55,10 @@ class ChunkCache {
   struct Config {
     /// Partition carved from the device arena at construction.
     std::uint64_t capacity_bytes = 0;
-    EvictionKind eviction = EvictionKind::kCostAware;
-    /// Admission window for kCostAware: a resident entry is evictable for a
-    /// new, unproven image only after it has gone this many ticks of cache
-    /// traffic (lookups + insertions) without a use. 0 = every unpinned
-    /// entry is immediately evictable (pure cost ranking, no admission
-    /// control). Ignored by kLru.
+    /// Admission window: a resident entry is evictable for a new, unproven
+    /// image only after it has gone this many ticks of cache traffic
+    /// (lookups + insertions) without a use. 0 = pure cost ranking: every
+    /// unpinned entry not used at the current tick is evictable.
     std::uint64_t stale_ticks = 256;
   };
 
@@ -118,8 +124,8 @@ class ChunkCache {
   /// nullopt (the caller assembles, then offers the image via insert()).
   std::optional<Lease> lookup(const CacheKey& key, sim::TimePs now);
 
-  /// Allocates a pinned entry of `bytes` for `key`, evicting unpinned
-  /// entries per policy under pressure. Returns nullopt when the image
+  /// Allocates a pinned entry of `bytes` for `key`, evicting stale unpinned
+  /// entries under pressure. Returns nullopt when the image
   /// cannot fit (oversized, or everything else is pinned); the caller then
   /// falls back to the ring slot's own buffer. `checksum` is the bigkdur
   /// digest of the image about to be DMA'd into the entry (0 = integrity
@@ -194,8 +200,8 @@ class ChunkCache {
   /// Re-digests the entry's device bytes against its insert-time checksum.
   bool verify_entry(const Entry& entry) const;
 
-  /// Eviction victim per policy among unpinned live entries; entries_.end()
-  /// when everything is pinned.
+  /// Eviction victim among unpinned, stale live entries; entries_.end()
+  /// when there is none.
   std::map<std::uint64_t, Entry>::iterator pick_victim();
   void evict(std::map<std::uint64_t, Entry>::iterator victim,
              sim::TimePs now);

@@ -28,16 +28,10 @@ class DeviceTables {
     device.runtime_ = &runtime;
     device.tables_ = &tables;
     for (std::uint32_t id = 0; id < tables.size(); ++id) {
-      const std::uint64_t bytes = tables.table_bytes(id);
-      Entry entry;
-      entry.offset = runtime.gpu().memory().allocate_bytes(bytes);
-      entry.bytes = bytes;
-      entry.elem_size = tables.elem_size(id);
-      device.entries_.push_back(entry);
-      co_await runtime.gpu().h2d_transfer(bytes);
-      auto dst = runtime.gpu().memory().bytes_mut(entry.offset, bytes);
-      auto src = tables.raw_bytes(id);
-      std::memcpy(dst.data(), src.data(), bytes);
+      const std::uint64_t offset =
+          runtime.gpu().memory().allocate_bytes(tables.table_bytes(id));
+      device.offsets_.push_back(offset);
+      co_await runtime.memcpy_h2d_bytes(offset, tables.raw_bytes(id));
     }
     co_return device;
   }
@@ -45,45 +39,31 @@ class DeviceTables {
   /// Copies every table's device contents back into the host TableSet
   /// (results of GPU runs, charged as one transfer per table).
   sim::Task<> download() {
-    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
-      const Entry& entry = entries_[id];
-      co_await runtime_->gpu().d2h_transfer(entry.bytes);
-      auto src = runtime_->gpu().memory().bytes(entry.offset, entry.bytes);
-      auto dst = tables_->raw_bytes(id);
-      std::memcpy(dst.data(), src.data(), entry.bytes);
+    for (std::uint32_t id = 0; id < offsets_.size(); ++id) {
+      co_await runtime_->memcpy_d2h_bytes(tables_->raw_bytes(id),
+                                          offsets_[id]);
     }
   }
 
   /// Frees the device allocations (idempotent).
   void release() {
     if (!runtime_) return;
-    for (const Entry& entry : entries_) {
-      runtime_->gpu().memory().free_offset(entry.offset);
+    for (const std::uint64_t offset : offsets_) {
+      runtime_->gpu().memory().free_offset(offset);
     }
-    entries_.clear();
+    offsets_.clear();
     runtime_ = nullptr;
   }
 
   template <class T>
   gpusim::DevicePtr<T> device_ptr(TableRef<T> ref) const {
-    return gpusim::DevicePtr<T>{entries_.at(ref.id).offset};
-  }
-
-  std::uint64_t device_bytes() const {
-    std::uint64_t total = 0;
-    for (const Entry& entry : entries_) total += entry.bytes;
-    return total;
+    return gpusim::DevicePtr<T>{offsets_.at(ref.id)};
   }
 
  private:
-  struct Entry {
-    std::uint64_t offset = 0;
-    std::uint64_t bytes = 0;
-    std::uint32_t elem_size = 0;
-  };
   cusim::Runtime* runtime_ = nullptr;
   TableSet* tables_ = nullptr;
-  std::vector<Entry> entries_;
+  std::vector<std::uint64_t> offsets_;  // device offset per table id
 };
 
 }  // namespace bigk::core

@@ -283,6 +283,7 @@ sim::Task<> Engine::assembly_process(BlockState& block) {
   hostsim::HostThread& thread = *block.assembly_thread;
   fault::FaultPlane* plane = runtime_.fault_plane();
   const std::uint32_t device = runtime_.fault_device();
+  dur::Integrity* integrity = runtime_.integrity();
   for (std::uint64_t chunk = 0; chunk < block.chunks; ++chunk) {
     co_await block.addr_ready.wait_ge(chunk + 1);
     if (aborted_) co_return;
@@ -353,7 +354,7 @@ sim::Task<> Engine::assembly_process(BlockState& block) {
       }
       bytes[s] = assemble_stream(block, slot, s, chunk, thread);
       if (bytes[s] == 0) continue;
-      if (integrity_ != nullptr) {
+      if (integrity != nullptr) {
         // Digest the image once here; the same digest covers the cache
         // entry (hit/scrub verification) and the post-DMA check.
         stage.image_checksum = sim::digest_bytes(
@@ -401,6 +402,7 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
                                         sim::TimePs begin) {
   fault::FaultPlane* plane = runtime_.fault_plane();
   const std::uint32_t device = runtime_.fault_device();
+  dur::Integrity* integrity = runtime_.integrity();
   std::array<std::uint64_t, fault::kNumFaultKinds> absorbed{};
   for (std::uint32_t attempt = 0;; ++attempt) {
     for (const PendingCopy& copy : copies) {
@@ -431,7 +433,7 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
     // check catches it; the mismatch joins the failed set and rides the same
     // retry machinery (the pinned image is intact, so the redo is clean).
     bool mismatch = false;
-    if (integrity_ != nullptr) {
+    if (integrity != nullptr) {
       for (const PendingCopy& copy : copies) {
         if (copy.checksum == 0) continue;
         bool already_failed = false;
@@ -445,9 +447,9 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
         const auto landed =
             runtime_.gpu().memory().bytes(copy.dev_base, copy.bytes);
         if (sim::digest_bytes(landed) == copy.checksum) {
-          integrity_->note_verified(dur::Site::kDma);
+          integrity->note_verified(dur::Site::kDma);
         } else {
-          integrity_->note_detected(dur::Site::kDma, device, sim().now());
+          integrity->note_detected(dur::Site::kDma, device, sim().now());
           ++absorbed[static_cast<std::size_t>(fault::FaultKind::kBitflipDma)];
           failed.push_back(copy);
           mismatch = true;
@@ -490,9 +492,10 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
   // (PCIe contention with other blocks included), like the paper's
   // continuous transfer-status pinging (fn. 7).
   record_stage(obs::Stage::kTransfer, block.index, chunk, begin, sim().now());
-  if (tracer_ != nullptr) {
-    tracer_->instant(stage_track(obs::Stage::kTransfer, block.index, chunk),
-                     "data ready", sim().now(), "engine");
+  if (obs::Tracer* tracer = runtime_.tracer()) {
+    tracer->instant(
+        stage_track(*tracer, obs::Stage::kTransfer, block.index, chunk),
+        "data ready", sim().now(), "engine");
   }
   if (plane != nullptr) {
     for (std::size_t k = 0; k < absorbed.size(); ++k) {
@@ -501,11 +504,11 @@ sim::Task<> Engine::transfer_supervisor(BlockState& block, std::uint64_t chunk,
       }
     }
   }
-  if (integrity_ != nullptr) {
+  if (integrity != nullptr) {
     const std::uint64_t flips =
         absorbed[static_cast<std::size_t>(fault::FaultKind::kBitflipDma)];
     for (std::uint64_t i = 0; i < flips; ++i) {
-      integrity_->note_repaired(dur::Site::kDma);
+      integrity->note_repaired(dur::Site::kDma);
     }
   }
 }
@@ -706,8 +709,9 @@ void Engine::release_slot_leases(BlockState& block, std::uint64_t chunk) {
 void Engine::seal_staged_writes(ChunkSlot& slot) {
   fault::FaultPlane* plane = runtime_.fault_plane();
   const std::uint32_t device = runtime_.fault_device();
+  dur::Integrity* integrity = runtime_.integrity();
   for (StreamStage& stage : slot.streams) {
-    if (integrity_ != nullptr) {
+    if (integrity != nullptr) {
       stage.staged_checksum = staged_checksum_of(stage);
     }
     if (plane != nullptr && !stage.staged_writes.empty() &&
@@ -725,6 +729,7 @@ sim::Task<> Engine::scatter_process(BlockState& block) {
   hostsim::HostThread& thread = *block.scatter_thread;
   fault::FaultPlane* plane = runtime_.fault_plane();
   const std::uint32_t device = runtime_.fault_device();
+  dur::Integrity* integrity = runtime_.integrity();
   for (std::uint64_t chunk = 0; chunk < block.chunks; ++chunk) {
     co_await block.wb_landed.wait_ge(chunk + 1);
     if (aborted_) co_return;
@@ -735,12 +740,11 @@ sim::Task<> Engine::scatter_process(BlockState& block) {
       StreamBinding& bind = bindings_[s];
       StreamStage& stage = slot.streams[s];
       const std::uint32_t elem_size = bind.elem_size;
-      if (integrity_ != nullptr && !stage.staged_writes.empty()) {
+      if (integrity != nullptr && !stage.staged_writes.empty()) {
         // bigkdur write-back verification: re-digest the staged values
         // against the compute-end checksum before any host byte moves.
         if (staged_checksum_of(stage) != stage.staged_checksum) {
-          integrity_->note_detected(dur::Site::kWriteback, device,
-                                    sim().now());
+          integrity->note_detected(dur::Site::kWriteback, device, sim().now());
           // Repair in place: the device write buffer still holds the values
           // the kernel actually stored — re-fetch each staged value from
           // its recorded device address.
@@ -759,12 +763,12 @@ sim::Task<> Engine::scatter_process(BlockState& block) {
                 "device write buffer")));
             co_return;
           }
-          integrity_->note_repaired(dur::Site::kWriteback);
+          integrity->note_repaired(dur::Site::kWriteback);
           if (plane != nullptr) {
             plane->on_recovered(fault::FaultKind::kBitflipWriteback);
           }
         } else {
-          integrity_->note_verified(dur::Site::kWriteback);
+          integrity->note_verified(dur::Site::kWriteback);
         }
       }
       std::uint64_t index = 0;

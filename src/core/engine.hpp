@@ -48,10 +48,15 @@
 
 namespace bigk::core {
 
-/// Region-id base for mapped streams in the host cache model.
+// Fixed host cache-model region ids. All sit below
+// cusim::Runtime::kFirstDynamicRegion, where the ids the runtime hands out
+// for pinned buffers begin.
+/// Region-id base for mapped streams.
 constexpr std::uint32_t kStreamRegionBase = 1000;
 /// Region-id base for kernel tables (used by the CPU schemes).
 constexpr std::uint32_t kTableRegionBase = 2000;
+/// Region-id base for the serving layer's per-device input staging.
+constexpr std::uint32_t kStagingRegionBase = 9000;
 
 class Engine {
  public:
@@ -151,27 +156,6 @@ class Engine {
   const EngineMetrics& metrics() const noexcept { return metrics_; }
   const Options& options() const noexcept { return options_; }
 
-  /// Attaches the unified tracer: every stage execution of every chunk
-  /// becomes a span on an "engine block <b>" process with one thread row per
-  /// pipeline stage (data transfer gets one row per ring slot, since up to
-  /// buffer_depth transfers are in flight per block). nullptr detaches.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attaches a bigkprof bottleneck profiler (externally owned): every stage
-  /// interval that feeds the busy-time metrics is also attributed to the
-  /// profiler's time windows, so online attribution, the tracer timeline,
-  /// and the Fig. 6 sums all describe the same intervals. nullptr detaches.
-  void set_profiler(obs::prof::StageProfiler* profiler) noexcept {
-    profiler_ = profiler;
-  }
-
-  /// Prefix for this engine's trace process rows (e.g. "dev2 " turns
-  /// "engine block 0" into "dev2 engine block 0"). Concurrent engines on
-  /// distinct devices set distinct scopes so their spans land on per-device
-  /// tracks instead of interleaving on one row. Default: no prefix.
-  void set_trace_scope(std::string scope) { trace_scope_ = std::move(scope); }
-  const std::string& trace_scope() const noexcept { return trace_scope_; }
-
   /// Uses an externally owned bigkcheck sanitizer (already installed on the
   /// GPU by the caller). The caller keeps responsibility for finalize(); the
   /// engine only feeds the pipeline checker. nullptr detaches.
@@ -198,17 +182,6 @@ class Engine {
   /// its ring buffers from a pool of its own.
   void set_pinned_pool(cache::PinnedPool* pool) noexcept {
     pinned_pool_ = pool;
-  }
-
-  /// Attaches the bigkdur integrity plane (externally owned): every chunk
-  /// image is digested once at assembly and re-verified after the H2D DMA
-  /// lands, on every cache hit (via the cache's own integrity hook), and on
-  /// the staged write-back values before they reach host memory. A mismatch
-  /// routes into the existing chunk-retry / write-buffer-repair machinery;
-  /// only an unrepairable mismatch aborts the launch with
-  /// dur::IntegrityError. nullptr = integrity off (no digests computed).
-  void set_integrity(dur::Integrity* integrity) noexcept {
-    integrity_ = integrity;
   }
 
   /// bigkstatic: mixes the app's statically derived access-pattern signature
@@ -401,9 +374,6 @@ class Engine {
   /// One transfer supervisor per chunk (each raises its chunk's ready
   /// flag); joined by launch() after the kernel and host stages complete.
   std::vector<sim::Process> supervisors_;
-  obs::Tracer* tracer_ = nullptr;
-  std::string trace_scope_;
-  obs::prof::StageProfiler* profiler_ = nullptr;  // externally owned
 
   // --- bigkcache ---------------------------------------------------------
   cache::ChunkCache* chunk_cache_ = nullptr;  // externally owned, optional
@@ -416,9 +386,6 @@ class Engine {
     return pinned_pool_ != nullptr ? *pinned_pool_ : *launch_pool_;
   }
 
-  // --- bigkdur -----------------------------------------------------------
-  dur::Integrity* integrity_ = nullptr;  // externally owned, optional
-
   // --- bigkcheck ---------------------------------------------------------
   check::Sanitizer* sanitizer_ = nullptr;  // externally owned, optional
   check::PipelineChecker* pipecheck_ = nullptr;  // active during launch()
@@ -428,36 +395,39 @@ class Engine {
   void report_addr_counts(BlockState& block, ChunkSlot& slot,
                           std::uint64_t chunk);
 
-  /// Single accounting point for a stage execution: the busy-time metric and
-  /// the tracer span come from the same interval, so the Fig. 6 breakdown
-  /// and the timeline agree by construction. For the GPU stages callers pass
+  /// Single accounting point for a stage execution: the busy-time metric,
+  /// the runtime profiler's windows and the runtime tracer's span all take
+  /// the same interval, so the Fig. 6 breakdown, online attribution and the
+  /// timeline agree by construction. For the GPU stages callers pass
   /// [now - SM service time, now]; for the host/DMA stages the wall interval
   /// of the stage.
   void record_stage(obs::Stage stage, std::uint32_t block, std::uint64_t chunk,
                     sim::TimePs begin, sim::TimePs end) {
     metrics_.stage_busy(stage) += end - begin;
-    if (profiler_ != nullptr && end > begin) {
-      profiler_->record(stage, begin, end);
+    if (end <= begin) return;
+    if (obs::prof::StageProfiler* profiler = runtime_.profiler()) {
+      profiler->record(stage, begin, end);
     }
-    if (tracer_ != nullptr && end > begin) {
-      tracer_->complete(stage_track(stage, block, chunk),
-                        obs::stage_name(stage), begin, end, "engine",
-                        {{"chunk", static_cast<double>(chunk)}});
+    if (obs::Tracer* tracer = runtime_.tracer()) {
+      tracer->complete(stage_track(*tracer, stage, block, chunk),
+                       obs::stage_name(stage), begin, end, "engine",
+                       {{"chunk", static_cast<double>(chunk)}});
     }
   }
 
-  /// The trace row of `stage` for (block, chunk): one "engine block <b>"
-  /// process per block, one thread row per stage.
-  obs::TrackId stage_track(obs::Stage stage, std::uint32_t block,
-                           std::uint64_t chunk) {
+  /// The trace row of `stage` for (block, chunk): one "<device prefix>engine
+  /// block <b>" process per block, one thread row per stage (data transfer
+  /// gets one row per ring slot, since up to buffer_depth transfers are in
+  /// flight per block).
+  obs::TrackId stage_track(obs::Tracer& tracer, obs::Stage stage,
+                           std::uint32_t block, std::uint64_t chunk) const {
     const std::string process =
-        trace_scope_ + "engine block " + std::to_string(block);
+        runtime_.trace_prefix() + "engine block " + std::to_string(block);
     std::string thread{obs::stage_name(stage)};
     if (stage == obs::Stage::kTransfer) {
-      // One row per ring slot: transfers for consecutive chunks overlap.
       thread += " s" + std::to_string(chunk % options_.buffer_depth);
     }
-    return tracer_->track(process, thread);
+    return tracer.track(process, thread);
   }
 };
 

@@ -24,24 +24,4 @@ void DevicePool::attach_observability(obs::Tracer* tracer,
   }
 }
 
-std::uint64_t DevicePool::total_h2d_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& device : devices_) total += device->gpu().stats().h2d_bytes;
-  return total;
-}
-
-std::uint64_t DevicePool::total_d2h_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& device : devices_) total += device->gpu().stats().d2h_bytes;
-  return total;
-}
-
-std::uint64_t DevicePool::total_kernel_launches() const {
-  std::uint64_t total = 0;
-  for (const auto& device : devices_) {
-    total += device->gpu().stats().kernel_launches;
-  }
-  return total;
-}
-
 }  // namespace bigk::cusim

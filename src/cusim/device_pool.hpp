@@ -59,10 +59,10 @@ class DevicePool {
     }
   }
 
-  /// Aggregates across all devices (for pool-level reporting).
-  std::uint64_t total_h2d_bytes() const;
-  std::uint64_t total_d2h_bytes() const;
-  std::uint64_t total_kernel_launches() const;
+  /// Attaches (or with nullptr removes) one integrity plane across the pool.
+  void set_integrity(dur::Integrity* integrity) {
+    for (auto& device : devices_) device->set_integrity(integrity);
+  }
 
  private:
   sim::Simulation& sim_;

@@ -21,19 +21,6 @@ std::uint64_t Stream::memcpy_h2d_async(std::uint64_t device_offset,
   return state_->enqueued;
 }
 
-std::uint64_t Stream::memcpy_d2h_async(void* host_dst,
-                                       std::uint64_t device_offset,
-                                       std::uint64_t bytes) {
-  Op op;
-  op.kind = Op::Kind::kD2H;
-  op.host_dst = host_dst;
-  op.device_offset = device_offset;
-  op.bytes = bytes;
-  state_->note_enqueue();
-  state_->ops.push(op);
-  return state_->enqueued;
-}
-
 void Stream::signal_flag(sim::Flag& flag, std::uint64_t value) {
   Op op;
   op.kind = Op::Kind::kFlag;
@@ -83,7 +70,7 @@ std::optional<fault::FaultKind> drop_fault(fault::FaultPlane* plane,
   return std::nullopt;
 }
 
-// ecc_corrupt (H2D only): the copy lands, then the device-arena bytes are
+// ecc_corrupt: the copy lands, then the device-arena bytes are
 // deterministically corrupted — the injection site at the DeviceMemory
 // boundary. A retried copy overwrites the corruption, which is exactly what
 // the byte-exactness recovery tests prove.
@@ -101,7 +88,7 @@ bool ecc_fault(fault::FaultPlane* plane, std::uint32_t device,
   return true;
 }
 
-// bitflip_dma (H2D only): after a clean copy, one bit of the landed device
+// bitflip_dma: after a clean copy, one bit of the landed device
 // image flips — and *nothing* reports it. Unlike ecc_corrupt the op does not
 // land in State::failed; the copy looks successful to the owner. Only the
 // bigkdur post-DMA digest verification can tell, which is the point: with
@@ -145,18 +132,6 @@ sim::Task<> Stream::worker(std::shared_ptr<State> state) {
         if (fault) state->failed.emplace(op_id, *fault);
         break;
       }
-      case Op::Kind::kD2H: {
-        co_await state->gpu.d2h_transfer(op->bytes);
-        const std::optional<fault::FaultKind> fault =
-            drop_fault(state->fault, state->device, state->sim.now());
-        if (!fault) {
-          auto src = state->gpu.memory().bytes(op->device_offset, op->bytes);
-          std::memcpy(op->host_dst, src.data(), op->bytes);
-        } else {
-          state->failed.emplace(op_id, *fault);
-        }
-        break;
-      }
       case Op::Kind::kFlag:
         op->flag->advance_to(op->flag_value);
         break;
@@ -167,11 +142,6 @@ sim::Task<> Stream::worker(std::shared_ptr<State> state) {
         case Op::Kind::kH2D:
           state->tracer->complete(
               state->track, "h2d", dequeued, done, "dma",
-              {{"bytes", static_cast<double>(op->bytes)}});
-          break;
-        case Op::Kind::kD2H:
-          state->tracer->complete(
-              state->track, "d2h", dequeued, done, "dma",
               {{"bytes", static_cast<double>(op->bytes)}});
           break;
         case Op::Kind::kFlag:

@@ -1,10 +1,15 @@
-// CUDA-like host runtime on top of the simulated GPU.
+// CUDA-like host runtime on top of the simulated GPU: the device context.
 //
-// Mirrors the slice of the CUDA runtime API the paper's schemes use:
-// device allocation (cudaMalloc), synchronous and asynchronous copies
-// (cudaMemcpy / cudaMemcpyAsync on streams with in-order completion), pinned
-// host buffers (cudaMallocHost), and the flag-after-data trick of §IV.C
-// (enqueueing a tiny flag copy behind a data transfer on the same stream).
+// Mirrors the slice of the CUDA runtime API the paper's schemes use: in-order
+// DMA streams (cudaMemcpyAsync with in-order completion), synchronous copies
+// (cudaMemcpy), the pinned-footprint account, and the flag-after-data trick of
+// §IV.C (enqueueing a tiny flag copy behind a data transfer on the same
+// stream). Device allocation goes straight to gpu().memory().
+//
+// A Runtime is also the one home of the per-device sinks an engine launch
+// reads: the tracer and trace prefix, the fault plane, the integrity plane
+// and the stage profiler. Each is set once on the runtime (or pool-wide on a
+// DevicePool) and every engine on the device picks it up from here.
 //
 // Copies move real bytes between host memory and the simulated device arena,
 // and become visible only when the simulated transfer completes — so a
@@ -24,46 +29,22 @@
 #include "fault/fault.hpp"
 #include "gpusim/config.hpp"
 #include "gpusim/gpu.hpp"
+#include "hostsim/cache_model.hpp"
 #include "hostsim/host_cpu.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 
+namespace bigk::dur {
+class Integrity;
+}  // namespace bigk::dur
+
+namespace bigk::obs::prof {
+class StageProfiler;
+}  // namespace bigk::obs::prof
+
 namespace bigk::cusim {
-
-class Runtime;
-
-/// Page-locked host buffer visible to the DMA engine. The paper notes pinned
-/// memory is a real cost of BigKernel; Runtime tracks the total footprint.
-template <class T>
-class PinnedBuffer {
- public:
-  PinnedBuffer() = default;
-  PinnedBuffer(PinnedBuffer&&) noexcept = default;
-  PinnedBuffer& operator=(PinnedBuffer&&) noexcept = default;
-  PinnedBuffer(const PinnedBuffer&) = delete;
-  PinnedBuffer& operator=(const PinnedBuffer&) = delete;
-
-  T& operator[](std::uint64_t i) { return data_[i]; }
-  const T& operator[](std::uint64_t i) const { return data_[i]; }
-  T* data() noexcept { return data_.data(); }
-  const T* data() const noexcept { return data_.data(); }
-  std::uint64_t size() const noexcept { return data_.size(); }
-  std::uint64_t size_bytes() const noexcept { return size() * sizeof(T); }
-  std::span<T> span() noexcept { return {data_.data(), data_.size()}; }
-  std::span<const T> span() const noexcept { return {data_.data(), data_.size()}; }
-
-  /// Region id for the host cache model.
-  std::uint32_t region_id() const noexcept { return region_id_; }
-
- private:
-  friend class Runtime;
-  PinnedBuffer(std::uint64_t count, std::uint32_t region)
-      : data_(count), region_id_(region) {}
-  std::vector<T> data_;
-  std::uint32_t region_id_ = 0;
-};
 
 /// An in-order DMA work queue (a CUDA stream). Operations execute strictly
 /// in enqueue order; synchronize() awaits everything enqueued so far.
@@ -80,10 +61,6 @@ class Stream {
   /// Returns the op's 1-based sequence id on this stream (see wait_for).
   std::uint64_t memcpy_h2d_async(std::uint64_t device_offset,
                                  const void* host_src, std::uint64_t bytes);
-
-  /// Async device->host copy of `bytes`. Returns the op's sequence id.
-  std::uint64_t memcpy_d2h_async(void* host_dst, std::uint64_t device_offset,
-                                 std::uint64_t bytes);
 
   /// Enqueues raising `flag` to `value` behind everything already enqueued —
   /// the DMA-in-order signalling of §IV.C.
@@ -106,9 +83,8 @@ class Stream {
   friend class Runtime;
 
   struct Op {
-    enum class Kind { kH2D, kD2H, kFlag } kind;
+    enum class Kind { kH2D, kFlag } kind;
     const void* host_src = nullptr;
-    void* host_dst = nullptr;
     std::uint64_t device_offset = 0;
     std::uint64_t bytes = 0;
     sim::Flag* flag = nullptr;
@@ -162,34 +138,6 @@ struct DeviceProperties {
   double clock_ghz = 0.0;
 };
 
-/// A cudaEvent-like marker: enqueue on a stream, then query the simulated
-/// time at which everything before it completed.
-class Event {
- public:
-  explicit Event(sim::Simulation& sim) : flag_(std::make_shared<sim::Flag>(sim)) {}
-
-  /// Enqueues the event behind everything already on `stream`.
-  void record(Stream& stream) {
-    recorded_ = true;
-    stream.signal_flag(*flag_, ++sequence_);
-  }
-
-  /// Awaits completion of the recorded position.
-  sim::Task<> synchronize() {
-    auto flag = flag_;
-    const std::uint64_t target = sequence_;
-    co_await flag->wait_ge(target);
-  }
-
-  bool query() const { return flag_->value() >= sequence_; }
-  bool recorded() const noexcept { return recorded_; }
-
- private:
-  std::shared_ptr<sim::Flag> flag_;
-  std::uint64_t sequence_ = 0;
-  bool recorded_ = false;
-};
-
 class Runtime {
  public:
   /// Stand-alone runtime: owns its device *and* its host CPU (the original
@@ -210,7 +158,8 @@ class Runtime {
       : sim_(sim),
         gpu_(sim, config),
         cpu_(&shared_cpu),
-        name_(std::move(device_name)) {}
+        name_(std::move(device_name)),
+        prefix_(name_.empty() ? std::string() : name_ + " ") {}
 
   /// cudaGetDeviceProperties: the hardware resources the §IV.D occupancy
   /// calculation probes at run time.
@@ -237,10 +186,10 @@ class Runtime {
   /// Device name inside a pool ("dev0", ...); empty for stand-alone runtimes.
   const std::string& device_name() const noexcept { return name_; }
 
-  /// Prefix for this device's trace process rows ("dev1 " or "").
-  std::string trace_prefix() const {
-    return name_.empty() ? std::string() : name_ + " ";
-  }
+  /// Prefix for this device's trace process rows ("dev1 " or ""). Every
+  /// engine on the device prefixes its rows with it, so concurrent engines
+  /// on distinct devices write disjoint tracks of one tracer.
+  const std::string& trace_prefix() const noexcept { return prefix_; }
 
   /// Attaches the unified telemetry sinks to every simulated component this
   /// runtime owns (GPU/PCIe, host CPU) and to streams created afterwards.
@@ -275,27 +224,34 @@ class Runtime {
   fault::FaultPlane* fault_plane() const noexcept { return fault_plane_; }
   std::uint32_t fault_device() const noexcept { return fault_device_; }
 
-  /// cudaMalloc.
-  template <class T>
-  gpusim::DevicePtr<T> device_malloc(std::uint64_t count) {
-    return gpu_.memory().allocate<T>(count);
+  /// bigkdur: the end-to-end integrity plane every engine on this device
+  /// verifies its custody transfers against (externally owned; nullptr =
+  /// integrity off, no digests computed).
+  void set_integrity(dur::Integrity* integrity) noexcept {
+    integrity_ = integrity;
   }
+  dur::Integrity* integrity() const noexcept { return integrity_; }
 
-  template <class T>
-  void device_free(gpusim::DevicePtr<T> ptr) {
-    gpu_.memory().free(ptr);
+  /// bigkprof: the bottleneck profiler every engine on this device feeds its
+  /// stage intervals to, the same intervals as its busy-time metrics and
+  /// tracer spans (externally owned; nullptr detaches).
+  void set_profiler(obs::prof::StageProfiler* profiler) noexcept {
+    profiler_ = profiler;
   }
+  obs::prof::StageProfiler* profiler() const noexcept { return profiler_; }
 
-  /// cudaMallocHost: pinned host memory, tracked and cache-model addressable.
-  template <class T>
-  PinnedBuffer<T> alloc_pinned(std::uint64_t count) {
-    pinned_bytes_ += count * sizeof(T);
-    note_pinned_gauge();
-    return PinnedBuffer<T>(count, next_region_id());
+  /// The first id next_region_id() hands out. Every fixed host region id
+  /// sits below it: 0 (the chunked baselines' staging buffers) and the
+  /// core::kStreamRegionBase, kTableRegionBase and kStagingRegionBase ranges.
+  static constexpr std::uint32_t kFirstDynamicRegion = std::uint32_t{1} << 16;
+
+  /// A fresh host cache-model region id (pinned ring and address buffers).
+  /// Throws std::out_of_range, naming hostsim::kRegionIdLimit, once the ids
+  /// logical_address can encode run out.
+  std::uint32_t next_region_id() {
+    hostsim::check_region_id(next_region_);
+    return next_region_++;
   }
-
-  /// Registers an ordinary (pageable) host region for the cache model.
-  std::uint32_t next_region_id() { return next_region_++; }
 
   std::uint64_t pinned_bytes() const noexcept { return pinned_bytes_; }
 
@@ -309,25 +265,7 @@ class Runtime {
   Stream create_stream();
 
   /// Synchronous cudaMemcpy host->device: blocks the calling process for the
-  /// transfer and performs the byte copy.
-  template <class T>
-  sim::Task<> memcpy_h2d(gpusim::DevicePtr<T> dst, std::span<const T> src) {
-    const std::uint64_t bytes = src.size_bytes();
-    co_await gpu_.h2d_transfer(bytes);
-    auto dest = gpu_.memory().bytes_mut(dst.byte_offset, bytes);
-    std::memcpy(dest.data(), src.data(), bytes);
-  }
-
-  /// Synchronous cudaMemcpy device->host.
-  template <class T>
-  sim::Task<> memcpy_d2h(std::span<T> dst, gpusim::DevicePtr<T> src) {
-    const std::uint64_t bytes = dst.size_bytes();
-    co_await gpu_.d2h_transfer(bytes);
-    auto source = gpu_.memory().bytes(src.byte_offset, bytes);
-    std::memcpy(dst.data(), source.data(), bytes);
-  }
-
-  /// Untyped synchronous copies for type-erased buffers.
+  /// transfer, then performs the byte copy.
   sim::Task<> memcpy_h2d_bytes(std::uint64_t device_offset,
                                std::span<const std::byte> src) {
     co_await gpu_.h2d_transfer(src.size());
@@ -335,6 +273,7 @@ class Runtime {
     std::memcpy(dst.data(), src.data(), src.size());
   }
 
+  /// Synchronous cudaMemcpy device->host.
   sim::Task<> memcpy_d2h_bytes(std::span<std::byte> dst,
                                std::uint64_t device_offset) {
     co_await gpu_.d2h_transfer(dst.size());
@@ -354,13 +293,16 @@ class Runtime {
   std::unique_ptr<hostsim::HostCpu> owned_cpu_;  // null when the CPU is shared
   hostsim::HostCpu* cpu_;
   std::string name_;
+  std::string prefix_;
   std::uint64_t pinned_bytes_ = 0;
-  std::uint32_t next_region_ = 1;
+  std::uint32_t next_region_ = kFirstDynamicRegion;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Gauge* pinned_gauge_ = nullptr;
   fault::FaultPlane* fault_plane_ = nullptr;
   std::uint32_t fault_device_ = 0;
+  dur::Integrity* integrity_ = nullptr;
+  obs::prof::StageProfiler* profiler_ = nullptr;
   std::uint32_t stream_count_ = 0;
 };
 

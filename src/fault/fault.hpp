@@ -153,7 +153,6 @@ class FaultPlane {
   void add_all(const std::vector<FaultSpec>& specs) {
     for (const FaultSpec& spec : specs) add(spec);
   }
-  std::size_t num_specs() const noexcept { return specs_.size(); }
 
   /// One trial at an injection site; true means the fault fires now (and is
   /// counted as injected). For kDeviceLost a firing trial also trips the

@@ -195,13 +195,6 @@ sim::Task<> Gpu::d2h_transfer(std::uint64_t bytes) {
   co_await d2h_link_.request(cost);
 }
 
-sim::TimePs Gpu::post_h2d(std::uint64_t bytes) {
-  stats_.h2d_bytes += bytes;
-  const sim::DurationPs cost = link_cost(bytes, config_.pcie.h2d_gbps);
-  note_transfer(/*h2d=*/true, bytes, cost);
-  return h2d_link_.post(cost);
-}
-
 sim::TimePs Gpu::post_d2h(std::uint64_t bytes) {
   stats_.d2h_bytes += bytes;
   const sim::DurationPs cost = link_cost(bytes, config_.pcie.d2h_gbps);
@@ -298,12 +291,6 @@ sim::Task<> Gpu::run_simple_kernel(const KernelLaunch& launch,
   co_await run_kernel(launch, [&lane_fn](BlockCtx& block) -> sim::Task<> {
     co_await block.run_threads(0, block.threads_per_block(), lane_fn);
   });
-}
-
-sim::DurationPs Gpu::sm_busy_total() const {
-  sim::DurationPs total = 0;
-  for (const auto& server : sm_servers_) total += server->busy_time();
-  return total;
 }
 
 sim::DurationPs Gpu::sm_busy_max() const {

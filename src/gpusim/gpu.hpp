@@ -219,9 +219,9 @@ class Gpu {
   sim::Task<> h2d_transfer(std::uint64_t bytes);
   sim::Task<> d2h_transfer(std::uint64_t bytes);
 
-  /// Fire-and-forget link traffic (e.g. streamed address-buffer writes whose
-  /// latency the GPU hides); returns the virtual time the traffic lands.
-  sim::TimePs post_h2d(std::uint64_t bytes);
+  /// Fire-and-forget device->host traffic (streamed address-buffer and
+  /// write-back writes whose latency the GPU hides); returns the virtual
+  /// time the traffic lands.
   sim::TimePs post_d2h(std::uint64_t bytes);
 
   /// Raises `flag` to `value` at virtual time `when` (used to model a DMA
@@ -249,7 +249,6 @@ class Gpu {
 
   /// --- Metrics ----------------------------------------------------------
   const GpuStats& stats() const noexcept { return stats_; }
-  sim::DurationPs sm_busy_total() const;
   sim::DurationPs sm_busy_max() const;
   sim::DurationPs atomic_busy() const { return atomic_unit_.busy_time(); }
   /// Wall-clock computation occupancy: the busiest SM or the atomic units,
@@ -257,11 +256,8 @@ class Gpu {
   sim::DurationPs compute_wall_busy() const {
     return std::max(sm_busy_max(), atomic_busy());
   }
-  sim::FifoServer& atomic_unit() noexcept { return atomic_unit_; }
   sim::DurationPs h2d_busy() const { return h2d_link_.busy_time(); }
   sim::DurationPs d2h_busy() const { return d2h_link_.busy_time(); }
-
-  sim::FifoServer& sm_server(std::uint32_t sm) { return *sm_servers_.at(sm); }
 
  private:
   friend class BlockCtx;

@@ -39,7 +39,7 @@ bool CacheModel::access_set(std::uint64_t line) {
   // move per way, where an index compiles to an unpredictable branch.
   Way* victim = base;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == tag) {
+    if (base[w].tag == tag && base[w].last_use != 0) {
       base[w].last_use = tick_;
       last_way_ = set * ways_ + w;
       ++hits_;
@@ -53,6 +53,14 @@ bool CacheModel::access_set(std::uint64_t line) {
   ++misses_;
   return false;
 }
+
+namespace detail {
+static_assert(kRegionIdBits == 20, "the message below names the limit");
+void throw_region_id_overflow(std::uint32_t region_id) {
+  throw std::out_of_range("host cache region id " + std::to_string(region_id) +
+                          " is not below the logical-address limit 2^20");
+}
+}  // namespace detail
 
 void CacheModel::reset() {
   std::fill(lines_.begin(), lines_.end(), Way{});

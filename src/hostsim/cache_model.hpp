@@ -13,10 +13,31 @@
 
 namespace bigk::hostsim {
 
+/// A logical address keeps the low 44 bits of the offset and, above them,
+/// this many bits of the region id.
+constexpr std::uint32_t kRegionIdBits = 20;
+/// One past the largest region id logical_address can encode.
+constexpr std::uint32_t kRegionIdLimit = std::uint32_t{1} << kRegionIdBits;
+
+namespace detail {
+[[noreturn, gnu::cold, gnu::noinline]] void throw_region_id_overflow(
+    std::uint32_t region_id);
+}  // namespace detail
+
+/// Throws std::out_of_range, naming kRegionIdLimit, for a region id that
+/// logical_address cannot encode: a wider id would alias another region's
+/// lines.
+constexpr void check_region_id(std::uint32_t region_id) {
+  if (region_id >= kRegionIdLimit) [[unlikely]] {
+    detail::throw_region_id_overflow(region_id);
+  }
+}
+
 /// Builds a deterministic logical address from a registered region id and a
-/// byte offset within that region.
+/// byte offset within that region; the id must pass check_region_id.
 constexpr std::uint64_t logical_address(std::uint32_t region_id,
                                         std::uint64_t offset) {
+  check_region_id(region_id);
   return (std::uint64_t{region_id} << 44) | (offset & ((1ull << 44) - 1));
 }
 
@@ -51,8 +72,11 @@ class CacheModel {
   std::uint64_t sets() const noexcept { return set_mask_ + 1; }
 
  private:
+  /// An empty way has last_use 0: every access stamps a tick of 1 or more.
+  /// Its tag means nothing, since every 64-bit value is a real tag when the
+  /// model has one set and 1-byte lines.
   struct Way {
-    std::uint64_t tag = ~std::uint64_t{0};
+    std::uint64_t tag = 0;
     std::uint64_t last_use = 0;
   };
 

@@ -69,13 +69,8 @@ class HostThread {
   /// Label used for this thread's busy spans on the host timeline (e.g.
   /// "assembly b3"); defaults to "host work".
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
-  const std::string& trace_label() const noexcept { return trace_label_; }
 
-  // --- introspection (for tests and metrics) ---
-  std::uint64_t bus_bytes_pending() const noexcept { return bus_bytes_; }
-  double cycles_pending() const noexcept { return cycles_; }
   const CacheModel& cache() const noexcept { return cache_; }
-  std::uint32_t hw_thread() const noexcept { return hw_thread_; }
 
  private:
   void touch(std::uint32_t region_id, std::uint64_t offset, std::uint64_t size,
@@ -110,9 +105,6 @@ class HostCpu {
   sim::FifoServer& core(std::uint32_t hw_thread) {
     return *cores_.at(hw_thread);
   }
-
-  /// Total bus busy time (the CPU-side memory-traffic metric).
-  sim::DurationPs bus_busy() const noexcept { return bus_.busy_time(); }
 
   /// Attaches the unified telemetry sinks (either may be nullptr): commit()
   /// batches become busy spans on per-core and bus tracks, and the cache

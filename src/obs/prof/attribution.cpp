@@ -12,7 +12,6 @@ StageProfiler::StageProfiler(sim::DurationPs window) : window_(window) {
 void StageProfiler::record(Stage stage, sim::TimePs begin, sim::TimePs end) {
   if (end <= begin) return;
   const std::size_t s = stage_index(stage);
-  total_busy_[s] += end - begin;
   sim::TimePs cursor = begin;
   while (cursor < end) {
     const std::uint64_t index = cursor / window_;
@@ -39,13 +38,12 @@ Attribution attribute(const StageBusy& busy, sim::DurationPs wall) {
   return out;
 }
 
-Stage StageProfiler::bottleneck() const noexcept {
-  return attribute(total_busy_, 0).bottleneck;
-}
-
-double StageProfiler::overlap_efficiency(
-    sim::DurationPs total_time) const noexcept {
-  return attribute(total_busy_, total_time).overlap_efficiency;
+StageBusy StageProfiler::busy() const noexcept {
+  StageBusy total{};
+  for (const auto& [index, window] : windows_) {
+    for (std::size_t s = 0; s < kStageCount; ++s) total[s] += window[s];
+  }
+  return total;
 }
 
 std::vector<WindowAttribution> StageProfiler::windows() const {

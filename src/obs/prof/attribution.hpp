@@ -7,8 +7,9 @@
 // clamped at 0 — 0 means fully serialized, values approaching 1 − 1/k mean
 // the pipeline hides k-way work), and how often the attributed bottleneck
 // flipped between consecutive windows. Intervals that span window
-// boundaries are split exactly, so window sums and run-level sums agree to
-// the picosecond and attribution stays deterministic.
+// boundaries are split exactly, so the windows are the one accumulator: their
+// sum is the run-level busy time to the picosecond, and attribution stays
+// deterministic.
 #pragma once
 
 #include <array>
@@ -63,19 +64,10 @@ class StageProfiler {
 
   sim::DurationPs window() const noexcept { return window_; }
 
-  /// Total attributed busy time per stage across all windows.
-  sim::DurationPs stage_busy(Stage stage) const noexcept {
-    return total_busy_[stage_index(stage)];
-  }
-  const StageBusy& busy() const noexcept { return total_busy_; }
-
-  /// Run-level limiting stage: argmax of stage_busy (earlier stage wins
-  /// ties). Meaningful only after at least one record().
-  Stage bottleneck() const noexcept;
-
-  /// Run-level overlap efficiency given the measured wall time:
-  /// 1 - total_time / sum(stage_busy), clamped to >= 0.
-  double overlap_efficiency(sim::DurationPs total_time) const noexcept;
+  /// Busy time per stage across all windows: the windows split each interval
+  /// exactly, so this is the run-level sum. Run-level attribution is
+  /// attribute(busy(), wall).
+  StageBusy busy() const noexcept;
 
   /// Chronological per-window attribution timeline.
   std::vector<WindowAttribution> windows() const;
@@ -92,7 +84,6 @@ class StageProfiler {
   // window index -> per-stage busy within that window; std::map keeps the
   // timeline chronologically ordered regardless of record() arrival order.
   std::map<std::uint64_t, StageBusy> windows_;
-  StageBusy total_busy_{};
 };
 
 }  // namespace bigk::obs::prof

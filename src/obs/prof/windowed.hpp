@@ -39,8 +39,6 @@ class WindowedStats {
     }
     slots_.back().sum += value;
     slots_.back().events += 1;
-    total_sum_ += value;
-    total_events_ += 1;
     prune(index);
   }
 
@@ -77,8 +75,6 @@ class WindowedStats {
   }
 
   sim::DurationPs window() const noexcept { return window_; }
-  double total() const noexcept { return total_sum_; }
-  std::uint64_t total_events() const noexcept { return total_events_; }
 
  private:
   struct Slot {
@@ -102,8 +98,6 @@ class WindowedStats {
   std::size_t buckets_;
   sim::DurationPs bucket_width_;
   std::deque<Slot> slots_;
-  double total_sum_ = 0.0;
-  std::uint64_t total_events_ = 0;
 };
 
 }  // namespace bigk::obs

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,8 +83,8 @@ struct SchemeConfig {
   check::CheckOptions check = check::CheckOptions::from_env();
 
   // Telemetry sinks shared by every scheme (either may be nullptr; both must
-  // outlive the run). Runners attach them to the freshly built runtime, and
-  // run_bigkernel additionally attaches the tracer to the engine.
+  // outlive the run). Runners attach them to the freshly built runtime, where
+  // the engine of run_bigkernel and run_hetero finds the tracer.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -99,15 +98,15 @@ struct SchemeConfig {
   fault::FaultPlane* fault_plane = nullptr;
 
   /// bigkdur integrity plane (nullptr = integrity off; must outlive the
-  /// run). run_bigkernel attaches it to the engine (assembly digest,
-  /// post-DMA / write-back verification); run_hetero additionally digests
-  /// the CPU-side partition when its rounds finish and re-verifies it
-  /// before merging table deltas.
+  /// run). RunScaffold attaches it to the runtime, where the engine finds it
+  /// (assembly digest, post-DMA / write-back verification); run_hetero
+  /// additionally digests the CPU-side partition when its rounds finish and
+  /// re-verifies it before merging table deltas.
   dur::Integrity* integrity = nullptr;
 
   /// bigkprof attribution window (picoseconds). When non-zero,
   /// run_bigkernel attaches an obs::prof::StageProfiler with this window to
-  /// the engine and fills RunMetrics::prof with the windowed timeline
+  /// the runtime and fills RunMetrics::prof with the windowed timeline
   /// (window count, bottleneck flips); the run-level bottleneck and overlap
   /// efficiency are computed either way from the engine's stage sums.
   sim::DurationPs prof_window = 0;
@@ -415,17 +414,15 @@ sim::Task<> gpu_chunked_main(cusim::Runtime& runtime, App& app,
 
 }  // namespace detail
 
-/// One engine launch of an app: the engine options, the engine's
-/// attachments and the record window. Every pointer is externally owned and
+/// One engine launch of an app: the engine options, the engine's per-launch
+/// attachments and the record window. The device's sinks (tracer, trace
+/// prefix, fault and integrity planes, stage profiler) live on the
+/// cusim::Runtime the launch runs on. Every pointer is externally owned and
 /// may be null; `sanitizer` must already be installed on the runtime's GPU.
 /// This is apps::JobRunConfig, the serving layer's per-job launch.
 struct LaunchConfig {
   core::Options engine;
-  obs::Tracer* tracer = nullptr;
   check::Sanitizer* sanitizer = nullptr;
-  /// Prefix for the engine's trace process rows (e.g. "dev2 job7 ") so
-  /// concurrent engines on different devices write disjoint tracks.
-  std::string trace_scope;
   /// bigkcache: chunk cache + pinned assembly-buffer pool of the target
   /// device (both must live on the device the launch runs on). `dataset_id`
   /// identifies the app's generated dataset for cache keying — the serving
@@ -433,8 +430,6 @@ struct LaunchConfig {
   cache::ChunkCache* chunk_cache = nullptr;
   cache::PinnedPool* pinned_pool = nullptr;
   std::uint64_t dataset_id = 0;
-  /// bigkprof: bottleneck profiler the engine feeds its stage intervals to.
-  obs::prof::StageProfiler* profiler = nullptr;
   /// bigkprof: when set, receives the sim time at which the engine launch
   /// completed (before table download) — the serving layer's
   /// execution/write-back boundary for the latency breakdown.
@@ -448,23 +443,15 @@ struct LaunchConfig {
   /// crashed server can resume from the last journaled window.
   std::uint64_t rec_begin = 0;
   std::uint64_t rec_end = 0;
-  /// bigkdur: end-to-end chunk integrity plane the engine verifies custody
-  /// transfers against (null = integrity off).
-  dur::Integrity* integrity = nullptr;
 };
 
-/// Applies every attachment of `cfg` to `engine` — the one place an engine
-/// gets its tracer, sanitizer, cache, pool, profiler, signature and
-/// integrity plane.
+/// Applies every per-launch attachment of `cfg` to `engine` — the one place
+/// an engine gets its sanitizer, cache, pool and signature.
 inline void attach(core::Engine& engine, const LaunchConfig& cfg) {
-  engine.set_tracer(cfg.tracer);
-  engine.set_trace_scope(cfg.trace_scope);
   engine.set_sanitizer(cfg.sanitizer);
   engine.set_chunk_cache(cfg.chunk_cache, cfg.dataset_id);
   engine.set_pinned_pool(cfg.pinned_pool);
-  engine.set_profiler(cfg.profiler);
   engine.set_static_signature(cfg.static_signature);
-  engine.set_integrity(cfg.integrity);
 }
 
 /// Maps the app's streams on `engine` in declaration order, the order the
@@ -522,9 +509,9 @@ sim::Task<> launch_app(cusim::Runtime& runtime, App& app,
 }
 
 /// One run of an app on a fresh simulated system, shared by every GPU
-/// runner: a new Simulation and Runtime with sc's tracer and metrics
-/// attached, the bigkcheck sanitizer when sc.check asks for one, and
-/// `fault_plane` when given. Only the engine runners (run_bigkernel,
+/// runner: a new Simulation and Runtime with sc's tracer, metrics and
+/// integrity plane attached, the bigkcheck sanitizer when sc.check asks for
+/// one, and `fault_plane` when given. Only the engine runners (run_bigkernel,
 /// run_hetero) pass sc.fault_plane: they have the recovery machinery that
 /// makes an injected fault survivable. The sanitizer is installed before any
 /// table upload so memcheck tracks every allocation from birth.
@@ -533,6 +520,7 @@ struct RunScaffold {
               fault::FaultPlane* fault_plane = nullptr)
       : runtime(sim, config) {
     runtime.attach_observability(sc.tracer, sc.metrics);
+    runtime.set_integrity(sc.integrity);
     if (fault_plane != nullptr) runtime.set_fault_plane(fault_plane);
     if (sc.check.enabled) {
       sanitizer = std::make_unique<check::Sanitizer>(sc.check, sc.metrics);
@@ -566,14 +554,12 @@ struct RunScaffold {
     }
   }
 
-  /// The engine launch this run makes: sc's engine options, tracer and
-  /// integrity plane, plus this run's sanitizer.
+  /// The engine launch this run makes: sc's engine options and this run's
+  /// sanitizer.
   LaunchConfig engine_launch(const SchemeConfig& sc) const {
     LaunchConfig cfg;
     cfg.engine = sc.bigkernel;
-    cfg.tracer = sc.tracer;
     cfg.sanitizer = sanitizer.get();
-    cfg.integrity = sc.integrity;
     return cfg;
   }
 
@@ -650,9 +636,9 @@ RunMetrics run_bigkernel(const gpusim::SystemConfig& config, App& app,
   std::unique_ptr<obs::prof::StageProfiler> profiler;
   if (sc.prof_window > 0) {
     profiler = std::make_unique<obs::prof::StageProfiler>(sc.prof_window);
+    run.runtime.set_profiler(profiler.get());
   }
-  LaunchConfig launch = run.engine_launch(sc);
-  launch.profiler = profiler.get();
+  const LaunchConfig launch = run.engine_launch(sc);
   RunMetrics metrics;
   metrics.scheme = Scheme::kBigKernel;
   run.sim.run_until_complete(

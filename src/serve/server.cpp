@@ -34,10 +34,6 @@ namespace bigk::serve {
 
 namespace {
 
-/// Host cache-model region ids for the per-device input-staging scans (far
-/// above core::kStreamRegionBase so they never collide with mapped streams).
-constexpr std::uint32_t kStagingRegionBase = 9000;
-
 double to_ms(sim::DurationPs ps) { return static_cast<double>(ps) / 1e9; }
 sim::DurationPs ms_to_ps(double ms) {
   return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
@@ -176,8 +172,9 @@ struct ServerState {
   /// bigkfault: the pool-wide fault plane (null without a fault_spec).
   std::unique_ptr<fault::FaultPlane> fault_plane;
   // --- bigkdur -------------------------------------------------------------
-  /// Shared integrity plane for every device's engine and chunk cache (null
-  /// when dur.integrity is off — byte-identical to the pre-dur build).
+  /// Shared integrity plane, set once on every pool device (where its
+  /// engines find it) and on every chunk cache (null when dur.integrity is
+  /// off — byte-identical to the pre-dur build).
   std::unique_ptr<dur::Integrity> integrity;
   /// Run attempts that resumed past record zero from a journaled checkpoint.
   std::uint64_t resumed = 0;
@@ -187,8 +184,8 @@ struct ServerState {
   /// The simulated whole-server crash fired (dur.crash_at elapsed).
   bool crashed = false;
   // --- bigkprof -----------------------------------------------------------
-  /// One bottleneck profiler per device; every engine launch on the device
-  /// feeds it via JobRunConfig::profiler.
+  /// One bottleneck profiler per device, set once on the device's runtime;
+  /// every engine launch on the device feeds it.
   std::vector<std::unique_ptr<obs::prof::StageProfiler>> profilers;
   /// P² latency sketch over completed-job latencies in ms, fed as jobs
   /// finish: the SLO monitor's live p50/p95/p99.
@@ -196,10 +193,6 @@ struct ServerState {
   /// Windowed completion streams: pool-wide plus one per device.
   std::unique_ptr<obs::WindowedStats> completions;
   std::vector<std::unique_ptr<obs::WindowedStats>> device_completions;
-  /// Windowed PCIe bytes per pipeline side (fed by the telemetry daemon
-  /// from per-tick deltas of the pool's DMA totals).
-  std::unique_ptr<obs::WindowedStats> h2d_window;
-  std::unique_ptr<obs::WindowedStats> d2h_window;
   /// Queue depth sampled at every admit/release transition.
   std::unique_ptr<obs::WindowedStats> queue_depth_window;
   obs::prof::SloMonitor slo;
@@ -263,12 +256,11 @@ struct ServerState {
     for (std::uint32_t d = 0; d < pool.size(); ++d) {
       profilers.push_back(
           std::make_unique<obs::prof::StageProfiler>(cfg.prof_window));
+      pool.device(d).set_profiler(profilers.back().get());
       device_completions.push_back(
           std::make_unique<obs::WindowedStats>(cfg.prof_window));
     }
     completions = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-    h2d_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-    d2h_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
     queue_depth_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
     pool.attach_observability(cfg.tracer, cfg.metrics);
     if (!cfg.fault_spec.empty()) {
@@ -280,6 +272,7 @@ struct ServerState {
     if (cfg.dur.integrity) {
       integrity = std::make_unique<dur::Integrity>();
       integrity->attach_observability(cfg.metrics, cfg.tracer);
+      pool.set_integrity(integrity.get());
     }
     for (std::uint32_t d = 0; d < pool.size(); ++d) {
       dispatch.push_back(std::make_unique<sim::Channel<Job*>>(sim));
@@ -295,7 +288,7 @@ struct ServerState {
         cusim::Runtime& device = pool.device(d);
         auto chunk_cache = std::make_unique<cache::ChunkCache>(
             device.gpu().memory(),
-            cache::ChunkCache::Config{capacity, cfg.cache_eviction});
+            cache::ChunkCache::Config{capacity});
         chunk_cache->attach_observability(cfg.metrics, cfg.tracer,
                                           device.device_name());
         // bigkdur: resident entries re-verify against their insert digest on
@@ -644,8 +637,12 @@ void telemetry_tick(ServerState& st) {
     d2h += gpu.stats().d2h_bytes;
     busy += gpu.compute_wall_busy();
   }
-  st.h2d_window->add(now, static_cast<double>(h2d - st.last_h2d_bytes));
-  st.d2h_window->add(now, static_cast<double>(d2h - st.last_d2h_bytes));
+  // PCIe throughput over this tick's window: the bytes since the previous
+  // tick, one window ago.
+  const double h2d_gbps = static_cast<double>(h2d - st.last_h2d_bytes) *
+                          1e12 / static_cast<double>(window) / 1e9;
+  const double d2h_gbps = static_cast<double>(d2h - st.last_d2h_bytes) *
+                          1e12 / static_cast<double>(window) / 1e9;
   const double utilization =
       static_cast<double>(busy - st.last_compute_busy) /
       (static_cast<double>(window) * static_cast<double>(st.pool.size()));
@@ -665,10 +662,8 @@ void telemetry_tick(ServerState& st) {
     const std::uint32_t pid = st.config.tracer->process("serve");
     st.config.tracer->counter_set(pid, "prof.jobs_per_s", now,
                                   st.completions->rate_per_s(now));
-    st.config.tracer->counter_set(pid, "prof.h2d_gbps", now,
-                                  st.h2d_window->sum_per_s(now) / 1e9);
-    st.config.tracer->counter_set(pid, "prof.d2h_gbps", now,
-                                  st.d2h_window->sum_per_s(now) / 1e9);
+    st.config.tracer->counter_set(pid, "prof.h2d_gbps", now, h2d_gbps);
+    st.config.tracer->counter_set(pid, "prof.d2h_gbps", now, d2h_gbps);
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
       const std::uint32_t dev_pid =
           st.config.tracer->process(st.pool.device(d).device_name());
@@ -692,8 +687,8 @@ void telemetry_tick(ServerState& st) {
             : static_cast<double>(st.queue.outstanding()),
         utilization,
         fault_rate,
-        st.h2d_window->sum_per_s(now) / 1e9,
-        st.d2h_window->sum_per_s(now) / 1e9};
+        h2d_gbps,
+        d2h_gbps};
     std::map<std::string, double> values;
     for (std::size_t i = completed ? 0 : kSloPercentiles;
          i < kSloMetrics.size(); ++i) {
@@ -808,7 +803,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
     }
     job.record.start_time = st.sim.now();
     if (!job.record.warm && job.record.input_bytes > 0) {
-      staging.read_sequential(kStagingRegionBase + device_index, 0,
+      staging.read_sequential(core::kStagingRegionBase + device_index, 0,
                               job.record.input_bytes);
       staging.write_stream(job.record.input_bytes);
       co_await staging.commit();
@@ -822,18 +817,14 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
     }
     apps::JobRunConfig run_cfg;
     run_cfg.engine = st.config.engine;
-    run_cfg.tracer = st.config.tracer;
     run_cfg.sanitizer = sanitizer.get();
-    run_cfg.trace_scope = device.trace_prefix();
     if (!st.caches.empty()) {
       run_cfg.chunk_cache = st.caches[device_index].get();
       run_cfg.pinned_pool = st.pools[device_index].get();
       run_cfg.dataset_id = dataset_id_of(job.record.spec.app);
     }
-    run_cfg.profiler = st.profilers[device_index].get();
     run_cfg.exec_done = &job.record.exec_done_time;
     run_cfg.static_signature = job.static_signature;
-    run_cfg.integrity = st.integrity.get();
     const RunEnd end = co_await run_windows(
         st, job, [&](std::uint64_t rec_begin, std::uint64_t rec_end) {
           run_cfg.rec_begin = rec_begin;
@@ -1197,11 +1188,10 @@ ServeReport run_server(const ServerConfig& config,
     dev.prof_windows = prof.window_count();
     dev.bottleneck_flips = prof.bottleneck_flips();
   }
-  std::array<sim::DurationPs, obs::kStageCount> pool_busy{};
+  obs::prof::StageBusy pool_busy{};
   for (const auto& prof : state.profilers) {
-    for (obs::Stage stage : obs::all_stages()) {
-      pool_busy[obs::stage_index(stage)] += prof->stage_busy(stage);
-    }
+    const obs::prof::StageBusy busy = prof->busy();
+    for (std::size_t s = 0; s < obs::kStageCount; ++s) pool_busy[s] += busy[s];
     report.prof_windows += prof->window_count();
     report.bottleneck_flips += prof->bottleneck_flips();
   }

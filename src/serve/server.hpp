@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "apps/registry.hpp"
-#include "cache/policy.hpp"
 #include "check/options.hpp"
 #include "core/options.hpp"
 #include "dur/journal.hpp"
@@ -72,7 +71,6 @@ struct ServerConfig {
   bool cache_enabled = false;
   /// Cache partition per device; 0 = a quarter of the device arena.
   std::uint64_t cache_bytes = 0;
-  cache::EvictionKind cache_eviction = cache::EvictionKind::kCostAware;
   /// When enabled, each job runs under a fresh check::Sanitizer installed on
   /// its device; a violation throws check::CheckError out of run_server.
   check::CheckOptions check;

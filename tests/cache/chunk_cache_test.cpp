@@ -1,6 +1,6 @@
-// Unit tests for the bigkcache chunk cache: key lookup, pinning, eviction
-// policy behaviour under arena pressure (LRU vs cost-aware), invalidation,
-// and the sub-allocator's capacity accounting.
+// Unit tests for the bigkcache chunk cache: key lookup, pinning, cost-aware
+// eviction and admission under arena pressure, invalidation, and the
+// sub-allocator's capacity accounting.
 #include "cache/chunk_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "cache/policy.hpp"
 #include "gpusim/device_memory.hpp"
 
 namespace bigk::cache {
@@ -30,11 +29,14 @@ CacheKey key_for(std::uint64_t chunk, std::uint64_t dataset = 1,
 struct CacheFixture {
   gpusim::DeviceMemory memory{1 << 20};
 
-  ChunkCache make(std::uint64_t capacity,
-                  EvictionKind eviction = EvictionKind::kCostAware,
-                  std::uint64_t stale_ticks = 256) {
-    return ChunkCache(memory,
-                      ChunkCache::Config{capacity, eviction, stale_ticks});
+  ChunkCache make(std::uint64_t capacity, std::uint64_t stale_ticks = 256) {
+    return ChunkCache(memory, ChunkCache::Config{capacity, stale_ticks});
+  }
+
+  /// A lookup that misses: it advances the cache's aging tick, so with
+  /// stale_ticks = 0 every entry used before it becomes evictable.
+  static void tick(ChunkCache& cache) {
+    EXPECT_FALSE(cache.lookup(key_for(999), 0).has_value());
   }
 
   /// Insert-and-unpin: the steady state of an entry after its chunk retires.
@@ -89,11 +91,13 @@ TEST(ChunkCacheTest, OversizedInsertFailsWithoutEvicting) {
 
 TEST(ChunkCacheTest, PinnedEntriesAreNeverEvicted) {
   CacheFixture fx;
-  // Room for exactly two 4 KiB entries; LRU so eviction is unconditional.
-  ChunkCache cache = fx.make(8 << 10, EvictionKind::kLru);
+  // Room for exactly two 4 KiB entries; stale_ticks = 0 and one tick so
+  // every unpinned entry is evictable.
+  ChunkCache cache = fx.make(8 << 10, 0);
   const auto a = cache.insert(key_for(0), 4096, 0);  // stays pinned
   ASSERT_TRUE(a.has_value());
   CacheFixture::put(cache, key_for(1), 4096);
+  CacheFixture::tick(cache);
   // A third insert must evict the unpinned entry 1, never the pinned 0.
   const auto c = cache.insert(key_for(2), 4096, 1);
   ASSERT_TRUE(c.has_value());
@@ -104,40 +108,27 @@ TEST(ChunkCacheTest, PinnedEntriesAreNeverEvicted) {
 
 TEST(ChunkCacheTest, AllPinnedInsertFailsInsteadOfEvicting) {
   CacheFixture fx;
-  ChunkCache cache = fx.make(8 << 10, EvictionKind::kLru);
+  // Both entries are stale after the tick: only their pins refuse the insert.
+  ChunkCache cache = fx.make(8 << 10, 0);
   ASSERT_TRUE(cache.insert(key_for(0), 4096, 0).has_value());
   ASSERT_TRUE(cache.insert(key_for(1), 4096, 0).has_value());
+  CacheFixture::tick(cache);
   EXPECT_FALSE(cache.insert(key_for(2), 4096, 0).has_value());
   EXPECT_EQ(cache.stats().insert_failures, 1u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(ChunkCacheTest, LruEvictsTheColdestEntry) {
-  CacheFixture fx;
-  ChunkCache cache = fx.make(12 << 10, EvictionKind::kLru);
-  CacheFixture::put(cache, key_for(0), 4096);
-  CacheFixture::put(cache, key_for(1), 4096);
-  CacheFixture::put(cache, key_for(2), 4096);
-  // Touch 0 and 2; 1 becomes the LRU victim.
-  cache.unpin(cache.lookup(key_for(0), 1)->entry);
-  cache.unpin(cache.lookup(key_for(2), 2)->entry);
-  CacheFixture::put(cache, key_for(3), 4096, 3);
-  EXPECT_TRUE(cache.lookup(key_for(0), 4).has_value());
-  EXPECT_FALSE(cache.lookup(key_for(1), 4).has_value());
-  EXPECT_TRUE(cache.lookup(key_for(2), 4).has_value());
-}
-
 TEST(ChunkCacheTest, CostAwareKeepsProvenEarnersOverZeros) {
   CacheFixture fx;
   // stale_ticks = 0: pure cost ranking, every unpinned entry evictable.
-  ChunkCache cache = fx.make(12 << 10, EvictionKind::kCostAware, 0);
+  ChunkCache cache = fx.make(12 << 10, 0);
   CacheFixture::put(cache, key_for(0), 4096);
   CacheFixture::put(cache, key_for(1), 4096);
   CacheFixture::put(cache, key_for(2), 4096);
   // Entry 0 earns savings (oldest but proven); 1 and 2 never hit.
   cache.unpin(cache.lookup(key_for(0), 1)->entry);
-  // Under LRU entry 0 would now go; cost-aware keeps the proven earner and
-  // evicts the least-earning, oldest zero-savings entry (1).
+  // Pure recency would now evict entry 0; cost-aware keeps the proven
+  // earner and evicts the least-earning, oldest zero-savings entry (1).
   CacheFixture::put(cache, key_for(3), 4096, 3);
   EXPECT_TRUE(cache.lookup(key_for(0), 4).has_value());
   EXPECT_FALSE(cache.lookup(key_for(1), 4).has_value());
@@ -146,7 +137,7 @@ TEST(ChunkCacheTest, CostAwareKeepsProvenEarnersOverZeros) {
 
 TEST(ChunkCacheTest, CostAwareAdmissionProtectsFreshResidents) {
   CacheFixture fx;
-  ChunkCache cache = fx.make(8 << 10, EvictionKind::kCostAware);
+  ChunkCache cache = fx.make(8 << 10);
   CacheFixture::put(cache, key_for(0), 4096);
   CacheFixture::put(cache, key_for(1), 4096);
   // Both residents are fresh and unproven: a new unproven image may not
@@ -160,8 +151,7 @@ TEST(ChunkCacheTest, CostAwareAdmissionProtectsFreshResidents) {
 TEST(ChunkCacheTest, CostAwareEvictsStaleEntriesForNewCandidates) {
   CacheFixture fx;
   // Tight admission window so disuse ages quickly.
-  ChunkCache cache = fx.make(8 << 10, EvictionKind::kCostAware,
-                             /*stale_ticks=*/4);
+  ChunkCache cache = fx.make(8 << 10, /*stale_ticks=*/4);
   CacheFixture::put(cache, key_for(0), 4096);
   CacheFixture::put(cache, key_for(1), 4096);
   // Traffic keeps entry 1 hot while entry 0 goes untouched past the window.
@@ -176,30 +166,27 @@ TEST(ChunkCacheTest, CostAwareEvictsStaleEntriesForNewCandidates) {
 
 TEST(ChunkCacheTest, CostAwareIsScanResistantWhereLruThrashes) {
   // A repeated sequential scan of 6 chunks through a 4-entry partition:
-  // LRU evicts each chunk just before its reuse (0 hits ever); cost-aware
-  // admission keeps the first 4 chunks resident and serves them every pass.
-  const auto scan_hits = [](EvictionKind kind) {
-    CacheFixture fx;
-    ChunkCache cache = fx.make(16 << 10, kind);
-    std::uint64_t hits = 0;
-    sim::TimePs now = 0;
-    for (int pass = 0; pass < 4; ++pass) {
-      for (std::uint64_t chunk = 0; chunk < 6; ++chunk) {
-        if (const auto hit = cache.lookup(key_for(chunk), ++now)) {
-          ++hits;
-          cache.unpin(hit->entry);
-          continue;
-        }
-        if (const auto lease = cache.insert(key_for(chunk), 4096, now)) {
-          cache.unpin(lease->entry);
-        }
+  // LRU would evict each chunk just before its reuse (0 hits ever);
+  // cost-aware admission keeps the first 4 chunks resident and serves them
+  // every pass.
+  CacheFixture fx;
+  ChunkCache cache = fx.make(16 << 10);
+  std::uint64_t hits = 0;
+  sim::TimePs now = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::uint64_t chunk = 0; chunk < 6; ++chunk) {
+      if (const auto hit = cache.lookup(key_for(chunk), ++now)) {
+        ++hits;
+        cache.unpin(hit->entry);
+        continue;
+      }
+      if (const auto lease = cache.insert(key_for(chunk), 4096, now)) {
+        cache.unpin(lease->entry);
       }
     }
-    return hits;
-  };
-  EXPECT_EQ(scan_hits(EvictionKind::kLru), 0u);
+  }
   // 3 warm passes x 4 resident chunks.
-  EXPECT_EQ(scan_hits(EvictionKind::kCostAware), 12u);
+  EXPECT_EQ(hits, 12u);
 }
 
 TEST(ChunkCacheTest, InvalidateWhilePinnedDefersReclaimToUnpin) {
@@ -245,10 +232,11 @@ TEST(ChunkCacheTest, ReinsertUnderSameKeyReplacesTheOldImage) {
 
 TEST(ChunkCacheTest, EvictionFreesSpaceForCoalescedReuse) {
   CacheFixture fx;
-  ChunkCache cache = fx.make(16 << 10, EvictionKind::kLru);
+  ChunkCache cache = fx.make(16 << 10, 0);
   for (std::uint64_t chunk = 0; chunk < 4; ++chunk) {
     CacheFixture::put(cache, key_for(chunk), 4096);
   }
+  CacheFixture::tick(cache);
   // One 16 KiB entry needs the whole partition: every resident entry must be
   // evicted and the freed ranges coalesced back into a single span.
   const auto big = cache.insert(key_for(9), 16 << 10, 1);

@@ -1,19 +1,21 @@
 // Engine pipeline telemetry through the unified obs::Tracer (successor of
 // the retired trace::Recorder shim): a real engine run must emit one span
 // per (stage, block, chunk) on "engine block <b>" process rows, the per-stage
-// busy metrics must show actual pipelining, and set_trace_scope() must
-// namespace the rows so concurrent engines do not collide.
+// busy metrics must show actual pipelining, and a pool device's trace prefix
+// must namespace the rows so concurrent engines do not collide.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/device_tables.hpp"
+#include "cusim/device_pool.hpp"
 #include "cusim/runtime.hpp"
 #include "obs/stage.hpp"
 #include "obs/tracer.hpp"
@@ -37,16 +39,25 @@ struct SumKernel {
 
 constexpr std::uint64_t kRecords = 10'000;
 
-/// Runs one small engine launch with `tracer` attached and returns the
-/// engine's chunk count.
-std::uint64_t run_traced_engine(obs::Tracer* tracer,
-                                const std::string& trace_scope,
+/// Runs one small engine launch on a runtime with `tracer` attached and
+/// returns the engine's chunk count. The runtime is stand-alone, or with
+/// `on_pool_device` device 1 of a two-device pool, whose rows carry the
+/// "dev1 " prefix.
+std::uint64_t run_traced_engine(obs::Tracer* tracer, bool on_pool_device,
                                 sim::TimePs* finished,
                                 EngineMetrics* metrics_out) {
   sim::Simulation sim;
   gpusim::SystemConfig config;
   config.gpu.global_memory_bytes = 8 << 20;
-  cusim::Runtime runtime(sim, config);
+  std::optional<cusim::Runtime> standalone;
+  std::optional<cusim::DevicePool> pool;
+  if (on_pool_device) {
+    pool.emplace(sim, config, 2);
+  } else {
+    standalone.emplace(sim, config);
+  }
+  cusim::Runtime& runtime = on_pool_device ? pool->device(1) : *standalone;
+  runtime.attach_observability(tracer, nullptr);
 
   std::vector<std::uint64_t> host(kRecords * 4);
   for (std::uint64_t i = 0; i < host.size(); ++i) host[i] = i;
@@ -56,8 +67,6 @@ std::uint64_t run_traced_engine(obs::Tracer* tracer,
   options.compute_threads_per_block = 64;
   options.data_buf_bytes = 32 << 10;
   Engine engine(runtime, options);
-  engine.set_tracer(tracer);
-  engine.set_trace_scope(trace_scope);
 
   auto stream = engine.streaming_map<std::uint64_t>(
       std::span(host), AccessMode::kReadWrite, 4, 2, 1);
@@ -82,7 +91,7 @@ TEST(EngineTraceTest, EngineEmitsAllStages) {
   sim::TimePs finished = 0;
   EngineMetrics metrics;
   const std::uint64_t chunks =
-      run_traced_engine(&tracer, "", &finished, &metrics);
+      run_traced_engine(&tracer, false, &finished, &metrics);
   ASSERT_GT(chunks, 0u);
 
   std::map<std::string, std::uint64_t> per_stage;
@@ -113,11 +122,12 @@ TEST(EngineTraceTest, EngineEmitsAllStages) {
   }
 }
 
-// set_trace_scope must prefix every engine process row, so engines driving
-// different devices write to disjoint tracks of one shared tracer.
+// A pool device's trace prefix must prefix every engine process row, so
+// engines driving different devices write to disjoint tracks of one shared
+// tracer.
 TEST(EngineTraceTest, TraceScopeNamespacesProcessRows) {
   obs::Tracer tracer;
-  run_traced_engine(&tracer, "dev1 ", nullptr, nullptr);
+  run_traced_engine(&tracer, true, nullptr, nullptr);
   ASSERT_FALSE(tracer.spans().empty());
   bool saw_engine_row = false;
   for (const obs::SpanEvent& span : tracer.spans()) {
@@ -132,7 +142,7 @@ TEST(EngineTraceTest, TraceScopeNamespacesProcessRows) {
 // The exported Chrome JSON must carry the labelled engine rows end to end.
 TEST(EngineTraceTest, ChromeJsonNamesEngineProcesses) {
   obs::Tracer tracer;
-  run_traced_engine(&tracer, "", nullptr, nullptr);
+  run_traced_engine(&tracer, false, nullptr, nullptr);
   std::ostringstream out;
   tracer.write_chrome_json(out);
   const std::string json = out.str();

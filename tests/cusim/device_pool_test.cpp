@@ -70,25 +70,6 @@ TEST(DevicePoolTest, TransfersOnDistinctDevicesOverlap) {
   EXPECT_EQ(four, one);
 }
 
-TEST(DevicePoolTest, AggregatesStatsAcrossDevices) {
-  sim::Simulation sim;
-  DevicePool pool(sim, small_config(), 2);
-  const std::uint64_t bytes = 64 << 10;
-  std::vector<std::byte> source(bytes);
-  for (std::uint32_t d = 0; d < 2; ++d) {
-    Runtime& device = pool.device(d);
-    const std::uint64_t offset = device.gpu().memory().allocate_bytes(bytes);
-    sim.spawn([](Runtime& rt, std::uint64_t dst,
-                 std::vector<std::byte>& src) -> sim::Task<> {
-      co_await rt.memcpy_h2d_bytes(dst, src);
-    }(device, offset, source));
-  }
-  sim.run();
-  EXPECT_EQ(pool.total_h2d_bytes(), 2 * bytes);
-  EXPECT_EQ(pool.device(0).gpu().stats().h2d_bytes, bytes);
-  EXPECT_EQ(pool.total_d2h_bytes(), 0u);
-}
-
 TEST(DevicePoolTest, ObservabilityUsesPerDevicePrefixes) {
   sim::Simulation sim;
   DevicePool pool(sim, small_config(), 2);

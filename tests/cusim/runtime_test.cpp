@@ -1,11 +1,18 @@
 // Tests for the CUDA-like runtime: copies, streams, in-order DMA semantics,
-// and pinned-memory tracking.
+// pinned-memory tracking and host cache-model region ids.
 #include "cusim/runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
+#include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "core/engine.hpp"
 
 namespace bigk::cusim {
 namespace {
@@ -19,15 +26,16 @@ gpusim::SystemConfig small_config() {
 TEST(RuntimeTest, SyncCopiesRoundTrip) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(256);
+  const std::uint64_t device =
+      runtime.gpu().memory().allocate_bytes(256 * sizeof(int));
   std::vector<int> source(256);
   std::iota(source.begin(), source.end(), 0);
   std::vector<int> sink(256, -1);
-  sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
+  sim.run_until_complete([](Runtime& rt, std::uint64_t d,
                             std::vector<int>& src,
                             std::vector<int>& dst) -> sim::Task<> {
-    co_await rt.memcpy_h2d<int>(d, src);
-    co_await rt.memcpy_d2h<int>(dst, d);
+    co_await rt.memcpy_h2d_bytes(d, std::as_bytes(std::span(src)));
+    co_await rt.memcpy_d2h_bytes(std::as_writable_bytes(std::span(dst)), d);
   }(runtime, device, source, sink));
   EXPECT_EQ(sink, source);
   EXPECT_GT(sim.now(), 0u);
@@ -36,30 +44,74 @@ TEST(RuntimeTest, SyncCopiesRoundTrip) {
 TEST(RuntimeTest, PinnedBytesAreTracked) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto buffer = runtime.alloc_pinned<double>(1000);
-  EXPECT_EQ(runtime.pinned_bytes(), 8000u);
-  EXPECT_EQ(buffer.size(), 1000u);
-  EXPECT_GT(buffer.region_id(), 0u);
+  runtime.note_pinned(8000);
+  runtime.note_pinned(192);
+  EXPECT_EQ(runtime.pinned_bytes(), 8192u);
 }
 
 TEST(RuntimeTest, RegionIdsAreUnique) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto a = runtime.alloc_pinned<int>(1);
-  auto b = runtime.alloc_pinned<int>(1);
-  EXPECT_NE(a.region_id(), b.region_id());
+  const std::uint32_t a = runtime.next_region_id();
+  const std::uint32_t b = runtime.next_region_id();
+  EXPECT_NE(a, b);
+}
+
+// Pinned ring and address buffers take the ids next_region_id() hands out;
+// mapped streams, CPU-scheme tables and serve staging use fixed ids. A
+// device that serves many jobs hands out thousands (a cache-less launch on
+// 4 blocks takes 16: 4 address buffers and 12 ring slots), and none may be a
+// fixed id, or the host cache model aliases the two regions' lines.
+TEST(RuntimeTest, DynamicRegionIdsAvoidTheFixedRegions) {
+  sim::Simulation sim;
+  Runtime runtime(sim, small_config());
+  const auto fixed = [](std::uint32_t id) {
+    const auto in = [id](std::uint32_t base, std::uint32_t count) {
+      return id >= base && id < base + count;
+    };
+    return id == 0 ||  // the chunked baselines' staging buffers
+           in(core::kStreamRegionBase, core::kMaxStreams) ||
+           in(core::kTableRegionBase, 256) ||
+           in(core::kStagingRegionBase, 256);
+  };
+  std::set<std::uint32_t> seen;
+  for (std::uint32_t n = 1; n <= 20'000; ++n) {
+    const std::uint32_t id = runtime.next_region_id();
+    ASSERT_FALSE(fixed(id)) << "id #" << n << " is the fixed region " << id;
+    ASSERT_TRUE(seen.insert(id).second) << "id #" << n << " repeats " << id;
+  }
+}
+
+// The host cache model keeps 20 bits of a region id: the id past the last
+// one it can encode throws, naming the limit, instead of aliasing region 0.
+TEST(RuntimeTest, RegionIdsPastTheEncodableLimitThrow) {
+  sim::Simulation sim;
+  Runtime runtime(sim, small_config());
+  std::uint32_t last = 0;
+  std::string message;
+  for (std::uint32_t n = 0; n <= hostsim::kRegionIdLimit && message.empty();
+       ++n) {
+    try {
+      last = runtime.next_region_id();
+    } catch (const std::out_of_range& error) {
+      message = error.what();
+    }
+  }
+  EXPECT_EQ(last, hostsim::kRegionIdLimit - 1);
+  EXPECT_NE(message.find("2^20"), std::string::npos) << message;
+  EXPECT_THROW(runtime.next_region_id(), std::out_of_range);
 }
 
 TEST(StreamTest, AsyncCopyCompletesAfterSynchronize) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(64);
-  auto host = runtime.alloc_pinned<int>(64);
+  auto device = runtime.gpu().memory().allocate<int>(64);
+  std::vector<int> host(64);
   for (std::uint64_t i = 0; i < 64; ++i) host[i] = static_cast<int>(i * 3);
   sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
-                            PinnedBuffer<int>& h) -> sim::Task<> {
+                            std::vector<int>& h) -> sim::Task<> {
     Stream stream = rt.create_stream();
-    stream.memcpy_h2d_async(d.byte_offset, h.data(), h.size_bytes());
+    stream.memcpy_h2d_async(d.byte_offset, h.data(), h.size() * sizeof(int));
     co_await stream.synchronize();
     EXPECT_EQ(rt.gpu().memory().read(d, 10), 30);
   }(runtime, device, host));
@@ -68,14 +120,13 @@ TEST(StreamTest, AsyncCopyCompletesAfterSynchronize) {
 TEST(StreamTest, DataVisibleOnlyAfterTransferCompletes) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(1);
+  auto device = runtime.gpu().memory().allocate<int>(1);
   runtime.gpu().memory().write(device, 0, 7);
-  auto host = runtime.alloc_pinned<int>(1);
-  host[0] = 42;
+  std::vector<int> host = {42};
   sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
-                            PinnedBuffer<int>& h) -> sim::Task<> {
+                            std::vector<int>& h) -> sim::Task<> {
     Stream stream = rt.create_stream();
-    stream.memcpy_h2d_async(d.byte_offset, h.data(), h.size_bytes());
+    stream.memcpy_h2d_async(d.byte_offset, h.data(), sizeof(int));
     // Before any await the copy has not been performed.
     EXPECT_EQ(rt.gpu().memory().read(d, 0), 7);
     co_await stream.synchronize();
@@ -88,9 +139,8 @@ TEST(StreamTest, FlagSignalsAfterPrecedingData) {
   // must observe the data already in device memory.
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(1024);
-  auto host = runtime.alloc_pinned<int>(1024);
-  for (std::uint64_t i = 0; i < 1024; ++i) host[i] = 5;
+  auto device = runtime.gpu().memory().allocate<int>(1024);
+  std::vector<int> host(1024, 5);
   sim::Flag ready(sim);
   bool checked = false;
 
@@ -102,7 +152,8 @@ TEST(StreamTest, FlagSignalsAfterPrecedingData) {
   }(runtime, ready, device, checked));
 
   Stream stream = runtime.create_stream();
-  stream.memcpy_h2d_async(device.byte_offset, host.data(), host.size_bytes());
+  stream.memcpy_h2d_async(device.byte_offset, host.data(),
+                          host.size() * sizeof(int));
   stream.signal_flag(ready, 1);
   sim.run();
   EXPECT_TRUE(checked);
@@ -118,8 +169,8 @@ TEST(StreamTest, ChunkedCopyFlagSequenceObservesEachChunkInOrder) {
   config.pcie.transfer_latency = 0;
   Runtime runtime(sim, config);
   const std::uint64_t n = 64 << 10;  // ints per chunk: 256 KiB
-  auto device = runtime.device_malloc<int>(2 * n);
-  auto host = runtime.alloc_pinned<int>(2 * n);
+  auto device = runtime.gpu().memory().allocate<int>(2 * n);
+  std::vector<int> host(2 * n);
   for (std::uint64_t i = 0; i < 2 * n; ++i) host[i] = i < n ? 1 : 2;
   sim::Flag ready(sim);
   std::vector<sim::TimePs> seen(2, 0);
@@ -152,39 +203,17 @@ TEST(StreamTest, ChunkedCopyFlagSequenceObservesEachChunkInOrder) {
 TEST(StreamTest, OpsOnOneStreamAreOrdered) {
   sim::Simulation sim;
   Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(1);
-  auto host_a = runtime.alloc_pinned<int>(1);
-  auto host_b = runtime.alloc_pinned<int>(1);
-  host_a[0] = 1;
-  host_b[0] = 2;
+  auto device = runtime.gpu().memory().allocate<int>(1);
+  const int host_a = 1;
+  const int host_b = 2;
   sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
-                            PinnedBuffer<int>& a,
-                            PinnedBuffer<int>& b) -> sim::Task<> {
+                            const int& a, const int& b) -> sim::Task<> {
     Stream stream = rt.create_stream();
-    stream.memcpy_h2d_async(d.byte_offset, a.data(), 4);
-    stream.memcpy_h2d_async(d.byte_offset, b.data(), 4);
+    stream.memcpy_h2d_async(d.byte_offset, &a, 4);
+    stream.memcpy_h2d_async(d.byte_offset, &b, 4);
     co_await stream.synchronize();
     EXPECT_EQ(rt.gpu().memory().read(d, 0), 2);  // second write wins
   }(runtime, device, host_a, host_b));
-}
-
-TEST(StreamTest, D2HCopiesDeviceResults) {
-  sim::Simulation sim;
-  Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(16);
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    runtime.gpu().memory().write(device, i, static_cast<int>(100 + i));
-  }
-  auto host = runtime.alloc_pinned<int>(16);
-  sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
-                            PinnedBuffer<int>& h) -> sim::Task<> {
-    Stream stream = rt.create_stream();
-    stream.memcpy_d2h_async(h.data(), d.byte_offset, 16 * sizeof(int));
-    co_await stream.synchronize();
-  }(runtime, device, host));
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(host[i], static_cast<int>(100 + i));
-  }
 }
 
 TEST(StreamTest, TwoStreamsShareTheLinkFifo) {
@@ -193,8 +222,8 @@ TEST(StreamTest, TwoStreamsShareTheLinkFifo) {
   config.pcie.h2d_gbps = 1.0;  // slow link to make serialization visible
   config.pcie.transfer_latency = 0;
   Runtime runtime(sim, config);
-  auto device = runtime.device_malloc<std::byte>(512 << 10);
-  auto host = runtime.alloc_pinned<std::byte>(512 << 10);
+  auto device = runtime.gpu().memory().allocate<std::byte>(512 << 10);
+  std::vector<std::byte> host(512 << 10);
   Stream s1 = runtime.create_stream();
   Stream s2 = runtime.create_stream();
   const std::uint64_t half = 256 << 10;
@@ -223,47 +252,6 @@ TEST(DevicePropertiesTest, MirrorsGpuConfig) {
   EXPECT_EQ(props.shared_mem_per_multiprocessor,
             config.gpu.shared_mem_per_sm_bytes);
   EXPECT_GT(props.clock_ghz, 0.0);
-}
-
-TEST(EventTest, RecordsCompletionOfPrecedingWork) {
-  sim::Simulation sim;
-  gpusim::SystemConfig config = small_config();
-  config.pcie.h2d_gbps = 1.0;  // slow link so the copy takes visible time
-  config.pcie.transfer_latency = 0;
-  Runtime runtime(sim, config);
-  auto device = runtime.device_malloc<std::byte>(256 << 10);
-  auto host = runtime.alloc_pinned<std::byte>(256 << 10);
-  sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<std::byte> d,
-                            PinnedBuffer<std::byte>& h) -> sim::Task<> {
-    Stream stream = rt.create_stream();
-    Event event(rt.sim());
-    stream.memcpy_h2d_async(d.byte_offset, h.data(), h.size_bytes());
-    event.record(stream);
-    EXPECT_FALSE(event.query());
-    co_await event.synchronize();
-    EXPECT_TRUE(event.query());
-    // 256 KiB at 1 GB/s = 256 us.
-    EXPECT_GE(rt.sim().now(), sim::transfer_time(256 << 10, 1.0));
-  }(runtime, device, host));
-}
-
-TEST(EventTest, ReRecordingMovesTheMarker) {
-  sim::Simulation sim;
-  Runtime runtime(sim, small_config());
-  auto device = runtime.device_malloc<int>(64);
-  auto host = runtime.alloc_pinned<int>(64);
-  sim.run_until_complete([](Runtime& rt, gpusim::DevicePtr<int> d,
-                            PinnedBuffer<int>& h) -> sim::Task<> {
-    Stream stream = rt.create_stream();
-    Event event(rt.sim());
-    event.record(stream);
-    co_await event.synchronize();  // empty stream: immediate
-    stream.memcpy_h2d_async(d.byte_offset, h.data(), h.size_bytes());
-    event.record(stream);
-    EXPECT_FALSE(event.query());
-    co_await event.synchronize();
-    EXPECT_TRUE(event.query());
-  }(runtime, device, host));
 }
 
 }  // namespace

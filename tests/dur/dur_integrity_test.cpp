@@ -88,8 +88,8 @@ RunResult run_scale(Fixture& fixture, const char* spec, bool with_integrity) {
     runtime.set_fault_plane(&plane);
   }
   dur::Integrity integrity;
+  if (with_integrity) runtime.set_integrity(&integrity);
   Engine engine(runtime, small_options());
-  if (with_integrity) engine.set_integrity(&integrity);
   auto stream = engine.streaming_map<std::uint64_t>(
       std::span(fixture.host), AccessMode::kReadWrite,
       /*elems_per_record=*/4, /*reads_per_record=*/2, /*writes_per_record=*/1);
@@ -225,9 +225,9 @@ struct CacheFixture {
   }
 
   EngineMetrics launch(cache::ChunkCache& cache, dur::Integrity* integrity) {
+    runtime.set_integrity(integrity);
     Engine engine(runtime, small_options());
     engine.set_chunk_cache(&cache, /*dataset_id=*/1);
-    engine.set_integrity(integrity);
     auto in_ref = engine.streaming_map<std::uint64_t>(
         std::span(input), AccessMode::kReadOnly, 2, 2);
     auto out_ref = engine.streaming_map<std::uint64_t>(

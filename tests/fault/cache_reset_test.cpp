@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "cache/chunk_cache.hpp"
-#include "cache/policy.hpp"
 #include "check/options.hpp"
 #include "check/pipecheck.hpp"
 #include "check/report.hpp"
@@ -31,8 +30,7 @@ CacheKey key_for(std::uint64_t chunk, std::uint64_t dataset = 1) {
 
 struct ResetFixture {
   gpusim::DeviceMemory memory{1 << 20};
-  ChunkCache cache{memory, ChunkCache::Config{64 << 10,
-                                              EvictionKind::kCostAware, 256}};
+  ChunkCache cache{memory, ChunkCache::Config{64 << 10, 256}};
 
   std::uint64_t put(const CacheKey& key, std::uint64_t bytes,
                     sim::TimePs now = 0) {

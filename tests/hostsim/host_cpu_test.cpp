@@ -62,6 +62,9 @@ TEST(CacheModelTest, DistinctRegionsDoNotAlias) {
   EXPECT_FALSE(cache.access(logical_address(1, 0)));
   EXPECT_FALSE(cache.access(logical_address(2, 0)));
   EXPECT_TRUE(cache.access(logical_address(1, 0)));
+  // An id wider than the address keeps would alias region 1: it throws.
+  EXPECT_EQ(logical_address(kRegionIdLimit - 1, 0) >> 44, kRegionIdLimit - 1);
+  EXPECT_THROW(logical_address(1 + kRegionIdLimit, 0), std::out_of_range);
 }
 
 TEST(CacheModelTest, ResetClearsContents) {
@@ -162,9 +165,11 @@ TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
     std::uint32_t line;
     std::uint32_t ways;
   };
+  // (1, 1, 1) is one set of 1-byte lines, where every 64-bit value,
+  // ~0 included, is a real tag.
   for (const Geometry g : {Geometry{4 << 10, 64, 4}, Geometry{2 << 10, 64, 1},
                            Geometry{64 << 10, 64, 8},
-                           Geometry{1 << 10, 32, 16}}) {
+                           Geometry{1 << 10, 32, 16}, Geometry{1, 1, 1}}) {
     SCOPED_TRACE(testing::Message() << g.capacity << " B, " << g.line
                                     << " B lines, " << g.ways << " ways");
     std::mt19937_64 rng(20 + g.ways);
@@ -198,6 +203,7 @@ TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
           << "residency of " << addr << " after access " << accesses;
     };
     const std::uint64_t set_stride = model->sets() * g.line;
+    touch(~std::uint64_t{0});  // a cold cache holds no line, whatever its tag
     for (int round = 0; round < 3000; ++round) {
       if (round == 1000) {
         model->reset();

@@ -1,5 +1,6 @@
-// StageProfiler tests: exact window splitting, argmax/tie semantics, overlap
-// efficiency, flip counting — plus end-to-end integration against a real
+// StageProfiler tests: exact window splitting, argmax/tie semantics and
+// overlap efficiency of attribute(busy(), wall), flip counting — plus
+// end-to-end integration against a real
 // Engine launch, where the profiler must agree with the engine's own stage
 // accounting and a seeded stage_stall fault must flip the attributed
 // bottleneck to the stalled stage in-window.
@@ -33,7 +34,7 @@ TEST(StageProfiler, RejectsZeroWindow) {
 TEST(StageProfiler, SplitsIntervalsExactlyAtWindowBoundaries) {
   StageProfiler profiler(kWindow);
   profiler.record(Stage::kTransfer, 500, 2'500);
-  EXPECT_EQ(profiler.stage_busy(Stage::kTransfer), 2'000);
+  EXPECT_EQ(profiler.busy()[stage_index(Stage::kTransfer)], 2'000);
   const auto windows = profiler.windows();
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_EQ(windows[0].index, 0u);
@@ -60,9 +61,9 @@ TEST(StageProfiler, BottleneckTiesGoToTheEarlierStage) {
   StageProfiler profiler(kWindow);
   profiler.record(Stage::kAssembly, 0, 400);
   profiler.record(Stage::kCompute, 0, 400);
-  EXPECT_EQ(profiler.bottleneck(), Stage::kAssembly);
+  EXPECT_EQ(attribute(profiler.busy(), 0).bottleneck, Stage::kAssembly);
   profiler.record(Stage::kCompute, 400, 500);
-  EXPECT_EQ(profiler.bottleneck(), Stage::kCompute);
+  EXPECT_EQ(attribute(profiler.busy(), 0).bottleneck, Stage::kCompute);
 }
 
 TEST(StageProfiler, OverlapEfficiencyMeasuresPipelining) {
@@ -70,11 +71,12 @@ TEST(StageProfiler, OverlapEfficiencyMeasuresPipelining) {
   profiler.record(Stage::kTransfer, 0, 1'000);
   profiler.record(Stage::kCompute, 0, 1'000);
   // Two stages fully overlapped over 1000 ps of wall time: 1 - 1000/2000.
-  EXPECT_DOUBLE_EQ(profiler.overlap_efficiency(1'000), 0.5);
+  EXPECT_DOUBLE_EQ(attribute(profiler.busy(), 1'000).overlap_efficiency, 0.5);
   // Fully serialized (wall >= total busy) clamps to 0.
-  EXPECT_DOUBLE_EQ(profiler.overlap_efficiency(3'000), 0.0);
+  EXPECT_DOUBLE_EQ(attribute(profiler.busy(), 3'000).overlap_efficiency, 0.0);
   // No busy time at all: defined as 0.
-  EXPECT_DOUBLE_EQ(StageProfiler(kWindow).overlap_efficiency(100), 0.0);
+  EXPECT_DOUBLE_EQ(
+      attribute(StageProfiler(kWindow).busy(), 100).overlap_efficiency, 0.0);
 }
 
 TEST(StageProfiler, CountsBottleneckFlips) {
@@ -143,8 +145,8 @@ EngineRun run_heavy(const char* fault_spec) {
   options.num_blocks = 1;  // a stalled assembly leaves nothing else running
   options.compute_threads_per_block = 64;
   options.data_buf_bytes = 16 << 10;
+  runtime.set_profiler(&result.profiler);
   core::Engine engine(runtime, options);
-  engine.set_profiler(&result.profiler);
   auto stream = engine.streaming_map<std::uint64_t>(
       std::span(host), core::AccessMode::kReadWrite, /*elems_per_record=*/4,
       /*reads_per_record=*/2, /*writes_per_record=*/1);
@@ -169,14 +171,16 @@ EngineRun run_heavy(const char* fault_spec) {
 
 TEST(StageProfilerEngineTest, AgreesWithEngineStageAccounting) {
   const EngineRun run = run_heavy("");
+  const StageBusy busy = run.profiler.busy();
   for (const Stage stage : all_stages()) {
-    EXPECT_EQ(run.profiler.stage_busy(stage), run.metrics.stage_busy(stage))
+    EXPECT_EQ(busy[stage_index(stage)], run.metrics.stage_busy(stage))
         << "profiler diverged from engine metrics for "
         << stage_name(stage);
   }
   EXPECT_GT(run.profiler.window_count(), 1u);
-  EXPECT_EQ(run.profiler.bottleneck(), Stage::kCompute);
-  const double overlap = run.profiler.overlap_efficiency(run.elapsed);
+  const Attribution attribution = attribute(busy, run.elapsed);
+  EXPECT_EQ(attribution.bottleneck, Stage::kCompute);
+  const double overlap = attribution.overlap_efficiency;
   EXPECT_GE(overlap, 0.0);
   EXPECT_LT(overlap, 1.0);
 }
@@ -188,8 +192,9 @@ TEST(StageProfilerEngineTest, StageStallFlipsBottleneckToAssemblyInWindow) {
   const EngineRun stalled = run_heavy("stage_stall,nth=1,stall_us=500");
 
   const sim::DurationPs stall = 500 * sim::kMicrosecond;
-  EXPECT_GE(stalled.profiler.stage_busy(Stage::kAssembly),
-            clean.profiler.stage_busy(Stage::kAssembly) + stall * 9 / 10);
+  const std::size_t assembly = stage_index(Stage::kAssembly);
+  EXPECT_GE(stalled.profiler.busy()[assembly],
+            clean.profiler.busy()[assembly] + stall * 9 / 10);
 
   // In-window flip: at least one window is attributed to assembly with the
   // stall filling (nearly) the whole window and compute idle.
@@ -209,7 +214,7 @@ TEST(StageProfilerEngineTest, StageStallFlipsBottleneckToAssemblyInWindow) {
   // attributed bottleneck must flip at least once across the timeline.
   EXPECT_GE(stalled.profiler.bottleneck_flips(), 1u);
   // Clean attribution is unaffected: compute remains the limiting stage.
-  EXPECT_EQ(clean.profiler.bottleneck(), Stage::kCompute);
+  EXPECT_EQ(attribute(clean.profiler.busy(), 0).bottleneck, Stage::kCompute);
 }
 
 // Minimal runnable app for exercising run_bigkernel's prof summary; lives at

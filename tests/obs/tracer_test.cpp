@@ -159,7 +159,6 @@ class TracedEngineRun : public ::testing::Test {
     options.compute_threads_per_block = 64;
     options.data_buf_bytes = 32 << 10;
     engine_ = std::make_unique<core::Engine>(*runtime_, options);
-    engine_->set_tracer(&tracer_);
 
     auto stream = engine_->streaming_map<std::uint64_t>(
         std::span(host_), core::AccessMode::kReadWrite, 4, 2, 1);

@@ -33,9 +33,6 @@ TEST(WindowedStats, OldBucketsExpire) {
   stats.add(9'000, 1.0);  // > one full window later: bucket 0 is out of range
   EXPECT_EQ(stats.events(9'000), 1u);
   EXPECT_DOUBLE_EQ(stats.sum(9'000), 1.0);
-  // Lifetime totals keep everything.
-  EXPECT_EQ(stats.total_events(), 2u);
-  EXPECT_DOUBLE_EQ(stats.total(), 11.0);
 }
 
 TEST(WindowedStats, RatesScaleByWindow) {

@@ -153,7 +153,6 @@ TEST(CheckedSchemesTest, ConcurrentEnginesOnDevicePoolRunClean) {
     options.num_blocks = 4;
     options.compute_threads_per_block = 64;
     core::Engine engine(runtime, options);
-    engine.set_trace_scope(runtime.trace_prefix());
     engine.set_sanitizer(&sanitizer);
     for (const StreamDecl& decl : app.stream_decls()) {
       engine.map_stream(decl.binding, decl.overfetch_elems);
