@@ -50,7 +50,7 @@ class LogFilterApp {
 
   std::vector<schemes::StreamDecl> stream_decls() {
     schemes::StreamDecl decl;
-    decl.binding.host_data = reinterpret_cast<std::byte*>(log_.data());
+    decl.binding.host_data = reinterpret_cast<const std::byte*>(log_.data());
     decl.binding.num_elements = log_.size();
     decl.binding.elem_size = 8;
     decl.binding.mode = core::AccessMode::kReadOnly;

@@ -10,7 +10,8 @@
 #
 # With no arguments lint, plain and asan-ubsan run. plain builds with
 # -Werror; asan-ubsan does not, since GCC's sanitizer builds warn in code
-# that is otherwise warning-free. Each build preset's ctest
+# that is otherwise warning-free, but it compiles without NDEBUG, so its
+# asserts run. Each build preset's ctest
 # already covers the fault, durability, load and hetero suites, the
 # bench_prof_gate perf gate and the check_serve_bench_schema bench smoke;
 # plain also builds benchmark/ and runs its bigkbench_smoke.
@@ -26,6 +27,9 @@ run_preset() {
   local build_dir="${repo_root}/build-ci-${name}"
   echo "=== ci preset ${name}: configure (${*:-no extra flags}) ==="
   cmake -B "${build_dir}" -S "${repo_root}" "$@"
+  # The flags every compile gets, so the log shows whether NDEBUG is set.
+  grep -E '^CMAKE_(BUILD_TYPE|CXX_FLAGS|CXX_FLAGS_RELEASE):' \
+    "${build_dir}/CMakeCache.txt"
   echo "=== ci preset ${name}: build ==="
   cmake --build "${build_dir}" -j "${jobs}"
   echo "=== ci preset ${name}: ctest ==="
@@ -59,8 +63,11 @@ for preset in "${presets[@]}"; do
       ;;
     asan-ubsan)
       # UBSan is fatal: a report aborts the test instead of only printing.
+      # The Release flags leave out -DNDEBUG, so the simulator's invariant
+      # asserts run in this build too.
       run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined \
-        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined \
+        -DCMAKE_CXX_FLAGS_RELEASE=-O2
       ;;
     lint)
       # bigkstatic gate: build only the bigklint CLI, verify every

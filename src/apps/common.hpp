@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/stream.hpp"
 #include "gpusim/config.hpp"
@@ -44,6 +46,34 @@ void charge_alu(Ctx& ctx, Ops ops, double warp_divergence) {
     ctx.alu(ops);
   }
 }
+
+/// An app's input, split in two halves:
+///  - an immutable `Dataset`, what the generator makes from the app's Params:
+///    the stream arrays, the read-only tables and the initial values of the
+///    tables a run writes. Any number of runs may share one (BenchApp does);
+///  - the per-run TableSet that one run uploads, writes and downloads.
+/// Built from a Dataset rvalue, the input is the dataset's only owner and
+/// takes the tables by move, so an app built straight from its Params keeps
+/// one copy of every array. Built over a shared dataset, it copies them.
+template <class Dataset>
+class AppInput {
+ public:
+  explicit AppInput(Dataset&& owned)
+      : tables_(std::move(owned.tables)),
+        data_(std::make_shared<const Dataset>(std::move(owned))) {}
+  explicit AppInput(std::shared_ptr<const Dataset> shared)
+      : tables_(shared->tables), data_(std::move(shared)) {}
+
+  const Dataset& data() const noexcept { return *data_; }
+  core::TableSet& tables() noexcept { return tables_; }
+  const core::TableSet& tables() const noexcept { return tables_; }
+
+ private:
+  // Declared first: the owning constructor moves the tables out of the
+  // dataset before the rest of it moves into data_.
+  core::TableSet tables_;
+  std::shared_ptr<const Dataset> data_;
+};
 
 /// A Table I row: the paper-scale characteristics of an app's mapped data.
 struct AppInfo {

@@ -4,15 +4,15 @@
 
 namespace bigk::apps {
 
-DnaApp::DnaApp(const Params& params) {
-  records_ = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
-  fragments_.resize(records_ * kElemsPerRecord);
+DnaApp::Dataset::Dataset(const Params& params) {
+  records = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
+  fragments.resize(records * kElemsPerRecord);
   Rng rng(params.seed);
   // Fragments are drawn from a synthetic genome of overlapping reads so that
   // identical k-mers really do repeat (that is what the hash table counts).
   constexpr std::uint64_t kGenomeChunks = 1u << 12;
-  for (std::uint64_t r = 0; r < records_; ++r) {
-    std::uint64_t* record = &fragments_[r * kElemsPerRecord];
+  for (std::uint64_t r = 0; r < records; ++r) {
+    std::uint64_t* record = &fragments[r * kElemsPerRecord];
     Rng fragment(params.seed ^ (0x9E37 + rng.below(kGenomeChunks)));
     for (std::uint32_t i = 0; i < kReadsPerRecord; ++i) {
       record[i] = fragment.next();  // 32 packed bases
@@ -22,19 +22,20 @@ DnaApp::DnaApp(const Params& params) {
       record[i] = rng.next();
     }
   }
-  kmer_counts_ = tables_.add<std::uint32_t>(kBuckets);
-  reset();
+  kmer_counts = tables.add<std::uint32_t>(kBuckets);
 }
 
 void DnaApp::reset() {
-  auto counts = tables_.host_span(kmer_counts_);
+  auto counts = tables().host_span(input_.data().kmer_counts);
   std::fill(counts.begin(), counts.end(), 0u);
 }
 
 std::vector<schemes::StreamDecl> DnaApp::stream_decls() {
+  const std::vector<std::uint64_t>& fragments = input_.data().fragments;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(fragments_.data());
-  decl.binding.num_elements = fragments_.size();
+  decl.binding.host_data =
+      reinterpret_cast<const std::byte*>(fragments.data());
+  decl.binding.num_elements = fragments.size();
   decl.binding.elem_size = sizeof(std::uint64_t);
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = kElemsPerRecord;
@@ -45,7 +46,8 @@ std::vector<schemes::StreamDecl> DnaApp::stream_decls() {
 
 std::uint64_t DnaApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint32_t count : tables_.host_span(kmer_counts_)) {
+  for (std::uint32_t count :
+       input_.tables().host_span(input_.data().kmer_counts)) {
     digest = fnv1a(digest, count);
   }
   return digest;

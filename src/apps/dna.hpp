@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -29,11 +31,24 @@ class DnaApp {
     std::uint64_t seed = 5;
   };
 
-  explicit DnaApp(const Params& params);
+  /// The generated fragment records and the zeroed k-mer count table.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t records = 0;
+    std::vector<std::uint64_t> fragments;
+    core::TableSet tables;
+    core::TableRef<std::uint32_t> kmer_counts;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit DnaApp(const Params& params) : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit DnaApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return records_; }
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const { return input_.data().records; }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -57,7 +72,7 @@ class DnaApp {
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, kmer_counts_}; }
+  Kernel kernel() const { return Kernel{{0}, input_.data().kmer_counts}; }
 
   static AppInfo paper_info() {
     return AppInfo{"DNA Assembly", 4.5, "Fixed-length", 36.0, 0.0};
@@ -65,10 +80,7 @@ class DnaApp {
   std::uint64_t result_digest() const;
 
  private:
-  std::uint64_t records_;
-  std::vector<std::uint64_t> fragments_;
-  core::TableSet tables_;
-  core::TableRef<std::uint32_t> kmer_counts_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

@@ -4,12 +4,12 @@
 
 namespace bigk::apps {
 
-KmeansApp::KmeansApp(const Params& params) {
-  records_ = params.data_bytes / (kElemsPerRecord * sizeof(double));
-  particles_.resize(records_ * kElemsPerRecord);
+KmeansApp::Dataset::Dataset(const Params& params) {
+  records = params.data_bytes / (kElemsPerRecord * sizeof(double));
+  particles.resize(records * kElemsPerRecord);
   Rng rng(params.seed);
-  for (std::uint64_t r = 0; r < records_; ++r) {
-    double* record = &particles_[r * kElemsPerRecord];
+  for (std::uint64_t r = 0; r < records; ++r) {
+    double* record = &particles[r * kElemsPerRecord];
     for (std::uint32_t d = 0; d < kDims; ++d) {
       record[d] = rng.unit() * 100.0;
     }
@@ -19,25 +19,26 @@ KmeansApp::KmeansApp(const Params& params) {
     record[7] = rng.unit();
   }
 
-  centroids_ = tables_.add<double>(kClusters * kDims);
+  centroids = tables.add<double>(kClusters * kDims);
   Rng centroid_rng(params.seed ^ 0xC1u);
-  auto span = tables_.host_span(centroids_);
-  for (double& value : span) value = centroid_rng.unit() * 100.0;
-  initial_centroids_.assign(span.begin(), span.end());
+  for (double& value : tables.host_span(centroids)) {
+    value = centroid_rng.unit() * 100.0;
+  }
 }
 
+// The centroids are read-only (the kernel only loads them), so a reset
+// clears the cluster ids alone.
 void KmeansApp::reset() {
-  for (std::uint64_t r = 0; r < records_; ++r) {
+  for (std::uint64_t r = 0; r < num_records(); ++r) {
     particles_[r * kElemsPerRecord + 4] = -1.0;
   }
-  auto span = tables_.host_span(centroids_);
-  std::copy(initial_centroids_.begin(), initial_centroids_.end(),
-            span.begin());
 }
 
 std::vector<schemes::StreamDecl> KmeansApp::stream_decls() {
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(particles_.data());
+  decl.binding.host_data =
+      reinterpret_cast<const std::byte*>(particles_.data());
+  decl.binding.host_out = reinterpret_cast<std::byte*>(particles_.data());
   decl.binding.num_elements = particles_.size();
   decl.binding.elem_size = sizeof(double);
   decl.binding.mode = core::AccessMode::kReadWrite;
@@ -49,7 +50,7 @@ std::vector<schemes::StreamDecl> KmeansApp::stream_decls() {
 
 std::uint64_t KmeansApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint64_t r = 0; r < records_; ++r) {
+  for (std::uint64_t r = 0; r < num_records(); ++r) {
     digest = fnv1a(digest, std::bit_cast<std::uint64_t>(
                                particles_[r * kElemsPerRecord + 4]));
   }

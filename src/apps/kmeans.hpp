@@ -10,7 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -31,12 +32,26 @@ class KmeansApp {
     std::uint64_t seed = 1;
   };
 
-  explicit KmeansApp(const Params& params);
+  /// The generated particles (every cid -1) and the centroid table.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t records = 0;
+    std::vector<double> particles;
+    core::TableSet tables;
+    core::TableRef<double> centroids;
+  };
+
+  /// Generates a dataset that this app alone owns, particles included.
+  explicit KmeansApp(const Params& params) : KmeansApp(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes: the
+  /// kernel writes cluster ids into a private copy of the particles.
+  explicit KmeansApp(std::shared_ptr<const Dataset> data)
+      : particles_(data->particles), input_(std::move(data)) {}
 
   // --- scheme-runner interface ---
   void reset();
-  std::uint64_t num_records() const { return records_; }
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const { return input_.data().records; }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -82,7 +97,7 @@ class KmeansApp {
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, centroids_}; }
+  Kernel kernel() const { return Kernel{{0}, input_.data().centroids}; }
 
   // --- metadata / validation ---
   static AppInfo paper_info() {
@@ -91,11 +106,13 @@ class KmeansApp {
   std::uint64_t result_digest() const;
 
  private:
-  std::uint64_t records_;
+  explicit KmeansApp(Dataset&& owned)
+      : particles_(std::move(owned.particles)), input_(std::move(owned)) {}
+
+  // The read-write particle stream. Declared before input_: the owning
+  // constructor moves the particles out before the dataset moves there.
   std::vector<double> particles_;
-  std::vector<double> initial_centroids_;
-  core::TableSet tables_;
-  core::TableRef<double> centroids_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

@@ -14,86 +14,83 @@ void append_number(std::vector<std::uint8_t>* out, std::uint64_t value) {
 
 }  // namespace
 
-MastercardApp::MastercardApp(const Params& params) {
-  log_.reserve(params.data_bytes + kMaxRecordBytes);
-  customers_ = tables_.add<std::uint32_t>(kCustomerBuckets);
-  counts_ = tables_.add<std::uint32_t>(kMerchantBuckets);
-  auto customers = tables_.host_span(customers_);
-  std::fill(customers.begin(), customers.end(), 0u);
+MastercardApp::Dataset::Dataset(const Params& params) {
+  log.reserve(params.data_bytes + kMaxRecordBytes);
+  customers = tables.add<std::uint32_t>(kCustomerBuckets);
+  counts = tables.add<std::uint32_t>(kMerchantBuckets);
+  auto customer_table = tables.host_span(customers);
 
   Rng rng(params.seed);
-  while (log_.size() + kMaxRecordBytes < params.data_bytes) {
+  while (log.size() + kMaxRecordBytes < params.data_bytes) {
     const std::uint64_t card = 1'000'000'000ull + rng.below(800'000'000ull);
     // A heavy-tailed merchant distribution; the target merchant shows up in
     // ~2% of transactions.
     const std::uint64_t merchant =
         rng.below(50) == 0 ? kTargetMerchant : 1000 + rng.below(8000);
     const std::uint64_t amount = 1 + rng.below(99'999);
-    append_number(&log_, card);
-    log_.push_back('|');
-    append_number(&log_, merchant);
-    log_.push_back('|');
-    append_number(&log_, amount);
+    append_number(&log, card);
+    log.push_back('|');
+    append_number(&log, merchant);
+    log.push_back('|');
+    append_number(&log, amount);
     // Optional free-text memo field, variable length.
     const std::uint64_t memo = rng.below(20);
     if (memo > 12) {
-      log_.push_back('|');
+      log.push_back('|');
       for (std::uint64_t i = 0; i < memo; ++i) {
-        log_.push_back(static_cast<std::uint8_t>('0' + rng.below(10)));
+        log.push_back(static_cast<std::uint8_t>('0' + rng.below(10)));
       }
     }
-    log_.push_back('\n');
-    ++transactions_;
+    log.push_back('\n');
+    ++transactions;
     // Pass 1 of the application, precomputed: remember customers of X.
     if (merchant == kTargetMerchant) {
-      customers[card % kCustomerBuckets] = 1;
+      customer_table[card % kCustomerBuckets] = 1;
     }
   }
-  bytes_ = log_.size();
-  reset();
 }
 
 void MastercardApp::reset() {
-  auto counts = tables_.host_span(counts_);
+  auto counts = tables().host_span(input_.data().counts);
   std::fill(counts.begin(), counts.end(), 0u);
 }
 
 std::vector<schemes::StreamDecl> MastercardApp::stream_decls() {
+  const std::vector<std::uint8_t>& log = input_.data().log;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(log_.data());
-  decl.binding.num_elements = log_.size();
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(log.data());
+  decl.binding.num_elements = log.size();
   decl.binding.elem_size = 1;
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = 1;  // partition unit: one byte
   decl.binding.reads_per_record = 1;
   decl.binding.writes_per_record = 0;
-  schemes::StreamDecl with_overfetch = decl;
-  with_overfetch.overfetch_elems = kMaxRecordBytes;
-  return {with_overfetch};
+  decl.overfetch_elems = kMaxRecordBytes;
+  return {decl};
 }
 
 std::uint64_t MastercardApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint32_t count : tables_.host_span(counts_)) {
+  for (std::uint32_t count :
+       input_.tables().host_span(input_.data().counts)) {
     digest = fnv1a(digest, count);
   }
   return digest;
 }
 
-MastercardIndexedApp::MastercardIndexedApp(const Params& params) {
-  groups_ = params.data_bytes / (kGroupElems * sizeof(std::uint64_t));
-  log_.resize(groups_ * kGroupElems);
-  const std::uint64_t num_records = groups_ * kGroupRecords;
+MastercardIndexedApp::Dataset::Dataset(const Params& params) {
+  groups = params.data_bytes / (kGroupElems * sizeof(std::uint64_t));
+  log.resize(groups * kGroupElems);
+  const std::uint64_t num_records = groups * kGroupRecords;
 
-  index_ = tables_.add<std::uint32_t>(num_records);
-  customers_ = tables_.add<std::uint32_t>(kCustomerBuckets);
-  counts_ = tables_.add<std::uint32_t>(kMerchantBuckets);
-  auto index = tables_.host_span(index_);
-  auto customers = tables_.host_span(customers_);
-  std::fill(customers.begin(), customers.end(), 0u);
+  index = tables.add<std::uint32_t>(num_records);
+  customers = tables.add<std::uint32_t>(kCustomerBuckets);
+  counts = tables.add<std::uint32_t>(kMerchantBuckets);
+  auto index_table = tables.host_span(index);
+  auto customer_table = tables.host_span(customers);
 
   Rng rng(params.seed);
-  for (std::uint64_t g = 0; g < groups_; ++g) {
+  for (std::uint64_t g = 0; g < groups; ++g) {
     // Variable record lengths (4..12 8-byte units) packed to exactly
     // kGroupElems per group, so group boundaries are fixed while record
     // offsets within them are irregular.
@@ -114,30 +111,30 @@ MastercardIndexedApp::MastercardIndexedApp(const Params& params) {
       const std::uint64_t merchant =
           rng.below(50) == 0 ? MastercardApp::kTargetMerchant
                              : 1000 + rng.below(8000);
-      index[record] = offset;
-      log_[offset] = card;
-      log_[offset + 1] = merchant;
+      index_table[record] = offset;
+      log[offset] = card;
+      log[offset + 1] = merchant;
       for (std::uint32_t i = 2; i < lengths[t]; ++i) {
-        log_[offset + i] = rng.next();  // amount + payload
+        log[offset + i] = rng.next();  // amount + payload
       }
       if (merchant == MastercardApp::kTargetMerchant) {
-        customers[card % kCustomerBuckets] = 1;
+        customer_table[card % kCustomerBuckets] = 1;
       }
       offset += lengths[t];
     }
   }
-  reset();
 }
 
 void MastercardIndexedApp::reset() {
-  auto counts = tables_.host_span(counts_);
+  auto counts = tables().host_span(input_.data().counts);
   std::fill(counts.begin(), counts.end(), 0u);
 }
 
 std::vector<schemes::StreamDecl> MastercardIndexedApp::stream_decls() {
+  const std::vector<std::uint64_t>& log = input_.data().log;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(log_.data());
-  decl.binding.num_elements = log_.size();
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(log.data());
+  decl.binding.num_elements = log.size();
   decl.binding.elem_size = sizeof(std::uint64_t);
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = kGroupElems;  // partition unit: one group
@@ -148,7 +145,8 @@ std::vector<schemes::StreamDecl> MastercardIndexedApp::stream_decls() {
 
 std::uint64_t MastercardIndexedApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint32_t count : tables_.host_span(counts_)) {
+  for (std::uint32_t count :
+       input_.tables().host_span(input_.data().counts)) {
     digest = fnv1a(digest, count);
   }
   return digest;

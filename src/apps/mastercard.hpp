@@ -22,8 +22,10 @@
 //    apply (Table II: NA).
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -44,11 +46,28 @@ class MastercardApp {
     std::uint64_t seed = 6;
   };
 
-  explicit MastercardApp(const Params& params);
+  /// The generated transaction log, the customer table of merchant X (pass
+  /// 1, precomputed) and the zeroed merchant counts.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t transactions = 0;
+    std::vector<std::uint8_t> log;
+    core::TableSet tables;
+    core::TableRef<std::uint32_t> customers;
+    core::TableRef<std::uint32_t> counts;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit MastercardApp(const Params& params) : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit MastercardApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return bytes_; }  // unit: one byte
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const {  // unit: one byte
+    return input_.data().log.size();
+  }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return false; }  // text: contiguous
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -64,8 +83,9 @@ class MastercardApp {
     template <class Ctx>
     void operator()(Ctx& ctx, std::uint64_t begin, std::uint64_t end,
                     std::uint64_t stride) const {
-      assert(stride == 1 && "byte-scanning kernel requires contiguous ranges");
-      (void)stride;
+      core::check_contract(stride == 1,
+                           "byte-scanning kernel requires contiguous ranges",
+                           stride, 1);
       const std::uint64_t window_end =
           std::min(num_bytes, end + kMaxRecordBytes);
       bool capturing = begin == 0;  // virtual '\n' before byte 0
@@ -104,21 +124,19 @@ class MastercardApp {
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, customers_, counts_, bytes_}; }
+  Kernel kernel() const {
+    const Dataset& data = input_.data();
+    return Kernel{{0}, data.customers, data.counts, num_records()};
+  }
 
   static AppInfo paper_info() {
     return AppInfo{"MasterCard Affinity", 6.4, "Variable-length", 100.0, 0.0};
   }
   std::uint64_t result_digest() const;
-  std::uint64_t transactions() const { return transactions_; }
+  std::uint64_t transactions() const { return input_.data().transactions; }
 
  private:
-  std::uint64_t bytes_ = 0;
-  std::uint64_t transactions_ = 0;
-  std::vector<std::uint8_t> log_;
-  core::TableSet tables_;
-  core::TableRef<std::uint32_t> customers_;
-  core::TableRef<std::uint32_t> counts_;
+  AppInput<Dataset> input_;
 };
 
 class MastercardIndexedApp {
@@ -133,11 +151,30 @@ class MastercardIndexedApp {
     std::uint64_t seed = 7;
   };
 
-  explicit MastercardIndexedApp(const Params& params);
+  /// The generated log, its record index, the customer table of merchant X
+  /// and the zeroed merchant counts.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t groups = 0;
+    std::vector<std::uint64_t> log;
+    core::TableSet tables;
+    core::TableRef<std::uint32_t> index;
+    core::TableRef<std::uint32_t> customers;
+    core::TableRef<std::uint32_t> counts;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit MastercardIndexedApp(const Params& params)
+      : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit MastercardIndexedApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return groups_; }  // unit: one group
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const {  // unit: one group
+    return input_.data().groups;
+  }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -172,7 +209,8 @@ class MastercardIndexedApp {
   };
 
   Kernel kernel() const {
-    return Kernel{{0}, index_, customers_, counts_};
+    const Dataset& data = input_.data();
+    return Kernel{{0}, data.index, data.customers, data.counts};
   }
 
   static AppInfo paper_info() {
@@ -182,12 +220,7 @@ class MastercardIndexedApp {
   std::uint64_t result_digest() const;
 
  private:
-  std::uint64_t groups_ = 0;
-  std::vector<std::uint64_t> log_;
-  core::TableSet tables_;
-  core::TableRef<std::uint32_t> index_;
-  core::TableRef<std::uint32_t> customers_;
-  core::TableRef<std::uint32_t> counts_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

@@ -4,12 +4,12 @@
 
 namespace bigk::apps {
 
-NetflixApp::NetflixApp(const Params& params) {
-  records_ = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
-  ratings_.resize(records_ * kElemsPerRecord);
+NetflixApp::Dataset::Dataset(const Params& params) {
+  records = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
+  ratings.resize(records * kElemsPerRecord);
   Rng rng(params.seed);
-  for (std::uint64_t r = 0; r < records_; ++r) {
-    std::uint64_t* record = &ratings_[r * kElemsPerRecord];
+  for (std::uint64_t r = 0; r < records; ++r) {
+    std::uint64_t* record = &ratings[r * kElemsPerRecord];
     record[0] = rng.below(1u << 20);      // user-pair key
     record[1] = 1 + rng.below(5);         // rating a
     record[2] = 1 + rng.below(5);         // rating b
@@ -19,19 +19,19 @@ NetflixApp::NetflixApp(const Params& params) {
       record[i] = rng.next();
     }
   }
-  correlation_ = tables_.add<std::uint64_t>(kPairBuckets);
-  reset();
+  correlation = tables.add<std::uint64_t>(kPairBuckets);
 }
 
 void NetflixApp::reset() {
-  auto table = tables_.host_span(correlation_);
+  auto table = tables().host_span(input_.data().correlation);
   std::fill(table.begin(), table.end(), 0ull);
 }
 
 std::vector<schemes::StreamDecl> NetflixApp::stream_decls() {
+  const std::vector<std::uint64_t>& ratings = input_.data().ratings;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(ratings_.data());
-  decl.binding.num_elements = ratings_.size();
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(ratings.data());
+  decl.binding.num_elements = ratings.size();
   decl.binding.elem_size = sizeof(std::uint64_t);
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = kElemsPerRecord;
@@ -42,7 +42,8 @@ std::vector<schemes::StreamDecl> NetflixApp::stream_decls() {
 
 std::uint64_t NetflixApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint64_t value : tables_.host_span(correlation_)) {
+  for (std::uint64_t value :
+       input_.tables().host_span(input_.data().correlation)) {
     digest = fnv1a(digest, value);
   }
   return digest;

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -27,11 +29,24 @@ class NetflixApp {
     std::uint64_t seed = 3;
   };
 
-  explicit NetflixApp(const Params& params);
+  /// The generated rating records and the zeroed correlation table.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t records = 0;
+    std::vector<std::uint64_t> ratings;
+    core::TableSet tables;
+    core::TableRef<std::uint64_t> correlation;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit NetflixApp(const Params& params) : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit NetflixApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return records_; }
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const { return input_.data().records; }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -58,7 +73,7 @@ class NetflixApp {
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, correlation_}; }
+  Kernel kernel() const { return Kernel{{0}, input_.data().correlation}; }
 
   static AppInfo paper_info() {
     return AppInfo{"Netflix", 6.0, "Fixed-length", 30.0, 0.0};
@@ -66,10 +81,7 @@ class NetflixApp {
   std::uint64_t result_digest() const;
 
  private:
-  std::uint64_t records_;
-  std::vector<std::uint64_t> ratings_;
-  core::TableSet tables_;
-  core::TableRef<std::uint64_t> correlation_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

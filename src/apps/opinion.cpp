@@ -4,12 +4,12 @@
 
 namespace bigk::apps {
 
-OpinionApp::OpinionApp(const Params& params) {
-  records_ = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
-  tweets_.resize(records_ * kElemsPerRecord);
+OpinionApp::Dataset::Dataset(const Params& params) {
+  records = params.data_bytes / (kElemsPerRecord * sizeof(std::uint64_t));
+  tweets.resize(records * kElemsPerRecord);
   Rng rng(params.seed);
-  for (std::uint64_t r = 0; r < records_; ++r) {
-    std::uint64_t* record = &tweets_[r * kElemsPerRecord];
+  for (std::uint64_t r = 0; r < records; ++r) {
+    std::uint64_t* record = &tweets[r * kElemsPerRecord];
     record[0] = 1'300'000'000 + rng.below(50'000'000);  // timestamp
     for (std::uint32_t i = 1; i < 9; ++i) record[i] = rng.next();  // metadata
     for (std::uint32_t t = 0; t < kTokens; ++t) {
@@ -18,30 +18,29 @@ OpinionApp::OpinionApp(const Params& params) {
     record[31] = rng.next();
   }
 
-  positive_ = tables_.add<std::uint32_t>(kDictBuckets);
-  negative_ = tables_.add<std::uint32_t>(kDictBuckets);
-  adverbs_ = tables_.add<std::uint32_t>(kDictBuckets);
-  score_ = tables_.add<std::uint64_t>(1);
+  positive = tables.add<std::uint32_t>(kDictBuckets);
+  negative = tables.add<std::uint32_t>(kDictBuckets);
+  adverbs = tables.add<std::uint32_t>(kDictBuckets);
+  score = tables.add<std::uint64_t>(1);
 
   Rng dict_rng(params.seed ^ 0xD1C7);
   auto fill_dict = [&](core::TableRef<std::uint32_t> dict, double density) {
-    auto span = tables_.host_span(dict);
-    for (std::uint32_t& slot : span) {
+    for (std::uint32_t& slot : tables.host_span(dict)) {
       slot = dict_rng.unit() < density ? 1u : 0u;
     }
   };
-  fill_dict(positive_, 0.08);
-  fill_dict(negative_, 0.08);
-  fill_dict(adverbs_, 0.04);
-  reset();
+  fill_dict(positive, 0.08);
+  fill_dict(negative, 0.08);
+  fill_dict(adverbs, 0.04);
 }
 
-void OpinionApp::reset() { tables_.host_span(score_)[0] = 0; }
+void OpinionApp::reset() { tables().host_span(input_.data().score)[0] = 0; }
 
 std::vector<schemes::StreamDecl> OpinionApp::stream_decls() {
+  const std::vector<std::uint64_t>& tweets = input_.data().tweets;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(tweets_.data());
-  decl.binding.num_elements = tweets_.size();
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(tweets.data());
+  decl.binding.num_elements = tweets.size();
   decl.binding.elem_size = sizeof(std::uint64_t);
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = kElemsPerRecord;
@@ -51,11 +50,12 @@ std::vector<schemes::StreamDecl> OpinionApp::stream_decls() {
 }
 
 std::uint64_t OpinionApp::result_digest() const {
-  return fnv1a(kFnvBasis, tables_.host_span(score_)[0]);
+  return fnv1a(kFnvBasis, input_.tables().host_span(input_.data().score)[0]);
 }
 
 std::int64_t OpinionApp::sentiment_score() const {
-  return static_cast<std::int64_t>(tables_.host_span(score_)[0]);
+  return static_cast<std::int64_t>(
+      input_.tables().host_span(input_.data().score)[0]);
 }
 
 }  // namespace bigk::apps

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -31,11 +33,28 @@ class OpinionApp {
     std::uint64_t seed = 4;
   };
 
-  explicit OpinionApp(const Params& params);
+  /// The generated tweet records, the three dictionaries and the zeroed
+  /// score.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t records = 0;
+    std::vector<std::uint64_t> tweets;
+    core::TableSet tables;
+    core::TableRef<std::uint32_t> positive;
+    core::TableRef<std::uint32_t> negative;
+    core::TableRef<std::uint32_t> adverbs;
+    core::TableRef<std::uint64_t> score;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit OpinionApp(const Params& params) : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit OpinionApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return records_; }
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const { return input_.data().records; }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -83,7 +102,8 @@ class OpinionApp {
   };
 
   Kernel kernel() const {
-    return Kernel{{0}, positive_, negative_, adverbs_, score_};
+    const Dataset& data = input_.data();
+    return Kernel{{0}, data.positive, data.negative, data.adverbs, data.score};
   }
 
   static AppInfo paper_info() {
@@ -93,13 +113,7 @@ class OpinionApp {
   std::int64_t sentiment_score() const;
 
  private:
-  std::uint64_t records_;
-  std::vector<std::uint64_t> tweets_;
-  core::TableSet tables_;
-  core::TableRef<std::uint32_t> positive_;
-  core::TableRef<std::uint32_t> negative_;
-  core::TableRef<std::uint32_t> adverbs_;
-  core::TableRef<std::uint64_t> score_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

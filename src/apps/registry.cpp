@@ -1,5 +1,6 @@
 #include "apps/registry.hpp"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +16,45 @@ namespace bigk::apps {
 
 namespace {
 
+std::uint64_t generated_datasets = 0;
+
+/// One entry's dataset, generated on first use and kept for as long as any
+/// copy of the entry lives.
+template <class App>
+class SharedDataset {
+ public:
+  using Dataset = typename App::Dataset;
+
+  explicit SharedDataset(const typename App::Params& params)
+      : params_(params) {}
+
+  std::shared_ptr<const Dataset> get() {
+    if (data_ == nullptr) {
+      data_ = std::make_shared<const Dataset>(params_);
+      ++generated_datasets;
+    }
+    return data_;
+  }
+
+ private:
+  typename App::Params params_;
+  std::shared_ptr<const Dataset> data_;
+};
+
+/// FNV digest of what `app` reads: its stream bytes, then its tables.
+template <class App>
+std::uint64_t input_digest(App& app) {
+  sim::Digest sum;
+  for (const schemes::StreamDecl& decl : app.stream_decls()) {
+    sum.mix_bytes({decl.binding.host_data, decl.binding.size_bytes()});
+  }
+  const core::TableSet& tables = app.tables();
+  for (std::uint32_t id = 0; id < tables.size(); ++id) {
+    sum.mix_bytes(tables.raw_bytes(id));
+  }
+  return sum.value();
+}
+
 template <class App>
 BenchApp make_entry(const ScaledSystem& scaled, std::uint64_t seed,
                     bool pattern_applicable = true) {
@@ -22,28 +62,30 @@ BenchApp make_entry(const ScaledSystem& scaled, std::uint64_t seed,
   entry.info = App::paper_info();
   entry.name = entry.info.name;
   entry.pattern_applicable = pattern_applicable;
-  const std::uint64_t bytes = scaled.data_bytes(entry.info.paper_data_gb);
-  entry.run = [bytes, seed](schemes::Scheme scheme,
-                            const gpusim::SystemConfig& config,
-                            const schemes::SchemeConfig& sc) {
-    typename App::Params params;
-    params.data_bytes = bytes;
-    params.seed = seed;
-    App app(params);
+  typename App::Params params;
+  params.data_bytes = scaled.data_bytes(entry.info.paper_data_gb);
+  params.seed = seed;
+  auto dataset = std::make_shared<SharedDataset<App>>(params);
+  entry.run = [dataset](schemes::Scheme scheme,
+                        const gpusim::SystemConfig& config,
+                        const schemes::SchemeConfig& sc) {
+    App app(dataset->get());
     return schemes::run_scheme(scheme, config, app, sc);
   };
   const std::string name = entry.name;
-  entry.make_runner = [bytes, seed, name]() -> std::unique_ptr<JobRunner> {
-    typename App::Params params;
-    params.data_bytes = bytes;
-    params.seed = seed;
-    return std::make_unique<AppJobRunner<App>>(name, params);
+  entry.make_runner = [dataset, name]() -> std::unique_ptr<JobRunner> {
+    return std::make_unique<AppJobRunner<App>>(name, dataset->get());
   };
-  entry.verify = [seed, name]() {
-    typename App::Params params;
-    params.data_bytes = 1u << 16;  // contracts depend on code, not scale
-    params.seed = seed;
-    App app(params);
+  entry.dataset_digest = [dataset] {
+    // A fresh app over the dataset copies its tables (and K-means its
+    // particles) before any run, so it reads the dataset's own bytes.
+    App app(dataset->get());
+    return input_digest(app);
+  };
+  entry.verify = [params, name]() {
+    typename App::Params small = params;
+    small.data_bytes = 1u << 16;  // contracts depend on code, not scale
+    App app(small);
     verify::KernelReport report = verify::verify_app(app);
     report.app = name;
     return report;
@@ -65,6 +107,8 @@ std::vector<BenchApp> benchmark_apps(const ScaledSystem& scaled) {
                                                    /*pattern_applicable=*/false));
   return suite;
 }
+
+std::uint64_t datasets_generated() { return generated_datasets; }
 
 std::vector<std::string> app_names(const std::vector<BenchApp>& suite) {
   std::vector<std::string> names;

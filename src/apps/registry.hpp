@@ -52,9 +52,11 @@ struct CpuJobConfig {
 
 /// One runnable instance of a benchmark application, type-erased so the
 /// serving layer can launch any registered app on any device of a pool
-/// without knowing its concrete type. A runner owns its dataset; run() may
-/// be called repeatedly (each call resets output state first) and multiple
-/// runners execute concurrently against distinct devices.
+/// without knowing its concrete type. A runner owns its per-run state (its
+/// tables, and the streams it writes) and may share its read-only input with
+/// other runners of the same app; run() may be called repeatedly (each call
+/// resets output state first) and multiple runners execute concurrently
+/// against distinct devices.
 class JobRunner {
  public:
   virtual ~JobRunner() = default;
@@ -93,7 +95,8 @@ class JobRunner {
 template <class App>
 class AppJobRunner : public JobRunner {
  public:
-  /// Builds the app from `args` (its dataset is generated here).
+  /// Builds the app from `args`: its Params (a dataset of its own is
+  /// generated here) or the dataset it shares.
   template <class... Args>
   explicit AppJobRunner(std::string name, Args&&... args)
       : app_(std::forward<Args>(args)...), name_(std::move(name)) {}
@@ -158,14 +161,20 @@ struct BenchApp {
   AppInfo info;
   /// Table II marks pattern recognition "NA" for the indexed variant.
   bool pattern_applicable = true;
-  /// Runs a freshly generated instance under `scheme`.
+  // run, make_runner and dataset_digest share one dataset per entry, and
+  // copies of the entry share it too. It is generated on the first call of
+  // any of them, so building a suite costs no generation.
+  /// Runs a fresh instance over the entry's dataset under `scheme`.
   std::function<schemes::RunMetrics(schemes::Scheme,
                                     const gpusim::SystemConfig&,
                                     const schemes::SchemeConfig&)>
       run;
-  /// Builds a fresh, independently seeded JobRunner instance of this app
-  /// (dataset generated at construction time).
+  /// Builds a JobRunner over the entry's dataset: the runner reads the
+  /// shared streams and writes only its own tables and read-write streams.
   std::function<std::unique_ptr<JobRunner>()> make_runner;
+  /// FNV digest of the entry's dataset: every stream byte and every table's
+  /// initial value. No run may change it.
+  std::function<std::uint64_t()> dataset_digest;
   /// bigkstatic: runs the static kernel-contract verifier over a small
   /// instance (the verdict depends on kernel code, not data scale). Use
   /// static_verdict() for the memoized result.
@@ -177,6 +186,11 @@ struct BenchApp {
 /// Builds the benchmark suite at the given scale (data sizes follow
 /// Table I's paper-scale figures times `scaled.scale`).
 std::vector<BenchApp> benchmark_apps(const ScaledSystem& scaled);
+
+/// Datasets the registry's entries have generated in this process so far:
+/// one per entry whose run, make_runner or dataset_digest has been called,
+/// however often.
+std::uint64_t datasets_generated();
 
 /// Registered app names in evaluation order.
 std::vector<std::string> app_names(const std::vector<BenchApp>& suite);

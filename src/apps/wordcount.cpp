@@ -4,13 +4,13 @@
 
 namespace bigk::apps {
 
-WordCountApp::WordCountApp(const Params& params) {
-  lines_ = params.data_bytes / kLineBytes;
-  text_.resize(lines_ * kLineBytes);
+WordCountApp::Dataset::Dataset(const Params& params) {
+  lines = params.data_bytes / kLineBytes;
+  text.resize(lines * kLineBytes);
   Rng rng(params.seed);
   // A small Zipf-ish vocabulary: short common words, longer rare ones.
-  for (std::uint64_t line = 0; line < lines_; ++line) {
-    std::uint8_t* out = &text_[line * kLineBytes];
+  for (std::uint64_t line = 0; line < lines; ++line) {
+    std::uint8_t* out = &text[line * kLineBytes];
     std::uint32_t pos = 0;
     while (true) {
       // Word length 2..9, biased short.
@@ -28,20 +28,19 @@ WordCountApp::WordCountApp(const Params& params) {
     while (pos < kLineBytes - 1) out[pos++] = ' ';
     out[pos] = '\n';
   }
-
-  counts_ = tables_.add<std::uint32_t>(kBuckets);
-  reset();
+  counts = tables.add<std::uint32_t>(kBuckets);
 }
 
 void WordCountApp::reset() {
-  auto counts = tables_.host_span(counts_);
+  auto counts = tables().host_span(input_.data().counts);
   std::fill(counts.begin(), counts.end(), 0u);
 }
 
 std::vector<schemes::StreamDecl> WordCountApp::stream_decls() {
+  const std::vector<std::uint8_t>& text = input_.data().text;
   schemes::StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(text_.data());
-  decl.binding.num_elements = text_.size();
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(text.data());
+  decl.binding.num_elements = text.size();
   decl.binding.elem_size = 1;
   decl.binding.mode = core::AccessMode::kReadOnly;
   decl.binding.elems_per_record = kLineBytes;
@@ -52,7 +51,8 @@ std::vector<schemes::StreamDecl> WordCountApp::stream_decls() {
 
 std::uint64_t WordCountApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint32_t count : tables_.host_span(counts_)) {
+  for (std::uint32_t count :
+       input_.tables().host_span(input_.data().counts)) {
     digest = fnv1a(digest, count);
   }
   return digest;
@@ -60,7 +60,10 @@ std::uint64_t WordCountApp::result_digest() const {
 
 std::uint64_t WordCountApp::total_words() const {
   std::uint64_t total = 0;
-  for (std::uint32_t count : tables_.host_span(counts_)) total += count;
+  for (std::uint32_t count :
+       input_.tables().host_span(input_.data().counts)) {
+    total += count;
+  }
   return total;
 }
 

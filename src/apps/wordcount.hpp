@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/common.hpp"
@@ -32,11 +34,24 @@ class WordCountApp {
     std::uint64_t seed = 2;
   };
 
-  explicit WordCountApp(const Params& params);
+  /// The generated corpus and the zeroed count table.
+  struct Dataset {
+    explicit Dataset(const Params& params);
+    std::uint64_t lines = 0;
+    std::vector<std::uint8_t> text;
+    core::TableSet tables;
+    core::TableRef<std::uint32_t> counts;
+  };
+
+  /// Generates a dataset that this app alone owns.
+  explicit WordCountApp(const Params& params) : input_(Dataset(params)) {}
+  /// Runs over `data`, which other apps may share and none writes.
+  explicit WordCountApp(std::shared_ptr<const Dataset> data)
+      : input_(std::move(data)) {}
 
   void reset();
-  std::uint64_t num_records() const { return lines_; }
-  core::TableSet& tables() { return tables_; }
+  std::uint64_t num_records() const { return input_.data().lines; }
+  core::TableSet& tables() { return input_.tables(); }
   bool interleaved_records() const { return false; }  // text: contiguous
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -74,7 +89,7 @@ class WordCountApp {
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, counts_}; }
+  Kernel kernel() const { return Kernel{{0}, input_.data().counts}; }
 
   static AppInfo paper_info() {
     return AppInfo{"Word Count", 4.5, "Variable-length", 100.0, 0.0};
@@ -83,10 +98,7 @@ class WordCountApp {
   std::uint64_t total_words() const;
 
  private:
-  std::uint64_t lines_;
-  std::vector<std::uint8_t> text_;
-  core::TableSet tables_;
-  core::TableRef<std::uint32_t> counts_;
+  AppInput<Dataset> input_;
 };
 
 }  // namespace bigk::apps

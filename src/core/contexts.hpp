@@ -21,7 +21,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstring>
 
 #include "check/pipecheck.hpp"
@@ -136,7 +135,8 @@ class ComputeCtx {
     if (layout_ == DataLayout::kOriginal) {
       const std::uint64_t base =
           rec_begin_ * bindings_[stream.id].elems_per_record;
-      assert(elem >= base);
+      check_contract(elem >= base, "compute read below its chunk's records",
+                     elem, base);
       k = elem - base;
     } else {
       k = read_counter_[stream.id]++;
@@ -144,7 +144,8 @@ class ComputeCtx {
     if (checker_ != nullptr) {
       checker_->on_compute_read(block_, chunk_, stream.id, vtid_, k);
     }
-    assert(k < stage.slots_per_thread && "data buffer slot overflow");
+    check_contract(k < stage.slots_per_thread, "data buffer slot overflow", k,
+                   stage.slots_per_thread);
     const std::uint64_t addr = data_slot_address(
         stage, layout_, compute_threads_, vtid_, k, sizeof(T));
     return lane_.load(gpusim::DevicePtr<T>{addr});
@@ -152,9 +153,16 @@ class ComputeCtx {
 
   template <class T>
   void write(StreamRef<T> stream, std::uint64_t elem, const T& value) {
+    const StreamBinding& binding = bindings_[stream.id];
+    check_contract(binding.host_out != nullptr, "write to a read-only stream",
+                   elem, binding.num_elements);
+    check_contract(elem < binding.num_elements, "stream write out of range",
+                   elem, binding.num_elements);
     StreamStage& stage = slot_.streams[stream.id];
     const std::uint64_t k = write_counter_[stream.id]++;
-    assert(k < stage.write_slots_per_thread && "write buffer slot overflow");
+    check_contract(k < stage.write_slots_per_thread,
+                   "write buffer slot overflow", k,
+                   stage.write_slots_per_thread);
     const std::uint64_t addr =
         write_slot_address(stage, compute_threads_, vtid_, k, sizeof(T));
     lane_.store(gpusim::DevicePtr<T>{addr}, 0, value);

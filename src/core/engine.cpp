@@ -777,8 +777,7 @@ sim::Task<> Engine::scatter_process(BlockState& block) {
                                kAddrBytes);
         thread.write(bind.host_region, write.elem * elem_size, elem_size);
         thread.compute(1.0);
-        std::memcpy(bind.host_data + write.elem * elem_size, &write.raw,
-                    elem_size);
+        std::memcpy(bind.out(write.elem), &write.raw, elem_size);
         ++metrics_.elements_written;
         ++index;
       }

@@ -114,7 +114,10 @@ class Engine {
       throw std::invalid_argument("too many mapped streams");
     }
     StreamBinding binding;
-    binding.host_data = reinterpret_cast<std::byte*>(host.data());
+    binding.host_data = reinterpret_cast<const std::byte*>(host.data());
+    if (mode == AccessMode::kReadWrite) {
+      binding.host_out = reinterpret_cast<std::byte*>(host.data());
+    }
     binding.num_elements = host.size();
     binding.elem_size = sizeof(T);
     binding.host_region =
@@ -542,19 +545,26 @@ sim::Task<> Engine::addr_gen_driver(gpusim::BlockCtx& ctx, BlockState& block,
       wire_bytes = std::uint64_t{c_threads} * 16;
       co_await ctx.sync_overhead();
     } else {
-      busy = co_await ctx.run_threads(
-          0, c_threads, [&](gpusim::LaneCtx& lane, std::uint32_t tid) {
-            const std::uint32_t vtid = tid;
-            for (StreamStage& stage : slot.streams) {
-              stage.read_addrs[vtid].begin(options_.pattern_recognition);
-              stage.write_addrs[vtid].begin(options_.pattern_recognition);
-            }
-            const Range range = thread_chunk_range(block, vtid, chunk);
-            if (range.empty()) return;
-            AddrGenCtx addr_ctx(lane, slot, bindings_, *tables_, vtid,
-                                options_.pattern_recognition);
-            kernel(addr_ctx, range.begin, range.end, /*stride=*/1);
-          });
+      try {
+        busy = co_await ctx.run_threads(
+            0, c_threads, [&](gpusim::LaneCtx& lane, std::uint32_t tid) {
+              const std::uint32_t vtid = tid;
+              for (StreamStage& stage : slot.streams) {
+                stage.read_addrs[vtid].begin(options_.pattern_recognition);
+                stage.write_addrs[vtid].begin(options_.pattern_recognition);
+              }
+              const Range range = thread_chunk_range(block, vtid, chunk);
+              if (range.empty()) return;
+              AddrGenCtx addr_ctx(lane, slot, bindings_, *tables_, vtid,
+                                  options_.pattern_recognition);
+              kernel(addr_ctx, range.begin, range.end, /*stride=*/1);
+            });
+      } catch (...) {
+        // A kernel that breaks its contract aborts the launch, so no stage
+        // is left waiting for a chunk that never comes.
+        abort_launch(std::current_exception());
+        co_return;
+      }
       finalize_addresses(block, slot, &wire_bytes);
       co_await ctx.sync_overhead();
     }
@@ -599,16 +609,24 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
       }
     }
 
-    const sim::DurationPs busy = co_await ctx.run_threads(
-        c_threads, c_threads, [&](gpusim::LaneCtx& lane, std::uint32_t tid) {
-          const std::uint32_t vtid = tid - c_threads;
-          const Range range = thread_chunk_range(block, vtid, chunk);
-          if (range.empty()) return;
-          ComputeCtx compute_ctx(lane, slot, bindings_, *tables_,
-                                 geometry_.layout, c_threads, vtid,
-                                 range.begin, pipecheck_, block.index, chunk);
-          kernel(compute_ctx, range.begin, range.end, /*stride=*/1);
-        });
+    sim::DurationPs busy = 0;
+    try {
+      busy = co_await ctx.run_threads(
+          c_threads, c_threads,
+          [&](gpusim::LaneCtx& lane, std::uint32_t tid) {
+            const std::uint32_t vtid = tid - c_threads;
+            const Range range = thread_chunk_range(block, vtid, chunk);
+            if (range.empty()) return;
+            ComputeCtx compute_ctx(lane, slot, bindings_, *tables_,
+                                   geometry_.layout, c_threads, vtid,
+                                   range.begin, pipecheck_, block.index,
+                                   chunk);
+            kernel(compute_ctx, range.begin, range.end, /*stride=*/1);
+          });
+    } catch (...) {
+      abort_launch(std::current_exception());  // as in addr_gen_driver
+      co_return;
+    }
     ++metrics_.chunks;
     record_stage(obs::Stage::kCompute, block.index, chunk, sim().now() - busy,
                  sim().now());

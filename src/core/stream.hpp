@@ -13,7 +13,6 @@
 // transformation.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -22,6 +21,32 @@
 #include <vector>
 
 namespace bigk::core {
+
+/// A kernel broke its streaming contract while it ran: it touched a stream
+/// element that its chunk, its generated addresses or its declared buffers do
+/// not cover, or it wrote a read-only stream. Checked in every build, since
+/// in Release the access would otherwise read or write the wrong bytes.
+class KernelContractError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
+namespace detail {
+// The throw of the kernel-contract checks. Its message takes std::to_string
+// calls, so it lives out of line, where it costs nothing until it fires; the
+// checks that guard it stay inline in every access.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_contract(
+    const char* check, std::uint64_t value, std::uint64_t limit);
+}  // namespace detail
+
+/// Throws KernelContractError naming `check`, `value` and `limit` unless
+/// `ok` holds.
+inline void check_contract(bool ok, const char* check, std::uint64_t value,
+                           std::uint64_t limit) {
+  if (!ok) [[unlikely]] {
+    detail::throw_contract(check, value, limit);
+  }
+}
 
 namespace detail {
 template <class Ctx, class T, class = void>
@@ -73,7 +98,13 @@ struct TableRef {
 
 /// Type-erased description of one mapped stream.
 struct StreamBinding {
-  std::byte* host_data = nullptr;   // mutable for write-back scatters
+  /// The stream's host bytes, which every scheme reads. A read-only stream
+  /// may view memory that other runs share (an app's dataset), so no path
+  /// writes through this pointer.
+  const std::byte* host_data = nullptr;
+  /// Where writes and write-back scatters land: the same bytes as host_data
+  /// on a kReadWrite stream, null on a read-only one.
+  std::byte* host_out = nullptr;
   std::uint64_t num_elements = 0;
   std::uint32_t elem_size = 0;
   std::uint32_t host_region = 0;    // cache-model region id
@@ -91,16 +122,35 @@ struct StreamBinding {
 
   template <class T>
   T load(std::uint64_t index) const {
-    assert(index < num_elements && sizeof(T) == elem_size);
+    check_size<T>();
+    check_contract(index < num_elements, "stream read out of range", index,
+                   num_elements);
     T value;
     std::memcpy(&value, host_data + index * sizeof(T), sizeof(T));
     return value;
   }
 
   template <class T>
-  void store(std::uint64_t index, const T& value) {
-    assert(index < num_elements && sizeof(T) == elem_size);
-    std::memcpy(host_data + index * sizeof(T), &value, sizeof(T));
+  void store(std::uint64_t index, const T& value) const {
+    check_size<T>();
+    std::memcpy(out(index), &value, sizeof(T));
+  }
+
+  /// The bytes of element `index` for a write. Throws KernelContractError on
+  /// a read-only stream or an index past the stream's end.
+  std::byte* out(std::uint64_t index) const {
+    check_contract(host_out != nullptr, "write to a read-only stream", index,
+                   num_elements);
+    check_contract(index < num_elements, "stream write out of range", index,
+                   num_elements);
+    return host_out + index * elem_size;
+  }
+
+ private:
+  template <class T>
+  void check_size() const {
+    check_contract(sizeof(T) == elem_size, "stream element size mismatch",
+                   sizeof(T), elem_size);
   }
 };
 

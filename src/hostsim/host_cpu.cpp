@@ -14,9 +14,8 @@ HostThread::HostThread(HostCpu& cpu, std::uint32_t hw_thread,
       cache_(cache_bytes, cpu.config().cache_line_bytes,
              cpu.config().cache_ways) {}
 
-void HostThread::touch(std::uint32_t region_id, std::uint64_t offset,
-                       std::uint64_t size, bool stall_on_miss) {
-  if (size == 0) return;
+void HostThread::touch_lines(std::uint32_t region_id, std::uint64_t offset,
+                             std::uint64_t size, bool stall_on_miss) {
   const std::uint32_t shift = cache_.line_shift();
   const std::uint64_t first = offset >> shift;
   const std::uint64_t last = (offset + size - 1) >> shift;

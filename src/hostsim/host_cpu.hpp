@@ -73,8 +73,13 @@ class HostThread {
   const CacheModel& cache() const noexcept { return cache_; }
 
  private:
+  /// Charges one access: a hit adds cache_hit_cycles, a miss a line of bus
+  /// bytes and, when `stall_on_miss`, the miss latency. An access within one
+  /// line is answered inline; touch_lines() walks the lines of a longer one.
   void touch(std::uint32_t region_id, std::uint64_t offset, std::uint64_t size,
              bool stall_on_miss);
+  void touch_lines(std::uint32_t region_id, std::uint64_t offset,
+                   std::uint64_t size, bool stall_on_miss);
 
   HostCpu& cpu_;
   std::uint32_t hw_thread_;
@@ -127,5 +132,25 @@ class HostCpu {
   obs::Counter* ctr_cache_hits_ = nullptr;
   obs::Counter* ctr_cache_misses_ = nullptr;
 };
+
+inline void HostThread::touch(std::uint32_t region_id, std::uint64_t offset,
+                              std::uint64_t size, bool stall_on_miss) {
+  if (size == 0) return;
+  const std::uint32_t shift = cache_.line_shift();
+  const std::uint64_t line = offset >> shift;
+  if (((offset + size - 1) >> shift) != line) {
+    touch_lines(region_id, offset, size, stall_on_miss);
+    return;
+  }
+  const gpusim::CpuConfig& config = cpu_.config();
+  if (cache_.access(logical_address(region_id, line << shift))) {
+    cycles_ += config.cache_hit_cycles;
+    if (cpu_.ctr_cache_hits_ != nullptr) cpu_.ctr_cache_hits_->add(1);
+    return;
+  }
+  bus_bytes_ += cache_.line_bytes();
+  if (stall_on_miss) latency_ += config.cache_miss_latency;
+  if (cpu_.ctr_cache_misses_ != nullptr) cpu_.ctr_cache_misses_->add(1);
+}
 
 }  // namespace bigk::hostsim

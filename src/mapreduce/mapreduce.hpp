@@ -162,7 +162,7 @@ class MapReduceJob {
 
   std::vector<schemes::StreamDecl> stream_decls() {
     schemes::StreamDecl decl;
-    decl.binding.host_data = reinterpret_cast<std::byte*>(input_.data());
+    decl.binding.host_data = reinterpret_cast<const std::byte*>(input_.data());
     decl.binding.num_elements = input_.size();
     decl.binding.elem_size = sizeof(T);
     decl.binding.mode = core::AccessMode::kReadOnly;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 #include "sim/time.hpp"
 
@@ -19,14 +20,22 @@ namespace bigk::obs {
 
 class WindowedStats {
  public:
-  explicit WindowedStats(sim::DurationPs window, std::size_t buckets = 8)
+  static constexpr std::size_t kDefaultBuckets = 8;
+
+  /// Throws std::invalid_argument when `buckets` is 0 or `window` is shorter
+  /// than `buckets` picoseconds, which leaves a bucket no width.
+  explicit WindowedStats(sim::DurationPs window,
+                         std::size_t buckets = kDefaultBuckets)
       : window_(window), buckets_(buckets) {
-    if (window == 0) throw std::invalid_argument("WindowedStats: zero window");
     if (buckets == 0) {
       throw std::invalid_argument("WindowedStats: zero buckets");
     }
+    if (window < buckets) {
+      throw std::invalid_argument(
+          "WindowedStats: window of " + std::to_string(window) +
+          " ps is shorter than its " + std::to_string(buckets) + " buckets");
+    }
     bucket_width_ = window_ / buckets_;
-    if (bucket_width_ == 0) bucket_width_ = 1;
   }
 
   /// Record `value` at simulated time `now`. Values are accumulated into the
@@ -64,15 +73,12 @@ class WindowedStats {
 
   /// Windowed event rate in events per (real) second of simulated time.
   double rate_per_s(sim::TimePs now) const {
-    return static_cast<double>(events(now)) * 1e12 /
-           static_cast<double>(window_);
+    return static_cast<double>(events(now)) * 1e12 / span();
   }
 
   /// Windowed value throughput per second (e.g. bytes/s when add() records
   /// bytes).
-  double sum_per_s(sim::TimePs now) const {
-    return sum(now) * 1e12 / static_cast<double>(window_);
-  }
+  double sum_per_s(sim::TimePs now) const { return sum(now) * 1e12 / span(); }
 
   sim::DurationPs window() const noexcept { return window_; }
 
@@ -82,6 +88,12 @@ class WindowedStats {
     double sum;
     std::uint64_t events;
   };
+
+  /// The time the buckets cover, which the rates divide by: the window
+  /// rounded down to a whole number of bucket widths.
+  double span() const {
+    return static_cast<double>(buckets_ * bucket_width_);
+  }
 
   std::uint64_t oldest_live(std::uint64_t newest) const {
     return newest >= buckets_ - 1 ? newest - (buckets_ - 1) : 0;

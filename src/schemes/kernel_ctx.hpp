@@ -9,7 +9,6 @@
 //                   (the single- and double-buffer baselines).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -115,7 +114,7 @@ class GpuChunkCtx {
   template <class T>
   T read(core::StreamRef<T> stream, std::uint64_t elem) {
     const ChunkView& view = chunks_[stream.id];
-    assert(elem >= view.elem_begin && elem < view.elem_begin + view.elem_count);
+    check_resident(view, elem);
     const std::uint64_t addr =
         view.dev_base + (elem - view.elem_begin) * sizeof(T);
     return lane_.load(gpusim::DevicePtr<T>{addr});
@@ -124,7 +123,7 @@ class GpuChunkCtx {
   template <class T>
   void write(core::StreamRef<T> stream, std::uint64_t elem, const T& value) {
     const ChunkView& view = chunks_[stream.id];
-    assert(elem >= view.elem_begin && elem < view.elem_begin + view.elem_count);
+    check_resident(view, elem);
     const std::uint64_t addr =
         view.dev_base + (elem - view.elem_begin) * sizeof(T);
     lane_.store(gpusim::DevicePtr<T>{addr}, 0, value);
@@ -151,6 +150,17 @@ class GpuChunkCtx {
   void alu(double ops) { lane_.alu(ops); }
 
  private:
+  /// Throws core::KernelContractError unless `elem` lies in the chunk's
+  /// resident range (its records plus overfetch).
+  static void check_resident(const ChunkView& view, std::uint64_t elem) {
+    core::check_contract(elem >= view.elem_begin,
+                         "chunk access below the resident elements", elem,
+                         view.elem_begin);
+    core::check_contract(elem - view.elem_begin < view.elem_count,
+                         "chunk access past the resident elements",
+                         elem - view.elem_begin, view.elem_count);
+  }
+
   gpusim::LaneCtx& lane_;
   const std::vector<core::StreamBinding>& bindings_;
   const core::DeviceTables& tables_;

@@ -307,8 +307,7 @@ inline sim::Task<> writeback_chunk(
         view.dev_base + (elem - view.elem_begin) * binding.elem_size;
     auto value =
         runtime.gpu().memory().bytes(dev_addr, binding.elem_size);
-    std::memcpy(binding.host_data + elem * binding.elem_size, value.data(),
-                binding.elem_size);
+    std::memcpy(binding.out(elem), value.data(), binding.elem_size);
     thread.read(0, elem * binding.elem_size, binding.elem_size);
     thread.write(binding.host_region, elem * binding.elem_size,
                  binding.elem_size);

@@ -124,8 +124,8 @@ std::vector<obs::prof::SloRule> slo_rules(const std::string& spec) {
   return rules;
 }
 
-/// Cache dataset identity of an app's generated input: apps regenerate the
-/// same dataset from the same seed on every runner, so the app name is the
+/// Cache dataset identity of an app's generated input: every runner of a
+/// suite entry reads the entry's one dataset, so the app name is the
 /// dataset.
 std::uint64_t dataset_id_of(const std::string& app) {
   return sim::digest_bytes(std::as_bytes(std::span(app)));
@@ -1028,15 +1028,21 @@ ServeReport run_server(const ServerConfig& config,
         "probe_interval must be > 0: it is the period of the reinstatement "
         "probe");
   }
-  if (config.prof_window == 0) {
+  // Each windowed signal splits its window into kDefaultBuckets buckets of
+  // at least 1 ps.
+  constexpr sim::DurationPs kMinWindow = obs::WindowedStats::kDefaultBuckets;
+  if (config.prof_window < kMinWindow) {
     throw std::invalid_argument(
-        "prof_window must be > 0: it is the telemetry period and the window "
-        "of every profiler and windowed signal");
+        "prof_window must be >= " + std::to_string(kMinWindow) +
+        " ps: it is the telemetry period and the window of every profiler "
+        "and windowed signal");
   }
-  if (config.qos.autoscaler.enabled && config.qos.autoscaler.period == 0) {
+  if (config.qos.autoscaler.enabled &&
+      config.qos.autoscaler.period < kMinWindow) {
     throw std::invalid_argument(
-        "qos.autoscaler.period must be > 0 when the autoscaler is enabled: "
-        "it is the decision period");
+        "qos.autoscaler.period must be >= " + std::to_string(kMinWindow) +
+        " ps when the autoscaler is enabled: it is the decision period and "
+        "the window of its queue-depth signal");
   }
   ServerState state(config);
   state.jobs.reserve(specs.size());

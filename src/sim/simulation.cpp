@@ -57,8 +57,16 @@ void Simulation::run() {
     event.handle.resume();
     if ((events_processed_ & 0xFFFF) == 0) reap_finished();
   }
-  // Queue drained: every spawned process must have finished, otherwise the
-  // model lost a wakeup.
+  // Queue drained. A process that failed comes first: its peers may still
+  // wait for what it would have done, so its error names the cause.
+  for (const OwnedFrame& frame : processes_) {
+    if (frame.state && frame.state->error && !frame.state->error_reported) {
+      frame.state->error_reported = true;
+      std::rethrow_exception(frame.state->error);
+    }
+  }
+  // Otherwise every spawned process must have finished, or the model lost a
+  // wakeup.
   std::size_t stuck = 0;
   for (const OwnedFrame& frame : processes_) {
     if (frame.state && !frame.state->done && !frame.state->daemon) ++stuck;
@@ -66,12 +74,6 @@ void Simulation::run() {
   if (stuck != 0) {
     throw DeadlockError("simulation deadlock: " + std::to_string(stuck) +
                         " process(es) suspended with an empty event queue");
-  }
-  for (const OwnedFrame& frame : processes_) {
-    if (frame.state && frame.state->error && !frame.state->error_reported) {
-      frame.state->error_reported = true;
-      std::rethrow_exception(frame.state->error);
-    }
   }
 }
 

@@ -101,9 +101,9 @@ class Simulation {
   /// and is destroyed with the Simulation. Used for stream/DMA workers.
   Process spawn_daemon(Task<> task);
 
-  /// Runs until the event queue drains. Throws DeadlockError if spawned
-  /// processes remain unfinished, or rethrows the first unjoined process
-  /// error.
+  /// Runs until the event queue drains. Rethrows the first unjoined process
+  /// error, or else throws DeadlockError if spawned processes remain
+  /// unfinished.
   void run();
 
   /// Convenience: spawns `main`, runs to completion, rethrows its error.

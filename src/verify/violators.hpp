@@ -57,7 +57,8 @@ class ViolatorApp {
 
   std::vector<schemes_compat::StreamDecl> stream_decls() {
     core::StreamBinding binding;
-    binding.host_data = reinterpret_cast<std::byte*>(data_.data());
+    binding.host_data = reinterpret_cast<const std::byte*>(data_.data());
+    binding.host_out = reinterpret_cast<std::byte*>(data_.data());
     binding.num_elements = data_.size();
     binding.elem_size = sizeof(std::uint64_t);
     binding.mode = core::AccessMode::kReadWrite;

@@ -95,7 +95,8 @@ struct CacheFixture {
     TableSet& tables() { return table_set; }
     std::vector<schemes::StreamDecl> stream_decls() {
       schemes::StreamDecl in;
-      in.binding.host_data = reinterpret_cast<std::byte*>(fixture.input.data());
+      in.binding.host_data =
+          reinterpret_cast<const std::byte*>(fixture.input.data());
       in.binding.num_elements = fixture.input.size();
       in.binding.elem_size = 8;
       in.binding.mode = AccessMode::kReadOnly;
@@ -103,6 +104,8 @@ struct CacheFixture {
       in.binding.reads_per_record = 2;
       schemes::StreamDecl out;
       out.binding.host_data =
+          reinterpret_cast<const std::byte*>(fixture.output.data());
+      out.binding.host_out =
           reinterpret_cast<std::byte*>(fixture.output.data());
       out.binding.num_elements = fixture.output.size();
       out.binding.elem_size = 8;

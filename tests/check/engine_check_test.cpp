@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -216,13 +217,22 @@ TEST(EngineCheckTest, ComputeReadBeyondGeneratedAddressesIsUncovered) {
       std::span(fixture.host), AccessMode::kReadWrite, 4, 1, 1);
   TableSet tables;
   GreedyKernel kernel{stream};
-  fixture.sim.run_until_complete(
-      [](cusim::Runtime& rt, Engine& eng, TableSet& tbl,
-         GreedyKernel k) -> sim::Task<> {
-        DeviceTables device = co_await DeviceTables::upload(rt, tbl);
-        co_await eng.launch(k, Fixture::kRecords, device);
-        device.release();
-      }(runtime, engine, tables, kernel));
+  // Pipecheck records the read first; then the read, which has no data
+  // buffer slot, stops the launch with the named contract error.
+  try {
+    fixture.sim.run_until_complete(
+        [](cusim::Runtime& rt, Engine& eng, TableSet& tbl,
+           GreedyKernel k) -> sim::Task<> {
+          DeviceTables device = co_await DeviceTables::upload(rt, tbl);
+          co_await eng.launch(k, Fixture::kRecords, device);
+          device.release();
+        }(runtime, engine, tables, kernel));
+    FAIL() << "expected KernelContractError";
+  } catch (const KernelContractError& error) {
+    EXPECT_NE(std::string(error.what()).find("data buffer slot overflow"),
+              std::string::npos)
+        << error.what();
+  }
 
   const check::Violation* uncovered = nullptr;
   for (const check::Violation& violation : sanitizer.reporter().recorded()) {

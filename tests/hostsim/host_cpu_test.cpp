@@ -16,7 +16,9 @@
 
 #include "hostsim/cache_model.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/tracer.hpp"
 #include "sim/simulation.hpp"
+#include "sim/time.hpp"
 
 namespace bigk::hostsim {
 namespace {
@@ -292,6 +294,126 @@ TEST(HostThreadTest, RegistryCountersMatchTheCacheModel) {
             thread.cache().hits());
   EXPECT_EQ(metrics.counter("hostsim.cache_misses").value(),
             thread.cache().misses());
+}
+
+// The line-by-line charge HostThread::touch made for every access before the
+// one-line case moved inline: hit cycles added one at a time in scan order,
+// then the misses' bus bytes and latency.
+struct LineByLineTouch {
+  LineByLineTouch(const gpusim::CpuConfig& config, std::uint64_t cache_bytes)
+      : config(config),
+        cache(cache_bytes, config.cache_line_bytes, config.cache_ways) {}
+
+  void touch(std::uint32_t region_id, std::uint64_t offset, std::uint64_t size,
+             bool stall_on_miss) {
+    if (size == 0) return;
+    const std::uint32_t shift = cache.line_shift();
+    const std::uint64_t first = offset >> shift;
+    const std::uint64_t last = (offset + size - 1) >> shift;
+    std::uint64_t line_misses = 0;
+    for (std::uint64_t l = first; l <= last; ++l) {
+      if (cache.access(logical_address(region_id, l << shift))) {
+        cycles += config.cache_hit_cycles;
+      } else {
+        ++line_misses;
+      }
+    }
+    bus_bytes += line_misses * cache.line_bytes();
+    if (stall_on_miss) latency += line_misses * config.cache_miss_latency;
+    hits += last - first + 1 - line_misses;
+    misses += line_misses;
+  }
+
+  gpusim::CpuConfig config;
+  CacheModel cache;
+  double cycles = 0.0;
+  sim::DurationPs latency = 0;
+  std::uint64_t bus_bytes = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+// Mixed one-line and multi-line reads, prefetched reads and writes, replayed
+// through a HostThread and the line-by-line reference: each commit charges
+// the same cycles to the bit (the core span's "cycles" arg), the same latency
+// (the core span's length on top of those cycles), the same bus bytes, and
+// the registry counts the same hits and misses.
+TEST(HostThreadTest, OneLineTouchesMatchTheLineByLineCharge) {
+  sim::Simulation sim;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  gpusim::CpuConfig config = test_config();
+  config.cache_hit_cycles = 1.7;  // not a power of two: rounding shows
+  HostCpu cpu(sim, config);
+  cpu.attach_observability(&tracer, &metrics);
+  HostThread thread = cpu.make_thread();
+  LineByLineTouch reference(config, config.llc_bytes);
+
+  std::mt19937_64 rng(29);
+  std::uint64_t one_line = 0;
+  std::uint64_t multi_line = 0;
+  for (int batch = 0; batch < 60; ++batch) {
+    for (int n = 0; n < 500; ++n) {
+      const std::uint32_t region = 1 + static_cast<std::uint32_t>(rng() % 3);
+      // Mostly small accesses near a few hot lines, some of which straddle
+      // a line boundary, and some long scans.
+      const bool scan = rng() % 8 == 0;
+      const std::uint64_t size =
+          scan ? 65 + rng() % 700 : std::uint64_t{1} << (rng() % 4);
+      const std::uint64_t offset =
+          rng() % 2 == 0 ? rng() % 512 : rng() % (256 << 10);
+      const std::uint64_t line_bytes = config.cache_line_bytes;
+      if (offset / line_bytes == (offset + size - 1) / line_bytes) {
+        ++one_line;
+      } else {
+        ++multi_line;
+      }
+      switch (rng() % 3) {
+        case 0:
+          thread.read(region, offset, size);
+          reference.touch(region, offset, size, /*stall_on_miss=*/true);
+          break;
+        case 1:
+          thread.read_sequential(region, offset, size);
+          reference.touch(region, offset, size, /*stall_on_miss=*/false);
+          break;
+        default:
+          thread.write(region, offset, size);
+          reference.touch(region, offset, size, /*stall_on_miss=*/false);
+      }
+    }
+    const std::size_t spans_before = tracer.spans().size();
+    sim.run_until_complete(thread.commit());
+    const obs::SpanEvent* core = nullptr;
+    const obs::SpanEvent* bus = nullptr;
+    for (std::size_t i = spans_before; i < tracer.spans().size(); ++i) {
+      const obs::SpanEvent& span = tracer.spans()[i];
+      (span.args.at(0).key == "cycles" ? core : bus) = &span;
+    }
+    ASSERT_NE(core, nullptr) << "batch " << batch;
+    ASSERT_NE(bus, nullptr) << "batch " << batch;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(core->args.at(0).value),
+              std::bit_cast<std::uint64_t>(reference.cycles))
+        << "batch " << batch;
+    EXPECT_EQ(core->duration(),
+              sim::cycles_time(reference.cycles / config.ipc,
+                               config.clock_ghz) +
+                  reference.latency)
+        << "batch " << batch;
+    EXPECT_EQ(bus->args.at(0).value,
+              static_cast<double>(reference.bus_bytes))
+        << "batch " << batch;
+    EXPECT_EQ(metrics.counter("hostsim.cache_hits").value(), reference.hits);
+    EXPECT_EQ(metrics.counter("hostsim.cache_misses").value(),
+              reference.misses);
+    reference.cycles = 0.0;
+    reference.latency = 0;
+    reference.bus_bytes = 0;
+  }
+  EXPECT_GT(one_line, 4 * multi_line);
+  EXPECT_GT(multi_line, 1000u);
+  EXPECT_GT(reference.hits, 0u);
+  EXPECT_GT(reference.misses, 0u);
 }
 
 // A CpuConfig the host model cannot run is rejected when the CPU is built,

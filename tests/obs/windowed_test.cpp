@@ -18,6 +18,26 @@ TEST(WindowedStats, RejectsZeroWindowAndBuckets) {
   EXPECT_THROW(WindowedStats(1'000, 0), std::invalid_argument);
 }
 
+// A window shorter than its bucket count would leave each bucket no width.
+// WindowedStats(4, 8) used to clamp the width to 1 ps, so its trailing window
+// covered 8 ps and counted both events of t=0 and t=7.
+TEST(WindowedStats, RejectsAWindowShorterThanItsBuckets) {
+  EXPECT_THROW(WindowedStats(4, 8), std::invalid_argument);
+  EXPECT_THROW(WindowedStats(7), std::invalid_argument);
+  EXPECT_NO_THROW(WindowedStats(8));
+}
+
+// A window that is not a whole number of bucket widths covers only the
+// whole buckets, and the rates divide by that span: a 10 ps window of 8
+// buckets has 1 ps buckets and covers 8 ps.
+TEST(WindowedStats, RatesDivideByTheSpanTheBucketsCover) {
+  WindowedStats stats(10, 8);
+  for (sim::TimePs t = 0; t < 8; ++t) stats.add(t, 3.0);
+  EXPECT_EQ(stats.events(7), 8u);
+  EXPECT_DOUBLE_EQ(stats.rate_per_s(7), 8.0 * 1e12 / 8.0);
+  EXPECT_DOUBLE_EQ(stats.sum_per_s(7), 24.0 * 1e12 / 8.0);
+}
+
 TEST(WindowedStats, CountsEventsWithinWindow) {
   WindowedStats stats(kWindow, 8);
   stats.add(0, 10.0);

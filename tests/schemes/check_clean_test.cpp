@@ -52,7 +52,8 @@ struct ToyApp {
 
   std::vector<StreamDecl> stream_decls() {
     StreamDecl decl;
-    decl.binding.host_data = reinterpret_cast<std::byte*>(data.data());
+    decl.binding.host_data = reinterpret_cast<const std::byte*>(data.data());
+    decl.binding.host_out = reinterpret_cast<std::byte*>(data.data());
     decl.binding.num_elements = data.size();
     decl.binding.elem_size = 8;
     decl.binding.mode = core::AccessMode::kReadWrite;

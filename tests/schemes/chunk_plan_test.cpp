@@ -16,7 +16,7 @@ StreamDecl make_decl(std::vector<std::uint64_t>& storage,
                      std::uint32_t elems_per_record,
                      std::uint32_t overfetch = 0) {
   StreamDecl decl;
-  decl.binding.host_data = reinterpret_cast<std::byte*>(storage.data());
+  decl.binding.host_data = reinterpret_cast<const std::byte*>(storage.data());
   decl.binding.num_elements = storage.size();
   decl.binding.elem_size = 8;
   decl.binding.elems_per_record = elems_per_record;

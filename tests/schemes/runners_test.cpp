@@ -26,6 +26,9 @@ struct ToyApp {
   core::TableSet table_set;
   core::TableRef<std::uint64_t> checksum;
 
+  /// False declares the stream read-only, which the kernel's writes break.
+  bool writable = true;
+
   explicit ToyApp(std::uint64_t n) : records(n) {
     data.resize(records * kElemsPerRecord);
     checksum = table_set.add<std::uint64_t>(1);
@@ -48,10 +51,14 @@ struct ToyApp {
 
   std::vector<StreamDecl> stream_decls() {
     StreamDecl decl;
-    decl.binding.host_data = reinterpret_cast<std::byte*>(data.data());
+    decl.binding.host_data = reinterpret_cast<const std::byte*>(data.data());
+    if (writable) {
+      decl.binding.host_out = reinterpret_cast<std::byte*>(data.data());
+    }
     decl.binding.num_elements = data.size();
     decl.binding.elem_size = 8;
-    decl.binding.mode = core::AccessMode::kReadWrite;
+    decl.binding.mode =
+        writable ? core::AccessMode::kReadWrite : core::AccessMode::kReadOnly;
     decl.binding.elems_per_record = kElemsPerRecord;
     decl.binding.reads_per_record = 2;
     decl.binding.writes_per_record = 1;
@@ -128,6 +135,19 @@ TEST_P(AllSchemes, ProducesReferenceResults) {
       run_scheme(GetParam(), small_config(), app, small_scheme_config());
   EXPECT_GT(metrics.total_time, 0u);
   check_app(app, expected);
+}
+
+// A read-only stream may view memory other runs share: a kernel that writes
+// one stops with the named contract error under every scheme, and no byte
+// of the stream changes.
+TEST_P(AllSchemes, WriteToAReadOnlyStreamIsAContractError) {
+  ToyApp app(3'000);
+  app.writable = false;
+  const std::vector<std::uint64_t> before = app.data;
+  EXPECT_THROW(
+      run_scheme(GetParam(), small_config(), app, small_scheme_config()),
+      core::KernelContractError);
+  EXPECT_EQ(app.data, before);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -264,10 +264,11 @@ TEST(ServeServerTest, ScrubWithoutIntegrityAndCacheIsRejected) {
 
 /// run_server must refuse `config` with a std::invalid_argument naming
 /// `field`, before any daemon could re-arm a zero delay at one instant.
-void expect_rejected(const ServerConfig& config, const std::string& field) {
+void expect_rejected(const ServerConfig& config, const std::string& field,
+                     std::uint32_t jobs = 2) {
   const auto suite = make_toy_suite(2, 1'000);
   try {
-    run_server(config, toy_workload(2, 2), suite);
+    run_server(config, toy_workload(jobs, 2), suite);
     FAIL() << "expected std::invalid_argument naming " << field;
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
@@ -294,6 +295,22 @@ TEST(ServeServerTest, ZeroAutoscalerPeriodIsRejected) {
   config.qos.autoscaler.enabled = true;
   config.qos.autoscaler.period = 0;
   expect_rejected(config, "qos.autoscaler.period");
+}
+
+// Every windowed signal splits its window into 8 buckets; a shorter window
+// would over-report its rates, so run_server names the field instead. No
+// jobs: a run that accepted the window would end at once.
+TEST(ServeServerTest, ProfWindowShorterThanItsBucketsIsRejected) {
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.prof_window = 4;
+  expect_rejected(config, "prof_window", /*jobs=*/0);
+}
+
+TEST(ServeServerTest, AutoscalerPeriodShorterThanItsBucketsIsRejected) {
+  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
+  config.qos.autoscaler.enabled = true;
+  config.qos.autoscaler.period = 7;
+  expect_rejected(config, "qos.autoscaler.period", /*jobs=*/0);
 }
 
 TEST(ServeServerTest, SloRuleOnAnUnpublishedMetricIsRejected) {

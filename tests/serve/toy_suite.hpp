@@ -51,7 +51,8 @@ struct ToyServeApp {
 
   std::vector<schemes::StreamDecl> stream_decls() {
     schemes::StreamDecl decl;
-    decl.binding.host_data = reinterpret_cast<std::byte*>(data.data());
+    decl.binding.host_data = reinterpret_cast<const std::byte*>(data.data());
+    decl.binding.host_out = reinterpret_cast<std::byte*>(data.data());
     decl.binding.num_elements = data.size();
     decl.binding.elem_size = 8;
     decl.binding.mode = core::AccessMode::kReadWrite;
@@ -59,7 +60,7 @@ struct ToyServeApp {
     decl.binding.reads_per_record = 2;
     decl.binding.writes_per_record = 1;
     schemes::StreamDecl lut_decl;
-    lut_decl.binding.host_data = reinterpret_cast<std::byte*>(lut.data());
+    lut_decl.binding.host_data = reinterpret_cast<const std::byte*>(lut.data());
     lut_decl.binding.num_elements = lut.size();
     lut_decl.binding.elem_size = 8;
     lut_decl.binding.mode = core::AccessMode::kReadOnly;
