@@ -116,6 +116,42 @@ auto or_exit(Parse parse) {
   }
 }
 
+/// The --offered-load list: comma-separated positive multipliers, at least
+/// one. Throws std::invalid_argument naming the flag.
+inline std::vector<double> parse_multipliers(std::string_view text) {
+  std::vector<double> multipliers;
+  for (const std::string_view token : sim::spec::split(text, ',')) {
+    multipliers.push_back(parse_positive<double>(token, "--offered-load"));
+  }
+  if (multipliers.empty()) {
+    sim::spec::fail("--offered-load", {}, text, "needs at least one value");
+  }
+  return multipliers;
+}
+
+/// The serving-layer flag values, as the serve scenario catalogue
+/// (serve_scenarios.hpp) reads them. Harness fills it from argv; a test
+/// fills it directly.
+struct ServeFlags {
+  std::uint32_t devices = 1;
+  std::uint32_t jobs = 32;
+  std::string policy = "least-bytes";
+  bool cache = false;
+  /// Cache partition per device; 0 = a quarter of the device arena.
+  std::uint64_t cache_bytes = 0;
+  std::string fault_spec;
+  std::uint64_t fault_seed = 1;
+  /// Attribution window in picoseconds; 0 = not requested.
+  sim::DurationPs prof_window = 0;
+  std::string slo_spec;
+  std::string arrival_spec;
+  std::string tenants_spec;
+  /// Generated-workload window in picoseconds; 0 = scenario default.
+  sim::DurationPs duration = 0;
+  /// Offered-load multipliers; empty = serve_load's default sweep.
+  std::vector<double> offered_load;
+};
+
 struct Context {
   apps::ScaledSystem scaled;
   gpusim::SystemConfig config;
@@ -216,13 +252,13 @@ class Harness {
   ResultStore results;
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
+  ServeFlags serve_flags;
 
   Harness(std::string name, int* argc, char** argv)
       : ctx(or_exit(Context::from_env)), name_(std::move(name)) {
     or_exit([&] { strip_output_flags(argc, argv); });
-    if (prof_window_us_ > 0) {
-      ctx.scheme_config.prof_window =
-          static_cast<sim::DurationPs>(prof_window_us_) * sim::kMicrosecond;
+    if (serve_flags.prof_window > 0) {
+      ctx.scheme_config.prof_window = serve_flags.prof_window;
     }
     // The registry is always live (counters are cheap and feed the JSON
     // dump); the tracer only when a trace was requested, since it retains
@@ -233,22 +269,22 @@ class Harness {
       ctx.scheme_config.check = check::CheckOptions::all_enabled();
       std::printf("bigkcheck: memcheck+racecheck+pipecheck enabled\n");
     }
-    if (!fault_spec_.empty()) {
+    if (!serve_flags.fault_spec.empty()) {
       // One plane shared by every BigKernel run of the binary (baseline
       // schemes have no recovery path and do not inject): injection
       // counters accumulate across runs, and nth/every triggers count
       // eligible operations binary-wide. Serving-layer benches instead pass
-      // fault_spec() through ServerConfig so each device pool gets its own
+      // the spec through ServerConfig so each device pool gets its own
       // plane.
-      fault_plane_.emplace(fault_seed_);
-      fault_plane_->add_all(
-          or_exit([&] { return fault::FaultSpec::parse(fault_spec_); }));
+      fault_plane_.emplace(serve_flags.fault_seed);
+      fault_plane_->add_all(or_exit(
+          [&] { return fault::FaultSpec::parse(serve_flags.fault_spec); }));
       fault_plane_->attach_observability(&metrics,
                                          ctx.scheme_config.tracer);
       ctx.scheme_config.fault_plane = &*fault_plane_;
       std::printf("bigkfault: injecting \"%s\" (seed %llu)\n",
-                  fault_spec_.c_str(),
-                  static_cast<unsigned long long>(fault_seed_));
+                  serve_flags.fault_spec.c_str(),
+                  static_cast<unsigned long long>(serve_flags.fault_seed));
     }
   }
 
@@ -263,30 +299,7 @@ class Harness {
   const std::string& metrics_path() const noexcept { return metrics_path_; }
   const std::string& trace_path() const noexcept { return trace_path_; }
 
-  // Serving-layer knobs (--devices / --jobs / --policy).
-  std::uint32_t devices() const noexcept { return devices_; }
-  std::uint32_t jobs() const noexcept { return jobs_; }
-  const std::string& policy() const noexcept { return policy_; }
   bool check_requested() const noexcept { return check_requested_; }
-  bool cache_requested() const noexcept { return cache_requested_; }
-  std::uint64_t cache_bytes() const noexcept { return cache_bytes_; }
-  // bigkfault knobs (--fault / --fault-seed).
-  const std::string& fault_spec() const noexcept { return fault_spec_; }
-  std::uint64_t fault_seed() const noexcept { return fault_seed_; }
-  // bigkprof knobs (--prof-window / --slo).
-  /// Attribution window in picoseconds (0 = not requested).
-  sim::DurationPs prof_window() const noexcept {
-    return static_cast<sim::DurationPs>(prof_window_us_) * sim::kMicrosecond;
-  }
-  const std::string& slo_spec() const noexcept { return slo_spec_; }
-  // bigkload knobs (--arrival / --tenants / --duration / --offered-load).
-  const std::string& arrival_spec() const noexcept { return arrival_spec_; }
-  const std::string& tenants_spec() const noexcept { return tenants_spec_; }
-  /// Generated-workload window in picoseconds (0 = scenario default).
-  sim::DurationPs duration() const noexcept {
-    return static_cast<sim::DurationPs>(duration_us_) * sim::kMicrosecond;
-  }
-  const std::string& offered_load() const noexcept { return offered_load_; }
   // bigkhetero knob (--cpu-ratio); default matches hetero::Options.
   double cpu_ratio() const noexcept { return cpu_ratio_; }
   bool cpu_ratio_set() const noexcept { return cpu_ratio_set_; }
@@ -382,32 +395,36 @@ class Harness {
       } else if (arg == "--check") {
         check_requested_ = true;
       } else if (take(&i, arg, "--devices")) {
-        devices_ = parse_positive<std::uint32_t>(value, "--devices");
+        serve_flags.devices = parse_positive<std::uint32_t>(value, "--devices");
       } else if (take(&i, arg, "--jobs")) {
-        jobs_ = parse_positive<std::uint32_t>(value, "--jobs");
+        serve_flags.jobs = parse_positive<std::uint32_t>(value, "--jobs");
       } else if (take(&i, arg, "--policy")) {
-        policy_ = value;
+        serve_flags.policy = value;
       } else if (arg == "--cache") {
-        cache_requested_ = true;
+        serve_flags.cache = true;
       } else if (take(&i, arg, "--cache-bytes")) {
-        cache_requested_ = true;
-        cache_bytes_ = parse_positive<std::uint64_t>(value, "--cache-bytes");
+        serve_flags.cache = true;
+        serve_flags.cache_bytes =
+            parse_positive<std::uint64_t>(value, "--cache-bytes");
       } else if (take(&i, arg, "--fault")) {
-        fault_spec_ = value;
+        serve_flags.fault_spec = value;
       } else if (take(&i, arg, "--fault-seed")) {
-        fault_seed_ = parse_positive<std::uint64_t>(value, "--fault-seed");
+        serve_flags.fault_seed =
+            parse_positive<std::uint64_t>(value, "--fault-seed");
       } else if (take(&i, arg, "--prof-window")) {
-        prof_window_us_ = parse_positive<std::uint32_t>(value, "--prof-window");
+        serve_flags.prof_window = sim::microseconds(
+            parse_positive<std::uint32_t>(value, "--prof-window"));
       } else if (take(&i, arg, "--slo")) {
-        slo_spec_ = value;
+        serve_flags.slo_spec = value;
       } else if (take(&i, arg, "--arrival")) {
-        arrival_spec_ = value;
+        serve_flags.arrival_spec = value;
       } else if (take(&i, arg, "--tenants")) {
-        tenants_spec_ = value;
+        serve_flags.tenants_spec = value;
       } else if (take(&i, arg, "--duration")) {
-        duration_us_ = parse_positive<std::uint32_t>(value, "--duration");
+        serve_flags.duration = sim::microseconds(
+            parse_positive<std::uint32_t>(value, "--duration"));
       } else if (take(&i, arg, "--offered-load")) {
-        offered_load_ = value;
+        serve_flags.offered_load = parse_multipliers(value);
       } else if (take(&i, arg, "--cpu-ratio")) {
         cpu_ratio_ = parse_ratio(value, "--cpu-ratio");
         cpu_ratio_set_ = true;
@@ -457,20 +474,7 @@ class Harness {
   std::string metrics_path_;
   std::string trace_path_;
   bool check_requested_ = false;
-  bool cache_requested_ = false;
-  std::uint64_t cache_bytes_ = 0;
-  std::uint32_t devices_ = 1;
-  std::uint32_t jobs_ = 32;
-  std::string policy_ = "least-bytes";
-  std::string fault_spec_;
-  std::uint64_t fault_seed_ = 1;
   std::optional<fault::FaultPlane> fault_plane_;
-  std::uint32_t prof_window_us_ = 0;
-  std::string slo_spec_;
-  std::string arrival_spec_;
-  std::string tenants_spec_;
-  std::uint32_t duration_us_ = 0;
-  std::string offered_load_;
   double cpu_ratio_ = 0.25;
   bool cpu_ratio_set_ = false;
 };

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over a bench baseline (bench/BENCH_prof.json for
-fig6_stages, bench/BENCH_fig4a.json for fig4a_speedup, bench/BENCH_serve.json
-for serve_throughput).
+"""Perf-regression gate over a bench baseline (bench/BENCH_fig4a.json for
+fig4a_speedup, bench/BENCH_serve.json for serve_throughput).
 
 Builds the current entries from a bench's --metrics-json results array and
 fails (exit 1) on any regression outside tolerance against the committed
@@ -24,13 +23,16 @@ must report zero regressions; improvements (current faster than baseline)
 never fail, they are just reported.
 
 Usage:
-  bench_compare.py --baseline bench/BENCH_prof.json --current metrics.json
-  bench_compare.py --baseline bench/BENCH_prof.json \
-                   --bench build/bench/fig6_stages --scale 0.001
+  bench_compare.py --baseline bench/BENCH_serve.json --current metrics.json
+  bench_compare.py --baseline bench/BENCH_fig4a.json \
+                   --bench build/bench/fig4a_speedup --scale 0.001
   bench_compare.py ... --update        # rewrite the baseline and exit 0
 
 With --bench, the binary is run with BIGK_SCALE=<scale> and
---metrics-json=<tmpfile> to produce the current document.
+--metrics-json=<tmpfile> to produce the current document. With --current,
+the document is one a bench run already wrote (under ctest,
+bench_serve_gate reads the serve_throughput document that
+serve_throughput_document writes once).
 """
 
 import argparse
@@ -186,7 +188,8 @@ def compare_entry(key, base, cur, args, problems):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
-                        help="committed BENCH_prof.json to compare against")
+                        help="committed bench/BENCH_*.json to compare "
+                             "against")
     parser.add_argument("--current",
                         help="--metrics-json document produced by this build")
     parser.add_argument("--bench",

@@ -1,91 +1,31 @@
 #!/usr/bin/env python3
-"""Locks down the serve_throughput --metrics-json document schema.
+"""Schema check of a serve_throughput --metrics-json document.
 
-Runs the bigkserve throughput bench on a tiny 2-device workload (small
-BIGK_SCALE so the smoke stays fast) and validates the emitted JSON:
-  * top level carries "benchmark" == serve_throughput, a positive "scale",
-    a "results" array, and a "counters" array,
-  * every expected scenario (mixed baseline, mixed pool, reuse round-robin,
-    reuse app-affinity, shed) appears in "results" with a metrics object,
-  * for every serve scenario prefix the counter registry exports the latency
-    percentiles (p50 <= p95 <= p99), the throughput gauge, and a per-device
-    utilization gauge in (0, 1] for each pool device,
-  * every prefix also carries the bigkprof plane: a bottleneck_stage index in
-    [0, 5), overlap_efficiency in [0, 1), at least one profiling window, a
-    queueing-delay breakdown whose five parts sum to breakdown.total_ms, SLO
-    rule/violation gauges, and a per-device bottleneck_stage gauge,
-  * the device-pool scaling gauge (pool vs. single device) is present and
-    positive,
-  * the bigkcache A/B (run under --cache) reports a positive hit rate with
-    positive PCIe bytes saved, and strictly fewer total H2D bytes than the
-    no-cache app-affinity run over the same reuse mix,
-  * the bigkfault recovery scenario (serve/recover: one device lost
-    mid-workload, quarantined, and reinstated) injects at least one fault,
-    recovers every injected fault, quarantines and reinstates the device,
-    and finishes every job with zero failures attributable to the outage,
-  * the bigkhetero spill-over scenario (serve/spill: the batch burst against
-    one device with co-execution enabled) actually spills — the spill
-    counters are positive once the pool saturates past the spill depth —
-    and every spilled job completes on the host cores with zero failures,
-  * every prefix carries the bigkdur integrity/durability gauges, and the
-    bigkdur integrity scenario (serve/dur/integrity: the reuse mix under
-    silent bit-flip injection with the integrity plane + scrub daemon armed)
-    detects every injected flip (dur.detected == dur.injected), runs the
-    scrub daemon, and finishes every job,
-  * the bigkdur crash/restart pair (serve/dur/resume vs serve/dur/restart:
-    the same mid-workload crash over the same journal, with output storage
-    surviving vs lost) shows checkpoint resume working — the resume run
-    resumes jobs and replays nothing, the restart run resumes nothing and
-    replays every journaled window, and the resume goodput strictly beats
-    the restart goodput (serve.dur.resume_speedup > 1).
+Reads the document of the gated run (`serve_throughput --devices 2 --jobs 8
+--cache --metrics-json=<file>`, written under ctest by
+serve_throughput_document) and validates:
+  * the top level carries "benchmark" == "serve_throughput", a positive
+    "scale", a "results" array and a "counters" array,
+  * every scenario of that run appears in "results" with a metrics object,
+  * every "counters" entry names its type and name, and every gauge and
+    counter has a numeric value.
 
-With a serve_load binary as the second argument the bigkload plane is
-validated too:
-  * every load scenario (calibrate, the FIFO/WFQ sweep points, balanced,
-    autoscale, closed-loop) appears in "results",
-  * every load prefix carries the QoS gauges (offered / goodput / SLO
-    attainment, Jain fairness, autoscaler trajectory) plus the JobQueue
-    admission instrumentation,
-  * WFQ strictly beats FIFO on the latency-critical tenant's SLO attainment
-    at both offered-load points past saturation,
-  * the balanced four-tenant mix keeps the Jain index >= 0.9,
-  * the autoscaler demonstrably reacts to the seeded MMPP burst (at least
-    one scale-up, max active devices above the min_active floor).
+The serve contracts (pool scaling, cache savings, fault recovery, spill,
+integrity, resume vs restart, WFQ vs FIFO, fairness, autoscaling, and the
+per-prefix gauge schema) are C++ tests over the benches' own scenario
+catalogue: tests/bench/serve_contracts_test.cpp.
 
-Every serve prefix (throughput and load) additionally locks the JobQueue
-admission instrumentation: a final `queue.depth` gauge of 0 (all jobs
-settled) and the `queue.rejected.<cause>` counter breakdown summing to the
-run's `rejections` gauge.
-
-Usage: check_serve_bench.py <serve_throughput binary> [<serve_load binary>]
+Usage: check_serve_bench.py <serve_throughput metrics json>
 Exits non-zero with a diagnostic on the first violation.
 """
 
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
-
-DEVICES = 2
-JOBS = 8
-# serve_load runs with more jobs so the offered-load sweep saturates the
-# pool long enough for the QoS disciplines to diverge.
-LOAD_JOBS = 16
-LOAD_MULTIPLIERS = [50, 150, 250]  # --offered-load 0.5,1.5,2.5 as percents
-REJECT_CAUSES = ["queue_full", "no_device", "tenant_quota"]
-# serve/recover always runs with at least 4 devices so the pool can absorb
-# the quarantined one (mirrors recover_devices in bench/serve_throughput.cpp).
-RECOVER_DEVICES = max(DEVICES, 4)
-# The bigkdur crash/restart pair runs a fixed 4 K-means jobs on 2 devices
-# (mirrors kDurJobs / dur_config in bench/serve_throughput.cpp).
-DUR_JOBS = 4
-DUR_DEVICES = 2
 
 EXPECTED_RESULTS = [
     "serve/mixed/devices1",
-    f"serve/mixed/devices{DEVICES}",
+    "serve/mixed/devices2",
     "serve/reuse/round-robin",
     "serve/reuse/app-affinity",
     "serve/reuse/app-affinity+cache",
@@ -96,53 +36,6 @@ EXPECTED_RESULTS = [
     "serve/dur/resume",
     "serve/dur/restart",
 ]
-# (metrics prefix, number of devices the scenario runs with)
-EXPECTED_PREFIXES = [
-    ("serve.mixed.devices1", 1),
-    (f"serve.mixed.devices{DEVICES}", DEVICES),
-    ("serve.reuse.round-robin", DEVICES),
-    ("serve.reuse.app-affinity", DEVICES),
-    ("serve.reuse.app-affinity+cache", DEVICES),
-    ("serve.recover", RECOVER_DEVICES),
-    ("serve.shed", DEVICES),
-    ("serve.spill", 1),
-    ("serve.dur.integrity", DEVICES),
-    ("serve.dur.resume", DUR_DEVICES),
-    ("serve.dur.restart", DUR_DEVICES),
-]
-SCALAR_GAUGES = [
-    "latency_p50_ms",
-    "latency_p95_ms",
-    "latency_p99_ms",
-    "throughput_jobs_per_s",
-    "completed",
-    "dropped",
-    "rejections",
-    "peak_queue_depth",
-    "prof.bottleneck_stage",
-    "prof.overlap_efficiency",
-    "prof.windows",
-    "prof.bottleneck_flips",
-    "breakdown.admission_ms",
-    "breakdown.queue_ms",
-    "breakdown.staging_ms",
-    "breakdown.execution_ms",
-    "breakdown.writeback_ms",
-    "breakdown.total_ms",
-    "slo.rules",
-    "slo.violations",
-    "dur.verified",
-    "dur.detected",
-    "dur.repaired",
-    "dur.injected",
-    "dur.scrub_checked",
-    "dur.scrub_evictions",
-    "dur.resumed",
-    "dur.chunks_replayed",
-    "dur.crashed",
-]
-# Stage count of the BigKernel pipeline (obs::kStageCount).
-STAGE_COUNT = 5
 
 
 def fail(message):
@@ -150,46 +43,38 @@ def fail(message):
     sys.exit(1)
 
 
-def run_bench(binary, benchmark_name, extra_args):
-    """Runs a bench binary with --metrics-json and returns the parsed
-    document plus {gauge name: value} and {counter name: value} maps."""
-    env = dict(os.environ)
-    # Tiny datasets: the schema, not the performance, is under test here.
-    env.setdefault("BIGK_SCALE", "0.001")
+def main():
+    if len(sys.argv) != 2:
+        fail(f"usage: {sys.argv[0]} <serve_throughput metrics json>")
+    path = Path(sys.argv[1])
+    try:
+        document = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        fail(f"cannot read {path}: {error}")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        metrics_path = Path(tmp) / "serve_metrics.json"
-        result = subprocess.run(
-            [str(binary), f"--metrics-json={metrics_path}", *extra_args],
-            cwd=tmp,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        if result.returncode != 0:
-            fail(
-                f"{benchmark_name} exited {result.returncode}:\n"
-                f"{result.stdout}\n{result.stderr}"
-            )
-        if not metrics_path.exists():
-            fail(f"{benchmark_name}: no metrics json written")
-        try:
-            document = json.loads(metrics_path.read_text())
-        except json.JSONDecodeError as error:
-            fail(f"{benchmark_name}: metrics json does not parse: {error}")
-
-    if document.get("benchmark") != benchmark_name:
+    if document.get("benchmark") != "serve_throughput":
         fail(f'bad "benchmark" field: {document.get("benchmark")!r}')
     scale = document.get("scale")
     if not isinstance(scale, (int, float)) or scale <= 0:
         fail(f'bad "scale" field: {scale!r}')
 
+    results = document.get("results")
+    if not isinstance(results, list) or not results:
+        fail('"results" is not a non-empty array')
+    names = set()
+    for entry in results:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            fail(f"malformed results entry: {entry!r}")
+        if not isinstance(entry.get("metrics"), dict) or not entry["metrics"]:
+            fail(f'result {entry["name"]!r} lacks a metrics object')
+        names.add(entry["name"])
+    for name in EXPECTED_RESULTS:
+        if name not in names:
+            fail(f"missing result {name!r} (have {sorted(names)})")
+
     counters = document.get("counters")
     if not isinstance(counters, list):
         fail('"counters" is not an array')
-    gauges = {}
-    totals = {}
     for entry in counters:
         if not isinstance(entry, dict) or "type" not in entry or "name" not in entry:
             fail(f"malformed counters entry: {entry!r}")
@@ -200,407 +85,11 @@ def run_bench(binary, benchmark_name, extra_args):
                     f'{entry["type"]} {entry["name"]!r} has non-numeric '
                     f"value: {value!r}"
                 )
-            target = gauges if entry["type"] == "gauge" else totals
-            target[entry["name"]] = float(value)
-    return document, gauges, totals
-
-
-def result_names(document, expected):
-    results = document.get("results")
-    if not isinstance(results, list) or not results:
-        fail('"results" is not a non-empty array')
-    by_name = {}
-    for entry in results:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            fail(f"malformed results entry: {entry!r}")
-        if not isinstance(entry.get("metrics"), dict) or not entry["metrics"]:
-            fail(f'result {entry["name"]!r} lacks a metrics object')
-        by_name[entry["name"]] = entry["metrics"]
-    for name in expected:
-        if name not in by_name:
-            fail(f"missing result {name!r} (have {sorted(by_name)})")
-    return by_name
-
-
-def make_lookup(kind, table):
-    def lookup(name):
-        if name not in table:
-            fail(f"missing {kind} {name!r}")
-        return table[name]
-
-    return lookup
-
-
-def check_queue_instrumentation(prefix, gauge, counter):
-    """JobQueue admission gauges: final depth 0 (every job settled) and the
-    rejected-by-cause counter breakdown summing to the run's rejections."""
-    depth = gauge(f"{prefix}.queue.depth")
-    if depth != 0:
-        fail(f"{prefix}.queue.depth nonzero after settle: {depth}")
-    rejected = sum(
-        counter(f"{prefix}.queue.rejected.{cause}") for cause in REJECT_CAUSES
-    )
-    total = gauge(f"{prefix}.rejections")
-    if rejected != total:
-        fail(
-            f"{prefix}: queue.rejected.* counters sum to {rejected} but the "
-            f"rejections gauge says {total}"
-        )
-
-
-def check_serve_throughput(binary):
-    document, gauges, counters = run_bench(
-        binary,
-        "serve_throughput",
-        ["--devices", str(DEVICES), "--jobs", str(JOBS), "--cache"],
-    )
-    results = result_names(document, EXPECTED_RESULTS)
-    gauge = make_lookup("gauge", gauges)
-    counter = make_lookup("counter", counters)
-
-    for prefix, devices in EXPECTED_PREFIXES:
-        for suffix in SCALAR_GAUGES:
-            gauge(f"{prefix}.{suffix}")
-        check_queue_instrumentation(prefix, gauge, counter)
-        p50 = gauge(f"{prefix}.latency_p50_ms")
-        p95 = gauge(f"{prefix}.latency_p95_ms")
-        p99 = gauge(f"{prefix}.latency_p99_ms")
-        if not 0 <= p50 <= p95 <= p99:
-            fail(f"{prefix}: percentiles out of order: {p50} / {p95} / {p99}")
-        for dev in range(devices):
-            utilization = gauge(f"{prefix}.dev{dev}.utilization")
-            if not 0 < utilization <= 1:
-                fail(
-                    f"{prefix}.dev{dev}.utilization out of (0, 1]: {utilization}"
-                )
-            bottleneck = gauge(f"{prefix}.dev{dev}.bottleneck_stage")
-            if not 0 <= bottleneck < STAGE_COUNT:
-                fail(
-                    f"{prefix}.dev{dev}.bottleneck_stage out of "
-                    f"[0, {STAGE_COUNT}): {bottleneck}"
-                )
-        if f"{prefix}.dev{devices}.utilization" in gauges:
-            fail(f"{prefix} exports more devices than the scenario ran with")
-
-        # bigkprof attribution plane: pool bottleneck, overlap, windows.
-        bottleneck = gauge(f"{prefix}.prof.bottleneck_stage")
-        if not 0 <= bottleneck < STAGE_COUNT:
-            fail(
-                f"{prefix}.prof.bottleneck_stage out of "
-                f"[0, {STAGE_COUNT}): {bottleneck}"
-            )
-        overlap = gauge(f"{prefix}.prof.overlap_efficiency")
-        if not 0 <= overlap < 1:
-            fail(f"{prefix}.prof.overlap_efficiency out of [0, 1): {overlap}")
-        if gauge(f"{prefix}.prof.windows") < 1:
-            fail(f"{prefix}.prof.windows: no profiled windows")
-
-        # Queueing-delay breakdown: five parts partition the mean latency.
-        parts = sum(
-            gauge(f"{prefix}.breakdown.{part}_ms")
-            for part in ("admission", "queue", "staging", "execution",
-                         "writeback")
-        )
-        total = gauge(f"{prefix}.breakdown.total_ms")
-        if total <= 0:
-            fail(f"{prefix}.breakdown.total_ms is not positive: {total}")
-        # The gauges round-trip through the JSON writer's 9-significant-digit
-        # formatting, so allow serialization rounding on the partition check.
-        if abs(parts - total) > max(1e-6, total * 1e-6):
-            fail(
-                f"{prefix}: breakdown parts sum {parts} != total {total}"
-            )
-        if gauge(f"{prefix}.breakdown.execution_ms") <= 0:
-            fail(f"{prefix}: execution breakdown share is not positive")
-
-        # No --slo spec was passed: the gauges exist but stay 0/0.
-        if gauge(f"{prefix}.slo.rules") != 0:
-            fail(f"{prefix}.slo.rules nonzero without an --slo spec")
-        if gauge(f"{prefix}.slo.violations") != 0:
-            fail(f"{prefix}.slo.violations nonzero without an --slo spec")
-
-    scaling = gauge(f"serve.scaling.devices{DEVICES}_vs_1")
-    if scaling <= 0:
-        fail(f"scaling gauge is not positive: {scaling}")
-
-    completed = gauge(f"serve.mixed.devices{DEVICES}.completed")
-    if completed != JOBS:
-        fail(f"pool scenario completed {completed} of {JOBS} jobs")
-
-    # bigkcache A/B over the reuse mix: the cache must actually engage and
-    # must strictly reduce the PCIe traffic against the no-cache run.
-    hit_rate = gauge("serve.cache.hit_rate")
-    if not 0 < hit_rate <= 1:
-        fail(f"serve.cache.hit_rate out of (0, 1]: {hit_rate}")
-    if gauge("serve.cache.hits") <= 0:
-        fail("serve.cache.hits is not positive")
-    if gauge("serve.cache.bytes_saved") <= 0:
-        fail("serve.cache.bytes_saved is not positive")
-    h2d_cache = gauge("serve.cache.h2d_bytes")
-    h2d_nocache = gauge("serve.nocache.h2d_bytes")
-    if not 0 < h2d_cache < h2d_nocache:
-        fail(
-            "cached reuse mix did not reduce H2D traffic: "
-            f"{h2d_cache} (cache) vs {h2d_nocache} (no cache)"
-        )
-
-    # bigkfault recovery: the device_lost injection must fire, every injected
-    # fault must be recovered, the device must round-trip through quarantine
-    # and reinstatement, and no job may fail because of the outage.
-    injected = gauge("serve.recover.fault.injected")
-    recovered = gauge("serve.recover.fault.recovered")
-    if injected <= 0:
-        fail(f"recover scenario injected no faults: {injected}")
-    if recovered != injected:
-        fail(
-            "recover scenario did not recover every injected fault: "
-            f"{recovered} recovered vs {injected} injected"
-        )
-    if gauge("serve.recover.failed_jobs") != 0:
-        fail(
-            "recover scenario shed jobs to the outage: "
-            f"{gauge('serve.recover.failed_jobs')} failed"
-        )
-    if gauge("serve.recover.completed") != JOBS:
-        fail(
-            f"recover scenario completed {gauge('serve.recover.completed')} "
-            f"of {JOBS} jobs"
-        )
-    if gauge("serve.recover.quarantines") < 1:
-        fail("recover scenario never quarantined the lost device")
-    if gauge("serve.recover.reinstatements") < 1:
-        fail("recover scenario never reinstated the lost device")
-    if gauge("serve.recover.redispatches") < 1:
-        fail("recover scenario never redispatched the in-flight job")
-
-    # bigkhetero spill-over: the single-device pool saturates under the batch
-    # burst, so jobs past the spill depth must run on the host cores — and
-    # every one of them must finish. Cold device + co-execution means zero
-    # dropped, zero failed.
-    spills = gauge("serve.spill.hetero.spills")
-    if spills <= 0:
-        fail(f"spill scenario never spilled: {spills}")
-    cpu_completed = gauge("serve.spill.hetero.cpu_completed")
-    if cpu_completed != spills:
-        fail(
-            "spill scenario lost spilled jobs: "
-            f"{cpu_completed} cpu-completed vs {spills} spilled"
-        )
-    if gauge("serve.spill.failed_jobs") != 0:
-        fail(
-            f"spill scenario failed jobs: {gauge('serve.spill.failed_jobs')}"
-        )
-    if gauge("serve.spill.dropped") != 0:
-        fail(f"spill scenario dropped jobs: {gauge('serve.spill.dropped')}")
-    if gauge("serve.spill.completed") != JOBS:
-        fail(
-            f"spill scenario completed {gauge('serve.spill.completed')} "
-            f"of {JOBS} jobs"
-        )
-
-    # bigkdur integrity: the bit-flip specs must actually fire, and with the
-    # integrity plane armed every injected flip must be detected — at the
-    # write-back digest check, on the next cache hit, or by the scrub daemon
-    # — and repaired without failing a single job.
-    flips = gauge("serve.dur.integrity.dur.injected")
-    detected = gauge("serve.dur.integrity.dur.detected")
-    if flips <= 0:
-        fail(f"dur/integrity scenario injected no bit flips: {flips}")
-    if detected != flips:
-        fail(
-            "dur/integrity scenario missed silent corruption: "
-            f"{detected} detected vs {flips} injected"
-        )
-    if gauge("serve.dur.integrity.dur.verified") <= 0:
-        fail("dur/integrity scenario performed no integrity verifications")
-    if gauge("serve.dur.integrity.dur.scrub_checked") <= 0:
-        fail("dur/integrity scenario never ran the cache scrub daemon")
-    if gauge("serve.dur.integrity.failed_jobs") != 0:
-        fail(
-            "dur/integrity scenario failed jobs under bit flips: "
-            f"{gauge('serve.dur.integrity.failed_jobs')}"
-        )
-    if gauge("serve.dur.integrity.completed") != JOBS:
-        fail(
-            "dur/integrity scenario completed "
-            f"{gauge('serve.dur.integrity.completed')} of {JOBS} jobs"
-        )
-
-    # bigkdur crash/restart A/B: identical crash, identical journal. The
-    # resume run (output storage survived) must resume jobs from their
-    # checkpoints without replaying a single journaled window; the restart
-    # run (storage lost, digests mismatch) must resume nothing and redo
-    # journaled work; and skipping that work must strictly pay off.
-    resumed = gauge("serve.dur.resume.dur.resumed")
-    if resumed <= 0:
-        fail(f"dur/resume scenario resumed no jobs: {resumed}")
-    if gauge("serve.dur.resume.dur.chunks_replayed") != 0:
-        fail(
-            "dur/resume scenario replayed journaled windows: "
-            f"{gauge('serve.dur.resume.dur.chunks_replayed')}"
-        )
-    if gauge("serve.dur.restart.dur.resumed") != 0:
-        fail(
-            "dur/restart scenario resumed despite lost output storage: "
-            f"{gauge('serve.dur.restart.dur.resumed')}"
-        )
-    replayed = gauge("serve.dur.restart.dur.chunks_replayed")
-    if replayed <= 0:
-        fail(f"dur/restart scenario replayed no windows: {replayed}")
-    for scenario in ("resume", "restart"):
-        if gauge(f"serve.dur.{scenario}.completed") != DUR_JOBS:
-            fail(
-                f"dur/{scenario} scenario completed "
-                f"{gauge(f'serve.dur.{scenario}.completed')} of "
-                f"{DUR_JOBS} jobs"
-            )
-        if gauge(f"serve.dur.{scenario}.failed_jobs") != 0:
-            fail(
-                f"dur/{scenario} scenario failed jobs: "
-                f"{gauge(f'serve.dur.{scenario}.failed_jobs')}"
-            )
-    speedup = gauge("serve.dur.resume_speedup")
-    if speedup <= 1:
-        fail(
-            "checkpoint resume did not beat restart-from-zero: "
-            f"speedup {speedup}"
-        )
 
     print(
-        f"check_serve_bench: OK: {len(results)} scenarios, "
-        f"{len(gauges)} gauges, scaling devices{DEVICES}_vs_1 = {scaling:.2f}, "
-        f"cache hit rate {hit_rate:.1%} "
-        f"(h2d {h2d_cache:.0f} vs {h2d_nocache:.0f} B), "
-        f"recover {recovered:.0f}/{injected:.0f} faults recovered, "
-        f"spill {spills:.0f} jobs to host cores ({cpu_completed:.0f} done), "
-        f"dur {detected:.0f}/{flips:.0f} flips detected, "
-        f"resume {resumed:.0f} jobs / {replayed:.0f} windows saved "
-        f"({speedup:.2f}x)"
+        f"check_serve_bench: OK: {len(results)} results, "
+        f"{len(counters)} counters entries"
     )
-
-
-def check_serve_load(binary):
-    document, gauges, counters = run_bench(
-        binary,
-        "serve_load",
-        [
-            "--devices",
-            str(DEVICES),
-            "--jobs",
-            str(LOAD_JOBS),
-            "--offered-load",
-            ",".join(str(m / 100) for m in LOAD_MULTIPLIERS),
-        ],
-    )
-    expected = ["load/calibrate", "load/balanced/wfq", "load/autoscale",
-                "load/closed"]
-    for pct in LOAD_MULTIPLIERS:
-        expected.append(f"load/sweep/x{pct}/fifo")
-        expected.append(f"load/sweep/x{pct}/wfq")
-    results = result_names(document, expected)
-    gauge = make_lookup("gauge", gauges)
-    counter = make_lookup("counter", counters)
-
-    if gauge("load.capacity_jobs_per_s") <= 0:
-        fail("calibrated capacity is not positive")
-
-    # Schema: every load prefix carries the QoS plane plus the JobQueue
-    # admission instrumentation.
-    prefixes = ["load.calibrate", "load.balanced", "load.autoscale",
-                "load.closed"]
-    for pct in LOAD_MULTIPLIERS:
-        prefixes.append(f"load.sweep.x{pct}.fifo")
-        prefixes.append(f"load.sweep.x{pct}.wfq")
-    for prefix in prefixes:
-        for suffix in [
-            "load.offered_jobs_per_s",
-            "load.goodput_jobs_per_s",
-            "load.slo_attained",
-            "fairness.jain",
-            "autoscaler.scale_ups",
-            "autoscaler.scale_downs",
-            "autoscaler.min_active",
-            "autoscaler.max_active",
-            "autoscaler.final_active",
-            "rejections.tenant_quota",
-        ]:
-            gauge(f"{prefix}.{suffix}")
-        check_queue_instrumentation(prefix, gauge, counter)
-        jain = gauge(f"{prefix}.fairness.jain")
-        if not 0 <= jain <= 1:
-            fail(f"{prefix}.fairness.jain out of [0, 1]: {jain}")
-
-    # Per-tenant gauges on the sweep points (the lc/batch default mix).
-    for pct in LOAD_MULTIPLIERS:
-        for discipline in ("fifo", "wfq"):
-            prefix = f"load.sweep.x{pct}.{discipline}"
-            for tenant in ("lc", "batch"):
-                for suffix in ("weight", "submitted", "completed", "shed",
-                               "goodput_jobs_per_s", "attainment", "p99_ms"):
-                    gauge(f"{prefix}.tenant.{tenant}.{suffix}")
-            attainment = gauge(f"{prefix}.tenant.lc.attainment")
-            if not 0 <= attainment <= 1:
-                fail(f"{prefix}.tenant.lc.attainment out of [0, 1]: "
-                     f"{attainment}")
-
-    # The QoS headline: past saturation (both points above 100% offered
-    # load), WFQ must strictly beat FIFO on the latency-critical tenant's
-    # SLO attainment.
-    for pct in (150, 250):
-        fifo = gauge(f"load.sweep.x{pct}.fifo.tenant.lc.attainment")
-        wfq = gauge(f"load.sweep.x{pct}.wfq.tenant.lc.attainment")
-        if not wfq > fifo:
-            fail(
-                f"x{pct}: WFQ does not protect the LC tenant past "
-                f"saturation: attainment {wfq} (wfq) vs {fifo} (fifo)"
-            )
-
-    # Fairness: four equal tenants at 1.5x capacity stay near-even.
-    balanced_jain = gauge("load.balanced.fairness.jain")
-    if balanced_jain < 0.9:
-        fail(f"balanced mix Jain index below 0.9: {balanced_jain}")
-
-    # The autoscaler must react to the seeded MMPP burst.
-    scale_ups = gauge("load.autoscale.autoscaler.scale_ups")
-    min_active = gauge("load.autoscale.autoscaler.min_active")
-    max_active = gauge("load.autoscale.autoscaler.max_active")
-    if scale_ups < 1:
-        fail(f"autoscale scenario never scaled up: {scale_ups}")
-    if not max_active > min_active:
-        fail(
-            "autoscale scenario never grew the active set: "
-            f"max_active {max_active} vs min_active {min_active}"
-        )
-
-    print(
-        f"check_serve_bench: OK (load): {len(results)} scenarios, "
-        f"capacity {gauge('load.capacity_jobs_per_s'):.0f} jobs/s, "
-        "lc attainment wfq vs fifo "
-        + " ".join(
-            f"x{pct}:{gauge(f'load.sweep.x{pct}.wfq.tenant.lc.attainment'):.2f}"
-            f"/{gauge(f'load.sweep.x{pct}.fifo.tenant.lc.attainment'):.2f}"
-            for pct in (150, 250)
-        )
-        + f", balanced jain {balanced_jain:.3f}, "
-        f"{scale_ups:.0f} scale-ups"
-    )
-
-
-def main():
-    if len(sys.argv) not in (2, 3):
-        fail(
-            f"usage: {sys.argv[0]} <serve_throughput binary> "
-            "[<serve_load binary>]"
-        )
-    binary = Path(sys.argv[1]).resolve()
-    if not binary.exists():
-        fail(f"binary not found: {binary}")
-    check_serve_throughput(binary)
-    if len(sys.argv) == 3:
-        load_binary = Path(sys.argv[2]).resolve()
-        if not load_binary.exists():
-            fail(f"binary not found: {load_binary}")
-        check_serve_load(load_binary)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@
 # With no arguments lint, plain and asan-ubsan run. plain builds with
 # -Werror; asan-ubsan does not, since GCC's sanitizer builds warn in code
 # that is otherwise warning-free, but it compiles without NDEBUG, so its
-# asserts run. Each build preset's ctest
-# already covers the fault, durability, load and hetero suites, the
-# bench_prof_gate perf gate and the check_serve_bench_schema bench smoke;
-# plain also builds benchmark/ and runs its bigkbench_smoke.
+# asserts run. Each build preset's ctest already covers the fault,
+# durability, load and hetero suites, the bench_fig4a_gate and
+# bench_serve_gate perf gates, and the serve contracts: one ctest per
+# serve_throughput or serve_load scenario or contract pair, so the
+# sanitized build runs the serve_load ones too. plain also builds
+# benchmark/ and runs its bigkbench_smoke.
 # Set BIGK_CI_JOBS to override the parallelism (defaults to nproc).
 set -euo pipefail
 

@@ -754,7 +754,7 @@ sim::Task<RunEnd> run_windows(ServerState& st, Job& job, RunWindow run_window) {
     if (st.crashed) co_return RunEnd::kCrashed;
     const std::uint64_t we = std::min(wb + window, total);
     // Unrecovered faults surface here; anything else — checker violations
-    // included — still propagates out of run_server.
+    // included — ends the run and propagates out of run_server.
     RunEnd fault = RunEnd::kCompleted;
     try {
       co_await run_window(wb, we);
@@ -953,6 +953,19 @@ void autoscaler_tick(ServerState& st) {
   }
 }
 
+/// Runs a worker. An error that escapes it (a checker violation, or a job
+/// error that is no fault::FaultError) ends the run: shutdown stops the
+/// daemons, the event queue drains, and run_server rethrows the error
+/// instead of waiting for a job that never settles.
+sim::Task<> stop_on_error(ServerState& st, sim::Task<> worker) {
+  try {
+    co_await std::move(worker);
+  } catch (...) {
+    st.shutdown = true;
+    throw;
+  }
+}
+
 sim::Task<> serve_main(ServerState& st) {
   // One chain client per JobSpec::client in closed loop, one per job in open
   // loop; spec order is preserved inside each chain, and std::map keys make
@@ -970,11 +983,11 @@ sim::Task<> serve_main(ServerState& st) {
   std::vector<sim::Process> workers;
   workers.reserve(st.pool.size());
   for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-    workers.push_back(st.sim.spawn(device_worker(st, d)));
+    workers.push_back(st.sim.spawn(stop_on_error(st, device_worker(st, d))));
   }
   sim::Process spill_worker;
   if (st.cpu_dispatch != nullptr) {
-    spill_worker = st.sim.spawn(cpu_worker(st));
+    spill_worker = st.sim.spawn(stop_on_error(st, cpu_worker(st)));
   }
   // The spawn order decides ties between daemon events at one instant.
   std::vector<sim::Process> daemons;
@@ -1061,20 +1074,18 @@ ServeReport run_server(const ServerConfig& config,
     }
     job.done = std::make_unique<sim::Flag>(state.sim);
     const apps::BenchApp& app = apps::find_app(suite, spec.app);
-    if (config.require_verified) {
-      // bigkstatic gate: refuse kernels the static verifier rejects, naming
-      // the first violation so the submitter can find the offending line.
-      const verify::KernelReport& verdict = apps::static_verdict(app);
-      if (!verdict.passed) {
-        const std::string reason =
-            verdict.violations.empty()
-                ? std::string("static verification failed")
-                : verify::violation_line(verdict.violations.front());
-        throw std::invalid_argument("app \"" + spec.app +
-                                    "\" refused admission: " + reason);
-      }
-      job.static_signature = verdict.pattern_signature;
+    // bigkstatic gate: refuse kernels the static verifier rejects, naming
+    // the first violation so the submitter can find the offending line.
+    const verify::KernelReport& verdict = apps::static_verdict(app);
+    if (!verdict.passed) {
+      const std::string reason =
+          verdict.violations.empty()
+              ? std::string("static verification failed")
+              : verify::violation_line(verdict.violations.front());
+      throw std::invalid_argument("app \"" + spec.app +
+                                  "\" refused admission: " + reason);
     }
+    job.static_signature = verdict.pattern_signature;
     job.runner = app.make_runner();
     job.record.input_bytes = job.runner->input_bytes();
     state.jobs.push_back(std::move(job));

@@ -74,13 +74,6 @@ struct ServerConfig {
   /// When enabled, each job runs under a fresh check::Sanitizer installed on
   /// its device; a violation throws check::CheckError out of run_server.
   check::CheckOptions check;
-  /// bigkstatic: admission gate — every submitted app's kernel must pass the
-  /// static contract verifier (apps::static_verdict) before any of its jobs
-  /// is admitted; a failing or unverified app makes run_server throw
-  /// std::invalid_argument naming the first violation. The app's verified
-  /// pattern signature is then mixed into its chunk-cache keys. Disable only
-  /// for experiments with deliberately non-conforming kernels.
-  bool require_verified = true;
 
   // --- bigkfault ---------------------------------------------------------
   /// Fault specs (fault::FaultSpec::parse grammar, ';'-separated) installed
@@ -314,6 +307,12 @@ struct ServeReport : Outcome {
 
 /// Runs `specs` against a fresh DevicePool built from `config`, resolving
 /// app names through `suite` (see apps::benchmark_apps / apps::find_app).
+/// bigkstatic admission gate: every submitted app's kernel must pass the
+/// static contract verifier (apps::static_verdict) before any of its jobs
+/// is admitted; a failing or unverified app makes run_server throw
+/// std::invalid_argument naming the first violation, and a verified app's
+/// pattern signature is mixed into its chunk-cache keys. An error a job
+/// raises that is no fault::FaultError ends the run and propagates out.
 ServeReport run_server(const ServerConfig& config,
                        const std::vector<JobSpec>& specs,
                        const std::vector<apps::BenchApp>& suite);

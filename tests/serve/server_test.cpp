@@ -228,6 +228,22 @@ TEST(ServeServerTest, RunsCleanUnderCheckersWithTwoDevices) {
   EXPECT_EQ(report.completed, 6u);
 }
 
+TEST(ServeServerTest, JobErrorEndsTheRunWithThatError) {
+  // skip_data_ready_wait lets the kernel read chunks before they land, so
+  // the toy runner's result check throws a std::logic_error: no fault, so
+  // nothing recovers it. The run must end with that error, although the
+  // fault plane's probe daemon would otherwise re-arm forever.
+  const auto suite = make_toy_suite(1, 2'000);
+  ServerConfig config = toy_server(1, Policy::kRoundRobin, 8);
+  config.fault_spec = "skip_data_ready_wait";
+  try {
+    run_server(config, toy_workload(2, 1), suite);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "toy app result mismatch at record 0");
+  }
+}
+
 TEST(ServeServerTest, UnknownAppNameThrowsWithValidNames) {
   const auto suite = make_toy_suite(2, 1'000);
   std::vector<JobSpec> specs(1);
