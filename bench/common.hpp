@@ -18,57 +18,9 @@
 // past 64 bits) stops the binary with exit status 1 and an error naming the
 // flag.
 //
-// Command-line knobs (stripped before google-benchmark sees argv):
-//   --metrics-json=<file>  write every RunMetrics plus the telemetry
-//                          counters as one JSON document after the run
-//                          (scripts/bench_compare.py gates its results)
-//   --trace-out=<file>     record a unified Chrome-tracing/Perfetto
-//                          timeline across all benchmark runs
-//   --check                run every scheme under the bigkcheck sanitizers
-//                          (memcheck + racecheck + pipecheck); any violation
-//                          aborts the run with a diagnostic. Equivalent to
-//                          BIGK_CHECK=1.
-//   --devices <N>          serving-layer benches: size of the device pool
-//                          (independent GPUs behind one shared host CPU)
-//   --jobs <N>             serving-layer benches: jobs in the workload mix
-//   --policy <name>        serving-layer scheduling policy: round-robin,
-//                          least-bytes (default), or app-affinity
-//   --cache                serving-layer benches: give every device a
-//                          bigkcache chunk cache + pinned assembly pool
-//   --cache-bytes <N>      cache partition per device in bytes (implies
-//                          --cache; default: a quarter of the device arena)
-//   --fault <spec>         install a bigkfault injection plane
-//                          (fault::FaultSpec::parse grammar, ';'-separated)
-//                          on every BigKernel scheme run; serving-layer
-//                          benches install it on every scenario's device
-//                          pool instead.
-//   --fault-seed <N>       seed for the fault plane's probability triggers
-//                          (default 1)
-//   --prof-window <us>     bigkprof: attach a windowed bottleneck profiler
-//                          (window in simulated microseconds) to every
-//                          BigKernel run; serving benches pass it through
-//                          ServerConfig::prof_window instead
-//   --slo <rules>          serving benches: ';'-separated SLO rules
-//                          ("p99_ms <= 5; utilization >= 0.2", see
-//                          obs::prof::parse_slo_rules) evaluated once per
-//                          profiling window
-//   --arrival <spec>       bigkload benches: arrival-process spec
-//                          (load::ArrivalSpec::parse grammar, e.g.
-//                          "poisson,rate=20000,seed=7" or "mmpp,rate=...")
-//   --tenants <spec>       bigkload benches: ';'-separated tenant specs
-//                          (load::parse_tenants grammar, e.g.
-//                          "lc:class=lc,weight=8,share=0.25;bg:weight=1")
-//   --duration <us>        bigkload benches: generated-workload window in
-//                          simulated microseconds
-//   --offered-load <list>  bigkload benches: comma-separated offered-load
-//                          multipliers for the sweep scenarios (fractions of
-//                          the calibrated pool capacity, e.g. "0.5,1.5,2.5")
-//   --cpu-ratio <r>        bigkhetero benches: CPU share of each chunk
-//                          window in [0, 1] (0 = GPU only, 1 = CPU only).
-//                          Malformed or out-of-range values are rejected
-//                          with an error, never silently clamped.
-// Each flag accepts both "--flag=value" and "--flag value". `--help` prints
-// this list before google-benchmark's own help.
+// Command-line flags are stripped before google-benchmark sees argv;
+// Harness::print_harness_help() is their one list (`--help` prints it before
+// google-benchmark's own help).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -296,10 +248,6 @@ class Harness {
     return write_outputs() ? 0 : 1;
   }
 
-  const std::string& metrics_path() const noexcept { return metrics_path_; }
-  const std::string& trace_path() const noexcept { return trace_path_; }
-
-  bool check_requested() const noexcept { return check_requested_; }
   // bigkhetero knob (--cpu-ratio); default matches hetero::Options.
   double cpu_ratio() const noexcept { return cpu_ratio_; }
   bool cpu_ratio_set() const noexcept { return cpu_ratio_set_; }
@@ -441,8 +389,11 @@ class Harness {
     std::printf(
         "bigk harness flags (in addition to google-benchmark's):\n"
         "  --metrics-json=<file>  write results + telemetry counters as JSON\n"
+        "                         (scripts/bench_compare.py gates its results)\n"
         "  --trace-out=<file>     write a Chrome-tracing/Perfetto timeline\n"
         "  --check                run under the bigkcheck sanitizers\n"
+        "                         (memcheck + racecheck + pipecheck), as\n"
+        "                         BIGK_CHECK=1 does\n"
         "  --devices <N>          serving benches: device-pool size\n"
         "  --jobs <N>             serving benches: jobs in the workload\n"
         "  --policy <name>        serving benches: round-robin, least-bytes\n"
@@ -451,11 +402,14 @@ class Harness {
         "                         cache + pinned assembly pool\n"
         "  --cache-bytes <N>      cache partition bytes per device (implies\n"
         "                         --cache; default: arena / 4)\n"
-        "  --fault <spec>         serving benches: fault spec(s) for the\n"
-        "                         device pool (e.g. dma_error,nth=3)\n"
+        "  --fault <spec>         fault spec(s) for every BigKernel scheme\n"
+        "                         run; serving benches give each scenario's\n"
+        "                         device pool its own plane\n"
+        "                         (e.g. dma_error,nth=3)\n"
         "  --fault-seed <N>       fault-plane seed (default 1)\n"
         "  --prof-window <us>     bigkprof attribution window in simulated\n"
-        "                         microseconds (0 = run-level only)\n"
+        "                         microseconds; serving benches pass it as\n"
+        "                         ServerConfig::prof_window\n"
         "  --slo <rules>          serving benches: ';'-separated SLO rules,\n"
         "                         e.g. \"p99_ms <= 5; utilization >= 0.2\"\n"
         "  --arrival <spec>       bigkload: arrival process, e.g.\n"

@@ -137,37 +137,6 @@ class ScenarioTable {
   std::vector<Entry> entries_;
 };
 
-/// bigkdur crash/restart support: a JobRunner that forwards to a shared
-/// persistent runner. The serve layer builds a fresh runner per job, so the
-/// only way output storage (and therefore journal digests) can survive a
-/// simulated server crash is for the suite's make_runner to hand out views
-/// of runners owned outside the server's lifetime.
-class SharedJobRunner final : public apps::JobRunner {
- public:
-  explicit SharedJobRunner(std::shared_ptr<apps::JobRunner> inner)
-      : inner_(std::move(inner)) {}
-
-  const std::string& app_name() const noexcept override {
-    return inner_->app_name();
-  }
-  std::uint64_t num_records() const override { return inner_->num_records(); }
-  std::uint64_t input_bytes() const override { return inner_->input_bytes(); }
-  sim::Task<> run(cusim::Runtime& runtime,
-                  const apps::JobRunConfig& cfg) override {
-    return inner_->run(runtime, cfg);
-  }
-  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
-                      const apps::CpuJobConfig& cfg) override {
-    return inner_->run_cpu(cpu, cfg);
-  }
-  std::uint64_t output_digest(std::uint64_t records_done) override {
-    return inner_->output_digest(records_done);
-  }
-
- private:
-  std::shared_ptr<apps::JobRunner> inner_;
-};
-
 /// serve_throughput's headline numbers, over the scenarios that ran.
 struct ThroughputHeadlines {
   /// Pool vs single-device job throughput on the mixed workload.
@@ -447,7 +416,7 @@ class ThroughputScenarios : public ScenarioTable<> {
       std::shared_ptr<apps::JobRunner> runner = kmeans.make_runner();
       records = runner->num_records();
       durable.make_runner = [runner]() -> std::unique_ptr<apps::JobRunner> {
-        return std::make_unique<SharedJobRunner>(runner);
+        return std::make_unique<apps::SharedJobRunner>(runner);
       };
       dur_.durable_suite.push_back(std::move(durable));
       dur_.fresh_suite.push_back(std::move(fresh));

@@ -8,6 +8,9 @@ baseline:
 
   * total_ms / per-stage stage_busy_ms: current may not exceed baseline by
     more than --tolerance (default 2%),
+  * latency_p50_ms / latency_p99_ms (serve results, read from the
+    document's `<result name with '/' -> '.'>.latency_*_ms` gauges; fig4a
+    results have none): one-sided at --tolerance like total_ms,
   * bottleneck_stage: must match the baseline exactly (a flipped limiting
     stage is an attribution regression even when the total holds),
   * overlap_efficiency: may not drop more than --overlap-drop (default 0.02)
@@ -68,14 +71,22 @@ def load_document(path):
     return document
 
 
+LATENCIES = ("latency_p50_ms", "latency_p99_ms")
+
+
 def entries_from_metrics(path):
     """The gated fields of every result in a --metrics-json document, as a
     baseline-schema document."""
     metrics = read_json(path)
+    gauges = {
+        counter["name"]: counter["value"]
+        for counter in metrics.get("counters", [])
+        if counter.get("type") == "gauge"
+    }
     entries = {}
     for result in metrics.get("results", []):
         run = result["metrics"]
-        entries[result["name"]] = {
+        entry = {
             "total_ms": run["total_ms"],
             "bottleneck_stage": run["prof"]["bottleneck_stage"],
             "overlap_efficiency": run["prof"]["overlap_efficiency"],
@@ -84,6 +95,11 @@ def entries_from_metrics(path):
             "d2h_bytes": run["d2h_bytes"],
             "chunks": run["engine"]["chunks"],
         }
+        prefix = result["name"].replace("/", ".")
+        for metric in LATENCIES:
+            if f"{prefix}.{metric}" in gauges:
+                entry[metric] = gauges[f"{prefix}.{metric}"]
+        entries[result["name"]] = entry
     if not entries:
         fail(f'{path}: "results" is empty')
     return {
@@ -135,13 +151,17 @@ def compare_entry(key, base, cur, args, problems):
 
     # Timing: one-sided (slower than baseline + tolerance fails; faster is an
     # improvement, never a failure).
-    limit = base["total_ms"] * (1.0 + args.tolerance)
-    if cur["total_ms"] > limit:
-        record(
-            "total_ms",
-            f"{cur['total_ms']:.6f} exceeds baseline "
-            f"{base['total_ms']:.6f} by more than {args.tolerance:.1%}",
-        )
+    # Only serve entries carry the latency percentiles.
+    for metric in ["total_ms"] + [m for m in LATENCIES if m in base]:
+        if metric not in cur:
+            record(metric, "missing from current")
+            continue
+        if cur[metric] > base[metric] * (1.0 + args.tolerance):
+            record(
+                metric,
+                f"{cur[metric]:.6f} exceeds baseline "
+                f"{base[metric]:.6f} by more than {args.tolerance:.1%}",
+            )
     for stage, base_ms in base.get("stage_busy_ms", {}).items():
         cur_ms = cur.get("stage_busy_ms", {}).get(stage)
         if cur_ms is None:
@@ -200,8 +220,9 @@ def main():
     parser.add_argument("--bench-args", nargs=argparse.REMAINDER, default=[],
                         help="extra arguments forwarded to --bench")
     parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="relative slowdown allowed on total_ms and "
-                             "stage_busy_ms (default 0.02)")
+                        help="relative slowdown allowed on total_ms, "
+                             "stage_busy_ms and the serve latency "
+                             "percentiles (default 0.02)")
     parser.add_argument("--overlap-drop", type=float, default=0.02,
                         help="absolute overlap_efficiency drop allowed "
                              "(default 0.02)")
@@ -269,7 +290,7 @@ def main():
         sys.exit(1)
     print(
         f"bench_compare: OK: {compared} entries within tolerance "
-        f"(total_ms/stage +{args.tolerance:.1%}, bytes "
+        f"(total_ms/stage/latency +{args.tolerance:.1%}, bytes "
         f"+/-{args.bytes_tolerance:.2%}, overlap -{args.overlap_drop})"
     )
 

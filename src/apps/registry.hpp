@@ -90,6 +90,36 @@ class JobRunner {
   }
 };
 
+/// bigkdur crash/restart support: a JobRunner that forwards to a runner
+/// owned outside the server. The serving layer builds a fresh runner per
+/// job, so a suite whose make_runner hands out these views keeps each app's
+/// output storage (and so the journal's digests) alive across a simulated
+/// server crash.
+class SharedJobRunner final : public JobRunner {
+ public:
+  explicit SharedJobRunner(std::shared_ptr<JobRunner> inner)
+      : inner_(std::move(inner)) {}
+
+  const std::string& app_name() const noexcept override {
+    return inner_->app_name();
+  }
+  std::uint64_t num_records() const override { return inner_->num_records(); }
+  std::uint64_t input_bytes() const override { return inner_->input_bytes(); }
+  sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) override {
+    return inner_->run(runtime, cfg);
+  }
+  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
+                      const CpuJobConfig& cfg) override {
+    return inner_->run_cpu(cpu, cfg);
+  }
+  std::uint64_t output_digest(std::uint64_t records_done) override {
+    return inner_->output_digest(records_done);
+  }
+
+ private:
+  std::shared_ptr<JobRunner> inner_;
+};
+
 /// JobRunner over one concrete app type: run() is schemes::launch_app
 /// against a caller-provided device of a pool, run_cpu() the CPU fan-out.
 template <class App>

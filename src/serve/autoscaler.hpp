@@ -1,10 +1,10 @@
 // Pool autoscaler: grows and shrinks the set of *active* devices from two
 // load signals sampled once per decision period — the average admission-queue
-// depth over the period and the windowed p99 latency. Pure decision logic
-// (no clock, no device handles): the server's autoscaler daemon feeds it the
-// signals and applies the returned step to the scheduler's active axis,
-// which is orthogonal to the health axis (a quarantined device stays
-// unplaceable whether or not it is active).
+// depth over the period and the p99 latency of the jobs that finished in it.
+// Pure decision logic (no clock, no device handles): the server's autoscaler
+// daemon feeds it the signals and applies the returned step to the
+// scheduler's active axis, which is orthogonal to the health axis (a
+// quarantined device stays unplaceable whether or not it is active).
 //
 // The policy is deliberately simple and hysteretic:
 //   grow   when avg depth >= up_queue_depth * active, or p99 exceeds

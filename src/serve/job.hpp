@@ -121,8 +121,8 @@ struct Outcome {
   std::uint64_t deadline_misses = 0;
   /// Deadline-met completions (jobs without a deadline count as attained).
   std::uint64_t slo_attained = 0;
-  /// Streaming-sketch (P²) percentiles over completed-job latencies,
-  /// clamped monotone (p50 <= p95 <= p99).
+  /// Nearest-rank percentiles of the completed jobs' latencies: each is one
+  /// of those latencies.
   sim::DurationPs latency_p50 = 0;
   sim::DurationPs latency_p95 = 0;
   sim::DurationPs latency_p99 = 0;

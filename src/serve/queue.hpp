@@ -5,16 +5,14 @@
 // standard admission-control discipline for latency-SLO serving.
 //
 // bigkfault hardening: the hint escalates per client. A client's consecutive
-// rejections double its retry-after (base, 2x, 4x, ...) up to a cap, with an
-// optional deterministic jitter drawn from a seeded splitmix64 hash of
-// (client, streak) so synchronized clients fan out instead of re-colliding —
-// the classic thundering-herd fix, reproduced bit-for-bit on every run. An
+// rejections double its retry-after (base, 2x, 4x) up to 8x the base, and an
 // acceptance resets the client's streak. Rejections are also broken down by
 // cause (queue full / no available device / tenant over quota) for the
 // shedding reports, and attach_metrics() publishes the live depth and the
 // per-cause breakdown straight into a MetricsRegistry.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -23,7 +21,6 @@
 #include <string>
 
 #include "obs/metrics_registry.hpp"
-#include "sim/hash.hpp"
 #include "sim/time.hpp"
 
 namespace bigk::serve {
@@ -51,18 +48,9 @@ inline const char* reject_cause_name(RejectCause cause) {
 
 class JobQueue {
  public:
-  struct Config {
-    std::uint32_t max_depth = 16;
-    /// Hint for a client's first rejection; doubles per consecutive
-    /// rejection of the same client.
-    sim::DurationPs retry_after = sim::DurationPs{1'000'000'000};  // 1 ms
-    /// Escalation ceiling. 0 = 8x retry_after; equal to retry_after
-    /// disables escalation (every hint is the base).
-    sim::DurationPs max_retry_after = 0;
-    /// Seed for the deterministic per-(client, streak) jitter in
-    /// [0, hint/4]; 0 = no jitter.
-    std::uint64_t jitter_seed = 0;
-  };
+  /// Times a client's hint doubles before it stops growing: the cap is 8x
+  /// the base.
+  static constexpr std::uint32_t kMaxDoublings = 3;
 
   struct Admission {
     bool accepted = false;
@@ -71,19 +59,14 @@ class JobQueue {
     RejectCause cause = RejectCause::kQueueFull;
   };
 
-  explicit JobQueue(Config config) : config_(config) {
-    if (config_.max_depth == 0) {
+  /// `retry_after` is the hint for a client's first rejection; it doubles
+  /// per consecutive rejection of the same client.
+  JobQueue(std::uint32_t max_depth, sim::DurationPs retry_after)
+      : max_depth_(max_depth), retry_after_(retry_after) {
+    if (max_depth_ == 0) {
       throw std::invalid_argument("JobQueue depth must be > 0");
     }
-    if (config_.max_retry_after == 0) {
-      config_.max_retry_after = 8 * config_.retry_after;
-    }
   }
-
-  /// Constant-hint queue (no escalation, no jitter): every rejection returns
-  /// `retry_after` verbatim.
-  JobQueue(std::uint32_t max_depth, sim::DurationPs retry_after)
-      : JobQueue(Config{max_depth, retry_after, retry_after, 0}) {}
 
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
@@ -92,7 +75,7 @@ class JobQueue {
   /// hint. `client` keys the escalation streak (the server passes the job
   /// id); acceptance resets it.
   Admission try_admit(std::uint64_t client = 0) {
-    if (outstanding_ >= config_.max_depth) {
+    if (outstanding_ >= max_depth_) {
       return Admission{false, reject(RejectCause::kQueueFull, client),
                        RejectCause::kQueueFull};
     }
@@ -117,17 +100,8 @@ class JobQueue {
       reject_counters_[static_cast<std::size_t>(cause)]->add(1);
     }
     std::uint32_t& streak = streaks_[client];
-    sim::DurationPs hint = config_.retry_after;
-    for (std::uint32_t i = 0; i < streak && hint < config_.max_retry_after;
-         ++i) {
-      hint *= 2;
-    }
-    if (hint > config_.max_retry_after) hint = config_.max_retry_after;
-    if (config_.jitter_seed != 0) {
-      hint += sim::splitmix64(config_.jitter_seed ^
-                              (client * sim::kSplitMixGamma) ^ streak) %
-              (hint / 4 + 1);
-    }
+    const sim::DurationPs hint = retry_after_
+                                 << std::min(streak, kMaxDoublings);
     ++streak;
     return hint;
   }
@@ -161,14 +135,14 @@ class JobQueue {
   }
 
   /// bigkprof: called with the new outstanding depth on every admit and
-  /// release, so windowed telemetry can sample queue depth at the exact
+  /// release, so the telemetry daemons can sample queue depth at the exact
   /// transition instants instead of polling. Empty function detaches.
   void set_depth_observer(std::function<void(std::uint32_t)> observer) {
     depth_observer_ = std::move(observer);
   }
 
   std::uint32_t outstanding() const noexcept { return outstanding_; }
-  std::uint32_t max_depth() const noexcept { return config_.max_depth; }
+  std::uint32_t max_depth() const noexcept { return max_depth_; }
   std::uint32_t peak_depth() const noexcept { return peak_depth_; }
   std::uint64_t admitted() const noexcept { return admitted_; }
   /// Total rejections issued (one job may be rejected several times).
@@ -178,7 +152,8 @@ class JobQueue {
   }
 
  private:
-  Config config_;
+  std::uint32_t max_depth_;
+  sim::DurationPs retry_after_;
   std::uint32_t outstanding_ = 0;
   std::uint32_t peak_depth_ = 0;
   std::uint64_t admitted_ = 0;

@@ -22,9 +22,7 @@
 #include "dur/journal.hpp"
 #include "fault/fault.hpp"
 #include "obs/prof/attribution.hpp"
-#include "obs/prof/quantile.hpp"
 #include "obs/prof/slo.hpp"
-#include "obs/prof/windowed.hpp"
 #include "serve/health.hpp"
 #include "sim/hash.hpp"
 #include "sim/simulation.hpp"
@@ -35,30 +33,31 @@ namespace bigk::serve {
 namespace {
 
 double to_ms(sim::DurationPs ps) { return static_cast<double>(ps) / 1e9; }
-sim::DurationPs ms_to_ps(double ms) {
-  return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
+
+/// Nearest-rank p50, p95 and p99 of `latencies` (all zero when it is empty):
+/// the p-th percentile is the smallest latency with at least p% of them at
+/// or below it, so each is some job's actual latency.
+std::array<sim::DurationPs, 3> percentiles(
+    std::vector<sim::DurationPs> latencies) {
+  if (latencies.empty()) return {};
+  std::sort(latencies.begin(), latencies.end());
+  const auto rank = [&](std::size_t percent) {
+    return latencies[(percent * latencies.size() + 99) / 100 - 1];
+  };
+  return {rank(50), rank(95), rank(99)};
 }
 
-/// p50, p95 and p99 of a non-empty P² sketch, clamped so p50 <= p95 <= p99:
-/// the sketch estimates each quantile in its own independent cells.
-std::array<double, 3> percentiles(const obs::prof::QuantileSketch& sketch) {
-  const double p50 = sketch.quantile(0.50);
-  const double p95 = std::max(p50, sketch.quantile(0.95));
-  return {p50, p95, std::max(p95, sketch.quantile(0.99))};
-}
-
-/// The Outcome of `records` over `makespan`. The P² sketch depends on
-/// observation order, so completed latencies feed it in the order given.
+/// The Outcome of `records` over `makespan`.
 Outcome summarize(const std::vector<const JobRecord*>& records,
                   sim::TimePs makespan) {
   Outcome out;
-  obs::prof::QuantileSketch sketch;
+  std::vector<sim::DurationPs> latencies;
   for (const JobRecord* record : records) {
     ++out.submitted;
     out.rejections += record->rejections;
     if (record->completed) {
       ++out.completed;
-      sketch.observe(to_ms(record->latency()));
+      latencies.push_back(record->latency());
       // deadline_met stays true for a job without a deadline.
       if (record->deadline_met) {
         ++out.slo_attained;
@@ -71,12 +70,10 @@ Outcome summarize(const std::vector<const JobRecord*>& records,
       ++out.dropped;
     }
   }
-  if (sketch.count() > 0) {
-    const auto [p50, p95, p99] = percentiles(sketch);
-    out.latency_p50 = ms_to_ps(p50);
-    out.latency_p95 = ms_to_ps(p95);
-    out.latency_p99 = ms_to_ps(p99);
-  }
+  const auto [p50, p95, p99] = percentiles(std::move(latencies));
+  out.latency_p50 = p50;
+  out.latency_p95 = p95;
+  out.latency_p99 = p99;
   const double makespan_s = static_cast<double>(makespan) * 1e-12;
   if (makespan_s > 0) {
     out.throughput_jobs_per_s = static_cast<double>(out.completed) / makespan_s;
@@ -89,11 +86,6 @@ Outcome summarize(const std::vector<const JobRecord*>& records,
   return out;
 }
 
-/// Ceiling of the admission queue's escalating retry-after hint (0 = 8x
-/// ServerConfig::retry_after).
-constexpr sim::DurationPs kRetryAfterCap = 0;
-/// Seed of the admission queue's retry-after jitter (0 = no jitter).
-constexpr std::uint64_t kRetryJitterSeed = 0;
 /// Consecutive job failures on one device before it is quarantined; a
 /// device-lost failure quarantines immediately.
 constexpr std::uint32_t kQuarantineAfter = 2;
@@ -148,6 +140,14 @@ struct Job {
   std::uint32_t tenant = 0;
 };
 
+/// Where a periodic daemon's previous tick left off in the jobs that
+/// finished and in the queue-depth samples.
+struct TickCursor {
+  std::size_t finished = 0;
+  std::uint64_t depth_sum = 0;
+  std::uint64_t depth_samples = 0;
+};
+
 struct ServerState {
   const ServerConfig& config;
   sim::Simulation sim;
@@ -165,6 +165,10 @@ struct ServerState {
   std::vector<Job> jobs;
   /// Completed jobs in the order they finished.
   std::vector<const Job*> finished;
+  /// Running sum and count of the admission-queue depths sampled at every
+  /// admit and release.
+  std::uint64_t depth_sum = 0;
+  std::uint64_t depth_samples = 0;
   /// bigkcache: one chunk cache + pinned pool per device (empty when the
   /// cache is disabled). Shared by every job dispatched to that device.
   std::vector<std::unique_ptr<cache::ChunkCache>> caches;
@@ -187,18 +191,11 @@ struct ServerState {
   /// One bottleneck profiler per device, set once on the device's runtime;
   /// every engine launch on the device feeds it.
   std::vector<std::unique_ptr<obs::prof::StageProfiler>> profilers;
-  /// P² latency sketch over completed-job latencies in ms, fed as jobs
-  /// finish: the SLO monitor's live p50/p95/p99.
-  obs::prof::QuantileSketch latency_sketch;
-  /// Windowed completion streams: pool-wide plus one per device.
-  std::unique_ptr<obs::WindowedStats> completions;
-  std::vector<std::unique_ptr<obs::WindowedStats>> device_completions;
-  /// Queue depth sampled at every admit/release transition.
-  std::unique_ptr<obs::WindowedStats> queue_depth_window;
   obs::prof::SloMonitor slo;
   /// Effective gauge prefix (also the SLO counter scope).
   std::string metrics_scope;
   /// Telemetry-daemon tick state (deltas since the previous window).
+  TickCursor telemetry_cursor;
   std::uint64_t last_h2d_bytes = 0;
   std::uint64_t last_d2h_bytes = 0;
   std::uint64_t last_compute_busy = 0;
@@ -231,10 +228,8 @@ struct ServerState {
   /// same-app device, which wins on reuse-heavy mixes.
   std::uint32_t device_limit = std::numeric_limits<std::uint32_t>::max();
   std::unique_ptr<Autoscaler> autoscaler;
-  /// Decision-period signal windows for the autoscaler daemon (the latency
-  /// sketch is recreated every period so p99 is per-period, not cumulative).
-  std::unique_ptr<obs::WindowedStats> scaler_depth;
-  std::unique_ptr<obs::prof::QuantileSketch> scaler_latency;
+  /// Autoscaler-daemon tick state (signals since the previous period).
+  TickCursor scaler_cursor;
   std::uint32_t active_devices = 0;
   std::uint32_t min_active_seen = 0;
   std::uint32_t max_active_seen = 0;
@@ -242,8 +237,7 @@ struct ServerState {
   explicit ServerState(const ServerConfig& cfg)
       : config(cfg),
         pool(sim, cfg.system, cfg.devices),
-        queue(JobQueue::Config{cfg.queue_depth, cfg.retry_after,
-                               kRetryAfterCap, kRetryJitterSeed}),
+        queue(cfg.queue_depth, cfg.retry_after),
         scheduler(cfg.policy, pool.size()),
         health(pool.size(), HealthMonitor::Config{kQuarantineAfter,
                                                   cfg.reinstate_after}),
@@ -257,11 +251,7 @@ struct ServerState {
       profilers.push_back(
           std::make_unique<obs::prof::StageProfiler>(cfg.prof_window));
       pool.device(d).set_profiler(profilers.back().get());
-      device_completions.push_back(
-          std::make_unique<obs::WindowedStats>(cfg.prof_window));
     }
-    completions = std::make_unique<obs::WindowedStats>(cfg.prof_window);
-    queue_depth_window = std::make_unique<obs::WindowedStats>(cfg.prof_window);
     pool.attach_observability(cfg.tracer, cfg.metrics);
     if (!cfg.fault_spec.empty()) {
       fault_plane = std::make_unique<fault::FaultPlane>(cfg.fault_seed);
@@ -330,9 +320,6 @@ struct ServerState {
     if (cfg.qos.autoscaler.enabled) {
       autoscaler = std::make_unique<Autoscaler>(cfg.qos.autoscaler,
                                                 pool.size());
-      scaler_depth =
-          std::make_unique<obs::WindowedStats>(cfg.qos.autoscaler.period);
-      scaler_latency = std::make_unique<obs::prof::QuantileSketch>();
       // Start at the floor; the daemon grows the pool as load arrives.
       for (std::uint32_t d = autoscaler->min_active(); d < pool.size(); ++d) {
         scheduler.set_active(d, false);
@@ -341,10 +328,8 @@ struct ServerState {
     }
     min_active_seen = max_active_seen = active_devices;
     queue.set_depth_observer([this](std::uint32_t depth) {
-      queue_depth_window->add(sim.now(), static_cast<double>(depth));
-      if (scaler_depth != nullptr) {
-        scaler_depth->add(sim.now(), static_cast<double>(depth));
-      }
+      depth_sum += depth;
+      ++depth_samples;
     });
   }
 
@@ -453,14 +438,6 @@ void complete(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
   }
   st.finished.push_back(&job);
   release(st, job, device);
-  st.latency_sketch.observe(to_ms(record.latency()));
-  if (st.scaler_latency != nullptr) {
-    st.scaler_latency->observe(to_ms(record.latency()));
-  }
-  st.completions->add(record.finish_time);
-  if (device.has_value()) {
-    st.device_completions[*device]->add(record.finish_time);
-  }
   st.settle_job(job);
   if (st.config.tracer != nullptr) {
     const obs::TrackId track = st.config.tracer->track(
@@ -620,13 +597,48 @@ void scrub_tick(ServerState& st, std::uint32_t device) {
   st.caches[device]->scrub(st.config.dur.scrub_entries, st.sim.now());
 }
 
-/// bigkprof telemetry tick (every prof_window): folds per-tick deltas of the
-/// pool's DMA/compute totals into the windowed stats, publishes the live
-/// throughput signals as tracer counter tracks, and evaluates the SLO rules
-/// against a snapshot of the windowed metrics.
+/// Nearest-rank p50, p95 and p99 of the latencies of `jobs`.
+std::array<sim::DurationPs, 3> percentiles(std::span<const Job* const> jobs) {
+  std::vector<sim::DurationPs> latencies;
+  latencies.reserve(jobs.size());
+  for (const Job* job : jobs) latencies.push_back(job->record.latency());
+  return percentiles(std::move(latencies));
+}
+
+/// What a daemon tick reads over its period: the jobs that finished since
+/// the daemon's previous tick, and the mean of the queue depths sampled
+/// since then (the current depth when none was).
+struct Period {
+  std::span<const Job* const> finished;
+  double mean_depth = 0.0;
+};
+
+/// The period since `cursor`, which moves to now.
+Period take_period(const ServerState& st, TickCursor& cursor) {
+  Period period;
+  period.finished = std::span(st.finished).subspan(cursor.finished);
+  const std::uint64_t samples = st.depth_samples - cursor.depth_samples;
+  period.mean_depth =
+      samples > 0 ? static_cast<double>(st.depth_sum - cursor.depth_sum) /
+                        static_cast<double>(samples)
+                  : static_cast<double>(st.queue.outstanding());
+  cursor = {st.finished.size(), st.depth_sum, st.depth_samples};
+  return period;
+}
+
+/// bigkprof telemetry tick (every prof_window): takes the window's
+/// completions, queue depth and DMA/compute/fault deltas since the previous
+/// tick, publishes the live throughput signals as tracer counter tracks, and
+/// evaluates the SLO rules against a snapshot of them.
 void telemetry_tick(ServerState& st) {
   const sim::DurationPs window = st.config.prof_window;
   const sim::TimePs now = st.sim.now();
+  const Period period = take_period(st, st.telemetry_cursor);
+  // Events over this tick's window, per second.
+  const auto per_s = [window](std::uint64_t events) {
+    return static_cast<double>(events) * 1e12 / static_cast<double>(window);
+  };
+  const double jobs_per_s = per_s(period.finished.size());
 
   std::uint64_t h2d = 0;
   std::uint64_t d2h = 0;
@@ -639,10 +651,8 @@ void telemetry_tick(ServerState& st) {
   }
   // PCIe throughput over this tick's window: the bytes since the previous
   // tick, one window ago.
-  const double h2d_gbps = static_cast<double>(h2d - st.last_h2d_bytes) *
-                          1e12 / static_cast<double>(window) / 1e9;
-  const double d2h_gbps = static_cast<double>(d2h - st.last_d2h_bytes) *
-                          1e12 / static_cast<double>(window) / 1e9;
+  const double h2d_gbps = per_s(h2d - st.last_h2d_bytes) / 1e9;
+  const double d2h_gbps = per_s(d2h - st.last_d2h_bytes) / 1e9;
   const double utilization =
       static_cast<double>(busy - st.last_compute_busy) /
       (static_cast<double>(window) * static_cast<double>(st.pool.size()));
@@ -659,38 +669,37 @@ void telemetry_tick(ServerState& st) {
   }
 
   if (st.config.tracer != nullptr) {
+    std::vector<std::uint64_t> device_jobs(st.pool.size(), 0);
+    for (const Job* job : period.finished) {
+      // Spilled jobs completed on the host cores, not on record.device.
+      if (!job->record.cpu_executed) ++device_jobs[job->record.device];
+    }
     const std::uint32_t pid = st.config.tracer->process("serve");
-    st.config.tracer->counter_set(pid, "prof.jobs_per_s", now,
-                                  st.completions->rate_per_s(now));
+    st.config.tracer->counter_set(pid, "prof.jobs_per_s", now, jobs_per_s);
     st.config.tracer->counter_set(pid, "prof.h2d_gbps", now, h2d_gbps);
     st.config.tracer->counter_set(pid, "prof.d2h_gbps", now, d2h_gbps);
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
       const std::uint32_t dev_pid =
           st.config.tracer->process(st.pool.device(d).device_name());
       st.config.tracer->counter_set(dev_pid, "prof.jobs_per_s", now,
-                                    st.device_completions[d]->rate_per_s(now));
+                                    per_s(device_jobs[d]));
     }
   }
 
   if (!st.slo.rules().empty()) {
-    const bool completed = st.latency_sketch.count() > 0;
-    const std::array<double, 3> latency =
-        completed ? percentiles(st.latency_sketch) : std::array<double, 3>{};
+    const auto [p50, p95, p99] = percentiles(st.finished);
     const std::array<double, kSloMetrics.size()> snapshot = {
-        latency[0],
-        latency[1],
-        latency[2],
-        st.completions->rate_per_s(now),
-        st.queue_depth_window->events(now) > 0
-            ? st.queue_depth_window->sum(now) /
-                  static_cast<double>(st.queue_depth_window->events(now))
-            : static_cast<double>(st.queue.outstanding()),
+        to_ms(p50),
+        to_ms(p95),
+        to_ms(p99),
+        jobs_per_s,
+        period.mean_depth,
         utilization,
         fault_rate,
         h2d_gbps,
         d2h_gbps};
     std::map<std::string, double> values;
-    for (std::size_t i = completed ? 0 : kSloPercentiles;
+    for (std::size_t i = st.finished.empty() ? kSloPercentiles : 0;
          i < kSloMetrics.size(); ++i) {
       values.emplace(kSloMetrics[i], snapshot[i]);
     }
@@ -885,23 +894,17 @@ sim::Task<> cpu_worker(ServerState& st) {
 }
 
 /// bigkload autoscaler tick (every qos.autoscaler.period): feeds the
-/// period's mean admission-queue depth and p99 latency to the Autoscaler and
-/// applies the returned step to the scheduler's active axis. Scale-up wakes
-/// the lowest-index parked device (preferring a healthy one); scale-down
-/// parks the highest-index active device, whose queued work still drains.
+/// period's mean admission-queue depth and the p99 latency of the jobs that
+/// finished in it to the Autoscaler and applies the returned step to the
+/// scheduler's active axis. Scale-up wakes the lowest-index parked device
+/// (preferring a healthy one); scale-down parks the highest-index active
+/// device, whose queued work still drains.
 void autoscaler_tick(ServerState& st) {
   const sim::TimePs now = st.sim.now();
-  const double depth =
-      st.scaler_depth->events(now) > 0
-          ? st.scaler_depth->sum(now) /
-                static_cast<double>(st.scaler_depth->events(now))
-          : static_cast<double>(st.queue.outstanding());
-  const double p99 = st.scaler_latency->count() > 0
-                         ? st.scaler_latency->quantile(0.99)
-                         : 0.0;
-  // The latency signal is per-period: fresh sketch for the next decision.
-  st.scaler_latency = std::make_unique<obs::prof::QuantileSketch>();
-  const int step = st.autoscaler->decide(depth, p99, st.active_devices);
+  const Period period = take_period(st, st.scaler_cursor);
+  const double p99 = to_ms(percentiles(period.finished)[2]);
+  const int step =
+      st.autoscaler->decide(period.mean_depth, p99, st.active_devices);
   if (step > 0) {
     std::uint32_t pick = st.pool.size();
     for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
@@ -1041,21 +1044,15 @@ ServeReport run_server(const ServerConfig& config,
         "probe_interval must be > 0: it is the period of the reinstatement "
         "probe");
   }
-  // Each windowed signal splits its window into kDefaultBuckets buckets of
-  // at least 1 ps.
-  constexpr sim::DurationPs kMinWindow = obs::WindowedStats::kDefaultBuckets;
-  if (config.prof_window < kMinWindow) {
+  if (config.prof_window == 0) {
     throw std::invalid_argument(
-        "prof_window must be >= " + std::to_string(kMinWindow) +
-        " ps: it is the telemetry period and the window of every profiler "
-        "and windowed signal");
+        "prof_window must be > 0: it is the telemetry period and the window "
+        "of every profiler");
   }
-  if (config.qos.autoscaler.enabled &&
-      config.qos.autoscaler.period < kMinWindow) {
+  if (config.qos.autoscaler.enabled && config.qos.autoscaler.period == 0) {
     throw std::invalid_argument(
-        "qos.autoscaler.period must be >= " + std::to_string(kMinWindow) +
-        " ps when the autoscaler is enabled: it is the decision period and "
-        "the window of its queue-depth signal");
+        "qos.autoscaler.period must be > 0 when the autoscaler is enabled: "
+        "it is the decision period");
   }
   ServerState state(config);
   state.jobs.reserve(specs.size());
@@ -1095,15 +1092,11 @@ ServeReport run_server(const ServerConfig& config,
 
   ServeReport report;
   report.makespan = state.finish_time;
-  // The pool's sketch observes in completion order, as the live one did.
-  std::vector<const JobRecord*> pool_records;
   for (const Job* job : state.finished) {
     report.completion_order.push_back(job->record.spec.id);
-    pool_records.push_back(&job->record);
   }
-  for (const Job& job : state.jobs) {
-    if (!job.record.completed) pool_records.push_back(&job.record);
-  }
+  std::vector<const JobRecord*> pool_records;
+  for (const Job& job : state.jobs) pool_records.push_back(&job.record);
   static_cast<Outcome&>(report) = summarize(pool_records, report.makespan);
   report.rejections_queue_full = state.queue.rejected(RejectCause::kQueueFull);
   report.rejections_no_device = state.queue.rejected(RejectCause::kNoDevice);

@@ -54,7 +54,7 @@ struct ServerConfig {
   /// Admission control: max admitted-but-unfinished jobs across the pool.
   std::uint32_t queue_depth = 16;
   /// Retry-after hint returned on a client's first rejection; it doubles per
-  /// consecutive rejection up to 8x, with no jitter.
+  /// consecutive rejection up to 8x.
   sim::DurationPs retry_after = sim::DurationPs{1'000'000'000};  // 1 ms
   /// Resubmissions a client attempts before giving up (0 = no retries).
   std::uint32_t max_retries = 64;
@@ -91,13 +91,15 @@ struct ServerConfig {
 
   // --- bigkprof -----------------------------------------------------------
   /// Attribution / telemetry window: every device gets a StageProfiler with
-  /// this window, windowed throughput + latency-sketch signals tick at this
-  /// period, and the SLO monitor is evaluated once per window. Must be > 0
-  /// (run_server throws std::invalid_argument otherwise). Default 100 us.
+  /// this window, and once per window the telemetry daemon publishes the
+  /// completions, queue depth and PCIe/compute/fault deltas since its
+  /// previous tick and evaluates the SLO monitor. Must be > 0 (run_server
+  /// throws std::invalid_argument otherwise). Default 100 us.
   sim::DurationPs prof_window = sim::DurationPs{100'000'000};
-  /// Declarative SLO rules over the windowed metrics, ';'-separated
+  /// Declarative SLO rules over the telemetry metrics, ';'-separated
   /// "<metric> <op> <threshold>" (obs::prof::parse_slo_rules grammar).
-  /// Metrics: p50_ms p95_ms p99_ms throughput_jobs_per_s queue_depth
+  /// Metrics: p50_ms p95_ms p99_ms (nearest-rank over every job completed so
+  /// far) and, over the window, throughput_jobs_per_s queue_depth
   /// utilization fault_rate h2d_gbps d2h_gbps; run_server throws
   /// std::invalid_argument on a rule over any other name. Empty = no rules.
   std::string slo_spec;
@@ -203,8 +205,7 @@ struct DeviceReport {
   std::uint64_t bottleneck_flips = 0;
 };
 
-/// The pool's Outcome (its latency sketch fed in completion order) plus what
-/// only the pool knows.
+/// The pool's Outcome plus what only the pool knows.
 struct ServeReport : Outcome {
   /// One record per submitted job, in spec order.
   std::vector<JobRecord> jobs;

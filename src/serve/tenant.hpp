@@ -66,7 +66,7 @@ struct TenantConfig {
 };
 
 /// Per-tenant outcome block of a ServeReport: the Outcome of the tenant's
-/// jobs, with its latency sketch fed in spec order.
+/// jobs.
 struct TenantReport : Outcome {
   std::string name;
   SloClass slo = SloClass::kBatch;

@@ -3,8 +3,8 @@
 //               and bigkstatic pattern signatures, serve's dataset ids and
 //               the apps' result digests;
 //   splitmix64  seeded draws: the apps' datasets, the fault plane's
-//               probability triggers, arrival processes, the admission
-//               queue's retry jitter and bigkstatic's branch perturbation.
+//               probability triggers, arrival processes and bigkstatic's
+//               branch perturbation.
 // Both fold 64-bit words little-endian, byte by byte, so every digest, key
 // and dataset is the same on every host.
 #pragma once

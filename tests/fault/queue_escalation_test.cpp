@@ -1,6 +1,6 @@
 // bigkfault satellite: per-client escalating retry-after in the admission
-// queue — doubling to a cap, deterministic jitter, streak reset on accept,
-// and the rejection-cause breakdown used by the shedding reports.
+// queue — doubling to the 8x cap, streak reset on accept, and the
+// rejection-cause breakdown used by the shedding reports.
 #include "serve/queue.hpp"
 
 #include <gtest/gtest.h>
@@ -12,17 +12,8 @@ namespace {
 
 constexpr sim::DurationPs kBase = sim::DurationPs{1'000};
 
-JobQueue::Config full_queue_config() {
-  JobQueue::Config config;
-  config.max_depth = 1;
-  config.retry_after = kBase;
-  config.max_retry_after = 0;  // resolves to 8x base
-  config.jitter_seed = 0;
-  return config;
-}
-
 TEST(QueueEscalationTest, HintDoublesPerClientUpToDefaultCap) {
-  JobQueue queue(full_queue_config());
+  JobQueue queue(1, kBase);
   ASSERT_TRUE(queue.try_admit(99).accepted);  // fill the queue
   std::vector<sim::DurationPs> hints;
   for (int i = 0; i < 6; ++i) {
@@ -31,25 +22,14 @@ TEST(QueueEscalationTest, HintDoublesPerClientUpToDefaultCap) {
     EXPECT_EQ(a.cause, RejectCause::kQueueFull);
     hints.push_back(a.retry_after);
   }
-  // base, 2x, 4x, 8x, then pinned at the default cap of 8x.
+  // base, 2x, 4x, 8x, then pinned at the cap of 8x.
   EXPECT_EQ(hints, (std::vector<sim::DurationPs>{
                        kBase, 2 * kBase, 4 * kBase, 8 * kBase, 8 * kBase,
                        8 * kBase}));
 }
 
-TEST(QueueEscalationTest, ExplicitCapBoundsEscalation) {
-  JobQueue::Config config = full_queue_config();
-  config.max_retry_after = 3 * kBase;  // not a power-of-two multiple
-  JobQueue queue(config);
-  ASSERT_TRUE(queue.try_admit(99).accepted);
-  EXPECT_EQ(queue.try_admit(1).retry_after, kBase);
-  EXPECT_EQ(queue.try_admit(1).retry_after, 2 * kBase);
-  EXPECT_EQ(queue.try_admit(1).retry_after, 3 * kBase);  // 4x clamped to cap
-  EXPECT_EQ(queue.try_admit(1).retry_after, 3 * kBase);
-}
-
 TEST(QueueEscalationTest, StreaksAreIndependentPerClient) {
-  JobQueue queue(full_queue_config());
+  JobQueue queue(1, kBase);
   ASSERT_TRUE(queue.try_admit(99).accepted);
   EXPECT_EQ(queue.try_admit(1).retry_after, kBase);
   EXPECT_EQ(queue.try_admit(1).retry_after, 2 * kBase);
@@ -59,7 +39,7 @@ TEST(QueueEscalationTest, StreaksAreIndependentPerClient) {
 }
 
 TEST(QueueEscalationTest, AcceptanceResetsTheStreak) {
-  JobQueue queue(full_queue_config());
+  JobQueue queue(1, kBase);
   ASSERT_TRUE(queue.try_admit(99).accepted);
   EXPECT_EQ(queue.try_admit(7).retry_after, kBase);
   EXPECT_EQ(queue.try_admit(7).retry_after, 2 * kBase);
@@ -71,31 +51,8 @@ TEST(QueueEscalationTest, AcceptanceResetsTheStreak) {
   EXPECT_EQ(queue.try_admit(7).retry_after, kBase);
 }
 
-TEST(QueueEscalationTest, JitterIsDeterministicAndBounded) {
-  const auto hints_with_seed = [](std::uint64_t seed) {
-    JobQueue::Config config = full_queue_config();
-    config.jitter_seed = seed;
-    JobQueue queue(config);
-    queue.try_admit(99);
-    std::vector<sim::DurationPs> hints;
-    for (int i = 0; i < 4; ++i) {
-      hints.push_back(queue.try_admit(7).retry_after);
-    }
-    return hints;
-  };
-  const std::vector<sim::DurationPs> a = hints_with_seed(1234);
-  EXPECT_EQ(a, hints_with_seed(1234));  // same seed, same hints
-  // Each jittered hint stays within [hint, hint + hint/4].
-  const std::vector<sim::DurationPs> bare = {kBase, 2 * kBase, 4 * kBase,
-                                             8 * kBase};
-  for (std::size_t i = 0; i < bare.size(); ++i) {
-    EXPECT_GE(a[i], bare[i]);
-    EXPECT_LE(a[i], bare[i] + bare[i] / 4);
-  }
-}
-
 TEST(QueueEscalationTest, RejectionCausesAreBrokenDown) {
-  JobQueue queue(full_queue_config());
+  JobQueue queue(1, kBase);
   ASSERT_TRUE(queue.try_admit(99).accepted);
   queue.try_admit(1);                        // queue_full
   queue.reject(RejectCause::kNoDevice, 2);   // pool-wide quarantine path
@@ -106,23 +63,13 @@ TEST(QueueEscalationTest, RejectionCausesAreBrokenDown) {
 }
 
 TEST(QueueEscalationTest, NoDeviceRejectionsShareTheClientStreak) {
-  JobQueue queue(full_queue_config());
+  JobQueue queue(1, kBase);
   // Caller-decided rejections escalate the same per-client streak that
   // queue-full rejections use.
   EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), kBase);
   EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), 2 * kBase);
   ASSERT_TRUE(queue.try_admit(5).accepted);
   EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), kBase);
-}
-
-TEST(QueueEscalationTest, CompatConstructorKeepsConstantHint) {
-  // The two-arg constructor pins the cap to the base: legacy behavior where
-  // every rejection returns retry_after verbatim.
-  JobQueue queue(1, kBase);
-  ASSERT_TRUE(queue.try_admit(0).accepted);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(queue.try_admit(0).retry_after, kBase);
-  }
 }
 
 }  // namespace

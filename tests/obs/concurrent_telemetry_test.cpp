@@ -1,14 +1,18 @@
 // Tracer + MetricsRegistry + bigkprof under a 4-engine serve run: four
 // device workers share one tracer, one registry, per-device StageProfilers,
-// the pool-wide latency sketch, windowed telemetry, and an armed SLO
-// monitor, all at once. The test locks down the per-job breakdown
-// partition contract and the prof/slo export schema.
+// the telemetry daemon's per-window signals, and an armed SLO monitor, all
+// at once. The tests lock down the per-job breakdown partition contract, the
+// prof/slo export schema, and that each window's completion-rate samples
+// count exactly that window's completions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "json_util.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/stage.hpp"
 #include "obs/tracer.hpp"
@@ -93,7 +97,7 @@ TEST(ConcurrentTelemetryTest, FourEngineServeWithFullTelemetryPlane) {
     EXPECT_GE(device.prof_windows, 1u);
   }
 
-  // --- sketch percentiles stay ordered ------------------------------------
+  // --- percentiles stay ordered -------------------------------------------
   EXPECT_GT(report.latency_p50, 0);
   EXPECT_LE(report.latency_p50, report.latency_p95);
   EXPECT_LE(report.latency_p95, report.latency_p99);
@@ -138,6 +142,67 @@ TEST(ConcurrentTelemetryTest, FourEngineServeWithFullTelemetryPlane) {
   }
 
   EXPECT_FALSE(tracer.spans().empty());
+}
+
+TEST(ConcurrentTelemetryTest, JobsPerSecondSamplesCountTheirWindowsCompletions) {
+  const auto suite = make_toy_suite(2, 2'000);
+  WorkloadConfig workload;
+  workload.num_jobs = 40;
+  workload.seed = 11;
+  workload.mean_gap = sim::microseconds(30);
+
+  obs::Tracer tracer;
+  ServerConfig config;
+  config.system = toy_system();
+  config.devices = 2;
+  config.engine = toy_engine_options();
+  config.tracer = &tracer;
+  config.prof_window = sim::microseconds(50);
+  const ServeReport report =
+      run_server(config, make_workload({"toy0", "toy1"}, workload), suite);
+  ASSERT_EQ(report.completed, 40u);
+
+  std::stringstream chrome;
+  tracer.write_chrome_json(chrome);
+  const testjson::Value events = testjson::Parser(chrome.str()).parse();
+  std::map<double, std::string> process_names;
+  for (const testjson::Value& event : events.items) {
+    if (event.at("ph").str == "M" && event.at("name").str == "process_name") {
+      process_names[event.at("pid").number] =
+          event.at("args").at("name").str;
+    }
+  }
+  // The serve process counts every completion, and each device's process
+  // the ones on that device: a sample at t covers the window (t - W, t].
+  const double window_s = static_cast<double>(config.prof_window) * 1e-12;
+  std::map<std::string, std::uint64_t> samples;
+  std::uint64_t sampled_serve_jobs = 0;
+  for (const testjson::Value& event : events.items) {
+    if (event.at("ph").str != "C" || event.at("name").str != "prof.jobs_per_s") {
+      continue;
+    }
+    const std::string& process = process_names.at(event.at("pid").number);
+    const auto tick = static_cast<sim::TimePs>(
+        std::llround(event.at("ts").number * 1e6));
+    std::uint64_t finished = 0;
+    for (const JobRecord& job : report.jobs) {
+      const bool on_process =
+          process == "serve" || process == "dev" + std::to_string(job.device);
+      if (job.finish_time <= tick &&
+          job.finish_time + config.prof_window > tick && on_process) {
+        ++finished;
+      }
+    }
+    EXPECT_NEAR(event.at("args").at("value").number * window_s,
+                static_cast<double>(finished), 1e-9)
+        << process << " at " << tick << " ps";
+    ++samples[process];
+    if (process == "serve") sampled_serve_jobs += finished;
+  }
+  EXPECT_EQ(samples.size(), 3u);  // serve, dev0 and dev1
+  EXPECT_GT(samples["serve"], 4u);
+  // Every job but those that finished after the last tick was counted once.
+  EXPECT_GT(sampled_serve_jobs, 30u);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Functional tests of the bigkserve serving layer over a toy app suite:
 // completion, multi-device scaling, admission-control shedding, app-affinity
 // reuse, the two binding rules of the dispatch step, closed-loop chains,
-// deadlines, config rejection, and clean execution under the bigkcheck
-// sanitizers with concurrent devices.
+// deadlines, config rejection, nearest-rank report percentiles, and clean
+// execution under the bigkcheck sanitizers with concurrent devices.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "serve/job.hpp"
 #include "toy_suite.hpp"
@@ -280,11 +284,10 @@ TEST(ServeServerTest, ScrubWithoutIntegrityAndCacheIsRejected) {
 
 /// run_server must refuse `config` with a std::invalid_argument naming
 /// `field`, before any daemon could re-arm a zero delay at one instant.
-void expect_rejected(const ServerConfig& config, const std::string& field,
-                     std::uint32_t jobs = 2) {
+void expect_rejected(const ServerConfig& config, const std::string& field) {
   const auto suite = make_toy_suite(2, 1'000);
   try {
-    run_server(config, toy_workload(jobs, 2), suite);
+    run_server(config, toy_workload(2, 2), suite);
     FAIL() << "expected std::invalid_argument naming " << field;
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
@@ -313,28 +316,66 @@ TEST(ServeServerTest, ZeroAutoscalerPeriodIsRejected) {
   expect_rejected(config, "qos.autoscaler.period");
 }
 
-// Every windowed signal splits its window into 8 buckets; a shorter window
-// would over-report its rates, so run_server names the field instead. No
-// jobs: a run that accepted the window would end at once.
-TEST(ServeServerTest, ProfWindowShorterThanItsBucketsIsRejected) {
-  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
-  config.prof_window = 4;
-  expect_rejected(config, "prof_window", /*jobs=*/0);
-}
-
-TEST(ServeServerTest, AutoscalerPeriodShorterThanItsBucketsIsRejected) {
-  ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
-  config.qos.autoscaler.enabled = true;
-  config.qos.autoscaler.period = 7;
-  expect_rejected(config, "qos.autoscaler.period", /*jobs=*/0);
-}
-
 TEST(ServeServerTest, SloRuleOnAnUnpublishedMetricIsRejected) {
   // The monitor skips a metric missing from the tick's snapshot, so a typo
   // ("p99ms") would never fire and the run would report 0 violations.
   ServerConfig config = toy_server(2, Policy::kRoundRobin, 4);
   config.slo_spec = "utilization >= 0; p99ms <= 5";
   expect_rejected(config, "p99ms");
+}
+
+/// The nearest-rank `percent`-th percentile of `latencies`: the smallest
+/// latency with at least `percent`% of them at or below it.
+sim::DurationPs nearest_rank(std::vector<sim::DurationPs> latencies,
+                             double percent) {
+  std::sort(latencies.begin(), latencies.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(percent / 100.0 * static_cast<double>(latencies.size())));
+  return latencies[std::max<std::size_t>(rank, 1) - 1];
+}
+
+TEST(ServeServerTest, ReportPercentilesAreNearestRank) {
+  // One device under WFQ: a burst of 8 jobs at t = 0 queues behind it, so
+  // their latencies climb with queue position (the weight-1 batch tenant's
+  // behind the latency-critical one's), while the 22 jobs that arrive 200 us
+  // apart afterwards find the device idle. The latencies bunch at one
+  // service time with a tail of up to eight.
+  const auto suite = make_toy_suite(2, 2'000);
+  std::vector<JobSpec> specs = toy_workload(30, 2);
+  for (JobSpec& spec : specs) {
+    spec.tenant = spec.id % 3 == 0 ? 0 : 1;
+    if (spec.id >= 8) spec.submit_time = spec.id * sim::microseconds(200);
+  }
+  ServerConfig config = toy_server(1, Policy::kRoundRobin, 32);
+  TenantConfig lc;
+  lc.name = "lc";
+  lc.slo = SloClass::kLatencyCritical;
+  lc.weight = 8;
+  TenantConfig batch;
+  batch.name = "batch";
+  config.qos.tenants = {lc, batch};
+  const ServeReport report = run_server(config, specs, suite);
+  ASSERT_EQ(report.completed, specs.size());
+
+  const auto expect_nearest_rank = [&](const Outcome& outcome,
+                                       std::optional<std::uint32_t> tenant) {
+    std::vector<sim::DurationPs> latencies;
+    for (const JobRecord& job : report.jobs) {
+      if (job.completed && (!tenant || job.spec.tenant == *tenant)) {
+        latencies.push_back(job.latency());
+      }
+    }
+    ASSERT_GT(latencies.size(), 5u);
+    EXPECT_EQ(outcome.latency_p50, nearest_rank(latencies, 50));
+    EXPECT_EQ(outcome.latency_p95, nearest_rank(latencies, 95));
+    EXPECT_EQ(outcome.latency_p99, nearest_rank(latencies, 99));
+  };
+  expect_nearest_rank(report, std::nullopt);
+  ASSERT_EQ(report.tenants.size(), 2u);
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    SCOPED_TRACE(report.tenants[t].name);
+    expect_nearest_rank(report.tenants[t], t);
+  }
 }
 
 TEST(ServeServerTest, ExportsMetricsGauges) {

@@ -130,37 +130,6 @@ class ToyRunner final : public apps::AppJobRunner<ToyServeApp> {
   }
 };
 
-/// bigkdur: forwards to an externally owned runner, so the app's output
-/// storage survives run_server teardown — the test-side model of durable
-/// output across a simulated server crash. Jobs of a non-durable app get a
-/// fresh runner per incarnation instead, and the journal's digest check
-/// makes them restart from record zero.
-class SharedRunner final : public apps::JobRunner {
- public:
-  explicit SharedRunner(std::shared_ptr<apps::JobRunner> inner)
-      : inner_(std::move(inner)) {}
-
-  const std::string& app_name() const noexcept override {
-    return inner_->app_name();
-  }
-  std::uint64_t num_records() const override { return inner_->num_records(); }
-  std::uint64_t input_bytes() const override { return inner_->input_bytes(); }
-  sim::Task<> run(cusim::Runtime& runtime,
-                  const apps::JobRunConfig& cfg) override {
-    return inner_->run(runtime, cfg);
-  }
-  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
-                      const apps::CpuJobConfig& cfg) override {
-    return inner_->run_cpu(cpu, cfg);
-  }
-  std::uint64_t output_digest(std::uint64_t records_done) override {
-    return inner_->output_digest(records_done);
-  }
-
- private:
-  std::shared_ptr<apps::JobRunner> inner_;
-};
-
 /// A suite of `num_apps` toy apps named "toy0".."toyN-1" (only the fields
 /// the serving layer uses are populated).
 inline std::vector<apps::BenchApp> make_toy_suite(std::uint32_t num_apps,
@@ -187,9 +156,10 @@ inline std::vector<apps::BenchApp> make_toy_suite(std::uint32_t num_apps,
 }
 
 /// bigkdur: a toy suite whose runners are shared with the caller —
-/// make_runner hands out SharedRunner views over `runners` (one persistent
-/// ToyRunner per app, so use one job per app name), letting two run_server
-/// incarnations over the same journal see the same output storage.
+/// make_runner hands out apps::SharedJobRunner views over `runners` (one
+/// persistent ToyRunner per app, so use one job per app name), letting two
+/// run_server incarnations over the same journal see the same output
+/// storage.
 inline std::vector<apps::BenchApp> make_durable_toy_suite(
     const std::vector<std::shared_ptr<ToyRunner>>& runners) {
   std::vector<apps::BenchApp> suite;
@@ -199,7 +169,7 @@ inline std::vector<apps::BenchApp> make_durable_toy_suite(
     entry.info.name = entry.name;
     entry.make_runner = [runner] {
       return std::unique_ptr<apps::JobRunner>(
-          std::make_unique<SharedRunner>(runner));
+          std::make_unique<apps::SharedJobRunner>(runner));
     };
     entry.verify = [name = entry.name, records = runner->num_records()] {
       ToyServeApp app(records, 8.0);
