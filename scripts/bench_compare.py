@@ -8,9 +8,18 @@ baseline:
 
   * total_ms / per-stage stage_busy_ms: current may not exceed baseline by
     more than --tolerance (default 2%),
-  * latency_p50_ms / latency_p99_ms (serve results, read from the
-    document's `<result name with '/' -> '.'>.latency_*_ms` gauges; fig4a
-    results have none): one-sided at --tolerance like total_ms,
+  * the serve results' gauges, read from the document's `<prefix>.*`
+    gauges, where <prefix> is the result name with '/' -> '.' (fig4a
+    results have none, so their entries carry none of these fields):
+      - latency_p50_ms / latency_p99_ms (`<prefix>.latency_*_ms`) and
+        breakdown_ms, the five-part latency breakdown
+        (`<prefix>.breakdown.{admission,queue,staging,execution,
+        writeback}_ms`): one-sided at --tolerance like total_ms,
+      - goodput_jobs_per_s (`<prefix>.load.goodput_jobs_per_s`): may not
+        fall by more than --tolerance below the baseline,
+      - utilization, one value per device (`<prefix>.dev<N>.utilization`):
+        within --bytes-tolerance of the baseline in either direction, like
+        the byte counts,
   * bottleneck_stage: must match the baseline exactly (a flipped limiting
     stage is an attribution regression even when the total holds),
   * overlap_efficiency: may not drop more than --overlap-drop (default 0.02)
@@ -41,6 +50,7 @@ serve_throughput_document writes once).
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,6 +82,36 @@ def load_document(path):
 
 
 LATENCIES = ("latency_p50_ms", "latency_p99_ms")
+BREAKDOWN = ("admission", "queue", "staging", "execution", "writeback")
+
+
+def serve_fields(prefix, gauges):
+    """The gated serve gauges of the result whose gauges start with
+    `prefix`: none for a result that exports none (fig4a)."""
+    fields = {}
+    for metric in LATENCIES:
+        if f"{prefix}.{metric}" in gauges:
+            fields[metric] = gauges[f"{prefix}.{metric}"]
+    if f"{prefix}.load.goodput_jobs_per_s" in gauges:
+        fields["goodput_jobs_per_s"] = gauges[
+            f"{prefix}.load.goodput_jobs_per_s"]
+    breakdown = {
+        part: gauges[f"{prefix}.breakdown.{part}_ms"]
+        for part in BREAKDOWN
+        if f"{prefix}.breakdown.{part}_ms" in gauges
+    }
+    if breakdown:
+        fields["breakdown_ms"] = breakdown
+    device = re.compile(re.escape(prefix) + r"\.dev(\d+)\.utilization")
+    utilization = sorted(
+        (int(match.group(1)), value)
+        for match, value in ((device.fullmatch(name), value)
+                             for name, value in gauges.items())
+        if match
+    )
+    if utilization:
+        fields["utilization"] = {f"dev{n}": value for n, value in utilization}
+    return fields
 
 
 def entries_from_metrics(path):
@@ -95,10 +135,7 @@ def entries_from_metrics(path):
             "d2h_bytes": run["d2h_bytes"],
             "chunks": run["engine"]["chunks"],
         }
-        prefix = result["name"].replace("/", ".")
-        for metric in LATENCIES:
-            if f"{prefix}.{metric}" in gauges:
-                entry[metric] = gauges[f"{prefix}.{metric}"]
+        entry.update(serve_fields(result["name"].replace("/", "."), gauges))
         entries[result["name"]] = entry
     if not entries:
         fail(f'{path}: "results" is empty')
@@ -162,16 +199,34 @@ def compare_entry(key, base, cur, args, problems):
                 f"{cur[metric]:.6f} exceeds baseline "
                 f"{base[metric]:.6f} by more than {args.tolerance:.1%}",
             )
-    for stage, base_ms in base.get("stage_busy_ms", {}).items():
-        cur_ms = cur.get("stage_busy_ms", {}).get(stage)
-        if cur_ms is None:
-            record("stage_busy_ms", f"stage {stage!r} missing from current")
-            continue
-        if cur_ms > base_ms * (1.0 + args.tolerance) + 1e-9:
+    # Per-stage and per-part times: one-sided like total_ms. Only serve
+    # entries carry the breakdown.
+    for field, part_name in (("stage_busy_ms", "stage"),
+                             ("breakdown_ms", "part")):
+        for part, base_ms in base.get(field, {}).items():
+            cur_ms = cur.get(field, {}).get(part)
+            if cur_ms is None:
+                record(field, f"{part_name} {part!r} missing from current")
+                continue
+            if cur_ms > base_ms * (1.0 + args.tolerance) + 1e-9:
+                record(
+                    f"{field}[{part}]",
+                    f"{cur_ms:.6f} exceeds baseline {base_ms:.6f} "
+                    f"by more than {args.tolerance:.1%}",
+                )
+
+    # Goodput: one-sided the other way (lower than baseline - tolerance
+    # fails).
+    if "goodput_jobs_per_s" in base:
+        base_goodput = base["goodput_jobs_per_s"]
+        cur_goodput = cur.get("goodput_jobs_per_s")
+        if cur_goodput is None:
+            record("goodput_jobs_per_s", "missing from current")
+        elif cur_goodput < base_goodput * (1.0 - args.tolerance):
             record(
-                f"stage_busy_ms[{stage}]",
-                f"{cur_ms:.6f} exceeds baseline {base_ms:.6f} "
-                f"by more than {args.tolerance:.1%}",
+                "goodput_jobs_per_s",
+                f"{cur_goodput:.6f} falls below baseline "
+                f"{base_goodput:.6f} by more than {args.tolerance:.1%}",
             )
 
     # Attribution: the limiting stage and the overlap quality must hold.
@@ -201,6 +256,18 @@ def compare_entry(key, base, cur, args, problems):
                 f"{cur_bytes} outside +/-{args.bytes_tolerance:.2%} of "
                 f"baseline {base_bytes}",
             )
+    # Device utilization: two-sided, like the traffic it follows from.
+    for device, base_util in base.get("utilization", {}).items():
+        cur_util = cur.get("utilization", {}).get(device)
+        if cur_util is None:
+            record("utilization", f"device {device!r} missing from current")
+            continue
+        if abs(cur_util - base_util) > base_util * args.bytes_tolerance:
+            record(
+                f"utilization[{device}]",
+                f"{cur_util:.6f} outside +/-{args.bytes_tolerance:.2%} of "
+                f"baseline {base_util:.6f}",
+            )
     if cur["chunks"] != base["chunks"]:
         record("chunks", f"{cur['chunks']} != baseline {base['chunks']}")
 
@@ -222,13 +289,14 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.02,
                         help="relative slowdown allowed on total_ms, "
                              "stage_busy_ms and the serve latency "
-                             "percentiles (default 0.02)")
+                             "percentiles and breakdown, and relative "
+                             "goodput drop allowed (default 0.02)")
     parser.add_argument("--overlap-drop", type=float, default=0.02,
                         help="absolute overlap_efficiency drop allowed "
                              "(default 0.02)")
     parser.add_argument("--bytes-tolerance", type=float, default=0.005,
                         help="relative two-sided band on h2d/d2h bytes "
-                             "(default 0.005)")
+                             "and device utilization (default 0.005)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from the current document "
                              "instead of comparing")
@@ -290,7 +358,8 @@ def main():
         sys.exit(1)
     print(
         f"bench_compare: OK: {compared} entries within tolerance "
-        f"(total_ms/stage/latency +{args.tolerance:.1%}, bytes "
+        f"(total_ms/stage/latency/breakdown +{args.tolerance:.1%}, goodput "
+        f"-{args.tolerance:.1%}, bytes/utilization "
         f"+/-{args.bytes_tolerance:.2%}, overlap -{args.overlap_drop})"
     )
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -54,7 +55,8 @@ void charge_alu(Ctx& ctx, Ops ops, double warp_divergence) {
 ///  - the per-run TableSet that one run uploads, writes and downloads.
 /// Built from a Dataset rvalue, the input is the dataset's only owner and
 /// takes the tables by move, so an app built straight from its Params keeps
-/// one copy of every array. Built over a shared dataset, it copies them.
+/// one copy of every array. Built over a shared dataset, it copies them on
+/// the first non-const tables() call, so an app that has not run holds none.
 template <class Dataset>
 class AppInput {
  public:
@@ -62,16 +64,24 @@ class AppInput {
       : tables_(std::move(owned.tables)),
         data_(std::make_shared<const Dataset>(std::move(owned))) {}
   explicit AppInput(std::shared_ptr<const Dataset> shared)
-      : tables_(shared->tables), data_(std::move(shared)) {}
+      : data_(std::move(shared)) {}
 
   const Dataset& data() const noexcept { return *data_; }
-  core::TableSet& tables() noexcept { return tables_; }
-  const core::TableSet& tables() const noexcept { return tables_; }
+  /// The run's own tables, copied from the dataset on the first call.
+  core::TableSet& tables() {
+    if (!tables_.has_value()) tables_.emplace(data_->tables);
+    return *tables_;
+  }
+  /// The run's tables, or before the first copy the dataset's, which hold
+  /// the same bytes.
+  const core::TableSet& tables() const noexcept {
+    return tables_.has_value() ? *tables_ : data_->tables;
+  }
 
  private:
   // Declared first: the owning constructor moves the tables out of the
   // dataset before the rest of it moves into data_.
-  core::TableSet tables_;
+  std::optional<core::TableSet> tables_;
   std::shared_ptr<const Dataset> data_;
 };
 

@@ -49,6 +49,7 @@ class DnaApp {
   void reset();
   std::uint64_t num_records() const { return input_.data().records; }
   core::TableSet& tables() { return input_.tables(); }
+  const core::TableSet& tables() const { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 

@@ -1,5 +1,6 @@
 #include "apps/kmeans.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace bigk::apps {
@@ -13,7 +14,7 @@ KmeansApp::Dataset::Dataset(const Params& params) {
     for (std::uint32_t d = 0; d < kDims; ++d) {
       record[d] = rng.unit() * 100.0;
     }
-    record[4] = -1.0;  // cid, written by the kernel
+    record[kClusterIdElem] = -1.0;  // cid: runs write theirs to a column
     record[5] = rng.unit();
     record[6] = rng.unit();
     record[7] = rng.unit();
@@ -29,30 +30,29 @@ KmeansApp::Dataset::Dataset(const Params& params) {
 // The centroids are read-only (the kernel only loads them), so a reset
 // clears the cluster ids alone.
 void KmeansApp::reset() {
-  for (std::uint64_t r = 0; r < num_records(); ++r) {
-    particles_[r * kElemsPerRecord + 4] = -1.0;
-  }
+  std::fill(cluster_ids_.begin(), cluster_ids_.end(), -1.0);
 }
 
 std::vector<schemes::StreamDecl> KmeansApp::stream_decls() {
+  const std::vector<double>& particles = input_.data().particles;
   schemes::StreamDecl decl;
   decl.binding.host_data =
-      reinterpret_cast<const std::byte*>(particles_.data());
-  decl.binding.host_out = reinterpret_cast<std::byte*>(particles_.data());
-  decl.binding.num_elements = particles_.size();
+      reinterpret_cast<const std::byte*>(particles.data());
+  decl.binding.host_out = reinterpret_cast<std::byte*>(cluster_ids_.data());
+  decl.binding.num_elements = particles.size();
   decl.binding.elem_size = sizeof(double);
   decl.binding.mode = core::AccessMode::kReadWrite;
   decl.binding.elems_per_record = kElemsPerRecord;
   decl.binding.reads_per_record = kReadsPerRecord;
   decl.binding.writes_per_record = 1;
+  decl.binding.out_column = kClusterIdElem;
   return {decl};
 }
 
 std::uint64_t KmeansApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (std::uint64_t r = 0; r < num_records(); ++r) {
-    digest = fnv1a(digest, std::bit_cast<std::uint64_t>(
-                               particles_[r * kElemsPerRecord + 4]));
+  for (const double cid : cluster_ids_) {
+    digest = fnv1a(digest, std::bit_cast<std::uint64_t>(cid));
   }
   return digest;
 }

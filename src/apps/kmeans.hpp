@@ -3,10 +3,13 @@
 // Mapped data: particles as fixed 64-byte records of 8 doubles
 // [x, y, z, w, cid, r0, r1, r2]. The kernel reads the 4 coordinates
 // (32 B = 50% of the record, Table I) and writes the cluster id
-// (8 B = 12.5% ~ the paper's 12%). The centroid table is explicitly
-// device-resident, outside BigKernel's purview, exactly as in the paper's
-// example; it is loaded once per thread slice (shared-memory style) and the
-// per-record work is the k-way distance computation.
+// (8 B = 12.5% ~ the paper's 12%). The cid element is the stream's output
+// column: its writes land in a per-run array of one double per record, so
+// every run reads the same particles and owns only the ids it writes. The
+// centroid table is explicitly device-resident, outside BigKernel's purview,
+// exactly as in the paper's example; it is loaded once per thread slice
+// (shared-memory style) and the per-record work is the k-way distance
+// computation.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,8 @@ class KmeansApp {
  public:
   static constexpr std::uint32_t kElemsPerRecord = 8;
   static constexpr std::uint32_t kReadsPerRecord = 4;
+  /// The record element the kernel writes: the cluster id.
+  static constexpr std::uint32_t kClusterIdElem = 4;
   static constexpr std::uint32_t kClusters = 64;
   static constexpr std::uint32_t kDims = 4;
 
@@ -41,17 +46,19 @@ class KmeansApp {
     core::TableRef<double> centroids;
   };
 
-  /// Generates a dataset that this app alone owns, particles included.
-  explicit KmeansApp(const Params& params) : KmeansApp(Dataset(params)) {}
+  /// Generates a dataset that this app alone owns.
+  explicit KmeansApp(const Params& params)
+      : input_(Dataset(params)), cluster_ids_(num_records(), -1.0) {}
   /// Runs over `data`, which other apps may share and none writes: the
-  /// kernel writes cluster ids into a private copy of the particles.
+  /// kernel writes cluster ids into this app's own column.
   explicit KmeansApp(std::shared_ptr<const Dataset> data)
-      : particles_(data->particles), input_(std::move(data)) {}
+      : input_(std::move(data)), cluster_ids_(num_records(), -1.0) {}
 
   // --- scheme-runner interface ---
   void reset();
   std::uint64_t num_records() const { return input_.data().records; }
   core::TableSet& tables() { return input_.tables(); }
+  const core::TableSet& tables() const { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -92,7 +99,8 @@ class KmeansApp {
           }
         }
         ctx.alu(kClusters * (3.0 * kDims + 2.0));
-        ctx.write(particles, base + 4, value_cast<double>(best_cluster));
+        ctx.write(particles, base + kClusterIdElem,
+                  value_cast<double>(best_cluster));
       }
     }
   };
@@ -106,13 +114,9 @@ class KmeansApp {
   std::uint64_t result_digest() const;
 
  private:
-  explicit KmeansApp(Dataset&& owned)
-      : particles_(std::move(owned.particles)), input_(std::move(owned)) {}
-
-  // The read-write particle stream. Declared before input_: the owning
-  // constructor moves the particles out before the dataset moves there.
-  std::vector<double> particles_;
   AppInput<Dataset> input_;
+  // The stream's output column: record r's cluster id.
+  std::vector<double> cluster_ids_;
 };
 
 }  // namespace bigk::apps

@@ -68,6 +68,7 @@ class MastercardApp {
     return input_.data().log.size();
   }
   core::TableSet& tables() { return input_.tables(); }
+  const core::TableSet& tables() const { return input_.tables(); }
   bool interleaved_records() const { return false; }  // text: contiguous
   std::vector<schemes::StreamDecl> stream_decls();
 
@@ -175,6 +176,7 @@ class MastercardIndexedApp {
     return input_.data().groups;
   }
   core::TableSet& tables() { return input_.tables(); }
+  const core::TableSet& tables() const { return input_.tables(); }
   bool interleaved_records() const { return true; }
   std::vector<schemes::StreamDecl> stream_decls();
 

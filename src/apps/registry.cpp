@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/dna.hpp"
 #include "apps/kmeans.hpp"
@@ -48,7 +49,7 @@ std::uint64_t input_digest(App& app) {
   for (const schemes::StreamDecl& decl : app.stream_decls()) {
     sum.mix_bytes({decl.binding.host_data, decl.binding.size_bytes()});
   }
-  const core::TableSet& tables = app.tables();
+  const core::TableSet& tables = std::as_const(app).tables();
   for (std::uint32_t id = 0; id < tables.size(); ++id) {
     sum.mix_bytes(tables.raw_bytes(id));
   }
@@ -77,8 +78,8 @@ BenchApp make_entry(const ScaledSystem& scaled, std::uint64_t seed,
     return std::make_unique<AppJobRunner<App>>(name, dataset->get());
   };
   entry.dataset_digest = [dataset] {
-    // A fresh app over the dataset copies its tables (and K-means its
-    // particles) before any run, so it reads the dataset's own bytes.
+    // A fresh app over the dataset has not run, so its streams and its
+    // tables are the dataset's own bytes.
     App app(dataset->get());
     return input_digest(app);
   };

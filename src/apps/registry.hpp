@@ -3,7 +3,6 @@
 // harness and the serving layer.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -53,10 +52,10 @@ struct CpuJobConfig {
 /// One runnable instance of a benchmark application, type-erased so the
 /// serving layer can launch any registered app on any device of a pool
 /// without knowing its concrete type. A runner owns its per-run state (its
-/// tables, and the streams it writes) and may share its read-only input with
-/// other runners of the same app; run() may be called repeatedly (each call
-/// resets output state first) and multiple runners execute concurrently
-/// against distinct devices.
+/// tables from its first run on, and what its streams write) and may share
+/// its read-only input with other runners of the same app; run() may be
+/// called repeatedly (each call resets output state first) and multiple
+/// runners execute concurrently against distinct devices.
 class JobRunner {
  public:
   virtual ~JobRunner() = default;
@@ -170,9 +169,7 @@ class AppJobRunner : public JobRunner {
     for (const schemes::StreamDecl& decl : app_.stream_decls()) {
       const core::StreamBinding& b = decl.binding;
       if (b.mode != core::AccessMode::kReadWrite) continue;
-      const std::uint64_t bytes = std::min(
-          records_done * b.elems_per_record * b.elem_size, b.size_bytes());
-      sum.mix_bytes({b.host_data, bytes});
+      sum.mix_bytes(b.out_prefix(records_done));
       any = true;
     }
     return any ? sum.value() : 0;

@@ -52,6 +52,7 @@ class WordCountApp {
   void reset();
   std::uint64_t num_records() const { return input_.data().lines; }
   core::TableSet& tables() { return input_.tables(); }
+  const core::TableSet& tables() const { return input_.tables(); }
   bool interleaved_records() const { return false; }  // text: contiguous
   std::vector<schemes::StreamDecl> stream_decls();
 

@@ -134,11 +134,14 @@ class Engine {
 
   /// Type-erased registration: maps a pre-built binding (ids are assigned in
   /// registration order, matching StreamRefs constructed by the caller).
+  /// Throws std::invalid_argument on an output column the binding cannot
+  /// have (StreamBinding::validate).
   std::uint32_t map_stream(const StreamBinding& binding,
                            std::uint32_t overfetch_elems = 0) {
     if (bindings_.size() >= kMaxStreams) {
       throw std::invalid_argument("too many mapped streams");
     }
+    binding.validate();
     StreamBinding bound = binding;
     bound.host_region =
         kStreamRegionBase + static_cast<std::uint32_t>(bindings_.size());

@@ -44,38 +44,53 @@ bool PatternDetector::feed(std::uint64_t address) {
   return true;
 }
 
-bool PatternDetector::hypothesize() {
-  const std::size_t n = probe_.size();
-  // A cycle must be observed at least twice (2*cycle+1 addresses) before it
-  // counts as a hypothesis; otherwise any sequence would trivially "match"
-  // a cycle of length n-1.
+namespace {
+
+/// The shortest stride cycle of at most `max_cycle` strides that explains
+/// every address of `probe` and is observed at least twice (2*cycle+1
+/// addresses; otherwise any sequence would trivially "match" a cycle of
+/// length n-1), or 0 when none does. A cycle explains the probe when each
+/// stride equals the stride `cycle` before it, which the loop checks in
+/// place, with wrapping address arithmetic.
+std::uint32_t shortest_cycle(const std::vector<std::uint64_t>& probe,
+                             std::uint32_t max_cycle) {
+  const std::size_t n = probe.size();
   for (std::uint32_t cycle = 1;
-       cycle <= max_cycle_ && std::size_t{2} * cycle + 1 <= n; ++cycle) {
-    std::vector<std::int64_t> strides(cycle);
-    for (std::uint32_t j = 0; j < cycle; ++j) {
-      strides[j] = static_cast<std::int64_t>(probe_[j + 1]) -
-                   static_cast<std::int64_t>(probe_[j]);
-    }
+       cycle <= max_cycle && std::size_t{2} * cycle + 1 <= n; ++cycle) {
     bool consistent = true;
-    for (std::size_t i = 1; i + 1 < n && consistent; ++i) {
-      const std::int64_t diff = static_cast<std::int64_t>(probe_[i + 1]) -
-                                static_cast<std::int64_t>(probe_[i]);
-      consistent = diff == strides[i % cycle];
+    for (std::size_t i = cycle; i + 1 < n && consistent; ++i) {
+      consistent =
+          probe[i + 1] - probe[i] == probe[i + 1 - cycle] - probe[i - cycle];
     }
-    if (consistent) {
-      candidate_.base = probe_.front();
-      candidate_.strides = std::move(strides);
-      candidate_.count = n;
-      // The probe already confirmed address_at(n - 1) == probe_.back().
-      next_stride_ = (n - 1) % cycle;
-      expected_ = probe_.back() +
-                  static_cast<std::uint64_t>(candidate_.strides[next_stride_]);
-      if (++next_stride_ == cycle) next_stride_ = 0;
-      state_ = State::kVerifying;
-      return true;
-    }
+    if (consistent) return cycle;
   }
-  return false;
+  return 0;
+}
+
+/// The pattern of `cycle` strides that explains `probe`.
+StridePattern cycle_pattern(const std::vector<std::uint64_t>& probe,
+                            std::uint32_t cycle) {
+  StridePattern pattern{probe.front(), std::vector<std::int64_t>(cycle),
+                        probe.size()};
+  for (std::uint32_t j = 0; j < cycle; ++j) {
+    pattern.strides[j] = static_cast<std::int64_t>(probe[j + 1] - probe[j]);
+  }
+  return pattern;
+}
+
+}  // namespace
+
+bool PatternDetector::hypothesize() {
+  const std::uint32_t cycle = shortest_cycle(probe_, max_cycle_);
+  if (cycle == 0) return false;
+  candidate_ = cycle_pattern(probe_, cycle);
+  // The probe already confirmed address_at(n - 1) == probe_.back().
+  next_stride_ = (probe_.size() - 1) % cycle;
+  expected_ = probe_.back() +
+              static_cast<std::uint64_t>(candidate_.strides[next_stride_]);
+  if (++next_stride_ == cycle) next_stride_ = 0;
+  state_ = State::kVerifying;
+  return true;
 }
 
 std::optional<StridePattern> PatternDetector::pattern() const {
@@ -85,12 +100,9 @@ std::optional<StridePattern> PatternDetector::pattern() const {
   if (probe_.size() == 1) {
     return StridePattern{probe_.front(), {0}, 1};
   }
-  PatternDetector scratch(static_cast<std::uint32_t>(probe_.size()),
-                          max_cycle_);
-  scratch.probe_ = probe_;
-  scratch.count_ = count_;
-  if (scratch.hypothesize()) return scratch.candidate_;
-  return std::nullopt;
+  const std::uint32_t cycle = shortest_cycle(probe_, max_cycle_);
+  if (cycle == 0) return std::nullopt;
+  return cycle_pattern(probe_, cycle);
 }
 
 void PatternDetector::reset() {

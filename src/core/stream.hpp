@@ -13,6 +13,7 @@
 // transformation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -98,12 +99,16 @@ struct TableRef {
 
 /// Type-erased description of one mapped stream.
 struct StreamBinding {
+  /// out_column's default: writes land in place, element for element.
+  static constexpr std::uint32_t kWholeRecord = ~0u;
+
   /// The stream's host bytes, which every scheme reads. A read-only stream
   /// may view memory that other runs share (an app's dataset), so no path
   /// writes through this pointer.
   const std::byte* host_data = nullptr;
-  /// Where writes and write-back scatters land: the same bytes as host_data
-  /// on a kReadWrite stream, null on a read-only one.
+  /// Where writes and write-back scatters land, null on a read-only stream.
+  /// In the whole-record layout these are host_data's bytes; with an output
+  /// column they are one element per record, so host_data may stay shared.
   std::byte* host_out = nullptr;
   std::uint64_t num_elements = 0;
   std::uint32_t elem_size = 0;
@@ -116,8 +121,32 @@ struct StreamBinding {
   std::uint32_t reads_per_record = 1;
   std::uint32_t writes_per_record = 0;
 
+  /// The one element of each record a read-write stream writes (K-means's
+  /// cluster id), or kWholeRecord. With a column, record r's write lands at
+  /// host_out[r] and a write to any other element breaks the contract. The
+  /// stream's addresses, and so its traffic and cache lines, do not change.
+  std::uint32_t out_column = kWholeRecord;
+
   std::uint64_t size_bytes() const noexcept {
     return num_elements * elem_size;
+  }
+
+  /// Throws std::invalid_argument naming out_column when the stream
+  /// declares a column it cannot have: on a read-only stream, at or past
+  /// elems_per_record, or with writes_per_record other than 1.
+  void validate() const;
+
+  /// The host_out bytes that records [0, records) write: their whole
+  /// records, or their column elements. Empty on a read-only stream.
+  std::span<const std::byte> out_prefix(std::uint64_t records) const {
+    if (host_out == nullptr) return {};
+    const std::uint64_t per_record =
+        out_column == kWholeRecord ? elems_per_record : 1;
+    const std::uint64_t elems =
+        out_column == kWholeRecord
+            ? num_elements
+            : (num_elements + elems_per_record - 1) / elems_per_record;
+    return {host_out, std::min(records * per_record, elems) * elem_size};
   }
 
   template <class T>
@@ -137,13 +166,18 @@ struct StreamBinding {
   }
 
   /// The bytes of element `index` for a write. Throws KernelContractError on
-  /// a read-only stream or an index past the stream's end.
+  /// a read-only stream, an index past the stream's end or, with an output
+  /// column, an element of the record other than the column.
   std::byte* out(std::uint64_t index) const {
     check_contract(host_out != nullptr, "write to a read-only stream", index,
                    num_elements);
     check_contract(index < num_elements, "stream write out of range", index,
                    num_elements);
-    return host_out + index * elem_size;
+    if (out_column == kWholeRecord) return host_out + index * elem_size;
+    check_contract(index % elems_per_record == out_column,
+                   "stream write outside its output column",
+                   index % elems_per_record, out_column);
+    return host_out + index / elems_per_record * elem_size;
   }
 
  private:

@@ -129,6 +129,7 @@ inline std::vector<core::StreamBinding> make_bindings(
   std::vector<core::StreamBinding> bindings;
   bindings.reserve(decls.size());
   for (std::uint32_t i = 0; i < decls.size(); ++i) {
+    decls[i].binding.validate();
     core::StreamBinding binding = decls[i].binding;
     binding.host_region = core::kStreamRegionBase + i;
     bindings.push_back(binding);

@@ -125,6 +125,7 @@ std::uint64_t dataset_id_of(const std::string& app) {
 
 struct Job {
   JobRecord record;
+  /// Built with the job, destroyed when it settles.
   std::unique_ptr<apps::JobRunner> runner;
   /// bigkstatic pattern signature of the (verified) app, 0 when the
   /// verification gate is disabled.
@@ -335,8 +336,11 @@ struct ServerState {
 
   void settle_one() { all_settled.advance_to(++settled); }
 
-  /// Settles `job` and signals its chain client.
+  /// Settles `job`, destroys its runner and signals its chain client. A
+  /// runner copies its tables on its first run, so a job's per-run state
+  /// lives from its first run to here.
   void settle_job(Job& job) {
+    job.runner.reset();
     job.done->increment();
     settle_one();
   }

@@ -14,7 +14,8 @@
 //      instantiations (SeqCtx) for record counts {1, N/2, N}; per thread
 //      and stream the compute sequence must be a prefix of the addr-gen
 //      sequence (phase agreement), and writes must stay inside the writing
-//      thread's record span with no cross-thread read/write overlap.
+//      thread's record span, and inside the stream's output column when it
+//      declares one, with no cross-thread read/write overlap.
 //
 //   3. Affine fit + online cross-validation. Each stream's per-thread
 //      addr-gen byte-address sequence is fitted as base + cyclic strides
@@ -271,12 +272,15 @@ KernelReport verify_app(App& app, const VerifyOptions& opts = {}) {
     }
   }
 
-  // ---- 2b. alias overlap (writes vs record spans and other threads) -------
+  // ---- 2b. alias overlap (writes vs record spans, output columns and
+  // other threads) -----------------------------------------------------------
   for (std::uint32_t s = 0; s < bindings.size(); ++s) {
     const std::uint64_t epr = bindings[s].elems_per_record;
+    const std::uint32_t column = bindings[s].out_column;
     std::map<std::uint64_t, std::uint32_t> writers;  // elem -> thread
     std::map<std::uint64_t, std::uint32_t> readers;
     bool span_reported = false;
+    bool column_reported = false;
     for (std::uint32_t t = 0; t < threads; ++t) {
       const detail::Range range = detail::thread_range(records, threads, t);
       for (const TraceAccess& access :
@@ -287,6 +291,22 @@ KernelReport verify_app(App& app, const VerifyOptions& opts = {}) {
           continue;
         }
         writers.emplace(access.elem, t);
+        if (!column_reported && column != core::StreamBinding::kWholeRecord &&
+            access.elem % epr != column) {
+          column_reported = true;
+          Violation violation;
+          violation.check = Check::kAliasOverlap;
+          violation.kind = "write_outside_output_column";
+          violation.message =
+              "stream write targets element " +
+              std::to_string(access.elem % epr) + " of its record, but the "
+              "stream's output column is element " + std::to_string(column);
+          const Site& site = sites.site(access.site);
+          violation.site = SiteInfo{site.file, site.line, site.function};
+          violation.stream = s;
+          violation.thread = t;
+          add_violation(std::move(violation));
+        }
         const std::uint64_t span_begin = range.begin * epr;
         const std::uint64_t span_end = range.end * epr;
         if (!span_reported &&

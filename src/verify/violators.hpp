@@ -29,6 +29,17 @@ struct StreamDecl {
 };
 }  // namespace schemes_compat
 
+/// The output column a violator kernel's stream declares: its kOutColumn,
+/// or the whole-record layout.
+template <class Kernel>
+constexpr std::uint32_t out_column_of() {
+  if constexpr (requires { Kernel::kOutColumn; }) {
+    return Kernel::kOutColumn;
+  } else {
+    return core::StreamBinding::kWholeRecord;
+  }
+}
+
 /// Minimal duck-typed app (schemes/runners.hpp interface) over one uint64
 /// stream plus one uint32 table, shared by all violator kernels.
 template <class Kernel>
@@ -38,6 +49,7 @@ class ViolatorApp {
 
   explicit ViolatorApp(std::uint64_t records) : records_(records) {
     data_.resize(records_ * kElemsPerRecord + kElemsPerRecord);
+    column_.resize(data_.size() / kElemsPerRecord);
     std::uint64_t state = 0x9E3779B97F4A7C15ull;
     for (std::uint64_t& value : data_) {
       state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -58,7 +70,11 @@ class ViolatorApp {
   std::vector<schemes_compat::StreamDecl> stream_decls() {
     core::StreamBinding binding;
     binding.host_data = reinterpret_cast<const std::byte*>(data_.data());
-    binding.host_out = reinterpret_cast<std::byte*>(data_.data());
+    binding.out_column = out_column_of<Kernel>();
+    binding.host_out = reinterpret_cast<std::byte*>(
+        binding.out_column == core::StreamBinding::kWholeRecord
+            ? data_.data()
+            : column_.data());
     binding.num_elements = data_.size();
     binding.elem_size = sizeof(std::uint64_t);
     binding.mode = core::AccessMode::kReadWrite;
@@ -73,6 +89,7 @@ class ViolatorApp {
  private:
   std::uint64_t records_;
   std::vector<std::uint64_t> data_;
+  std::vector<std::uint64_t> column_;  // host_out of a column-declaring kernel
   core::TableSet tables_;
   core::TableRef<std::uint32_t> table_;
 };
@@ -188,6 +205,26 @@ struct AliasViolatorKernel {
   }
 };
 
+/// Output-column violator: the stream declares element 3 of each record as
+/// its output column, and the kernel writes element 2, whose bytes the
+/// stream's other readers share.
+struct ColumnViolatorKernel {
+  static constexpr std::uint32_t kOutColumn = 3;
+  core::StreamRef<std::uint64_t> data{0};
+  core::TableRef<std::uint32_t> table;
+
+  template <class Ctx>
+  void operator()(Ctx& ctx, std::uint64_t rec_begin, std::uint64_t rec_end,
+                  std::uint64_t stride) const {
+    for (std::uint64_t r = rec_begin; r < rec_end; r += stride) {
+      const std::uint64_t base = r * 4;
+      const auto value = ctx.read(data, base);
+      // VIOLATION: writes element 2; the declared column is element 3.
+      ctx.write(data, base + 2, value + 1);
+    }
+  }
+};
+
 /// Pattern-consistency violator: the read shape depends on the record count
 /// (the per-thread span), so the stride cycle derived at N disagrees with
 /// the one derived at N/2 — a pattern the online detector would lock onto
@@ -244,6 +281,8 @@ inline std::vector<ViolatorCase> violator_cases(
            CountViolatorKernel{}),
       make("alias_overlap_writer", Check::kAliasOverlap,
            AliasViolatorKernel{}),
+      make("write_outside_output_column", Check::kAliasOverlap,
+           ColumnViolatorKernel{}),
       make("count_dependent_cycle", Check::kPatternConsistency,
            CycleDriftViolatorKernel{}),
   };

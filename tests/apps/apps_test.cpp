@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "apps/dna.hpp"
@@ -213,11 +214,16 @@ TEST(AppsData, KmeansAssignsEveryParticle) {
   // reset() marks cid = -1; after a run every cid must be in [0, kClusters).
   app.reset();
   (void)schemes::run_cpu_serial(tiny_config(), app, sc);
+  // The ids live in the stream's output column, one double per record.
   const auto decls = app.stream_decls();
   const auto& binding = decls[0].binding;
+  ASSERT_EQ(binding.out_column, KmeansApp::kClusterIdElem);
   for (std::uint64_t r = 0; r < app.num_records(); ++r) {
-    const double cid =
-        binding.load<double>(r * KmeansApp::kElemsPerRecord + 4);
+    double cid = 0.0;
+    std::memcpy(&cid,
+                binding.out(r * KmeansApp::kElemsPerRecord +
+                            KmeansApp::kClusterIdElem),
+                sizeof(cid));
     ASSERT_GE(cid, 0.0);
     ASSERT_LT(cid, static_cast<double>(KmeansApp::kClusters));
   }

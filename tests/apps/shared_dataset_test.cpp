@@ -1,8 +1,9 @@
 // One dataset per registry entry: an app over a shared dataset reads the
 // same bytes as one built from its Params and computes the same result;
-// runners of one entry share its read-only streams and write only their own
-// state; an entry generates its dataset once however often it runs; and no
-// run, clean or faulted, changes the shared bytes.
+// runners of one entry share its streams, K-means's particles included, and
+// write only their own state, which they hold from their first run on; an
+// entry generates its dataset once however often it runs; and no run, clean
+// or faulted, changes the shared bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -57,6 +58,7 @@ void expect_same_input(App& a, App& b) {
     EXPECT_EQ(x.elems_per_record, y.elems_per_record);
     EXPECT_EQ(x.reads_per_record, y.reads_per_record);
     EXPECT_EQ(x.writes_per_record, y.writes_per_record);
+    EXPECT_EQ(x.out_column, y.out_column);
     EXPECT_EQ(decls_a[s].overfetch_elems, decls_b[s].overfetch_elems);
     ASSERT_EQ(x.elem_size, y.elem_size);
     ASSERT_EQ(x.num_elements, y.num_elements);
@@ -119,11 +121,11 @@ TEST(AppsSharedDataset, MastercardIndexedMatchesTheOwnedApp) {
   check_shared_matches_owned<MastercardIndexedApp>();
 }
 
-/// The host bytes of `runner`'s first stream.
+/// The first stream of `runner`'s app.
 template <class App>
-const std::byte* stream_bytes(JobRunner& runner) {
+core::StreamBinding first_stream(JobRunner& runner) {
   auto& typed = dynamic_cast<AppJobRunner<App>&>(runner);
-  return typed.app().stream_decls().at(0).binding.host_data;
+  return typed.app().stream_decls().at(0).binding;
 }
 
 template <class App>
@@ -131,11 +133,13 @@ void expect_runners_share_the_stream(const std::vector<BenchApp>& suite) {
   const BenchApp& entry = find_app(suite, App::paper_info().name);
   const std::unique_ptr<JobRunner> a = entry.make_runner();
   const std::unique_ptr<JobRunner> b = entry.make_runner();
-  EXPECT_EQ(stream_bytes<App>(*a), stream_bytes<App>(*b)) << entry.name;
+  EXPECT_EQ(first_stream<App>(*a).host_data, first_stream<App>(*b).host_data)
+      << entry.name;
 }
 
 TEST(AppsSharedDataset, RunnersOfOneEntryShareItsReadOnlyStreams) {
   const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.0001});
+  expect_runners_share_the_stream<KmeansApp>(suite);
   expect_runners_share_the_stream<WordCountApp>(suite);
   expect_runners_share_the_stream<NetflixApp>(suite);
   expect_runners_share_the_stream<OpinionApp>(suite);
@@ -144,15 +148,71 @@ TEST(AppsSharedDataset, RunnersOfOneEntryShareItsReadOnlyStreams) {
   expect_runners_share_the_stream<MastercardIndexedApp>(suite);
 }
 
-// K-means writes cluster ids into its mapped stream: each runner writes its
-// own copy, so a job on one runner leaves the other's output and the shared
-// dataset as they were.
-TEST(AppsSharedDataset, KmeansJobWritesOnlyItsOwnParticles) {
+// K-means reads its particles where the dataset keeps them and writes its
+// cluster ids into a column of its own: two runners' streams view the same
+// bytes, equal to the dataset's, and their output columns differ.
+TEST(AppsSharedDataset, KmeansRunnersShareTheParticles) {
   const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.0001});
   const BenchApp& kmeans = find_app(suite, "K-means");
   const std::unique_ptr<JobRunner> a = kmeans.make_runner();
   const std::unique_ptr<JobRunner> b = kmeans.make_runner();
-  EXPECT_NE(stream_bytes<KmeansApp>(*a), stream_bytes<KmeansApp>(*b));
+  const core::StreamBinding x = first_stream<KmeansApp>(*a);
+  const core::StreamBinding y = first_stream<KmeansApp>(*b);
+  EXPECT_EQ(x.host_data, y.host_data);
+  EXPECT_NE(x.host_out, y.host_out);
+  EXPECT_EQ(x.out_column, KmeansApp::kClusterIdElem);
+  EXPECT_EQ(x.size_bytes(),
+            a->num_records() * KmeansApp::kElemsPerRecord * sizeof(double));
+  EXPECT_EQ(x.out_prefix(a->num_records()).size(),
+            a->num_records() * sizeof(double));
+}
+
+/// Runners of `App`'s entry copy its tables on their first run: before
+/// either runs, both read the dataset's tables; after one job, that
+/// runner's tables are its own and the other's are still the dataset's.
+template <class App>
+void expect_tables_copied_on_first_run(const std::vector<BenchApp>& suite) {
+  const BenchApp& entry = find_app(suite, App::paper_info().name);
+  SCOPED_TRACE(entry.name);
+  const std::unique_ptr<JobRunner> a = entry.make_runner();
+  const std::unique_ptr<JobRunner> b = entry.make_runner();
+  const auto tables = [](JobRunner& runner) {
+    const App& app = dynamic_cast<AppJobRunner<App>&>(runner).app();
+    return app.tables().raw_bytes(0).data();
+  };
+  const std::byte* dataset = tables(*a);
+  EXPECT_EQ(tables(*b), dataset);
+
+  sim::Simulation sim;
+  cusim::Runtime runtime(sim, tiny_config());
+  JobRunConfig cfg;
+  cfg.engine = tiny_engine();
+  sim.run_until_complete(a->run(runtime, cfg));
+  EXPECT_NE(tables(*a), dataset);
+  EXPECT_EQ(tables(*b), dataset);
+}
+
+TEST(AppsSharedDataset, RunnersHoldNoTableCopyUntilTheyRun) {
+  const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.00005});
+  expect_tables_copied_on_first_run<KmeansApp>(suite);
+  expect_tables_copied_on_first_run<WordCountApp>(suite);
+  expect_tables_copied_on_first_run<NetflixApp>(suite);
+  expect_tables_copied_on_first_run<OpinionApp>(suite);
+  expect_tables_copied_on_first_run<DnaApp>(suite);
+  expect_tables_copied_on_first_run<MastercardApp>(suite);
+  expect_tables_copied_on_first_run<MastercardIndexedApp>(suite);
+}
+
+// K-means writes cluster ids into its output column: each runner writes its
+// own, so a job on one runner leaves the other's output and the shared
+// dataset as they were.
+TEST(AppsSharedDataset, KmeansJobWritesOnlyItsOwnClusterIds) {
+  const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.0001});
+  const BenchApp& kmeans = find_app(suite, "K-means");
+  const std::unique_ptr<JobRunner> a = kmeans.make_runner();
+  const std::unique_ptr<JobRunner> b = kmeans.make_runner();
+  EXPECT_NE(first_stream<KmeansApp>(*a).host_out,
+            first_stream<KmeansApp>(*b).host_out);
   const std::uint64_t records = b->num_records();
   const std::uint64_t untouched = b->output_digest(records);
   const std::uint64_t dataset = kmeans.dataset_digest();

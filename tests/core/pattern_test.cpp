@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace bigk::core {
@@ -303,6 +306,170 @@ TEST(PatternDetectorTest, OnePerturbedAddressFailsExactlyItsOwnFeed) {
       EXPECT_EQ(detector.state(), PatternDetector::State::kBroken);
       EXPECT_FALSE(detector.pattern().has_value());
     }
+  }
+}
+
+// The detector as it was before hypothesize() tested cycles in place: it
+// builds every candidate cycle's strides in a vector, and pattern() re-runs
+// it on a copy of a short probe. The detector must agree with it feed for
+// feed. It subtracts addresses as int64, so the probes below stay clear of
+// the 2^63 boundary, where that overflows; they do wrap past 2^64.
+class ReferenceDetector {
+ public:
+  ReferenceDetector(std::uint32_t probe_window, std::uint32_t max_cycle)
+      : probe_window_(probe_window), max_cycle_(max_cycle) {}
+
+  using State = PatternDetector::State;
+
+  bool feed(std::uint64_t address) {
+    ++count_;
+    switch (state_) {
+      case State::kProbing:
+        probe_.push_back(address);
+        if (probe_.size() >= probe_window_) {
+          if (!hypothesize()) state_ = State::kBroken;
+        }
+        return true;
+      case State::kVerifying:
+        if (address == expected_) {
+          candidate_.count = count_;
+          expected_ += static_cast<std::uint64_t>(
+              candidate_.strides[next_stride_]);
+          if (++next_stride_ == candidate_.strides.size()) next_stride_ = 0;
+          return true;
+        }
+        state_ = State::kBroken;
+        return false;
+      case State::kBroken:
+        return true;
+    }
+    return true;
+  }
+
+  bool hypothesize() {
+    const std::size_t n = probe_.size();
+    for (std::uint32_t cycle = 1;
+         cycle <= max_cycle_ && std::size_t{2} * cycle + 1 <= n; ++cycle) {
+      std::vector<std::int64_t> strides(cycle);
+      for (std::uint32_t j = 0; j < cycle; ++j) {
+        strides[j] = static_cast<std::int64_t>(probe_[j + 1]) -
+                     static_cast<std::int64_t>(probe_[j]);
+      }
+      bool consistent = true;
+      for (std::size_t i = 1; i + 1 < n && consistent; ++i) {
+        const std::int64_t diff = static_cast<std::int64_t>(probe_[i + 1]) -
+                                  static_cast<std::int64_t>(probe_[i]);
+        consistent = diff == strides[i % cycle];
+      }
+      if (consistent) {
+        candidate_.base = probe_.front();
+        candidate_.strides = std::move(strides);
+        candidate_.count = n;
+        next_stride_ = (n - 1) % cycle;
+        expected_ = probe_.back() + static_cast<std::uint64_t>(
+                                        candidate_.strides[next_stride_]);
+        if (++next_stride_ == cycle) next_stride_ = 0;
+        state_ = State::kVerifying;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::optional<StridePattern> pattern() const {
+    if (state_ == State::kBroken || count_ == 0) return std::nullopt;
+    if (state_ == State::kVerifying) return candidate_;
+    if (probe_.size() == 1) return StridePattern{probe_.front(), {0}, 1};
+    ReferenceDetector scratch(static_cast<std::uint32_t>(probe_.size()),
+                              max_cycle_);
+    scratch.probe_ = probe_;
+    scratch.count_ = count_;
+    if (scratch.hypothesize()) return scratch.candidate_;
+    return std::nullopt;
+  }
+
+  std::uint32_t probe_window_;
+  std::uint32_t max_cycle_;
+  State state_ = State::kProbing;
+  std::vector<std::uint64_t> probe_;
+  StridePattern candidate_;
+  std::uint64_t count_ = 0;
+  std::uint64_t expected_ = 0;
+  std::size_t next_stride_ = 0;
+};
+
+/// Feeds `addrs` to both detectors and compares, after every feed, the
+/// feed's verdict, the state, the pattern (base, strides, count) and, while
+/// verifying, the next address the pattern expects.
+void expect_matches_reference(const std::vector<std::uint64_t>& addrs,
+                              std::uint32_t probe_window,
+                              std::uint32_t max_cycle) {
+  PatternDetector detector(probe_window, max_cycle);
+  ReferenceDetector reference(probe_window, max_cycle);
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    SCOPED_TRACE("feed " + std::to_string(i) + " of " +
+                 std::to_string(addrs.size()) + ", window " +
+                 std::to_string(probe_window) + ", max cycle " +
+                 std::to_string(max_cycle));
+    ASSERT_EQ(detector.feed(addrs[i]), reference.feed(addrs[i]));
+    ASSERT_EQ(detector.state(), reference.state_);
+    const std::optional<StridePattern> got = detector.pattern();
+    const std::optional<StridePattern> want = reference.pattern();
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got.has_value()) continue;
+    ASSERT_EQ(got->base, want->base);
+    ASSERT_EQ(got->strides, want->strides);
+    ASSERT_EQ(got->count, want->count);
+    if (reference.state_ == PatternDetector::State::kVerifying) {
+      ASSERT_EQ(got->address_at(detector.count()), reference.expected_);
+    }
+  }
+}
+
+/// `count` addresses of a random cycle of 1-`max_cycle` strides in
+/// [-64, 64] from `base`.
+std::vector<std::uint64_t> periodic(std::mt19937_64& rng, std::uint64_t base,
+                                    std::uint32_t max_cycle,
+                                    std::uint64_t count) {
+  StridePattern truth{base, {}, count};
+  const std::uint32_t cycle = 1 + static_cast<std::uint32_t>(rng() % max_cycle);
+  for (std::uint32_t j = 0; j < cycle; ++j) {
+    truth.strides.push_back(static_cast<std::int64_t>(rng() % 129) - 64);
+  }
+  return expand(truth);
+}
+
+TEST(PatternDetectorTest, MatchesTheReferenceOnSeededProbes) {
+  std::mt19937_64 rng(0xB16C);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint32_t window = 3 + static_cast<std::uint32_t>(rng() % 70);
+    const std::uint32_t max_cycle = 1 + static_cast<std::uint32_t>(rng() % 40);
+    const std::uint64_t count = 1 + rng() % 200;
+    const std::uint64_t base = (std::uint64_t{1} << 40) + rng() % (1 << 20);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Periodic, as every affine kernel's stream is.
+    std::vector<std::uint64_t> addrs = periodic(rng, base, 40, count);
+    expect_matches_reference(addrs, window, max_cycle);
+    // The same with one to three addresses perturbed, inside the probe or
+    // after it.
+    for (std::uint64_t k = 0, bad = 1 + rng() % 3; k < bad; ++k) {
+      addrs[rng() % addrs.size()] += 1 + rng() % 16;
+    }
+    expect_matches_reference(addrs, window, max_cycle);
+    // Random addresses below 2^40.
+    for (std::uint64_t& address : addrs) {
+      address = rng() % (std::uint64_t{1} << 40);
+    }
+    expect_matches_reference(addrs, window, max_cycle);
+    // Short: fewer addresses than the window, so pattern() re-derives one
+    // from a probe that never filled.
+    const std::vector<std::uint64_t> shortened =
+        periodic(rng, base, 8, 1 + rng() % window);
+    expect_matches_reference(shortened, window, max_cycle);
+    // Wrapping: a base 0-1023 bytes below 2^64, so the addresses cross 0.
+    const std::vector<std::uint64_t> wrapping =
+        periodic(rng, ~std::uint64_t{0} - rng() % 1024, 40, count);
+    expect_matches_reference(wrapping, window, max_cycle);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "apps/kmeans.hpp"
 #include "apps/mastercard.hpp"
 #include "apps/wordcount.hpp"
 #include "fault/fault.hpp"
@@ -46,6 +47,27 @@ TEST(HeteroRun, DigestByteIdenticalAcrossStaticRatios) {
               app.num_records())
         << "ratio " << ratio;
   }
+}
+
+// K-means is the read-write app: both sides write cluster ids into the
+// stream's output column, the CPU side through its own context and the GPU
+// side through the engine's write-back, and every record's id must land.
+TEST(HeteroRun, KmeansDigestMatchesAcrossRatios) {
+  apps::KmeansApp app({.data_bytes = 1 << 19, .seed = 1004});
+  schemes::SchemeConfig sc = tiny_scheme_config();
+  (void)schemes::run_cpu_serial(tiny_config(), app, sc);
+  const std::uint64_t reference = app.result_digest();
+  for (double ratio : {0.0, 0.25, 0.5, 1.0}) {
+    sc.hetero.cpu_ratio = ratio;
+    sc.hetero.dynamic = false;
+    (void)run_hetero(tiny_config(), app, sc);
+    EXPECT_EQ(app.result_digest(), reference) << "ratio " << ratio;
+  }
+  sc.hetero.cpu_ratio = 0.25;
+  sc.hetero.dynamic = true;
+  const auto metrics = run_hetero(tiny_config(), app, sc);
+  EXPECT_EQ(app.result_digest(), reference) << "dynamic";
+  EXPECT_GT(metrics.hetero.rounds, 1u);
 }
 
 // The variable-length (delimiter-scanned) log is the partition-sensitive

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "schemes/metrics.hpp"
+#include "schemes/uvm.hpp"
 
 namespace bigk::schemes {
 namespace {
@@ -28,9 +30,16 @@ struct ToyApp {
 
   /// False declares the stream read-only, which the kernel's writes break.
   bool writable = true;
+  /// True declares element 3 the stream's output column: writes land in
+  /// `column`, one element per record, and `data` stays as reset() left it.
+  bool with_column = false;
+  std::vector<std::uint64_t> column;
+  /// The record element the kernel writes.
+  std::uint32_t written_elem = 3;
 
   explicit ToyApp(std::uint64_t n) : records(n) {
     data.resize(records * kElemsPerRecord);
+    column.resize(records);
     checksum = table_set.add<std::uint64_t>(1);
     reset();
   }
@@ -41,6 +50,7 @@ struct ToyApp {
       data[r * 4 + 1] = r ^ 0x55;
       data[r * 4 + 2] = 99;
       data[r * 4 + 3] = 0;
+      column[r] = 0;
     }
     table_set.host_span(checksum)[0] = 0;
   }
@@ -62,12 +72,17 @@ struct ToyApp {
     decl.binding.elems_per_record = kElemsPerRecord;
     decl.binding.reads_per_record = 2;
     decl.binding.writes_per_record = 1;
+    if (with_column) {
+      decl.binding.host_out = reinterpret_cast<std::byte*>(column.data());
+      decl.binding.out_column = 3;
+    }
     return {decl};
   }
 
   struct Kernel {
     core::StreamRef<std::uint64_t> stream{0};
     core::TableRef<std::uint64_t> checksum;
+    std::uint32_t written_elem = 3;
 
     template <class Ctx>
     void operator()(Ctx& ctx, std::uint64_t rec_begin, std::uint64_t rec_end,
@@ -76,13 +91,13 @@ struct ToyApp {
         const std::uint64_t a = ctx.read(stream, r * 4);
         const std::uint64_t b = ctx.read(stream, r * 4 + 1);
         ctx.alu(8);
-        ctx.write(stream, r * 4 + 3, a * 2 + b);
+        ctx.write(stream, r * 4 + written_elem, a * 2 + b);
         ctx.atomic_add_table(checksum, 0, a + b);
       }
     }
   };
 
-  Kernel kernel() const { return Kernel{{0}, checksum}; }
+  Kernel kernel() const { return Kernel{{0}, checksum, written_elem}; }
 };
 
 gpusim::SystemConfig small_config() {
@@ -148,6 +163,47 @@ TEST_P(AllSchemes, WriteToAReadOnlyStreamIsAContractError) {
       run_scheme(GetParam(), small_config(), app, small_scheme_config()),
       core::KernelContractError);
   EXPECT_EQ(app.data, before);
+}
+
+/// The toy's output column holds every record's result and its stream's
+/// bytes are as reset() left them.
+void check_column(const ToyApp& app, const Expected& expected) {
+  const ToyApp fresh(app.records);
+  ASSERT_EQ(app.data, fresh.data);
+  for (std::uint64_t r = 0; r < app.records; ++r) {
+    ASSERT_EQ(app.column[r], expected.out[r]) << "record " << r;
+  }
+  auto& tables = const_cast<ToyApp&>(app).table_set;
+  EXPECT_EQ(tables.host_span(app.checksum)[0], expected.checksum);
+}
+
+// A stream with an output column: every scheme lands record r's write at
+// column[r] and writes no byte of the stream itself.
+TEST_P(AllSchemes, OutputColumnTakesEachRecordsWrite) {
+  ToyApp app(30'000);
+  app.with_column = true;
+  (void)run_scheme(GetParam(), small_config(), app, small_scheme_config());
+  check_column(app, expected_results(app.records));
+}
+
+// Writing another element of the record than the declared column stops
+// the run with a contract error that names the column, and no output or
+// stream byte changes.
+TEST_P(AllSchemes, WriteOutsideTheOutputColumnIsAContractError) {
+  ToyApp app(3'000);
+  app.with_column = true;
+  app.written_elem = 2;
+  const ToyApp fresh(app.records);
+  try {
+    run_scheme(GetParam(), small_config(), app, small_scheme_config());
+    FAIL() << "expected core::KernelContractError";
+  } catch (const core::KernelContractError& error) {
+    EXPECT_NE(std::string(error.what()).find("output column (2 against 3)"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(app.data, fresh.data);
+  EXPECT_EQ(app.column, fresh.column);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,6 +275,64 @@ TEST(SchemeMetricsTest, DoubleBufferOverlapsCommunication) {
               static_cast<double>(single.h2d_bytes),
               static_cast<double>(single.h2d_bytes) * 0.05);
   EXPECT_LT(dbl.total_time, single.total_time);
+}
+
+// Demand paging writes through the stream's binding too.
+TEST(SchemeUvmTest, OutputColumnTakesEachRecordsWrite) {
+  ToyApp app(30'000);
+  app.with_column = true;
+  (void)run_gpu_uvm(small_config(), app, small_scheme_config());
+  check_column(app, expected_results(app.records));
+
+  app.written_elem = 2;
+  EXPECT_THROW(run_gpu_uvm(small_config(), app, small_scheme_config()),
+               core::KernelContractError);
+}
+
+// A column the stream cannot have is rejected before the run, naming the
+// field, by the CPU and chunked runners' bindings and by the engine's.
+TEST(SchemeBindingTest, ImpossibleOutputColumnsAreRejectedByName) {
+  const auto expect_rejected = [](const auto& app, const char* field) {
+    for (const Scheme scheme : {Scheme::kCpuSerial, Scheme::kGpuDoubleBuffer,
+                                Scheme::kBigKernel}) {
+      auto copy = app;
+      try {
+        run_scheme(scheme, small_config(), copy, small_scheme_config());
+        ADD_FAILURE() << field << ": expected std::invalid_argument under "
+                      << scheme_name(scheme);
+      } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("out_column 3"), std::string::npos) << message;
+        EXPECT_NE(message.find(field), std::string::npos) << message;
+      }
+    }
+  };
+  ToyApp read_only(100);
+  read_only.with_column = true;
+  read_only.writable = false;
+  expect_rejected(read_only, "read-only");
+
+  // Declared through a binding rather than the toy, so the column is the
+  // only thing wrong with it.
+  struct Shaped : ToyApp {
+    using ToyApp::ToyApp;
+    std::uint32_t elems = kElemsPerRecord;
+    std::uint32_t writes = 1;
+    std::vector<StreamDecl> stream_decls() {
+      std::vector<StreamDecl> decls = ToyApp::stream_decls();
+      decls[0].binding.elems_per_record = elems;
+      decls[0].binding.writes_per_record = writes;
+      return decls;
+    }
+  };
+  Shaped narrow(100);
+  narrow.with_column = true;
+  narrow.elems = 3;
+  expect_rejected(narrow, "elems_per_record");
+  Shaped twice(100);
+  twice.with_column = true;
+  twice.writes = 2;
+  expect_rejected(twice, "writes_per_record");
 }
 
 // A fan-out over zero host threads would run no record and report a

@@ -1,17 +1,20 @@
 // Functional tests of the bigkserve serving layer over a toy app suite:
 // completion, multi-device scaling, admission-control shedding, app-affinity
 // reuse, the two binding rules of the dispatch step, closed-loop chains,
-// deadlines, config rejection, nearest-rank report percentiles, and clean
-// execution under the bigkcheck sanitizers with concurrent devices.
+// deadlines, config rejection, nearest-rank report percentiles, clean
+// execution under the bigkcheck sanitizers with concurrent devices, and
+// runners destroyed as their jobs settle.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/job.hpp"
@@ -218,6 +221,66 @@ TEST(ServeServerTest, DeadlinesAreAccounted) {
   const ServeReport relaxed =
       run_server(toy_server(1, Policy::kRoundRobin, 6), specs, suite);
   EXPECT_EQ(relaxed.deadline_misses, 0u);
+}
+
+/// The runners a suite's make_runner has built and destroyed so far, and
+/// how many were already destroyed at each run() call.
+struct RunnerCounts {
+  std::uint32_t built = 0;
+  std::uint32_t destroyed = 0;
+  std::vector<std::uint32_t> destroyed_at_run;
+};
+
+class CountedRunner final : public apps::JobRunner {
+ public:
+  CountedRunner(std::unique_ptr<apps::JobRunner> inner, RunnerCounts& counts)
+      : inner_(std::move(inner)), counts_(counts) {
+    ++counts_.built;
+  }
+  ~CountedRunner() override { ++counts_.destroyed; }
+
+  const std::string& app_name() const noexcept override {
+    return inner_->app_name();
+  }
+  std::uint64_t num_records() const override { return inner_->num_records(); }
+  std::uint64_t input_bytes() const override { return inner_->input_bytes(); }
+  sim::Task<> run(cusim::Runtime& runtime,
+                  const apps::JobRunConfig& cfg) override {
+    counts_.destroyed_at_run.push_back(counts_.destroyed);
+    return inner_->run(runtime, cfg);
+  }
+  sim::Task<> run_cpu(hostsim::HostCpu& cpu,
+                      const apps::CpuJobConfig& cfg) override {
+    return inner_->run_cpu(cpu, cfg);
+  }
+
+ private:
+  std::unique_ptr<apps::JobRunner> inner_;
+  RunnerCounts& counts_;
+};
+
+// A job's runner holds its per-run state (its tables once it has run), so
+// it goes when the job settles, not when run_server returns. On one device
+// the jobs run one after another: the i-th run starts after i jobs settled,
+// and so after their i runners were destroyed.
+TEST(ServeServerTest, SettledJobsReleaseTheirRunners) {
+  auto suite = make_toy_suite(1, 2'000);
+  RunnerCounts counts;
+  suite[0].make_runner = [&counts, inner = suite[0].make_runner] {
+    return std::unique_ptr<apps::JobRunner>(
+        std::make_unique<CountedRunner>(inner(), counts));
+  };
+  constexpr std::uint32_t kJobs = 6;
+  const ServeReport report = run_server(
+      toy_server(1, Policy::kRoundRobin, kJobs), toy_workload(kJobs, 1),
+      suite);
+  EXPECT_EQ(report.completed, kJobs);
+  ASSERT_EQ(counts.destroyed_at_run.size(), kJobs);
+  for (std::uint32_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(counts.destroyed_at_run[i], i) << "run " << i;
+  }
+  EXPECT_EQ(counts.built, kJobs);
+  EXPECT_EQ(counts.destroyed, kJobs);
 }
 
 TEST(ServeServerTest, RunsCleanUnderCheckersWithTwoDevices) {

@@ -142,6 +142,24 @@ TEST(Verifier, EveryViolatorIsCaughtByItsTargetCheck) {
   }
 }
 
+// A stream that declares an output column and writes another element of
+// its records is reported by name; K-means, which writes only its column,
+// passes (AllRegisteredAppsPassEveryContract).
+TEST(Verifier, WriteOutsideTheOutputColumnIsAnAliasViolation) {
+  for (const auto& violator : violator_cases()) {
+    if (violator.name != "write_outside_output_column") continue;
+    const KernelReport report = violator.verify();
+    bool named = false;
+    for (const auto& violation : report.violations) {
+      named |= violation.check == Check::kAliasOverlap &&
+               violation.kind == "write_outside_output_column";
+    }
+    EXPECT_TRUE(named);
+    return;
+  }
+  FAIL() << "no output-column violator registered";
+}
+
 TEST(Verifier, ViolatorSuiteCoversEveryContract) {
   bool seen[5] = {};
   for (const auto& violator : violator_cases()) {
