@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   core::Options options;
   options.num_blocks = 4;  // few blocks keep the timeline readable
   core::Engine engine(runtime, options);  // traces through the runtime
+  app.reset();  // allocates the cluster-id column the kernel writes
   for (const auto& decl : app.stream_decls()) {
     engine.map_stream(decl.binding, decl.overfetch_elems);
   }

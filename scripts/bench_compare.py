@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression gate over a bench baseline (bench/BENCH_fig4a.json for
-fig4a_speedup, bench/BENCH_serve.json for serve_throughput).
+fig4a_speedup, bench/BENCH_hetero.json for hetero_sweep,
+bench/BENCH_serve.json for serve_throughput).
 
 Builds the current entries from a bench's --metrics-json results array and
 fails (exit 1) on any regression outside tolerance against the committed
@@ -38,6 +39,8 @@ Usage:
   bench_compare.py --baseline bench/BENCH_serve.json --current metrics.json
   bench_compare.py --baseline bench/BENCH_fig4a.json \
                    --bench build/bench/fig4a_speedup --scale 0.001
+  bench_compare.py --baseline bench/BENCH_hetero.json \
+                   --bench build/bench/hetero_sweep --scale 0.001
   bench_compare.py ... --update        # rewrite the baseline and exit 0
 
 With --bench, the binary is run with BIGK_SCALE=<scale> and

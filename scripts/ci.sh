@@ -12,11 +12,11 @@
 # -Werror; asan-ubsan does not, since GCC's sanitizer builds warn in code
 # that is otherwise warning-free, but it compiles without NDEBUG, so its
 # asserts run. Each build preset's ctest already covers the fault,
-# durability, load and hetero suites, the bench_fig4a_gate and
-# bench_serve_gate perf gates, and the serve contracts: one ctest per
-# serve_throughput or serve_load scenario or contract pair, so the
-# sanitized build runs the serve_load ones too. plain also builds
-# benchmark/ and runs its bigkbench_smoke.
+# durability, load and hetero suites, the bench_fig4a_gate,
+# bench_hetero_gate and bench_serve_gate perf gates, and the serve
+# contracts: one ctest per serve_throughput or serve_load scenario or
+# contract pair, so the sanitized build runs the serve_load ones too. plain
+# also builds benchmark/ and runs its bigkbench_smoke.
 # Set BIGK_CI_JOBS to override the parallelism (defaults to nproc).
 set -euo pipefail
 
@@ -49,9 +49,6 @@ for preset in "${presets[@]}"; do
     plain)
       # A compiler warning fails the build (the root adds -Wall -Wextra).
       run_preset plain -DCMAKE_CXX_FLAGS=-Werror
-      # The CPU+GPU ratio-sweep smoke; no ctest runs hetero_sweep.
-      echo "=== ci preset plain: hetero_sweep smoke ==="
-      BIGK_SCALE=0.001 "${repo_root}/build-ci-plain/bench/hetero_sweep"
       # The end-to-end benchmark is its own CMake project (benchmark/); its
       # ctest, bigkbench_smoke, runs every workload at a tiny size and checks
       # the output oracle and the metric catalogue.

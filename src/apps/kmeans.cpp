@@ -1,6 +1,5 @@
 #include "apps/kmeans.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace bigk::apps {
@@ -27,18 +26,24 @@ KmeansApp::Dataset::Dataset(const Params& params) {
   }
 }
 
+KmeansApp::KmeansApp(const Params& params) : input_(Dataset(params)) {}
+
+KmeansApp::KmeansApp(std::shared_ptr<const Dataset> data)
+    : input_(std::move(data)) {}
+
 // The centroids are read-only (the kernel only loads them), so a reset
 // clears the cluster ids alone.
-void KmeansApp::reset() {
-  std::fill(cluster_ids_.begin(), cluster_ids_.end(), -1.0);
-}
+void KmeansApp::reset() { cluster_ids_.assign(num_records(), -1.0); }
 
 std::vector<schemes::StreamDecl> KmeansApp::stream_decls() {
   const std::vector<double>& particles = input_.data().particles;
   schemes::StreamDecl decl;
   decl.binding.host_data =
       reinterpret_cast<const std::byte*>(particles.data());
-  decl.binding.host_out = reinterpret_cast<std::byte*>(cluster_ids_.data());
+  // Null before the first reset: there is no column to write yet.
+  decl.binding.host_out =
+      cluster_ids_.empty() ? nullptr
+                           : reinterpret_cast<std::byte*>(cluster_ids_.data());
   decl.binding.num_elements = particles.size();
   decl.binding.elem_size = sizeof(double);
   decl.binding.mode = core::AccessMode::kReadWrite;
@@ -51,7 +56,8 @@ std::vector<schemes::StreamDecl> KmeansApp::stream_decls() {
 
 std::uint64_t KmeansApp::result_digest() const {
   std::uint64_t digest = kFnvBasis;
-  for (const double cid : cluster_ids_) {
+  for (std::uint64_t r = 0; r < num_records(); ++r) {
+    const double cid = cluster_ids_.empty() ? -1.0 : cluster_ids_[r];
     digest = fnv1a(digest, std::bit_cast<std::uint64_t>(cid));
   }
   return digest;

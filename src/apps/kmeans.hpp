@@ -6,6 +6,7 @@
 // (8 B = 12.5% ~ the paper's 12%). The cid element is the stream's output
 // column: its writes land in a per-run array of one double per record, so
 // every run reads the same particles and owns only the ids it writes. The
+// array is allocated by the first reset(), which every run starts with. The
 // centroid table is explicitly device-resident, outside BigKernel's purview,
 // exactly as in the paper's example; it is loaded once per thread slice
 // (shared-memory style) and the per-record work is the k-way distance
@@ -47,14 +48,13 @@ class KmeansApp {
   };
 
   /// Generates a dataset that this app alone owns.
-  explicit KmeansApp(const Params& params)
-      : input_(Dataset(params)), cluster_ids_(num_records(), -1.0) {}
+  explicit KmeansApp(const Params& params);
   /// Runs over `data`, which other apps may share and none writes: the
   /// kernel writes cluster ids into this app's own column.
-  explicit KmeansApp(std::shared_ptr<const Dataset> data)
-      : input_(std::move(data)), cluster_ids_(num_records(), -1.0) {}
+  explicit KmeansApp(std::shared_ptr<const Dataset> data);
 
   // --- scheme-runner interface ---
+  /// Sets every cluster id to -1, allocating the column on the first call.
   void reset();
   std::uint64_t num_records() const { return input_.data().records; }
   core::TableSet& tables() { return input_.tables(); }
@@ -111,11 +111,13 @@ class KmeansApp {
   static AppInfo paper_info() {
     return AppInfo{"K-means", 6.0, "Fixed-length", 50.0, 12.0};
   }
+  /// Digest of the cluster ids; before the first reset every id reads -1.
   std::uint64_t result_digest() const;
 
  private:
   AppInput<Dataset> input_;
-  // The stream's output column: record r's cluster id.
+  // The stream's output column: record r's cluster id. Empty until the
+  // first reset, so an app built for a queued job holds none of it.
   std::vector<double> cluster_ids_;
 };
 

@@ -53,9 +53,4 @@ std::uint64_t OpinionApp::result_digest() const {
   return fnv1a(kFnvBasis, input_.tables().host_span(input_.data().score)[0]);
 }
 
-std::int64_t OpinionApp::sentiment_score() const {
-  return static_cast<std::int64_t>(
-      input_.tables().host_span(input_.data().score)[0]);
-}
-
 }  // namespace bigk::apps

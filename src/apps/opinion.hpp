@@ -111,7 +111,6 @@ class OpinionApp {
     return AppInfo{"Opinion Finder", 6.2, "Fixed-length", 73.0, 0.0};
   }
   std::uint64_t result_digest() const;
-  std::int64_t sentiment_score() const;
 
  private:
   AppInput<Dataset> input_;

@@ -52,7 +52,7 @@ struct CpuJobConfig {
 /// One runnable instance of a benchmark application, type-erased so the
 /// serving layer can launch any registered app on any device of a pool
 /// without knowing its concrete type. A runner owns its per-run state (its
-/// tables from its first run on, and what its streams write) and may share
+/// tables and what its streams write, from its first run on) and may share
 /// its read-only input with other runners of the same app; run() may be
 /// called repeatedly (each call resets output state first) and multiple
 /// runners execute concurrently against distinct devices.
@@ -144,13 +144,13 @@ class AppJobRunner : public JobRunner {
   sim::Task<> run(cusim::Runtime& runtime, const JobRunConfig& cfg) override {
     // bigkdur: windowed launches resume mid-job — only the first window may
     // reset the app's output state, later windows append to it.
-    if (cfg.rec_begin == 0) app_.reset();
+    reset_output(cfg.rec_begin == 0);
     co_await schemes::launch_app(runtime, app_, cfg);
   }
 
   sim::Task<> run_cpu(hostsim::HostCpu& cpu,
                       const CpuJobConfig& cfg) override {
-    if (cfg.rec_begin == 0) app_.reset();
+    reset_output(cfg.rec_begin == 0);
     auto bindings = schemes::detail::make_bindings(app_.stream_decls());
     const auto [begin, end] = schemes::record_window(
         cfg.rec_begin, cfg.rec_end, app_.num_records());
@@ -164,6 +164,7 @@ class AppJobRunner : public JobRunner {
   std::uint64_t output_digest(std::uint64_t records_done) override {
     // Digest the write-mode output prefix the first `records_done` records
     // produced — the journal's proof that a checkpoint's bytes survived.
+    reset_output(/*job_start=*/false);
     sim::Digest sum;
     bool any = false;
     for (const schemes::StreamDecl& decl : app_.stream_decls()) {
@@ -178,9 +179,19 @@ class AppJobRunner : public JobRunner {
   App& app() noexcept { return app_; }
 
  private:
+  /// Resets the app's output state when a job starts at record 0, and on
+  /// the runner's first use otherwise: an app may allocate that state on its
+  /// first reset (K-means's cluster-id column), so a runner built for a
+  /// queued job holds none of it.
+  void reset_output(bool job_start) {
+    if (job_start || !output_live_) app_.reset();
+    output_live_ = true;
+  }
+
   // stream_decls() is non-const on the duck-typed app interface.
   mutable App app_;
   std::string name_;
+  bool output_live_ = false;
 };
 
 struct BenchApp {

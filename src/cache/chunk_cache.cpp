@@ -8,21 +8,13 @@
 
 namespace bigk::cache {
 
-namespace {
-constexpr std::uint64_t kAlign = 256;  // match the arena allocator
-
-constexpr std::uint64_t align_up(std::uint64_t bytes) {
-  return (bytes + kAlign - 1) / kAlign * kAlign;
-}
-}  // namespace
-
 ChunkCache::ChunkCache(gpusim::DeviceMemory& memory, Config config)
     : memory_(memory), config_(config), capacity_(config.capacity_bytes) {
   if (capacity_ == 0) {
     throw std::invalid_argument("ChunkCache needs a non-zero capacity");
   }
   partition_base_ = memory_.allocate_bytes(capacity_);
-  free_[partition_base_] = capacity_;
+  free_list_ = gpusim::FreeList(partition_base_, capacity_);
 }
 
 ChunkCache::~ChunkCache() { memory_.free_offset(partition_base_); }
@@ -98,7 +90,7 @@ std::optional<ChunkCache::Lease> ChunkCache::insert(const CacheKey& key,
                                                     std::uint64_t bytes,
                                                     sim::TimePs now,
                                                     std::uint64_t checksum) {
-  if (bytes == 0 || align_up(bytes) > capacity_) {
+  if (bytes == 0 || gpusim::FreeList::aligned(bytes) > capacity_) {
     ++stats_.insert_failures;
     if (ctr_insert_failures_ != nullptr) ctr_insert_failures_->add();
     return std::nullopt;
@@ -109,7 +101,7 @@ std::optional<ChunkCache::Lease> ChunkCache::insert(const CacheKey& key,
   if (const auto existing = index_.find(key); existing != index_.end()) {
     invalidate_entry(existing->second, now);
   }
-  std::optional<std::uint64_t> offset = allocate(bytes);
+  std::optional<std::uint64_t> offset = free_list_.allocate(bytes);
   while (!offset.has_value()) {
     const auto victim = pick_victim();
     if (victim == entries_.end()) {
@@ -118,7 +110,7 @@ std::optional<ChunkCache::Lease> ChunkCache::insert(const CacheKey& key,
       return std::nullopt;
     }
     evict(victim, now);
-    offset = allocate(bytes);
+    offset = free_list_.allocate(bytes);
   }
   const std::uint64_t id = next_entry_++;
   Entry entry;
@@ -275,38 +267,6 @@ std::uint64_t ChunkCache::resident_bytes(std::uint64_t dataset) const {
   return total;
 }
 
-std::optional<std::uint64_t> ChunkCache::allocate(std::uint64_t bytes) {
-  const std::uint64_t need = align_up(bytes);
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    if (it->second < need) continue;
-    const std::uint64_t offset = it->first;
-    const std::uint64_t remaining = it->second - need;
-    free_.erase(it);
-    if (remaining > 0) free_[offset + need] = remaining;
-    used_ += need;
-    return offset;
-  }
-  return std::nullopt;
-}
-
-void ChunkCache::free_range(std::uint64_t offset, std::uint64_t bytes) {
-  std::uint64_t size = align_up(bytes);
-  used_ -= size;
-  auto next = free_.upper_bound(offset);
-  if (next != free_.end() && offset + size == next->first) {
-    size += next->second;
-    next = free_.erase(next);
-  }
-  if (next != free_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == offset) {
-      prev->second += size;
-      return;
-    }
-  }
-  free_[offset] = size;
-}
-
 std::map<std::uint64_t, ChunkCache::Entry>::iterator
 ChunkCache::pick_victim() {
   auto best = entries_.end();
@@ -354,7 +314,7 @@ void ChunkCache::evict(std::map<std::uint64_t, Entry>::iterator victim,
 }
 
 void ChunkCache::reclaim(Entry& entry) {
-  free_range(entry.offset, entry.bytes);
+  free_list_.release(entry.offset, entry.bytes);
 }
 
 void ChunkCache::trace_instant(const char* name, sim::TimePs now) {
@@ -364,7 +324,7 @@ void ChunkCache::trace_instant(const char* name, sim::TimePs now) {
 void ChunkCache::trace_usage(sim::TimePs now) {
   if (tracer_ != nullptr) {
     tracer_->counter_set(trace_pid_, "resident bytes", now,
-                         static_cast<double>(used_));
+                         static_cast<double>(free_list_.used()));
   }
 }
 

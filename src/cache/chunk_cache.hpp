@@ -44,6 +44,7 @@
 #include "dur/integrity.hpp"
 #include "fault/fault.hpp"
 #include "gpusim/device_memory.hpp"
+#include "gpusim/free_list.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/time.hpp"
@@ -166,7 +167,7 @@ class ChunkCache {
 
   const Stats& stats() const noexcept { return stats_; }
   std::uint64_t capacity_bytes() const noexcept { return capacity_; }
-  std::uint64_t bytes_used() const noexcept { return used_; }
+  std::uint64_t bytes_used() const noexcept { return free_list_.used(); }
   std::uint64_t entry_count() const noexcept { return entries_.size(); }
   double hit_rate() const noexcept {
     const std::uint64_t total = stats_.hits + stats_.misses;
@@ -186,11 +187,6 @@ class ChunkCache {
     std::uint64_t last_use = 0;     // recency tick
     std::uint64_t checksum = 0;     // bigkdur insert-time digest (0 = off)
   };
-
-  /// First-fit from the partition free list (256-byte aligned, neighbours
-  /// coalesced on free — the same discipline as the arena allocator).
-  std::optional<std::uint64_t> allocate(std::uint64_t bytes);
-  void free_range(std::uint64_t offset, std::uint64_t bytes);
 
   void invalidate_entry_impl(std::uint64_t entry, sim::TimePs now,
                              bool device_reset);
@@ -213,13 +209,13 @@ class ChunkCache {
   Config config_;
   std::uint64_t capacity_ = 0;
   std::uint64_t partition_base_ = 0;
-  std::uint64_t used_ = 0;
+  /// The partition's blocks, allocated like the arena's.
+  gpusim::FreeList free_list_;
   std::uint64_t next_entry_ = 1;
   std::uint64_t tick_ = 0;
 
   std::map<CacheKey, std::uint64_t> index_;     // key -> entry id
   std::map<std::uint64_t, Entry> entries_;      // entry id -> entry
-  std::map<std::uint64_t, std::uint64_t> free_;  // offset -> size
 
   Stats stats_;
   check::PipelineChecker* checker_ = nullptr;

@@ -204,9 +204,6 @@ class Engine {
 
   /// Geometry of the last (or planned) launch.
   std::uint32_t active_blocks() const noexcept { return geometry_.blocks; }
-  std::uint64_t records_per_thread_chunk() const noexcept {
-    return geometry_.rptc;
-  }
   DataLayout layout() const noexcept { return geometry_.layout; }
 
  private:

@@ -24,28 +24,14 @@ void throw_out_of_bounds(std::uint64_t offset, std::uint64_t n) {
 
 }  // namespace detail
 
-namespace {
-constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
-  return (v + a - 1) / a * a;
-}
-}  // namespace
-
 std::uint64_t DeviceMemory::allocate_bytes(std::uint64_t bytes) {
   const std::uint64_t requested = bytes == 0 ? 1 : bytes;
-  const std::uint64_t size = align_up(requested, kAlignment);
-  for (auto it = free_blocks_.begin(); it != free_blocks_.end(); ++it) {
-    const auto [offset, block_size] = *it;
-    if (block_size < size) continue;
-    free_blocks_.erase(it);
-    if (block_size > size) {
-      free_blocks_[offset + size] = block_size - size;
-    }
-    live_allocs_[offset] = size;
-    used_ += size;
-    if (observer_ != nullptr) observer_->on_alloc(offset, requested, size);
-    return offset;
-  }
-  throw OutOfDeviceMemory(size, arena_.size());
+  const std::uint64_t size = FreeList::aligned(requested);
+  const std::optional<std::uint64_t> offset = free_list_.allocate(size);
+  if (!offset.has_value()) throw OutOfDeviceMemory(size, arena_.size());
+  live_allocs_[*offset] = size;
+  if (observer_ != nullptr) observer_->on_alloc(*offset, requested, size);
+  return *offset;
 }
 
 void DeviceMemory::free_offset(std::uint64_t offset) {
@@ -55,18 +41,14 @@ void DeviceMemory::free_offset(std::uint64_t offset) {
     // block is a double free (or a free of never-allocated space); the
     // interior of a live allocation or a point past the arena is a foreign
     // offset.
-    auto after = free_blocks_.upper_bound(offset);
-    if (after != free_blocks_.begin()) {
-      const auto& [free_base, free_size] = *std::prev(after);
-      if (offset >= free_base && offset < free_base + free_size) {
-        if (observer_ != nullptr) {
-          observer_->on_bad_free(offset, /*is_double_free=*/true);
-        }
-        throw DoubleFree("double free of device offset " +
-                         std::to_string(offset) +
-                         ": lies in free space (already freed or never "
-                         "allocated)");
+    if (free_list_.is_free(offset)) {
+      if (observer_ != nullptr) {
+        observer_->on_bad_free(offset, /*is_double_free=*/true);
       }
+      throw DoubleFree("double free of device offset " +
+                       std::to_string(offset) +
+                       ": lies in free space (already freed or never "
+                       "allocated)");
     }
     if (observer_ != nullptr) {
       observer_->on_bad_free(offset, /*is_double_free=*/false);
@@ -84,26 +66,10 @@ void DeviceMemory::free_offset(std::uint64_t offset) {
     throw InvalidFree("free of device offset " + std::to_string(offset) +
                       ": not an allocation base");
   }
-  std::uint64_t size = alloc->second;
+  const std::uint64_t size = alloc->second;
   if (observer_ != nullptr) observer_->on_free(offset, size);
   live_allocs_.erase(alloc);
-  used_ -= size;
-
-  // Coalesce with the following free block.
-  auto next = free_blocks_.lower_bound(offset);
-  if (next != free_blocks_.end() && offset + size == next->first) {
-    size += next->second;
-    next = free_blocks_.erase(next);
-  }
-  // Coalesce with the preceding free block.
-  if (next != free_blocks_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == offset) {
-      prev->second += size;
-      return;
-    }
-  }
-  free_blocks_[offset] = size;
+  free_list_.release(offset, size);
 }
 
 }  // namespace bigk::gpusim

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "gpusim/free_list.hpp"
+
 namespace bigk::gpusim {
 
 class OutOfDeviceMemory : public std::runtime_error {
@@ -117,13 +119,13 @@ class MemoryObserver {
 class DeviceMemory {
  public:
   explicit DeviceMemory(std::uint64_t capacity_bytes)
-      : arena_(capacity_bytes) {
-    free_blocks_[0] = capacity_bytes;
-  }
+      : arena_(capacity_bytes), free_list_(0, capacity_bytes) {}
 
   std::uint64_t capacity() const noexcept { return arena_.size(); }
-  std::uint64_t used() const noexcept { return used_; }
-  std::uint64_t free_bytes() const noexcept { return arena_.size() - used_; }
+  std::uint64_t used() const noexcept { return free_list_.used(); }
+  std::uint64_t free_bytes() const noexcept {
+    return arena_.size() - free_list_.used();
+  }
 
   /// Installs (or with nullptr removes) the access observer.
   void set_observer(MemoryObserver* observer) noexcept {
@@ -206,12 +208,9 @@ class DeviceMemory {
     return const_cast<void*>(checked(offset, n));
   }
 
-  static constexpr std::uint64_t kAlignment = 256;
-
   std::vector<std::byte> arena_;
-  std::map<std::uint64_t, std::uint64_t> free_blocks_;  // offset -> size
+  FreeList free_list_;
   std::map<std::uint64_t, std::uint64_t> live_allocs_;  // offset -> size
-  std::uint64_t used_ = 0;
   MemoryObserver* observer_ = nullptr;
 };
 

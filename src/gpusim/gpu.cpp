@@ -7,8 +7,6 @@
 
 namespace bigk::gpusim {
 
-sim::Simulation& BlockCtx::sim() noexcept { return gpu_.sim_; }
-
 sim::Task<sim::DurationPs> BlockCtx::run_threads(std::uint32_t first,
                                                  std::uint32_t count,
                                                  const LaneFn& lane_fn) {

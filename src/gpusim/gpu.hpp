@@ -144,7 +144,6 @@ class BlockCtx {
   }
   std::uint32_t num_blocks() const noexcept { return launch_.num_blocks; }
   Gpu& gpu() noexcept { return gpu_; }
-  sim::Simulation& sim() noexcept;
 
   /// Runs `lane_fn` for threads [first, first+count) of this block, warp by
   /// warp, then occupies this block's SM for the merged warp costs. Returns

@@ -188,8 +188,6 @@ class MapReduceJob {
     return buckets;
   }
 
-  std::uint32_t num_buckets() const noexcept { return buckets_; }
-
  private:
   std::span<T> input_;
   std::uint32_t elems_per_record_;

@@ -93,12 +93,6 @@ bool Tracer::empty() const noexcept {
   return spans_.empty() && instants_.empty() && counter_samples_.empty();
 }
 
-void Tracer::clear() {
-  spans_.clear();
-  instants_.clear();
-  counter_samples_.clear();
-}
-
 std::string_view Tracer::process_name(std::uint32_t pid) const {
   if (pid == 0 || pid > processes_.size()) return {};
   return processes_[pid - 1].name;

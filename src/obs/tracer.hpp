@@ -95,7 +95,6 @@ class Tracer {
   std::size_t process_count() const noexcept { return processes_.size(); }
   std::size_t counter_track_count() const noexcept;
   bool empty() const noexcept;
-  void clear();
 
   /// Name of process `pid` ("" if unknown).
   std::string_view process_name(std::uint32_t pid) const;

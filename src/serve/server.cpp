@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -23,7 +22,6 @@
 #include "fault/fault.hpp"
 #include "obs/prof/attribution.hpp"
 #include "obs/prof/slo.hpp"
-#include "serve/health.hpp"
 #include "sim/hash.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
@@ -86,10 +84,6 @@ Outcome summarize(const std::vector<const JobRecord*>& records,
   return out;
 }
 
-/// Consecutive job failures on one device before it is quarantined; a
-/// device-lost failure quarantines immediately.
-constexpr std::uint32_t kQuarantineAfter = 2;
-
 /// The windowed metrics telemetry_tick offers the SLO monitor, in snapshot
 /// order. The monitor skips a metric missing from a snapshot, so a rule on
 /// any other name could never fire; run_server rejects it instead.
@@ -123,6 +117,14 @@ std::uint64_t dataset_id_of(const std::string& app) {
   return sim::digest_bytes(std::as_bytes(std::span(app)));
 }
 
+/// `field` of every tenant, in tenant order.
+std::vector<std::uint32_t> per_tenant(const std::vector<TenantConfig>& tenants,
+                                      std::uint32_t TenantConfig::*field) {
+  std::vector<std::uint32_t> values;
+  for (const TenantConfig& tenant : tenants) values.push_back(tenant.*field);
+  return values;
+}
+
 struct Job {
   JobRecord record;
   /// Built with the job, destroyed when it settles.
@@ -142,7 +144,7 @@ struct Job {
 };
 
 /// Where a periodic daemon's previous tick left off in the jobs that
-/// finished and in the queue-depth samples.
+/// finished and in the queue's depth samples.
 struct TickCursor {
   std::size_t finished = 0;
   std::uint64_t depth_sum = 0;
@@ -153,9 +155,19 @@ struct ServerState {
   const ServerConfig& config;
   sim::Simulation sim;
   cusim::DevicePool pool;
+  /// The configured tenants, or one default weight-1 tenant without quota
+  /// or think time when none are configured.
+  std::vector<TenantConfig> tenants;
+  /// Admission: pool depth and tenant quotas.
   JobQueue queue;
+  /// Placement. With tenants a device holds one job at a time, so the
+  /// discipline's order decides which job runs next; without, the job limit
+  /// is unbounded and every admitted job is placed at once, which lets
+  /// app-affinity stack a job behind a warm same-app device.
   Scheduler scheduler;
-  HealthMonitor health;
+  /// Admitted jobs waiting for a device, in discipline order (FIFO for the
+  /// default tenant).
+  QosQueue<Job*> qos_queue;
   /// One FIFO per device; its worker is the single consumer, so jobs on one
   /// device serialize in dispatch order.
   std::vector<std::unique_ptr<sim::Channel<Job*>>> dispatch;
@@ -166,10 +178,6 @@ struct ServerState {
   std::vector<Job> jobs;
   /// Completed jobs in the order they finished.
   std::vector<const Job*> finished;
-  /// Running sum and count of the admission-queue depths sampled at every
-  /// admit and release.
-  std::uint64_t depth_sum = 0;
-  std::uint64_t depth_samples = 0;
   /// bigkcache: one chunk cache + pinned pool per device (empty when the
   /// cache is disabled). Shared by every job dispatched to that device.
   std::vector<std::unique_ptr<cache::ChunkCache>> caches;
@@ -210,38 +218,23 @@ struct ServerState {
   /// the makespan never includes a trailing probe tick.
   sim::TimePs finish_time = 0;
   // --- bigkload QoS plane --------------------------------------------------
-  /// The configured tenants, or one default weight-1 tenant without quota or
-  /// think time when none are configured.
-  std::vector<TenantConfig> tenants;
-  /// Admitted-but-unfinished jobs per tenant (quota enforcement).
-  std::vector<std::uint32_t> tenant_outstanding;
-  /// Admitted jobs waiting for a device, in discipline order (FIFO for the
-  /// default tenant).
-  std::unique_ptr<QosQueue<Job*>> qos_queue;
-  /// Jobs queued-or-running per device (redispatch after a failure may push
-  /// a count past device_limit).
-  std::vector<std::uint32_t> inflight;
-  /// Jobs dispatch() lets one device hold. With tenants it is 1: a job binds
-  /// to a device only once one is idle, so the discipline's order, not the
-  /// arrival order, decides which job runs next. Without tenants it is
-  /// unbounded, so every admitted job is placed at once and waits in its
-  /// device's FIFO; app-affinity can then stack a job behind a warm
-  /// same-app device, which wins on reuse-heavy mixes.
-  std::uint32_t device_limit = std::numeric_limits<std::uint32_t>::max();
   std::unique_ptr<Autoscaler> autoscaler;
   /// Autoscaler-daemon tick state (signals since the previous period).
   TickCursor scaler_cursor;
-  std::uint32_t active_devices = 0;
-  std::uint32_t min_active_seen = 0;
-  std::uint32_t max_active_seen = 0;
 
   explicit ServerState(const ServerConfig& cfg)
       : config(cfg),
         pool(sim, cfg.system, cfg.devices),
-        queue(cfg.queue_depth, cfg.retry_after),
-        scheduler(cfg.policy, pool.size()),
-        health(pool.size(), HealthMonitor::Config{kQuarantineAfter,
-                                                  cfg.reinstate_after}),
+        tenants(cfg.qos.tenants.empty() ? std::vector<TenantConfig>(1)
+                                        : cfg.qos.tenants),
+        queue(cfg.queue_depth, cfg.retry_after,
+              per_tenant(tenants, &TenantConfig::quota)),
+        scheduler(cfg.policy, pool.size(),
+                  cfg.qos.tenants.empty() ? Scheduler::kNoJobLimit : 1,
+                  cfg.reinstate_after),
+        qos_queue(cfg.qos.tenants.empty() ? Discipline::kFifo
+                                          : cfg.qos.discipline,
+                  per_tenant(tenants, &TenantConfig::weight)),
         slo(slo_rules(cfg.slo_spec)) {
     metrics_scope = cfg.metrics_prefix.empty()
                         ? std::string("serve.") + policy_name(cfg.policy) +
@@ -300,38 +293,15 @@ struct ServerState {
                    caches[device]->resident_bytes(dataset_id_of(app));
           });
     }
-    tenants = cfg.qos.tenants;
-    Discipline discipline = cfg.qos.discipline;
-    if (tenants.empty()) {
-      tenants.emplace_back();
-      discipline = Discipline::kFifo;
-    } else {
-      device_limit = 1;
-    }
-    std::vector<std::uint32_t> weights;
-    weights.reserve(tenants.size());
-    for (const TenantConfig& tenant : tenants) weights.push_back(tenant.weight);
-    qos_queue = std::make_unique<QosQueue<Job*>>(discipline, weights);
-    tenant_outstanding.assign(tenants.size(), 0);
-    inflight.assign(pool.size(), 0);
     if (cfg.metrics != nullptr) {
       queue.attach_metrics(*cfg.metrics, metrics_scope);
     }
-    active_devices = pool.size();
     if (cfg.qos.autoscaler.enabled) {
       autoscaler = std::make_unique<Autoscaler>(cfg.qos.autoscaler,
                                                 pool.size());
       // Start at the floor; the daemon grows the pool as load arrives.
-      for (std::uint32_t d = autoscaler->min_active(); d < pool.size(); ++d) {
-        scheduler.set_active(d, false);
-      }
-      active_devices = autoscaler->min_active();
+      scheduler.park_from(autoscaler->min_active());
     }
-    min_active_seen = max_active_seen = active_devices;
-    queue.set_depth_observer([this](std::uint32_t depth) {
-      depth_sum += depth;
-      ++depth_samples;
-    });
   }
 
   void settle_one() { all_settled.advance_to(++settled); }
@@ -357,7 +327,7 @@ struct ServerState {
 /// or parked) or the admitted backlog exceeds the spill depth.
 bool should_spill(const ServerState& st) {
   if (!st.config.hetero.spill_enabled) return false;
-  return !st.scheduler.any_available() ||
+  return !st.scheduler.any_placeable() ||
          st.queue.outstanding() > st.config.hetero.spill_depth;
 }
 
@@ -375,48 +345,30 @@ void place(ServerState& st, Job& job, std::uint32_t device) {
   job.record.warm = st.scheduler.resident_app(device) == job.record.spec.app;
   st.scheduler.on_dispatch(device, job.record.spec.app,
                            job.record.input_bytes);
-  ++st.inflight[device];
   st.dispatch[device]->push(&job);
 }
 
 /// The dispatch step every admitted job passes through: hands queued jobs,
-/// in discipline order, to placeable devices that hold fewer than
-/// device_limit jobs, letting the placement policy choose among them. Runs
-/// whenever a job is queued or a device slot may have opened.
+/// in discipline order, to the device the scheduler picks while some device
+/// can take one. Runs whenever a job is queued or a device slot may have
+/// opened.
 void dispatch(ServerState& st) {
-  while (!st.qos_queue->empty()) {
-    std::vector<std::uint8_t> eligible(st.pool.size(), 0);
-    bool any_eligible = false;
-    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      if (st.scheduler.placeable(d) && st.inflight[d] < st.device_limit) {
-        eligible[d] = 1;
-        any_eligible = true;
-      }
-    }
-    if (!any_eligible) return;
-    Job& job = *st.qos_queue->pop().value();
-    const std::uint32_t device = st.scheduler.pick_device(
-        job.record.spec.app, job.record.input_bytes, &eligible);
-    if (device >= st.pool.size()) {
-      throw std::logic_error("dispatch: eligible set yielded no device");
-    }
-    place(st, job, device);
+  while (!st.qos_queue.empty() && st.scheduler.can_dispatch()) {
+    Job& job = *st.qos_queue.pop().value();
+    place(st, job,
+          st.scheduler.pick_device(job.record.spec.app,
+                                   job.record.input_bytes));
   }
-}
-
-/// Frees the device slot `job` holds on `device`.
-void release_device(ServerState& st, const Job& job, std::uint32_t device) {
-  st.scheduler.on_complete(device, job.record.input_bytes);
-  --st.inflight[device];
 }
 
 /// The one job-exit path: frees the job's device slot (when it still holds
 /// one on `device`), its admission slot and its tenant slot, then dispatches
 /// into whatever opened up.
 void release(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
-  if (device.has_value()) release_device(st, job, *device);
-  st.queue.release();
-  --st.tenant_outstanding[job.tenant];
+  if (device.has_value()) {
+    st.scheduler.on_complete(*device, job.record.input_bytes);
+  }
+  st.queue.release(job.tenant);
   dispatch(st);
 }
 
@@ -457,8 +409,8 @@ void complete(ServerState& st, Job& job, std::optional<std::uint32_t> device) {
 }
 
 /// Runs one job through admission control: keeps resubmitting until accepted
-/// or out of retries. Rejections — queue full, the whole pool quarantined, or
-/// the job's tenant at its admission quota — return an escalating
+/// or out of retries. Rejections — queue full, no device placeable, or the
+/// job's tenant at its admission quota — return an escalating
 /// retry-after hint the client honors verbatim; the escalation streak is
 /// keyed by the submitting client when the workload names one, by the job id
 /// otherwise. An accepted job either spills or is queued for dispatch().
@@ -466,36 +418,28 @@ sim::Task<> submit_one(ServerState& st, Job& job) {
   const std::uint64_t client_key = job.record.spec.client != 0
                                        ? job.record.spec.client
                                        : job.record.spec.id;
-  const std::uint32_t quota = st.tenants[job.tenant].quota;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    sim::DurationPs retry_after = 0;
-    if (quota > 0 && st.tenant_outstanding[job.tenant] >= quota) {
-      retry_after = st.queue.reject(RejectCause::kTenantQuota, client_key);
-    } else if (!st.scheduler.any_available() &&
-               !st.config.hetero.spill_enabled) {
-      retry_after = st.queue.reject(RejectCause::kNoDevice, client_key);
-    } else {
-      const JobQueue::Admission admission = st.queue.try_admit(client_key);
-      if (admission.accepted) {
-        job.record.admitted = true;
-        job.record.admit_time = st.sim.now();
-        ++st.tenant_outstanding[job.tenant];
-        if (should_spill(st)) {
-          spill_job(st, job);
-        } else {
-          st.qos_queue->push(job.tenant, &job, job.record.input_bytes >> 10);
-          dispatch(st);
-        }
-        co_return;  // settles when its worker finishes it
+    // With spill on, the host cores can run a job no device can take.
+    const JobQueue::Admission admission = st.queue.try_admit(
+        client_key, job.tenant,
+        st.scheduler.any_placeable() || st.config.hetero.spill_enabled);
+    if (admission.accepted) {
+      job.record.admitted = true;
+      job.record.admit_time = st.sim.now();
+      if (should_spill(st)) {
+        spill_job(st, job);
+      } else {
+        st.qos_queue.push(job.tenant, &job, job.record.input_bytes >> 10);
+        dispatch(st);
       }
-      retry_after = admission.retry_after;
+      co_return;  // settles when its worker finishes it
     }
     ++job.record.rejections;
     if (attempt >= st.config.max_retries) {  // shed for good
       st.settle_job(job);
       co_return;
     }
-    co_await st.sim.delay(retry_after);
+    co_await st.sim.delay(admission.retry_after);
   }
 }
 
@@ -526,9 +470,9 @@ sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
 /// skipping the queue and the device limit; with the whole pool quarantined
 /// the job spills to the host cores or, without spill, fails.
 void redispatch(ServerState& st, std::uint32_t from_device, Job& job) {
-  release_device(st, job, from_device);
-  const std::uint32_t target =
-      st.scheduler.pick_device(job.record.spec.app, job.record.input_bytes);
+  st.scheduler.on_complete(from_device, job.record.input_bytes);
+  const std::uint32_t target = st.scheduler.pick_device(
+      job.record.spec.app, job.record.input_bytes, /*redispatch=*/true);
   if (target < st.pool.size()) {
     ++job.record.redispatches;
     place(st, job, target);
@@ -542,17 +486,6 @@ void redispatch(ServerState& st, std::uint32_t from_device, Job& job) {
     return;
   }
   dispatch(st);
-}
-
-/// Quarantine transition for `device`: no new placements, and its chunk
-/// cache is dropped as a device reset (device memory is not trusted across
-/// the outage; pipecheck flags any read through a surviving lease).
-void quarantine_device(ServerState& st, std::uint32_t device) {
-  st.scheduler.set_available(device, false);
-  if (!st.caches.empty()) {
-    st.caches[device]->invalidate_all(st.sim.now(), /*device_reset=*/true);
-  }
-  st.trace_serve_instant("quarantine dev" + std::to_string(device));
 }
 
 /// The one daemon loop: runs `tick` once every `period` until shutdown.
@@ -573,10 +506,9 @@ sim::Task<> every(ServerState& st, sim::DurationPs period, Tick tick) {
 /// re-trips between probes keeps it out.
 void probe_tick(ServerState& st) {
   for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-    if (!st.health.quarantined(d)) continue;
+    if (!st.scheduler.quarantined(d)) continue;
     const bool clean = st.fault_plane->probe_device(d, st.sim.now());
-    if (!st.health.on_probe(d, clean)) continue;
-    st.scheduler.set_available(d, true);
+    if (!st.scheduler.on_probe(d, clean)) continue;
     st.trace_serve_instant("reinstate dev" + std::to_string(d));
     dispatch(st);
   }
@@ -621,12 +553,14 @@ struct Period {
 Period take_period(const ServerState& st, TickCursor& cursor) {
   Period period;
   period.finished = std::span(st.finished).subspan(cursor.finished);
-  const std::uint64_t samples = st.depth_samples - cursor.depth_samples;
+  const std::uint64_t sum = st.queue.depth_sum();
+  const std::uint64_t samples = st.queue.depth_samples();
   period.mean_depth =
-      samples > 0 ? static_cast<double>(st.depth_sum - cursor.depth_sum) /
-                        static_cast<double>(samples)
-                  : static_cast<double>(st.queue.outstanding());
-  cursor = {st.finished.size(), st.depth_sum, st.depth_samples};
+      samples > cursor.depth_samples
+          ? static_cast<double>(sum - cursor.depth_sum) /
+                static_cast<double>(samples - cursor.depth_samples)
+          : static_cast<double>(st.queue.outstanding());
+  cursor = {st.finished.size(), sum, samples};
   return period;
 }
 
@@ -805,7 +739,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
     std::optional<Job*> item = co_await st.dispatch[device_index]->pop();
     if (!item.has_value()) break;  // channel closed and drained
     Job& job = **item;
-    if (st.health.quarantined(device_index)) {
+    if (st.scheduler.quarantined(device_index)) {
       // The device went down with this job still queued behind it.
       redispatch(st, device_index, job);
       continue;
@@ -854,13 +788,21 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       continue;
     }
     if (faulted) {
-      if (st.health.on_failure(device_index, end == RunEnd::kDeviceLost)) {
-        quarantine_device(st, device_index);
+      // On quarantine the scheduler skips the device, and its chunk cache is
+      // dropped as a device reset: device memory is not trusted across the
+      // outage (pipecheck flags any read through a surviving lease).
+      if (st.scheduler.on_failure(device_index, end == RunEnd::kDeviceLost)) {
+        if (!st.caches.empty()) {
+          st.caches[device_index]->invalidate_all(st.sim.now(),
+                                                  /*device_reset=*/true);
+        }
+        st.trace_serve_instant("quarantine dev" +
+                               std::to_string(device_index));
       }
       redispatch(st, device_index, job);
       continue;
     }
-    st.health.on_success(device_index);
+    st.scheduler.on_success(device_index);
     complete(st, job, device_index);
   }
 }
@@ -899,64 +841,32 @@ sim::Task<> cpu_worker(ServerState& st) {
 
 /// bigkload autoscaler tick (every qos.autoscaler.period): feeds the
 /// period's mean admission-queue depth and the p99 latency of the jobs that
-/// finished in it to the Autoscaler and applies the returned step to the
-/// scheduler's active axis. Scale-up wakes the lowest-index parked device
-/// (preferring a healthy one); scale-down parks the highest-index active
-/// device, whose queued work still drains.
+/// finished in it to the Autoscaler, has the scheduler apply the returned
+/// step, and dispatches onto any device that woke.
 void autoscaler_tick(ServerState& st) {
   const sim::TimePs now = st.sim.now();
   const Period period = take_period(st, st.scaler_cursor);
   const double p99 = to_ms(percentiles(period.finished)[2]);
-  const int step =
-      st.autoscaler->decide(period.mean_depth, p99, st.active_devices);
-  if (step > 0) {
-    std::uint32_t pick = st.pool.size();
-    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      if (st.scheduler.active(d)) continue;
-      if (pick == st.pool.size()) pick = d;
-      if (!st.health.quarantined(d)) {
-        pick = d;
-        break;
-      }
-    }
-    if (pick < st.pool.size()) {
-      st.scheduler.set_active(pick, true);
-      ++st.active_devices;
-      st.trace_serve_instant("scale-up dev" + std::to_string(pick));
-      dispatch(st);
-    }
-  } else if (step < 0) {
-    for (std::uint32_t d = st.pool.size(); d-- > 0;) {
-      if (!st.scheduler.active(d)) continue;
-      st.scheduler.set_active(d, false);
-      --st.active_devices;
-      st.trace_serve_instant("scale-down dev" + std::to_string(d));
-      break;
-    }
-  }
-  // Never leave the pool with nothing placeable while a healthy parked
-  // device exists (quarantines can empty the active set between periods).
-  if (!st.scheduler.any_available()) {
-    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-      if (st.scheduler.active(d) || st.health.quarantined(d)) continue;
-      st.scheduler.set_active(d, true);
-      ++st.active_devices;
-      st.trace_serve_instant("scale-up dev" + std::to_string(d) +
-                             " (failover)");
-      dispatch(st);
-      break;
-    }
-  }
-  st.min_active_seen = std::min(st.min_active_seen, st.active_devices);
-  st.max_active_seen = std::max(st.max_active_seen, st.active_devices);
+  const Scheduler::Scaling scaling = st.scheduler.scale(st.autoscaler->decide(
+      period.mean_depth, p99, st.scheduler.active_devices()));
+  const auto trace = [&st](std::uint32_t device, const char* what,
+                           const char* why) {
+    if (device == st.pool.size()) return false;
+    st.trace_serve_instant(what + std::to_string(device) + why);
+    return true;
+  };
+  const bool woken = trace(scaling.woken, "scale-up dev", "");
+  trace(scaling.parked, "scale-down dev", "");
+  const bool failover = trace(scaling.failover, "scale-up dev", " (failover)");
+  if (woken || failover) dispatch(st);
+  const auto active = static_cast<double>(st.scheduler.active_devices());
   if (st.config.metrics != nullptr) {
     st.config.metrics->gauge(st.metrics_scope + ".autoscaler.active")
-        .set(static_cast<double>(st.active_devices));
+        .set(active);
   }
   if (st.config.tracer != nullptr) {
     const std::uint32_t pid = st.config.tracer->process("serve");
-    st.config.tracer->counter_set(pid, "load.active_devices", now,
-                                  static_cast<double>(st.active_devices));
+    st.config.tracer->counter_set(pid, "load.active_devices", now, active);
   }
 }
 
@@ -1107,8 +1017,8 @@ ServeReport run_server(const ServerConfig& config,
   report.rejections_tenant_quota =
       state.queue.rejected(RejectCause::kTenantQuota);
   report.peak_queue_depth = state.queue.peak_depth();
-  report.quarantines = state.health.quarantines();
-  report.reinstatements = state.health.reinstatements();
+  report.quarantines = state.scheduler.quarantines();
+  report.reinstatements = state.scheduler.reinstatements();
   if (state.fault_plane != nullptr) {
     const fault::FaultStats& fs = state.fault_plane->stats();
     report.fault_injected = fs.injected;
@@ -1220,9 +1130,9 @@ ServeReport run_server(const ServerConfig& config,
   }
 
   // --- bigkload QoS plane --------------------------------------------------
-  report.min_active_devices = state.min_active_seen;
-  report.max_active_devices = state.max_active_seen;
-  report.final_active_devices = state.active_devices;
+  report.min_active_devices = state.scheduler.min_active_devices();
+  report.max_active_devices = state.scheduler.max_active_devices();
+  report.final_active_devices = state.scheduler.active_devices();
   if (state.autoscaler != nullptr) {
     report.scale_ups = state.autoscaler->scale_ups();
     report.scale_downs = state.autoscaler->scale_downs();

@@ -123,7 +123,6 @@ class QosQueue {
     return std::move(entry.item);
   }
 
-  Discipline discipline() const noexcept { return discipline_; }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
   std::size_t num_tenants() const noexcept { return tenants_.size(); }

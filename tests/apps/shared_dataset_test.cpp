@@ -6,9 +6,11 @@
 // or faulted, changes the shared bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,15 @@ schemes::SchemeConfig tiny_scheme_config() {
 }
 
 core::Options tiny_engine() { return tiny_scheme_config().bigkernel; }
+
+/// Runs one whole job of `runner` on a fresh tiny device.
+void run_job(JobRunner& runner) {
+  sim::Simulation sim;
+  cusim::Runtime runtime(sim, tiny_config());
+  JobRunConfig cfg;
+  cfg.engine = tiny_engine();
+  sim.run_until_complete(runner.run(runtime, cfg));
+}
 
 /// Every stream declaration and byte, every table byte and the record count
 /// of `a` and `b` are equal.
@@ -150,12 +161,15 @@ TEST(AppsSharedDataset, RunnersOfOneEntryShareItsReadOnlyStreams) {
 
 // K-means reads its particles where the dataset keeps them and writes its
 // cluster ids into a column of its own: two runners' streams view the same
-// bytes, equal to the dataset's, and their output columns differ.
+// bytes, equal to the dataset's, and once both have run, their output
+// columns differ.
 TEST(AppsSharedDataset, KmeansRunnersShareTheParticles) {
   const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.0001});
   const BenchApp& kmeans = find_app(suite, "K-means");
   const std::unique_ptr<JobRunner> a = kmeans.make_runner();
   const std::unique_ptr<JobRunner> b = kmeans.make_runner();
+  run_job(*a);
+  run_job(*b);
   const core::StreamBinding x = first_stream<KmeansApp>(*a);
   const core::StreamBinding y = first_stream<KmeansApp>(*b);
   EXPECT_EQ(x.host_data, y.host_data);
@@ -183,11 +197,7 @@ void expect_tables_copied_on_first_run(const std::vector<BenchApp>& suite) {
   const std::byte* dataset = tables(*a);
   EXPECT_EQ(tables(*b), dataset);
 
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, tiny_config());
-  JobRunConfig cfg;
-  cfg.engine = tiny_engine();
-  sim.run_until_complete(a->run(runtime, cfg));
+  run_job(*a);
   EXPECT_NE(tables(*a), dataset);
   EXPECT_EQ(tables(*b), dataset);
 }
@@ -211,21 +221,45 @@ TEST(AppsSharedDataset, KmeansJobWritesOnlyItsOwnClusterIds) {
   const BenchApp& kmeans = find_app(suite, "K-means");
   const std::unique_ptr<JobRunner> a = kmeans.make_runner();
   const std::unique_ptr<JobRunner> b = kmeans.make_runner();
-  EXPECT_NE(first_stream<KmeansApp>(*a).host_out,
-            first_stream<KmeansApp>(*b).host_out);
   const std::uint64_t records = b->num_records();
   const std::uint64_t untouched = b->output_digest(records);
   const std::uint64_t dataset = kmeans.dataset_digest();
 
-  sim::Simulation sim;
-  cusim::Runtime runtime(sim, tiny_config());
-  JobRunConfig cfg;
-  cfg.engine = tiny_engine();
-  sim.run_until_complete(a->run(runtime, cfg));
+  run_job(*a);
 
+  EXPECT_NE(first_stream<KmeansApp>(*a).host_out,
+            first_stream<KmeansApp>(*b).host_out);
   EXPECT_NE(a->output_digest(records), untouched);  // the job assigned ids
   EXPECT_EQ(b->output_digest(records), untouched);
   EXPECT_EQ(kmeans.dataset_digest(), dataset);
+}
+
+// A runner built for a queued job holds no cluster-id column: sizing its
+// input allocates none, and until its first run its digests read every id
+// as -1, the value a column built with the runner held.
+TEST(AppsSharedDataset, KmeansRunnerHoldsNoClusterIdsUntilItRuns) {
+  const std::vector<BenchApp> suite = benchmark_apps({.scale = 0.0001});
+  const BenchApp& kmeans = find_app(suite, "K-means");
+  const std::unique_ptr<JobRunner> runner = kmeans.make_runner();
+  const std::uint64_t records = runner->num_records();
+  EXPECT_EQ(runner->input_bytes(),
+            records * KmeansApp::kElemsPerRecord * sizeof(double));
+  EXPECT_EQ(first_stream<KmeansApp>(*runner).host_out, nullptr);
+
+  const std::vector<double> unassigned(records, -1.0);
+  std::uint64_t minus_ones = kFnvBasis;
+  for (const double cid : unassigned) {
+    minus_ones = fnv1a(minus_ones, std::bit_cast<std::uint64_t>(cid));
+  }
+  const KmeansApp& app = dynamic_cast<AppJobRunner<KmeansApp>&>(*runner).app();
+  EXPECT_EQ(app.result_digest(), minus_ones);
+  sim::Digest prefix;
+  prefix.mix_bytes(std::as_bytes(std::span(unassigned)));
+  EXPECT_EQ(kmeans.make_runner()->output_digest(records), prefix.value());
+
+  run_job(*runner);
+  EXPECT_NE(first_stream<KmeansApp>(*runner).host_out, nullptr);
+  EXPECT_NE(app.result_digest(), minus_ones);
 }
 
 // Building a suite generates nothing; each entry generates its dataset on

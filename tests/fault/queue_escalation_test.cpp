@@ -54,9 +54,10 @@ TEST(QueueEscalationTest, AcceptanceResetsTheStreak) {
 TEST(QueueEscalationTest, RejectionCausesAreBrokenDown) {
   JobQueue queue(1, kBase);
   ASSERT_TRUE(queue.try_admit(99).accepted);
-  queue.try_admit(1);                        // queue_full
-  queue.reject(RejectCause::kNoDevice, 2);   // pool-wide quarantine path
-  queue.reject(RejectCause::kNoDevice, 2);
+  queue.try_admit(1);  // queue_full
+  // Nothing placeable (the whole pool quarantined or parked).
+  queue.try_admit(2, 0, /*placeable=*/false);
+  queue.try_admit(2, 0, /*placeable=*/false);
   EXPECT_EQ(queue.rejected(), 3u);
   EXPECT_EQ(queue.rejected(RejectCause::kQueueFull), 1u);
   EXPECT_EQ(queue.rejected(RejectCause::kNoDevice), 2u);
@@ -64,12 +65,13 @@ TEST(QueueEscalationTest, RejectionCausesAreBrokenDown) {
 
 TEST(QueueEscalationTest, NoDeviceRejectionsShareTheClientStreak) {
   JobQueue queue(1, kBase);
-  // Caller-decided rejections escalate the same per-client streak that
+  // No-device rejections escalate the same per-client streak that
   // queue-full rejections use.
-  EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), kBase);
-  EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), 2 * kBase);
+  EXPECT_EQ(queue.try_admit(5, 0, /*placeable=*/false).retry_after, kBase);
+  EXPECT_EQ(queue.try_admit(5, 0, /*placeable=*/false).retry_after,
+            2 * kBase);
   ASSERT_TRUE(queue.try_admit(5).accepted);
-  EXPECT_EQ(queue.reject(RejectCause::kNoDevice, 5), kBase);
+  EXPECT_EQ(queue.try_admit(5, 0, /*placeable=*/false).retry_after, kBase);
 }
 
 }  // namespace

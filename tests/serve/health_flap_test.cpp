@@ -1,8 +1,8 @@
-// bigkdur flap damping for the serve health monitor: a quarantined device
-// must pass `reinstate_after` consecutive clean probes before it re-enters
-// the pool, so a flapping device — one whose outage clears and re-trips
-// between probes — stays quarantined instead of bouncing jobs.
-#include "serve/health.hpp"
+// bigkdur flap damping for the scheduler's device health: a quarantined
+// device must pass `reinstate_after` consecutive clean probes before it
+// re-enters the pool, so a flapping device — one whose outage clears and
+// re-trips between probes — stays quarantined instead of bouncing jobs.
+#include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,55 +15,60 @@
 namespace bigk::serve {
 namespace {
 
+/// A two-device scheduler with flap damping `reinstate_after`.
+Scheduler damped(std::uint32_t reinstate_after) {
+  return Scheduler(Policy::kRoundRobin, 2, Scheduler::kNoJobLimit,
+                   reinstate_after);
+}
+
 TEST(HealthFlapTest, ZeroReinstateThresholdIsRejected) {
-  EXPECT_THROW(HealthMonitor(2, HealthMonitor::Config{2, 0}),
-               std::invalid_argument);
+  EXPECT_THROW(damped(0), std::invalid_argument);
 }
 
 TEST(HealthFlapTest, LegacySingleProbeReinstatesByDefault) {
-  HealthMonitor health(2, HealthMonitor::Config{1, 1});
-  ASSERT_TRUE(health.on_failure(0, /*fatal=*/true));
-  EXPECT_TRUE(health.on_probe(0, true));
-  EXPECT_FALSE(health.quarantined(0));
-  EXPECT_EQ(health.reinstatements(), 1u);
+  Scheduler scheduler(Policy::kRoundRobin, 2);
+  ASSERT_TRUE(scheduler.on_failure(0, /*fatal=*/true));
+  EXPECT_TRUE(scheduler.on_probe(0, true));
+  EXPECT_FALSE(scheduler.quarantined(0));
+  EXPECT_EQ(scheduler.reinstatements(), 1u);
 }
 
 TEST(HealthFlapTest, ReinstatementWaitsForConsecutiveCleanProbes) {
-  HealthMonitor health(2, HealthMonitor::Config{1, 3});
-  ASSERT_TRUE(health.on_failure(0, /*fatal=*/true));
-  EXPECT_FALSE(health.on_probe(0, true));
-  EXPECT_FALSE(health.on_probe(0, true));
-  EXPECT_TRUE(health.quarantined(0));
-  EXPECT_TRUE(health.on_probe(0, true));  // third clean probe completes it
-  EXPECT_FALSE(health.quarantined(0));
-  EXPECT_EQ(health.reinstatements(), 1u);
+  Scheduler scheduler = damped(3);
+  ASSERT_TRUE(scheduler.on_failure(0, /*fatal=*/true));
+  EXPECT_FALSE(scheduler.on_probe(0, true));
+  EXPECT_FALSE(scheduler.on_probe(0, true));
+  EXPECT_TRUE(scheduler.quarantined(0));
+  EXPECT_TRUE(scheduler.on_probe(0, true));  // third clean probe completes it
+  EXPECT_FALSE(scheduler.quarantined(0));
+  EXPECT_EQ(scheduler.reinstatements(), 1u);
 }
 
 TEST(HealthFlapTest, FailedProbeResetsTheCleanStreak) {
-  HealthMonitor health(2, HealthMonitor::Config{1, 3});
-  ASSERT_TRUE(health.on_failure(0, /*fatal=*/true));
+  Scheduler scheduler = damped(3);
+  ASSERT_TRUE(scheduler.on_failure(0, /*fatal=*/true));
   // A flapping device: two clean probes, a relapse, two clean probes, a
   // relapse — it must never re-enter the pool.
   for (int cycle = 0; cycle < 4; ++cycle) {
-    EXPECT_FALSE(health.on_probe(0, true));
-    EXPECT_FALSE(health.on_probe(0, true));
-    EXPECT_FALSE(health.on_probe(0, false));
-    EXPECT_TRUE(health.quarantined(0));
+    EXPECT_FALSE(scheduler.on_probe(0, true));
+    EXPECT_FALSE(scheduler.on_probe(0, true));
+    EXPECT_FALSE(scheduler.on_probe(0, false));
+    EXPECT_TRUE(scheduler.quarantined(0));
   }
-  EXPECT_EQ(health.reinstatements(), 0u);
+  EXPECT_EQ(scheduler.reinstatements(), 0u);
   // Once the flapping stops, three clean probes in a row reinstate.
-  EXPECT_FALSE(health.on_probe(0, true));
-  EXPECT_FALSE(health.on_probe(0, true));
-  EXPECT_TRUE(health.on_probe(0, true));
-  EXPECT_EQ(health.reinstatements(), 1u);
+  EXPECT_FALSE(scheduler.on_probe(0, true));
+  EXPECT_FALSE(scheduler.on_probe(0, true));
+  EXPECT_TRUE(scheduler.on_probe(0, true));
+  EXPECT_EQ(scheduler.reinstatements(), 1u);
 }
 
 TEST(HealthFlapTest, ProbesOnHealthyDevicesAreNoops) {
-  HealthMonitor health(2, HealthMonitor::Config{1, 2});
-  EXPECT_FALSE(health.on_probe(1, true));
-  EXPECT_FALSE(health.on_probe(1, false));
-  EXPECT_EQ(health.reinstatements(), 0u);
-  EXPECT_FALSE(health.quarantined(1));
+  Scheduler scheduler = damped(2);
+  EXPECT_FALSE(scheduler.on_probe(1, true));
+  EXPECT_FALSE(scheduler.on_probe(1, false));
+  EXPECT_EQ(scheduler.reinstatements(), 0u);
+  EXPECT_FALSE(scheduler.quarantined(1));
 }
 
 TEST(HealthFlapTest, DampedServerStillReinstatesAndCompletes) {

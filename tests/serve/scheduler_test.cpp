@@ -92,6 +92,106 @@ TEST(SchedulerTest, AffinitySpillsWhenWarmBacklogOutweighsStagingSaving) {
   EXPECT_EQ(scheduler.pick_device("a", 5), 2u);
 }
 
+TEST(SchedulerTest, EveryPolicySkipsAQuarantinedDeviceUntilReinstated) {
+  for (const Policy policy : {Policy::kRoundRobin,
+                              Policy::kLeastOutstandingBytes,
+                              Policy::kAppAffinity}) {
+    SCOPED_TRACE(policy_name(policy));
+    Scheduler scheduler(policy, 2);
+    // Device 1 carries the backlog, so every policy would pick device 0.
+    scheduler.on_dispatch(1, "b", 100);
+    ASSERT_TRUE(scheduler.on_failure(0, /*fatal=*/true));
+    EXPECT_FALSE(scheduler.placeable(0));
+    EXPECT_EQ(scheduler.pick_device("a", 10), 1u);
+    EXPECT_EQ(scheduler.pick_device("a", 10, /*redispatch=*/true), 1u);
+    ASSERT_TRUE(scheduler.on_failure(1, /*fatal=*/true));
+    EXPECT_FALSE(scheduler.any_placeable());
+    EXPECT_FALSE(scheduler.can_dispatch());
+    EXPECT_EQ(scheduler.pick_device("a", 10, /*redispatch=*/true), 2u);
+    ASSERT_TRUE(scheduler.on_probe(0, /*clean=*/true));
+    EXPECT_EQ(scheduler.pick_device("a", 10), 0u);
+    EXPECT_EQ(scheduler.quarantines(), 2u);
+    EXPECT_EQ(scheduler.reinstatements(), 1u);
+  }
+}
+
+TEST(SchedulerTest, TwoFailuresInARowQuarantine) {
+  Scheduler scheduler(Policy::kRoundRobin, 2);
+  EXPECT_FALSE(scheduler.on_failure(0));
+  scheduler.on_success(0);  // resets the streak
+  EXPECT_FALSE(scheduler.on_failure(0));
+  EXPECT_TRUE(scheduler.on_failure(0));
+  EXPECT_TRUE(scheduler.quarantined(0));
+  EXPECT_FALSE(scheduler.on_failure(0));  // already quarantined
+  EXPECT_EQ(scheduler.quarantines(), 1u);
+}
+
+TEST(SchedulerTest, DispatchAppliesTheJobLimitAndRedispatchIgnoresIt) {
+  Scheduler scheduler(Policy::kLeastOutstandingBytes, 3, /*job_limit=*/1);
+  scheduler.on_dispatch(0, "a", 10);
+  scheduler.on_dispatch(1, "b", 100);
+  // Device 0 has the least backlog but holds its one job.
+  EXPECT_TRUE(scheduler.can_dispatch());
+  EXPECT_EQ(scheduler.pick_device("c", 10), 2u);
+  scheduler.on_dispatch(2, "c", 10);
+  EXPECT_FALSE(scheduler.can_dispatch());
+  EXPECT_EQ(scheduler.pick_device("d", 10), 3u);
+  // A redispatch takes the least backlog whatever the device holds.
+  EXPECT_EQ(scheduler.pick_device("d", 10, /*redispatch=*/true), 0u);
+  scheduler.on_complete(0, 10);
+  EXPECT_TRUE(scheduler.can_dispatch());
+  EXPECT_EQ(scheduler.pick_device("d", 10), 0u);
+  // Without a limit a device takes any number of jobs.
+  Scheduler unbounded(Policy::kRoundRobin, 1);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(unbounded.pick_device("a", 1), 0u);
+    unbounded.on_dispatch(0, "a", 1);
+  }
+  EXPECT_TRUE(unbounded.can_dispatch());
+  EXPECT_THROW(Scheduler(Policy::kRoundRobin, 1).on_complete(0, 1),
+               std::logic_error);
+}
+
+TEST(SchedulerTest, ScalingWakesParksAndFailsOver) {
+  Scheduler scheduler(Policy::kRoundRobin, 4);
+  scheduler.park_from(1);  // the autoscaler's floor: device 0 active
+  EXPECT_EQ(scheduler.active_devices(), 1u);
+  EXPECT_FALSE(scheduler.placeable(1));
+  ASSERT_TRUE(scheduler.on_failure(1, /*fatal=*/true));  // while parked
+  // A wake takes the lowest-index parked device, preferring a healthy one.
+  EXPECT_EQ(scheduler.scale(+1).woken, 2u);
+  EXPECT_EQ(scheduler.scale(+1).woken, 3u);
+  EXPECT_EQ(scheduler.scale(+1).woken, 1u);  // only the quarantined one left
+  const Scheduler::Scaling none = scheduler.scale(+1);
+  EXPECT_EQ(none.woken, 4u);
+  EXPECT_EQ(none.parked, 4u);
+  EXPECT_EQ(none.failover, 4u);
+  EXPECT_EQ(scheduler.active_devices(), 4u);
+  // A park takes the highest-index active device.
+  EXPECT_EQ(scheduler.scale(-1).parked, 3u);
+  EXPECT_EQ(scheduler.scale(-1).parked, 2u);
+  // Device 0's loss leaves nothing placeable: the lowest-index healthy
+  // parked device wakes in failover, without a step.
+  ASSERT_TRUE(scheduler.on_failure(0, /*fatal=*/true));
+  const Scheduler::Scaling failover = scheduler.scale(0);
+  EXPECT_EQ(failover.woken, 4u);
+  EXPECT_EQ(failover.failover, 2u);
+  EXPECT_EQ(scheduler.active_devices(), 3u);
+  // A park that empties the placeable set fails over within the step, and
+  // the count the step ends with is what the min/max see.
+  const Scheduler::Scaling bounce = scheduler.scale(-1);
+  EXPECT_EQ(bounce.parked, 2u);
+  EXPECT_EQ(bounce.failover, 2u);
+  EXPECT_EQ(scheduler.active_devices(), 3u);
+  EXPECT_EQ(scheduler.min_active_devices(), 1u);
+  EXPECT_EQ(scheduler.max_active_devices(), 4u);
+  Scheduler pool(Policy::kRoundRobin, 3);
+  ASSERT_TRUE(pool.on_failure(0, /*fatal=*/true));
+  ASSERT_TRUE(pool.on_failure(1, /*fatal=*/true));
+  EXPECT_EQ(pool.scale(-1).failover, 2u);
+  EXPECT_EQ(pool.min_active_devices(), 3u);
+}
+
 TEST(SchedulerTest, RejectsZeroDevices) {
   EXPECT_THROW(Scheduler(Policy::kRoundRobin, 0), std::invalid_argument);
 }
