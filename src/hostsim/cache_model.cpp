@@ -18,38 +18,69 @@ CacheModel::CacheModel(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
   if (ways == 0) {
     throw std::invalid_argument("cpu.cache_ways must be > 0");
   }
+  if (capacity_bytes / line_bytes < ways) {
+    throw std::invalid_argument(
+        "cpu.llc_bytes gives this thread a " + std::to_string(capacity_bytes) +
+        "-byte cache share, fewer than cpu.cache_ways = " +
+        std::to_string(ways) + " lines of cpu.cache_line_bytes = " +
+        std::to_string(line_bytes) + " bytes");
+  }
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
-  std::uint64_t sets =
-      std::max<std::uint64_t>(1, capacity_bytes / line_bytes / ways);
-  sets = std::bit_floor(sets);  // power of two for cheap indexing
+  // A power of two for cheap indexing.
+  const std::uint64_t sets = std::bit_floor(capacity_bytes / line_bytes / ways);
   set_mask_ = sets - 1;
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
-  lines_.resize(sets * ways_);
+  tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(sets * ways_);
+  fill_.assign(sets, 0);
+}
+
+CacheModel::CacheModel(const CacheModel& other)
+    : line_bytes_(other.line_bytes_),
+      line_shift_(other.line_shift_),
+      ways_(other.ways_),
+      set_mask_(other.set_mask_),
+      set_shift_(other.set_shift_),
+      tags_(std::make_unique_for_overwrite<std::uint64_t[]>(other.fill_.size() *
+                                                            other.ways_)),
+      fill_(other.fill_),
+      last_line_(other.last_line_),
+      has_last_(other.has_last_),
+      hits_(other.hits_),
+      misses_(other.misses_) {
+  for (std::size_t set = 0; set < fill_.size(); ++set) {
+    const std::uint64_t* from = &other.tags_[set * ways_];
+    std::copy(from, from + fill_[set], &tags_[set * ways_]);
+  }
+}
+
+CacheModel& CacheModel::operator=(const CacheModel& other) {
+  if (this != &other) *this = CacheModel(other);
+  return *this;
 }
 
 bool CacheModel::access_set(std::uint64_t line) {
   const std::uint64_t set = line & set_mask_;
   const std::uint64_t tag = line >> set_shift_;
-  Way* base = &lines_[set * ways_];
-  ++tick_;
+  std::uint64_t* base = &tags_[set * ways_];
+  std::uint32_t& fill = fill_[set];
   last_line_ = line;
   has_last_ = true;
 
-  // The victim stays a pointer here: a pointer alone is one conditional
-  // move per way, where an index compiles to an unpredictable branch.
-  Way* victim = base;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == tag && base[w].last_use != 0) {
-      base[w].last_use = tick_;
-      last_way_ = set * ways_ + w;
+  // One pass rotates the set: each slot takes the tag before it, until the
+  // slot that held `tag` takes the one before it and `tag` is at the front.
+  std::uint64_t carry = tag;
+  for (std::uint32_t w = 0; w < fill; ++w) {
+    const std::uint64_t resident = base[w];
+    base[w] = carry;
+    if (resident == tag) {
       ++hits_;
       return true;
     }
-    if (base[w].last_use < victim->last_use) victim = &base[w];
+    carry = resident;
   }
-  victim->tag = tag;
-  victim->last_use = tick_;
-  last_way_ = static_cast<std::size_t>(victim - lines_.data());
+  // A miss: every tag moved back one slot, and `carry` is the least recent
+  // one, which a full set drops.
+  if (fill < ways_) base[fill++] = carry;
   ++misses_;
   return false;
 }
@@ -63,9 +94,9 @@ void throw_region_id_overflow(std::uint32_t region_id) {
 }  // namespace detail
 
 void CacheModel::reset() {
-  std::fill(lines_.begin(), lines_.end(), Way{});
+  std::fill(fill_.begin(), fill_.end(), 0);
   has_last_ = false;
-  tick_ = hits_ = misses_ = 0;
+  hits_ = misses_ = 0;
 }
 
 }  // namespace bigk::hostsim

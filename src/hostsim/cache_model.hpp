@@ -7,8 +7,8 @@
 // ASLR and runs are reproducible.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace bigk::hostsim {
@@ -41,27 +41,41 @@ constexpr std::uint64_t logical_address(std::uint32_t region_id,
   return (std::uint64_t{region_id} << 44) | (offset & ((1ull << 44) - 1));
 }
 
+/// Each set keeps its resident tags most recent first, in one 8-byte slot per
+/// way, and counts how many slots it has filled. A hit rotates its tag to
+/// the front; a miss inserts at the front and, in a full set, drops the last
+/// (least recent) tag. The resident lines are those of a set scan that takes
+/// an empty way first and otherwise evicts the least recently used one, so
+/// the hits and misses are the same. A slot at or past its set's fill count
+/// is never read, and the slots start uninitialised, so a page of slots is
+/// faulted in only when a set on it first takes a tag.
 class CacheModel {
  public:
   /// `capacity_bytes` is rounded down to a power-of-two set count. Throws
-  /// std::invalid_argument unless `line_bytes` is a power of two and `ways`
-  /// is nonzero.
+  /// std::invalid_argument unless `line_bytes` is a power of two, `ways` is
+  /// nonzero and `capacity_bytes` holds at least `ways` lines.
   CacheModel(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
              std::uint32_t ways);
+  /// Copies each set's filled slots only.
+  CacheModel(const CacheModel& other);
+  CacheModel& operator=(const CacheModel& other);
+  CacheModel(CacheModel&&) noexcept = default;
+  CacheModel& operator=(CacheModel&&) noexcept = default;
 
   /// Touches the line containing `logical_addr`; returns true on hit.
   bool access(std::uint64_t logical_addr) {
-    // A repeat of the last line touched: that line is still resident in the
-    // way that took it, so this is the hit the set scan would find.
+    // A repeat of the last line touched: that line is still at the front of
+    // its set, so this is the hit the set scan would find, and it moves
+    // nothing.
     const std::uint64_t line = logical_addr >> line_shift_;
     if (line == last_line_ && has_last_) {
-      lines_[last_way_].last_use = ++tick_;
       ++hits_;
       return true;
     }
     return access_set(line);
   }
 
+  /// Empties every set; the slots keep their bytes but are no longer read.
   void reset();
 
   std::uint64_t hits() const noexcept { return hits_; }
@@ -72,29 +86,21 @@ class CacheModel {
   std::uint64_t sets() const noexcept { return set_mask_ + 1; }
 
  private:
-  /// An empty way has last_use 0: every access stamps a tick of 1 or more.
-  /// Its tag means nothing, since every 64-bit value is a real tag when the
-  /// model has one set and 1-byte lines.
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t last_use = 0;
-  };
-
   std::uint32_t line_bytes_;
   std::uint32_t line_shift_;
   std::uint32_t ways_;
   std::uint64_t set_mask_;
   std::uint32_t set_shift_;  // log2(sets()): a tag is `line >> set_shift_`
-  /// The LRU set scan behind access().
+  /// The move-to-front scan behind access().
   bool access_set(std::uint64_t line);
 
-  std::vector<Way> lines_;  // sets * ways, row-major by set
-  // The last line touched and the index in lines_ of the way holding it (an
-  // index, not a pointer, so a copied or moved model stays valid).
+  /// sets * ways tag slots, row-major by set, most recent first; only the
+  /// first fill_[set] slots of a set hold tags.
+  std::unique_ptr<std::uint64_t[]> tags_;
+  std::vector<std::uint32_t> fill_;  // filled slots per set, at most ways
+  // The last line touched, at the front of its set while has_last_ holds.
   std::uint64_t last_line_ = 0;
-  std::size_t last_way_ = 0;
   bool has_last_ = false;
-  std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -103,7 +103,8 @@ class HostCpu {
   /// Creates a software thread pinned round-robin to a physical core (SMT
   /// contexts share a core's execution resources, so two software threads on
   /// one core serialize). `threads_sharing_cache` partitions the LLC among
-  /// that many peers.
+  /// that many peers; throws std::invalid_argument when a share holds fewer
+  /// than cpu.cache_ways lines.
   HostThread make_thread(std::uint32_t threads_sharing_cache = 1);
 
   sim::FifoServer& bus() noexcept { return bus_; }

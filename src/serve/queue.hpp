@@ -98,7 +98,6 @@ class JobQueue {
     }
     ++outstanding_;
     ++tenant_outstanding_[tenant];
-    ++admitted_;
     streaks_.erase(client);
     if (outstanding_ > peak_depth_) peak_depth_ = outstanding_;
     on_depth_change();
@@ -139,7 +138,6 @@ class JobQueue {
   /// period from two readings.
   std::uint64_t depth_sum() const noexcept { return depth_sum_; }
   std::uint64_t depth_samples() const noexcept { return depth_samples_; }
-  std::uint64_t admitted() const noexcept { return admitted_; }
   /// Total rejections issued (one job may be rejected several times).
   std::uint64_t rejected() const noexcept { return rejected_; }
   std::uint64_t rejected(RejectCause cause) const noexcept {
@@ -177,7 +175,6 @@ class JobQueue {
   std::uint32_t peak_depth_ = 0;
   std::uint64_t depth_sum_ = 0;
   std::uint64_t depth_samples_ = 0;
-  std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::array<std::uint64_t, kNumRejectCauses> rejected_by_cause_{};
   /// Consecutive rejections per client since its last acceptance.

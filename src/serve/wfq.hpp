@@ -71,7 +71,6 @@ class QosQueue {
       throw std::invalid_argument("QosQueue needs at least one tenant");
     }
     tenants_.reserve(weights.size());
-    served_.assign(weights.size(), 0);
     for (const std::uint32_t weight : weights) {
       TenantQueue tq;
       tq.eff_weight = weight > 0 ? static_cast<std::uint64_t>(weight) *
@@ -99,7 +98,6 @@ class QosQueue {
     tq.last_vfinish = entry.vfinish;
     tq.queue.push_back(std::move(entry));
     ++size_;
-    if (size_ > peak_backlog_) peak_backlog_ = size_;
   }
 
   /// Serves the next item (min finish tag under kWfq, min arrival sequence
@@ -119,21 +117,11 @@ class QosQueue {
     tenants_[best].queue.pop_front();
     --size_;
     if (entry.vstart > virtual_time_) virtual_time_ = entry.vstart;
-    ++served_[best];
     return std::move(entry.item);
   }
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
-  std::size_t num_tenants() const noexcept { return tenants_.size(); }
-  std::size_t backlog(std::uint32_t tenant) const {
-    return tenants_.at(tenant).queue.size();
-  }
-  std::size_t peak_backlog() const noexcept { return peak_backlog_; }
-  std::uint64_t served(std::uint32_t tenant) const {
-    return served_.at(tenant);
-  }
-  std::uint64_t virtual_time() const noexcept { return virtual_time_; }
 
  private:
   struct Entry {
@@ -162,8 +150,6 @@ class QosQueue {
   std::uint64_t virtual_time_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
-  std::size_t peak_backlog_ = 0;
-  std::vector<std::uint64_t> served_;
 };
 
 }  // namespace bigk::serve

@@ -95,9 +95,9 @@ TEST(CacheModelTest, ConstructorRejectsUnindexableGeometry) {
   EXPECT_EQ(message(64, 8), "no exception");
 }
 
-// The set-scan LRU that CacheModel's repeat-line fast path must reproduce:
-// every access scans its set, takes the first empty way on a miss, and
-// otherwise evicts the least recently used one.
+// The set-scan LRU that CacheModel's move-to-front sets and repeat-line fast
+// path must reproduce: every access scans its set, takes the first empty way
+// on a miss, and otherwise evicts the least recently used one.
 class ReferenceLru {
  public:
   ReferenceLru(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
@@ -159,8 +159,9 @@ class ReferenceLru {
 };
 
 // A seeded stream of repeated lines, strided scans and set conflicts, with a
-// reset(), a copy and a move part-way through: the model must match the
-// reference hit for hit on every access.
+// copy assignment after each of the first rounds, while sets are still
+// filling, and a reset(), a copy and a move part-way through: the model must
+// match the reference hit for hit on every access.
 TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
   struct Geometry {
     std::uint64_t capacity;
@@ -168,10 +169,14 @@ TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
     std::uint32_t ways;
   };
   // (1, 1, 1) is one set of 1-byte lines, where every 64-bit value,
-  // ~0 included, is a real tag.
-  for (const Geometry g : {Geometry{4 << 10, 64, 4}, Geometry{2 << 10, 64, 1},
-                           Geometry{64 << 10, 64, 8},
-                           Geometry{1 << 10, 32, 16}, Geometry{1, 1, 1}}) {
+  // ~0 included, is a real tag. (512, 64, 4) is 2 sets of 4 ways and
+  // (2048, 64, 32) one set of 32.
+  for (const Geometry g :
+       {Geometry{4 << 10, 64, 4}, Geometry{2 << 10, 64, 1},
+        Geometry{64 << 10, 64, 8}, Geometry{1 << 10, 32, 16},
+        Geometry{1, 1, 1}, Geometry{3 << 10, 64, 3},
+        Geometry{6 << 10, 64, 12}, Geometry{512, 64, 4},
+        Geometry{2048, 64, 32}}) {
     SCOPED_TRACE(testing::Message() << g.capacity << " B, " << g.line
                                     << " B lines, " << g.ways << " ways");
     std::mt19937_64 rng(20 + g.ways);
@@ -207,7 +212,12 @@ TEST(CacheModelTest, MatchesTheSetScanReferenceOnEveryAccess) {
     const std::uint64_t set_stride = model->sets() * g.line;
     touch(~std::uint64_t{0});  // a cold cache holds no line, whatever its tag
     for (int round = 0; round < 3000; ++round) {
-      if (round == 1000) {
+      if (round <= 8) {  // copies while sets are still filling
+        auto assigned =
+            std::make_unique<CacheModel>(g.capacity, g.line, g.ways);
+        *assigned = *model;
+        model = std::move(assigned);
+      } else if (round == 1000) {
         model->reset();
         reference.reset();
         touch(last);  // the line touched before the reset is gone
@@ -467,6 +477,35 @@ TEST(HostCpuTest, RejectsBadIpc) {
 
 TEST(HostCpuTest, RejectsBadMemoryBandwidth) {
   expect_rejects_non_positive(&gpusim::CpuConfig::mem_gbps, "cpu.mem_gbps");
+}
+
+// A thread's share of the LLC must hold one set: a smaller one would be
+// rounded up to a set of cpu.cache_ways lines, more than the share.
+TEST(HostCpuTest, RejectsACacheShareSmallerThanOneSet) {
+  const auto share_error = [](std::uint64_t llc_bytes,
+                              std::uint32_t threads_sharing_cache) {
+    sim::Simulation sim;
+    gpusim::CpuConfig config = test_config();
+    config.llc_bytes = llc_bytes;
+    HostCpu cpu(sim, config);
+    try {
+      cpu.make_thread(threads_sharing_cache);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  for (const std::string& message :
+       {share_error(0, 1), share_error(64 << 10, 129)}) {
+    for (const char* name : {"cpu.llc_bytes", "cpu.cache_ways",
+                             "cpu.cache_line_bytes"}) {
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
+  }
+  // 64 KiB over 129 threads is 508 bytes, under 8 lines of 64 bytes.
+  EXPECT_NE(share_error(64 << 10, 129).find(" 508-byte"), std::string::npos);
+  EXPECT_EQ(share_error(64 << 10, 128), "no exception");
+  EXPECT_THROW(CacheModel(64, 64, 8), std::invalid_argument);
 }
 
 TEST(HostThreadTest, CommitAdvancesTimeByComputeCost) {

@@ -43,11 +43,16 @@ TEST(QosQueueTest, WfqSharesServiceByWeight) {
     queue.push(0, i, 8);
     queue.push(1, 100 + i, 8);
   }
-  // Serve 32 items; tenant 0 should get ~3/4 of them.
-  for (int i = 0; i < 32; ++i) ASSERT_TRUE(queue.pop().has_value());
-  EXPECT_EQ(queue.served(0) + queue.served(1), 32u);
-  EXPECT_GE(queue.served(0), 22u);
-  EXPECT_LE(queue.served(0), 26u);
+  // Serve 32 items; tenant 0 (items below 100) should get ~3/4 of them.
+  int served0 = 0;
+  for (int i = 0; i < 32; ++i) {
+    const std::optional<int> item = queue.pop();
+    ASSERT_TRUE(item.has_value());
+    if (*item < 100) ++served0;
+  }
+  EXPECT_EQ(queue.size(), 48u);
+  EXPECT_GE(served0, 22);
+  EXPECT_LE(served0, 26);
 }
 
 TEST(QosQueueTest, CostWeighsAgainstATenant) {
@@ -58,8 +63,13 @@ TEST(QosQueueTest, CostWeighsAgainstATenant) {
     queue.push(0, i, 16);
     queue.push(1, 100 + i, 4);
   }
-  for (int i = 0; i < 30; ++i) ASSERT_TRUE(queue.pop().has_value());
-  EXPECT_GT(queue.served(1), 2 * queue.served(0));
+  int served[2] = {0, 0};
+  for (int i = 0; i < 30; ++i) {
+    const std::optional<int> item = queue.pop();
+    ASSERT_TRUE(item.has_value());
+    ++served[*item < 100 ? 0 : 1];
+  }
+  EXPECT_GT(served[1], 2 * served[0]);
 }
 
 TEST(QosQueueTest, WeightZeroFallsBehindButIsNeverStarvedForever) {
@@ -70,15 +80,20 @@ TEST(QosQueueTest, WeightZeroFallsBehindButIsNeverStarvedForever) {
   QosQueue<int> queue(Discipline::kWfq, {8, 0});
   queue.push(1, 999, 1);  // background item, arrives first
   int foreground_served = 0;
+  int foreground_queued = 0;
   bool background_served = false;
   for (int round = 0; round < 10'000 && !background_served; ++round) {
-    if (queue.backlog(0) == 0) queue.push(0, round, 1);
+    if (foreground_queued == 0) {
+      queue.push(0, round, 1);
+      ++foreground_queued;
+    }
     const std::optional<int> item = queue.pop();
     ASSERT_TRUE(item.has_value());
     if (*item == 999) {
       background_served = true;
     } else {
       ++foreground_served;
+      --foreground_queued;
     }
   }
   EXPECT_TRUE(background_served);
@@ -108,32 +123,36 @@ TEST(QosQueueTest, TieBreakIsDeterministic) {
 TEST(QosQueueTest, AccountingAccessors) {
   QosQueue<int> queue(Discipline::kWfq, {1, 1});
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.num_tenants(), 2u);
   queue.push(0, 1, 1);
   queue.push(0, 2, 1);
   queue.push(1, 3, 1);
+  EXPECT_FALSE(queue.empty());
   EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.backlog(0), 2u);
-  EXPECT_EQ(queue.backlog(1), 1u);
-  EXPECT_EQ(queue.peak_backlog(), 3u);
-  while (queue.pop().has_value()) {
+  // Equal finish tags go to the lower tenant index, then arrival order.
+  std::vector<int> order;
+  while (auto item = queue.pop()) {
+    order.push_back(*item);
+    EXPECT_EQ(queue.size(), 3u - order.size());
   }
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.peak_backlog(), 3u);  // peak survives the drain
-  EXPECT_EQ(queue.served(0), 2u);
-  EXPECT_EQ(queue.served(1), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
+// Serving advances the virtual clock to the served item's start tag, so a
+// tenant that was idle while another drained gets no credit for the idle
+// time: its new items start at the clock, not at 0, and share service
+// evenly with the drained tenant's new items instead of all going first.
 TEST(QosQueueTest, VirtualTimeAdvancesMonotonically) {
-  QosQueue<int> queue(Discipline::kWfq, {1});
-  std::uint64_t last = queue.virtual_time();
+  QosQueue<int> queue(Discipline::kWfq, {1, 1});
   for (int i = 0; i < 8; ++i) queue.push(0, i, 64);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.pop().has_value());
-    EXPECT_GE(queue.virtual_time(), last);
-    last = queue.virtual_time();
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(queue.pop(), std::optional<int>(i));
+  for (int i = 0; i < 4; ++i) {
+    queue.push(0, 100 + i, 64);
+    queue.push(1, 200 + i, 64);
   }
-  EXPECT_GT(last, 0u);
+  std::vector<int> order;
+  while (auto item = queue.pop()) order.push_back(*item);
+  EXPECT_EQ(order, (std::vector<int>{200, 100, 201, 101, 202, 102, 203, 103}));
 }
 
 }  // namespace
